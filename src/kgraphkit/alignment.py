@@ -1,9 +1,10 @@
 """Minimal common extensions, the vee closure, and exhaustive sets.
 
 Every operation here has a brute-force counterpart enumerating candidate
-paths directly; the fast versions extend one participant along degree
-complements and filter by the prefix condition.  The test suite keeps the
-oracles wired to the fast paths permanently.
+paths or subsets directly; the fast MCE versions extend one participant
+along degree complements and filter by the prefix condition, and vee and
+enumerate_fe are built from pairwise MCEs.  The test suite keeps the oracles
+wired to the fast paths permanently.
 """
 
 from __future__ import annotations
@@ -99,7 +100,26 @@ def mce_set_brute(g: KGraph, F: Iterable[Path]) -> list[Path]:
 
 
 def vee(g: KGraph, F: Iterable[Path]) -> list[Path]:
-    """Union of MCE(G) over all nonempty subsets G of F, deduplicated."""
+    """Union of MCE(G) over all nonempty subsets G of F, deduplicated and sorted.
+
+    Folds F in sort order one path at a time:
+    vee(S ∪ {rho}) = vee(S) ∪ {rho} ∪ ⋃_{lam in vee(S)} MCE(lam, rho), which
+    follows from MCE(G ∪ {rho}) = ⋃_{lam in MCE(G)} MCE(lam, rho).  That is
+    one pairwise MCE per (path of F, path already closed) with a common range,
+    instead of one MCE(G) per subset.
+    """
+    closed: set[Path] = set()
+    for rho in sorted(set(F), key=Path.sort_key):
+        new = {rho}
+        for lam in closed:
+            if lam.range_vertex == rho.range_vertex:
+                new.update(mce(g, lam, rho))
+        closed |= new
+    return sorted(closed, key=Path.sort_key)
+
+
+def vee_brute(g: KGraph, F: Iterable[Path]) -> list[Path]:
+    """Oracle: mce_set over every nonempty subset of F, deduplicated."""
     F = sorted(set(F), key=Path.sort_key)
     seen: set[Path] = set()
     for size in range(1, len(F) + 1):
@@ -215,11 +235,90 @@ def is_exhaustive_brute(g: KGraph, v: str, E: Sequence[Path], slack: int = 1
 def enumerate_fe(g: KGraph, v: str, cap, budget: int = 100_000) -> list[list[Path]]:
     """All inclusion-minimal exhaustive subsets of the paths from v below cap.
 
-    Minimality is by inclusion only, an artifact convenience; candidates are
-    scanned by size so supersets of found sets are pruned, and the scan stops
-    at the first size where every candidate was pruned.  Exceeding the node
-    budget fails loudly instead of hanging.
+    Minimality is by inclusion only, an artifact convenience.  Candidates are
+    scanned by size, and only antichains are grown: a minimal exhaustive set
+    never holds both mu and a proper extension mu·alpha, since every path
+    meeting mu·alpha meets mu, so the extension could be dropped.  A candidate
+    of size s + 1 is a live candidate of size s plus one later universe member
+    that extends none of its members (the universe is ordered by total
+    degree, so a later member is never a proper prefix of an earlier one).
+    Supersets of found sets are pruned, and the scan stops at the first size
+    with no live candidate.
+
+    Exhaustiveness is the is_exhaustive predicate on the test set of the
+    joined degree D: each member contributes a bitmask of the test paths it
+    has a common extension with, and a candidate is exhaustive when the OR of
+    its members' masks covers the whole test set.  Test sets, masks and prefix
+    tests are built on first use and live only for this call.
+
+    The budget bounds the candidates examined, i.e. the antichains holding no
+    found set; exceeding it fails loudly with CapTooLargeForBudget instead of
+    hanging.
     """
+    cap = Degree(cap)
+    if g.has_finite_path_category():
+        cap = cap.meet(g.max_path_degree())
+    universe = paths_up_to_degree(g, cap, range_vertex=v)
+    tests: dict[Degree, list[Path]] = {}
+    rows: dict[tuple[Degree, int], int] = {}
+    prefix_of: dict[tuple[int, int], bool] = {}
+
+    def test_set(D: Degree) -> list[Path]:
+        if D not in tests:
+            tests[D] = _test_set(g, v, D)
+        return tests[D]
+
+    def row(D: Degree, i: int) -> int:
+        """Bit t is set when test path t has a common extension with member i."""
+        key = (D, i)
+        if key not in rows:
+            lam = universe[i]
+            rows[key] = sum(1 << t for t, mu in enumerate(test_set(D)) if mce(g, mu, lam))
+        return rows[key]
+
+    def extends(j: int, i: int) -> bool:
+        if (i, j) not in prefix_of:
+            prefix_of[(i, j)] = _extends(universe[j], universe[i])
+        return prefix_of[(i, j)]
+
+    found_by_last: list[list[int]] = [[] for _ in universe]  # masks by highest member
+    out: list[list[Path]] = []
+    checked = 0
+    # live candidates that are not exhaustive: (member indices, joined degree)
+    level: list[tuple[tuple[int, ...], Degree]] = [((), Degree.zero(g.rank))]
+    while level:
+        grown = []
+        for members, D in level:
+            mask = sum(1 << i for i in members)
+            for j in range(members[-1] + 1 if members else 0, len(universe)):
+                if any(extends(j, i) for i in members):
+                    continue
+                cand_mask = mask | (1 << j)
+                # the live prefix holds no found set, so one inside must end at j
+                if any(f & cand_mask == f for f in found_by_last[j]):
+                    continue
+                checked += 1
+                if checked > budget:
+                    raise CapTooLargeForBudget(
+                        f"examined more than {budget} candidate sets at cap {tuple(cap)}")
+                cand = members + (j,)
+                joined = D.join(universe[j].degree)
+                cover = 0
+                for i in cand:
+                    cover |= row(joined, i)
+                if cover == (1 << len(test_set(joined))) - 1:
+                    found_by_last[j].append(cand_mask)
+                    out.append(sorted((universe[i] for i in cand), key=Path.sort_key))
+                else:
+                    grown.append((cand, joined))
+        level = grown
+    out.sort(key=lambda E: (len(E), [p.sort_key() for p in E]))
+    return out
+
+
+def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000
+                       ) -> list[list[Path]]:
+    """Oracle: every subset of the universe by size, tested with is_exhaustive."""
     cap = Degree(cap)
     if g.has_finite_path_category():
         cap = cap.meet(g.max_path_degree())

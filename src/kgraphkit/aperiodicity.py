@@ -24,6 +24,10 @@ class MixedSources(KGraphError):
     pass
 
 
+class OracleMismatch(KGraphError):
+    """The brute-force MCE oracle contradicts a separation found by mce."""
+
+
 APERIODIC_EVIDENCE = "AperiodicEvidence"
 APERIODIC_CERTIFIED = "AperiodicCertified"
 PERIODIC_EVIDENCE = "PeriodicEvidence"
@@ -35,6 +39,14 @@ def _tau_candidates(g: KGraph, v: str, depth: Degree) -> list[Path]:
     if g.has_finite_path_category():
         depth = depth.join(g.max_path_degree())
     return paths_up_to_degree(g, depth, range_vertex=v)
+
+
+def _confirm_separated(g: KGraph, mu: Path, nu: Path, tau: Path) -> None:
+    """Re-verify MCE(μτ, ντ) = ∅ with the oracle; raises, so -O keeps it."""
+    if mce_brute(g, compose(mu, tau), compose(nu, tau)):
+        raise OracleMismatch(
+            f"mce separates {mu.label()}, {nu.label()} by {tau.label()}, "
+            "but the brute-force oracle finds a common extension")
 
 
 def find_separating_extension(g: KGraph, mu: Path, nu: Path, depth
@@ -50,7 +62,7 @@ def find_separating_extension(g: KGraph, mu: Path, nu: Path, depth
     depth = Degree(depth)
     for tau in _tau_candidates(g, mu.source_vertex, depth):
         if not mce(g, compose(mu, tau), compose(nu, tau)):
-            assert mce_brute(g, compose(mu, tau), compose(nu, tau)) == []
+            _confirm_separated(g, mu, nu, tau)
             return tau
     return None
 
@@ -73,7 +85,7 @@ def separate_family(g: KGraph, H: Sequence[Path], depth) -> Optional[Path]:
     for tau in _tau_candidates(g, v, depth):
         if all(not mce(g, compose(mu, tau), compose(nu, tau)) for mu, nu in pairs):
             for mu, nu in pairs:
-                assert mce_brute(g, compose(mu, tau), compose(nu, tau)) == []
+                _confirm_separated(g, mu, nu, tau)
             return tau
     return None
 

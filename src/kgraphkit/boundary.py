@@ -384,13 +384,16 @@ def check_boundary_condition(x: BoundaryPathHandle, window, fe_cap,
     fe_cap = Degree(fe_cap)
     scan = ext_meet(x.degree, ext_degree(Degree(window)))
     unknown_witness = None
+    fe_cache: dict[str, list[list[Path]]] = {}
     for n in degrees_up_to(scan):
         try:
             v = x.vertex_at(n)
         except WindowUnavailable:
             unknown_witness = unknown_witness or (n, None)
             continue
-        for E in enumerate_fe(g, v, fe_cap, budget=budget):
+        if v not in fe_cache:
+            fe_cache[v] = enumerate_fe(g, v, fe_cap, budget=budget)
+        for E in fe_cache[v]:
             hit = False
             blocked = False
             for e in E:

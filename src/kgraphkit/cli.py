@@ -237,20 +237,6 @@ def cmd_boundary_check(args) -> int:
     return exit_code(counts)
 
 
-def _mce_closure(g: KGraph, F: list[Path], rounds: int = 6) -> list[Path]:
-    out = set(F)
-    for _ in range(rounds):
-        new = set()
-        items = sorted(out, key=Path.sort_key)
-        for mu in items:
-            for nu in items:
-                new.update(mce(g, mu, nu))
-        if new <= out:
-            break
-        out |= new
-    return sorted(out, key=Path.sort_key)
-
-
 def _random_table(pool: list[Path], rng: random.Random, integer: bool) -> dict:
     table = {}
     for mu in pool:
@@ -293,7 +279,7 @@ def cmd_rep_verify(args) -> int:
     fam = fock if args.family == "fock" else get_boundary()
 
     F_small = paths_up_to_degree(g, gen_cap)
-    F_closed = _mce_closure(g, F_small)
+    F_closed = vee(g, F_small)
     results = []
     counts: dict = {}
 

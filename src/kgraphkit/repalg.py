@@ -1098,17 +1098,10 @@ def verify_phi2(fam: IsometryFamily, system: SeparatingSystem, mu: Path,
     return CheckResult(cid, "fail", witness=str(got.first_difference(expected, cols)))
 
 
-_closure_cap_cache: dict = {}
-
-
 def _closure_cap(g: KGraph, F: list) -> Degree:
-    key = (id(g), tuple(p.sort_key() for p in F))
-    got = _closure_cap_cache.get(key)
-    if got is None:
-        got = Degree.zero(g.rank)
-        for w in vee(g, sorted(set(F) | set(_f_prime(g, F)), key=Path.sort_key)):
-            got = got.join(w.degree)
-        _closure_cap_cache[key] = got
+    got = Degree.zero(g.rank)
+    for w in vee(g, set(F) | set(_f_prime(g, F))):
+        got = got.join(w.degree)
     return got
 
 

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgraphkit import Degree, paths_up_to_degree
+from kgraphkit import Degree, paths_up_to_degree, validate_presentation
 from kgraphkit.alignment import (
     CapTooLargeForBudget,
     EmptyEError,
+    _extends,
     enumerate_fe,
+    enumerate_fe_brute,
     is_exhaustive,
     is_exhaustive_brute,
     is_finitely_aligned,
@@ -21,6 +23,7 @@ from kgraphkit.alignment import (
     mce_set,
     mce_set_brute,
     vee,
+    vee_brute,
 )
 from kgraphkit.core import _omega_vertex
 
@@ -63,6 +66,24 @@ class TestMce:
         assert set(vee(flip, small)) <= set(vee(flip, large))
 
 
+@pytest.fixture(scope="module")
+def twin():
+    """Single-vertex 2-graph where MCE(a, f) = {a.f, a.g} has two paths."""
+    loops = [("a", 1), ("b", 1), ("f", 2), ("g", 2)]
+    squares = [(("a", "f"), ("f", "a")), (("a", "g"), ("f", "b")),
+               (("b", "f"), ("g", "a")), (("b", "g"), ("g", "b"))]
+    return validate_presentation({
+        "rank": 2, "vertices": ["v"],
+        "edges": [{"name": n, "color": c, "range": "v", "source": "v"} for n, c in loops],
+        "squares": [{"top": list(t), "bottom": list(b)} for t, b in squares]})
+
+
+def test_twin_mce_has_two_paths(twin):
+    got = mce(twin, twin.edge_path("a"), twin.edge_path("f"))
+    assert [p.label() for p in got] == ["a.f", "a.g"]
+    assert got == mce_brute(twin, twin.edge_path("a"), twin.edge_path("f"))
+
+
 def _pair_cap(g):
     cap = Degree((2,) * g.rank)
     if g.has_finite_path_category():
@@ -102,6 +123,17 @@ def test_mce_set_matches_brute_rank2(data, flip):
     paths = paths_up_to_degree(flip, (1, 1))
     F = data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3))
     assert mce_set(flip, F) == mce_set_brute(flip, F)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", ["bouquet2", "flip", "omega22", "omega222", "twin"])
+def test_vee_matches_subset_oracle(data, corpus, twin, name):
+    # the pool spans every range vertex, so F may mix ranges
+    g = twin if name == "twin" else corpus[name]
+    pool = paths_up_to_degree(g, _pair_cap(g))
+    F = data.draw(st.lists(st.sampled_from(pool), max_size=7))
+    assert vee(g, F) == vee_brute(g, F), [p.label() for p in F]
 
 
 class TestFinitelyAligned:
@@ -185,3 +217,20 @@ class TestEnumerateFe:
     def test_omega_singletons(self, omega22):
         got = enumerate_fe(omega22, _omega_vertex((1, 1)), (1, 1))
         assert all(len(E) == 1 for E in got)
+
+
+_FE_CAPS = {"c3": [(1,), (3,)], "bouquet2": [(1,), (2,)], "flip": [(1, 0), (1, 1)],
+            "omega22": [(1, 1), (2, 2)], "omega222": [(1, 1, 1)], "twin": [(1, 1)]}
+
+
+@pytest.mark.parametrize("name,cap", [(name, cap) for name, caps in _FE_CAPS.items()
+                                      for cap in caps])
+def test_enumerate_fe_matches_subset_oracle(corpus, twin, name, cap):
+    g = twin if name == "twin" else corpus[name]
+    for v in g.vertices:
+        got = enumerate_fe(g, v, cap)
+        assert got == enumerate_fe_brute(g, v, cap), (v, cap)
+        for E in got:
+            for i, lam in enumerate(E):
+                for mu in E[:i] + E[i + 1:]:
+                    assert not _extends(lam, mu), (v, lam.label(), mu.label())

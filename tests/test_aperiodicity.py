@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from kgraphkit import compose
+from kgraphkit import aperiodicity, compose
 from kgraphkit.alignment import mce_brute
 from kgraphkit.aperiodicity import (
     APERIODIC_CERTIFIED,
     PERIODIC_EVIDENCE,
     MixedSources,
+    OracleMismatch,
     SourceMismatch,
     aperiodicity_report,
     find_separating_extension,
@@ -104,3 +111,40 @@ class TestReport:
         for g, P, D in [(c3, (3,), (6,)), (flip, (0, 2), (2, 2))]:
             report = aperiodicity_report(g, P, D)
             assert report.status != APERIODIC_CERTIFIED
+
+
+class TestOracleRecheck:
+    """Every separating tau is re-verified by the brute-force MCE oracle."""
+
+    @pytest.mark.parametrize("search", ["pair", "family"])
+    def test_disagreeing_oracle_raises(self, bouquet2, monkeypatch, search):
+        monkeypatch.setattr(aperiodicity, "mce_brute", lambda g, mu, nu: [mu])
+        a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
+        with pytest.raises(OracleMismatch):
+            if search == "pair":
+                find_separating_extension(bouquet2, a, b, (2,))
+            else:
+                separate_family(bouquet2, [a, b], (2,))
+
+    def test_recheck_survives_optimize_flag(self):
+        script = textwrap.dedent("""
+            import sys
+            from kgraphkit import aperiodicity, make_bouquet
+            g = make_bouquet(2)
+            aperiodicity.mce_brute = lambda g, mu, nu: [mu]
+            try:
+                aperiodicity.find_separating_extension(
+                    g, g.edge_path("a"), g.edge_path("b"), (2,))
+            except aperiodicity.OracleMismatch:
+                print("raised", sys.flags.optimize)
+            else:
+                print("returned", sys.flags.optimize)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["raised", "1"]
