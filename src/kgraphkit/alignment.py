@@ -20,6 +20,7 @@ from .core import (
     Path,
     compose,
     degrees_up_to,
+    join_degrees,
     paths_of_degree,
     paths_up_to_degree,
     segment,
@@ -34,7 +35,7 @@ class CapTooLargeForBudget(KGraphError):
     pass
 
 
-def _extends(lam: Path, mu: Path) -> bool:
+def extends(lam: Path, mu: Path) -> bool:
     """True when lam = mu.mu' for some mu', i.e. mu is an initial segment."""
     if not mu.degree <= lam.degree:
         return False
@@ -45,42 +46,35 @@ def _extends(lam: Path, mu: Path) -> bool:
 
 def mce(g: KGraph, mu: Path, nu: Path) -> list[Path]:
     """Common extensions of degree exactly d(mu) v d(nu), sorted by word."""
-    target = mu.degree.join(nu.degree)
-    # extend the participant with the smaller complement
-    base, other = (mu, nu)
-    if (target - nu.degree).total() < (target - mu.degree).total():
-        base, other = (nu, mu)
-    out = []
-    for ext in paths_of_degree(g, target - base.degree, range_vertex=base.source_vertex):
-        lam = compose(base, ext)
-        if _extends(lam, other):
-            out.append(lam)
-    out.sort(key=Path.sort_key)
-    return out
+    return mce_set(g, (mu, nu))
 
 
 def mce_brute(g: KGraph, mu: Path, nu: Path) -> list[Path]:
     """Oracle: scan every path of the joined degree for the prefix conditions."""
     target = mu.degree.join(nu.degree)
     out = [lam for lam in paths_of_degree(g, target, range_vertex=mu.range_vertex)
-           if _extends(lam, mu) and _extends(lam, nu)]
+           if extends(lam, mu) and extends(lam, nu)]
     out.sort(key=Path.sort_key)
     return out
 
 
 def mce_set(g: KGraph, F: Iterable[Path]) -> list[Path]:
-    """Paths of degree v_{a in F} d(a) extending every member of F."""
+    """Paths of degree v_{a in F} d(a) extending every member of F.
+
+    The first member of largest total degree is the base: it is extended
+    along the smallest degree complement, and since every such composite
+    extends the base, only the other members are tested.
+    """
     F = list(F)
     if not F:
         return []
-    target = Degree.zero(g.rank)
-    for a in F:
-        target = target.join(a.degree)
-    base = max(F, key=lambda a: (a.degree.total(), a.sort_key()))
+    target = join_degrees((a.degree for a in F), g.rank)
+    base = max(F, key=lambda a: a.degree.total())
+    others = [a for a in F if a != base]
     out = []
     for ext in paths_of_degree(g, target - base.degree, range_vertex=base.source_vertex):
         lam = compose(base, ext)
-        if all(_extends(lam, a) for a in F):
+        if all(extends(lam, a) for a in others):
             out.append(lam)
     out.sort(key=Path.sort_key)
     return out
@@ -90,11 +84,9 @@ def mce_set_brute(g: KGraph, F: Iterable[Path]) -> list[Path]:
     F = list(F)
     if not F:
         return []
-    target = Degree.zero(g.rank)
-    for a in F:
-        target = target.join(a.degree)
+    target = join_degrees((a.degree for a in F), g.rank)
     out = [lam for lam in paths_of_degree(g, target, range_vertex=F[0].range_vertex)
-           if all(_extends(lam, a) for a in F)]
+           if all(extends(lam, a) for a in F)]
     out.sort(key=Path.sort_key)
     return out
 
@@ -126,35 +118,6 @@ def vee_brute(g: KGraph, F: Iterable[Path]) -> list[Path]:
         for G in itertools.combinations(F, size):
             seen.update(mce_set(g, list(G)))
     return sorted(seen, key=Path.sort_key)
-
-
-@dataclass(frozen=True)
-class AlignmentCertificate:
-    degree_cap: Degree
-    pair_count: int
-    max_mce_size: int
-    argmax: Optional[tuple[str, str]]
-
-
-def is_finitely_aligned(g: KGraph, cap=None) -> tuple[bool, AlignmentCertificate]:
-    """Always true for a finite presentation; certifies the max |MCE| seen."""
-    if cap is None:
-        cap = Degree((3,) * g.rank)
-    else:
-        cap = Degree(cap)
-    if g.has_finite_path_category():
-        cap = cap.meet(g.max_path_degree())
-    paths = paths_up_to_degree(g, cap)
-    best, arg, pairs = 0, None, 0
-    for mu in paths:
-        for nu in paths:
-            if mu.range_vertex != nu.range_vertex:
-                continue
-            pairs += 1
-            size = len(mce(g, mu, nu))
-            if size > best:
-                best, arg = size, (mu.label(), nu.label())
-    return True, AlignmentCertificate(cap, pairs, best, arg)
 
 
 @dataclass(frozen=True)
@@ -202,9 +165,7 @@ def is_exhaustive(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdict:
     for lam in E:
         if lam.range_vertex != v:
             raise KGraphError(f"{lam.label()} does not have range {v!r}")
-    D = Degree.zero(g.rank)
-    for lam in E:
-        D = D.join(lam.degree)
+    D = join_degrees((lam.degree for lam in E), g.rank)
     test = _test_set(g, v, D)
     for mu in test:
         if not any(mce(g, mu, lam) for lam in E):
@@ -218,9 +179,7 @@ def is_exhaustive_brute(g: KGraph, v: str, E: Sequence[Path], slack: int = 1
     E = list(E)
     if not E:
         raise EmptyEError(f"empty candidate set at {v!r} is not exhaustive")
-    D = Degree.zero(g.rank)
-    for lam in E:
-        D = D.join(lam.degree)
+    D = join_degrees((lam.degree for lam in E), g.rank)
     cap = D + Degree((slack,) * g.rank)
     if g.has_finite_path_category():
         cap = cap.meet(g.max_path_degree().join(D))
@@ -276,9 +235,9 @@ def enumerate_fe(g: KGraph, v: str, cap, budget: int = 100_000) -> list[list[Pat
             rows[key] = sum(1 << t for t, mu in enumerate(test_set(D)) if mce(g, mu, lam))
         return rows[key]
 
-    def extends(j: int, i: int) -> bool:
+    def member_extends(j: int, i: int) -> bool:
         if (i, j) not in prefix_of:
-            prefix_of[(i, j)] = _extends(universe[j], universe[i])
+            prefix_of[(i, j)] = extends(universe[j], universe[i])
         return prefix_of[(i, j)]
 
     found_by_last: list[list[int]] = [[] for _ in universe]  # masks by highest member
@@ -291,7 +250,7 @@ def enumerate_fe(g: KGraph, v: str, cap, budget: int = 100_000) -> list[list[Pat
         for members, D in level:
             mask = sum(1 << i for i in members)
             for j in range(members[-1] + 1 if members else 0, len(universe)):
-                if any(extends(j, i) for i in members):
+                if any(member_extends(j, i) for i in members):
                     continue
                 cand_mask = mask | (1 << j)
                 # the live prefix holds no found set, so one inside must end at j

@@ -83,10 +83,6 @@ def ext_meet(a, b) -> Degree:
     return Degree(m)
 
 
-def ext_is_finite(a) -> bool:
-    return all(c != INF for c in a)
-
-
 def ext_key(a) -> tuple:
     return tuple("inf" if c == INF else int(c) for c in a)
 

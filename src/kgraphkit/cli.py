@@ -26,7 +26,7 @@ from .core import (
     paths_up_to_degree,
     validate_presentation,
 )
-from .alignment import enumerate_fe, is_exhaustive, mce, vee, EmptyEError
+from .alignment import enumerate_fe, is_exhaustive, mce, vee
 from .aperiodicity import INCONCLUSIVE, PERIODIC_EVIDENCE, aperiodicity_report
 from .boundary import (
     BoundaryPathHandle,
@@ -63,25 +63,31 @@ EXIT_CONFIG_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def load_graph(path: str) -> KGraph:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return validate_presentation(raw)
+
+
+def load_graph(path: str) -> KGraph:
+    return validate_presentation(_read_json(path))
 
 
 def parse_degree(text: str, rank: int) -> Degree:
     parts = [p for p in text.replace("(", "").replace(")", "").split(",") if p.strip()]
-    coords = [int(p) for p in parts]
-    if len(coords) == 1 and rank > 1:
-        coords = coords * rank
-    if len(coords) != rank:
-        raise ParseError(f"degree {text!r} does not have rank {rank}")
-    return Degree(coords)
+    try:
+        coords = [int(p) for p in parts]
+        if len(coords) == 1 and rank > 1:
+            coords = coords * rank
+        if len(coords) != rank:
+            raise ParseError(f"degree {text!r} does not have rank {rank}")
+        return Degree(coords)
+    except ValueError as exc:
+        raise ParseError(f"bad degree {text!r}: {exc}") from exc
 
 
 def emit(config: dict, results, status_counts: dict, out=None, err=None) -> None:
@@ -189,21 +195,24 @@ def cmd_aperiodic(args) -> int:
 
 
 def load_seed_handles(g: KGraph, path: str) -> list[BoundaryPathHandle]:
-    with open(path, "r", encoding="utf-8") as fh:
-        decl = json.load(fh)
+    decl = _read_json(path)
     handles: list[BoundaryPathHandle] = []
-    for rec in decl.get("handles", []):
-        kind = rec.get("kind")
-        if kind == "substitution":
-            base = substitution_path(g, {k: list(v) for k, v in rec["rules"].items()},
-                                     rec["seed"], name=rec.get("name"))
-        elif kind == "periodic":
-            base = periodic_path(g, list(rec["word"]), name=rec.get("name"))
-        else:
-            raise ParseError(f"unknown handle kind {kind!r}")
-        shifts = int(rec.get("shifts", 1))
-        for j in range(shifts):
-            handles.append(shift(base, (j,) * g.rank))
+    try:
+        for rec in decl.get("handles", []):
+            kind = rec.get("kind")
+            if kind == "substitution":
+                base = substitution_path(g, {k: list(v) for k, v in rec["rules"].items()},
+                                         rec["seed"], name=rec.get("name"))
+            elif kind == "periodic":
+                base = periodic_path(g, list(rec["word"]), name=rec.get("name"))
+            else:
+                raise ParseError(f"unknown handle kind {kind!r}")
+            shifts = int(rec.get("shifts", 1))
+            for j in range(shifts):
+                handles.append(shift(base, (j,) * g.rank))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(
+            f"{path}: malformed handle declaration ({type(exc).__name__}: {exc})") from exc
     if not handles:
         raise ParseError(f"{path} declares no handles")
     return handles
@@ -295,15 +304,13 @@ def cmd_rep_verify(args) -> int:
             elif suite == "ck":
                 absorb(verify_ck(fam, fe_cap).checks)
             elif suite == "lem1":
-                q = boolean_rep(fam, cap=gen_cap)
                 F = sorted(set(F_small)
                            | {g.vertex_path(p.source_vertex) for p in F_small},
                            key=Path.sort_key)
-                q_decomposition(q, F)
+                q_decomposition(boolean_rep(fam, cap=gen_cap), F)
                 absorb([repalg.CheckResult("lem1", "pass")])
             elif suite == "lem3":
-                q = boolean_rep(fam, cap=gen_cap)
-                absorb(lem3_check(q, F_closed).checks)
+                absorb(lem3_check(boolean_rep(fam, cap=gen_cap), F_closed).checks)
             elif suite == "phi2":
                 system = build_separating_system(fam, F_closed)
                 checks = []
@@ -422,12 +429,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, EmptyEError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG_ERROR
-    except repalg.CapTooSmall as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG_ERROR
     except KGraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG_ERROR

@@ -124,6 +124,11 @@ def degrees_up_to(cap: Degree) -> list[Degree]:
     return out
 
 
+def join_degrees(degrees: Iterable[Degree], rank: int) -> Degree:
+    """Coordinatewise maximum of the degrees; zero of the given rank when empty."""
+    return Degree(max(col) for col in zip((0,) * rank, *degrees))
+
+
 @dataclass(frozen=True)
 class SkeletonEdge:
     name: str
@@ -323,7 +328,6 @@ class KGraph:
         if not self.has_finite_path_category():
             raise KGraphError("path category is infinite (skeleton has a cycle)")
         if self._max_degree_cache is None:
-            best = [0] * self.rank
             memo: dict[str, tuple[int, ...]] = {}
 
             def longest(v: str) -> tuple[int, ...]:
@@ -340,11 +344,7 @@ class KGraph:
                 memo[v] = tuple(counts)
                 return memo[v]
 
-            for v in self.vertices:
-                got = longest(v)
-                for i in range(self.rank):
-                    best[i] = max(best[i], got[i])
-            self._max_degree_cache = Degree(best)
+            self._max_degree_cache = join_degrees(map(longest, self.vertices), self.rank)
         return self._max_degree_cache
 
 
@@ -452,7 +452,7 @@ def validate_presentation(raw: dict) -> KGraph:
         vertex_names = [str(v) for v in raw["vertices"]]
         edge_records = list(raw.get("edges", []))
         square_records = list(raw.get("squares", []))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed presentation: {exc}") from exc
     if rank < 1:
         raise ParseError(f"rank must be >= 1, got {rank}")
@@ -473,7 +473,7 @@ def validate_presentation(raw: dict) -> KGraph:
         try:
             e = SkeletonEdge(str(rec["name"]), int(rec["color"]),
                              str(rec["range"]), str(rec["source"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed edge record {rec!r}: {exc}") from exc
         if e.name in seen:
             violations.append(Violation("DuplicateName", f"name {e.name!r} reused"))

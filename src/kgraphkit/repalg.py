@@ -23,10 +23,11 @@ from .core import (
     Path,
     compose,
     degrees_up_to,
+    join_degrees,
     paths_up_to_degree,
     segment,
 )
-from .alignment import enumerate_fe, is_exhaustive, mce, vee
+from .alignment import enumerate_fe, extends, is_exhaustive, mce, vee
 from .aperiodicity import separate_family
 from .boundary import (
     BoundaryPathHandle,
@@ -267,6 +268,13 @@ class CheckResult:
         return data
 
 
+def _compare_on(cid: str, lhs: OperatorMatrix, rhs: OperatorMatrix, cols) -> CheckResult:
+    """Exact comparison on the given columns; a failure names the first difference."""
+    if lhs.equal_on_columns(rhs, cols):
+        return CheckResult(cid, "pass")
+    return CheckResult(cid, "fail", witness=str(lhs.first_difference(rhs, cols)))
+
+
 class VerificationReport:
     def __init__(self, title: str):
         self.title = title
@@ -362,9 +370,6 @@ class FockFamily(IsometryFamily):
         self._paths = paths
         self._path_index = {p: i for i, p in enumerate(paths)}
 
-    def basis_path(self, i: int) -> Path:
-        return self._paths[i]
-
     def _generator(self, lam: Path) -> OperatorMatrix:
         if not lam.degree <= self.cap:
             raise CapTooSmall(
@@ -395,12 +400,6 @@ class BoundaryFamily(IsometryFamily):
         self.window = window
         self.handles = tuple(handles)
         self._fp_index = fingerprints  # fingerprint -> basis index
-
-    def basis_handle(self, i: int) -> BoundaryPathHandle:
-        return self.handles[i]
-
-    def describe_basis(self) -> list[str]:
-        return [h.describe() for h in self.handles]
 
     def handle_index(self, x: BoundaryPathHandle) -> Optional[int]:
         return self._fp_index.get(x.fingerprint(self.window))
@@ -555,14 +554,10 @@ def verify_tck(fam: IsometryFamily, cap=None) -> VerificationReport:
                 continue
             if not (lam.degree + mu.degree) <= cap:
                 continue
-            lhs = fam.generator(lam) @ fam.generator(mu)
-            rhs = fam.generator(compose(lam, mu))
-            cols = fam.safe_columns(lam.degree + mu.degree)
-            check = CheckResult(f"TCK2:{lam.label()}·{mu.label()}", "pass")
-            if not lhs.equal_on_columns(rhs, cols):
-                check.status = "fail"
-                check.witness = str(lhs.first_difference(rhs, cols))
-            report.add(check)
+            report.add(_compare_on(f"TCK2:{lam.label()}·{mu.label()}",
+                                   fam.generator(lam) @ fam.generator(mu),
+                                   fam.generator(compose(lam, mu)),
+                                   fam.safe_columns(lam.degree + mu.degree)))
 
     for mu in paths:
         for nu in paths:
@@ -574,12 +569,8 @@ def verify_tck(fam: IsometryFamily, cap=None) -> VerificationReport:
                 alpha = segment(lam, mu.degree, lam.degree)
                 beta = segment(lam, nu.degree, lam.degree)
                 rhs = rhs + fam.generator(alpha) @ fam.generator(beta).adjoint()
-            cols = fam.safe_columns(mu.degree.join(nu.degree))
-            check = CheckResult(f"TCK3:{mu.label()}*{nu.label()}", "pass")
-            if not lhs.equal_on_columns(rhs, cols):
-                check.status = "fail"
-                check.witness = str(lhs.first_difference(rhs, cols))
-            report.add(check)
+            report.add(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", lhs, rhs,
+                                   fam.safe_columns(mu.degree.join(nu.degree))))
     return report
 
 
@@ -590,9 +581,7 @@ def verify_ck(fam: IsometryFamily, cap, fe_budget: int = 100_000) -> Verificatio
     report = VerificationReport(f"ck[{fam.kind}]")
     for v in g.vertices:
         for E in enumerate_fe(g, v, cap, budget=fe_budget):
-            budget = Degree.zero(g.rank)
-            for lam in E:
-                budget = budget.join(lam.degree)
+            budget = join_degrees((lam.degree for lam in E), g.rank)
             prod = fam.generator(g.vertex_path(v))
             for lam in E:
                 prod = prod @ (fam.generator(g.vertex_path(v)) - fam.q(lam))
@@ -612,97 +601,79 @@ def verify_ck(fam: IsometryFamily, cap, fe_budget: int = 100_000) -> Verificatio
 # -- boolean representations and decompositions -------------------------------
 
 
-class ProjectionFamily:
-    """Boolean representation q taken from final projections of a family.
+def boolean_rep(fam: IsometryFamily, cap=None) -> IsometryFamily:
+    """Check that the final projections q_lam of the family form a boolean
+    representation, and return the family.
 
     The product rule q_mu q_nu = sum over MCE(mu, nu) of q_gamma is checked
-    exactly on safe columns for every pair within the cap at construction.
+    exactly on safe columns for every pair of paths below the cap, which
+    defaults to gen_cap ∧ (2,...,2).
     """
-
-    def __init__(self, fam: IsometryFamily, cap=None, verify: bool = True):
-        self.fam = fam
-        self.graph = fam.graph
-        if cap is None:
-            cap = fam.gen_cap.meet(Degree((2,) * fam.graph.rank))
-        self.cap = Degree(cap)
-        if verify:
-            self._verify_boolean(self.cap)
-
-    def q(self, lam: Path) -> OperatorMatrix:
-        return self.fam.q(lam)
-
-    def nonzero(self, lam: Path) -> bool:
-        return not self.q(lam).is_zero()
-
-    def _verify_boolean(self, cap: Degree) -> None:
-        g = self.graph
-        paths = paths_up_to_degree(g, cap)
-        for mu in paths:
-            for nu in paths:
-                if mu.sort_key() > nu.sort_key():
-                    continue
-                lhs = self.q(mu) @ self.q(nu)
-                rhs = OperatorMatrix.zero(self.fam.basis)
-                for gamma in mce(g, mu, nu):
-                    rhs = rhs + self.q(gamma)
-                cols = self.fam.safe_columns(mu.degree.join(nu.degree))
-                if not lhs.equal_on_columns(rhs, cols):
-                    raise BooleanRelationFailure(
-                        f"q_{mu.label()} q_{nu.label()} != sum over MCE; "
-                        f"first difference {lhs.first_difference(rhs, cols)}")
+    g = fam.graph
+    cap = fam.gen_cap.meet(Degree((2,) * g.rank)) if cap is None else Degree(cap)
+    paths = paths_up_to_degree(g, cap)
+    for mu in paths:
+        for nu in paths:
+            if mu.sort_key() > nu.sort_key():
+                continue
+            lhs = fam.q(mu) @ fam.q(nu)
+            rhs = OperatorMatrix.zero(fam.basis)
+            for gamma in mce(g, mu, nu):
+                rhs = rhs + fam.q(gamma)
+            cols = fam.safe_columns(mu.degree.join(nu.degree))
+            if not lhs.equal_on_columns(rhs, cols):
+                raise BooleanRelationFailure(
+                    f"q_{mu.label()} q_{nu.label()} != sum over MCE; "
+                    f"first difference {lhs.first_difference(rhs, cols)}")
+    return fam
 
 
-def boolean_rep(fam: IsometryFamily, cap=None) -> ProjectionFamily:
-    return ProjectionFamily(fam, cap=cap, verify=True)
-
-
-def _extensions_in(g: KGraph, lam: Path, pool: Sequence[Path]) -> list[Path]:
+def _extensions_in(lam: Path, pool: Sequence[Path]) -> list[Path]:
     """Members of the pool of the form lam·alpha with alpha nonzero degree."""
-    out = []
-    for w in pool:
-        if w == lam or not lam.degree <= w.degree:
-            continue
-        if w.range_vertex != lam.range_vertex:
-            continue
-        if segment(w, Degree.zero(g.rank), lam.degree) == lam:
-            out.append(w)
-    return out
+    return [w for w in pool if w != lam and extends(w, lam)]
+
+
+def _q_piece(fam: IsometryFamily, lam: Path, pool: Sequence[Path]) -> OperatorMatrix:
+    """Q_lam = q_lam times (q_lam - q_w) over the proper extensions w of lam in the pool."""
+    acc = fam.q(lam)
+    for w in _extensions_in(lam, pool):
+        acc = acc @ (fam.q(lam) - fam.q(w))
+    return acc
+
+
+def _require_mce_closed(g: KGraph, F: Sequence[Path]) -> None:
+    members = set(F)
+    for mu in F:
+        for nu in F:
+            for gamma in mce(g, mu, nu):
+                if gamma not in members:
+                    raise NotMceClosed(
+                        f"MCE({mu.label()},{nu.label()}) contains {gamma.label()} outside F")
 
 
 @dataclass
 class QDecomposition:
-    F: list[Path]
     vee_F: list[Path]
     Q: dict  # Path -> OperatorMatrix
-    B_exhaustive: dict  # Path -> bool
-    safe_budget: Degree
 
 
-def q_decomposition(q: ProjectionFamily, F: Sequence[Path]) -> QDecomposition:
+def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> QDecomposition:
     """Mutually orthogonal pieces Q_lam refining the projections over vee F.
 
     Q_lam multiplies q_lam by (q_lam - q_lam·alpha) over all proper
     extensions inside vee F; orthogonality and the reconstruction of each
     q_mu as the sum of the Q's over its extensions are asserted exactly.
     """
-    g = q.graph
+    g = fam.graph
     F = sorted(set(F), key=Path.sort_key)
     for lam in F:
         if g.vertex_path(lam.source_vertex) not in F:
             raise SourceClosureViolation(
                 f"{lam.label()} is in F but its source {lam.source_vertex} is not")
     vee_F = vee(g, F)
-    budget = Degree.zero(g.rank)
-    for w in vee_F:
-        budget = budget.join(w.degree)
-    Q: dict = {}
-    for lam in vee_F:
-        acc = q.q(lam)
-        for w in _extensions_in(g, lam, vee_F):
-            acc = acc @ (q.q(lam) - q.q(w))
-        Q[lam] = acc
+    Q = {lam: _q_piece(fam, lam, vee_F) for lam in vee_F}
 
-    cols = q.fam.safe_columns(budget)
+    cols = fam.safe_columns(join_degrees((w.degree for w in vee_F), g.rank))
     for a, b in itertools.combinations(vee_F, 2):
         prod = Q[a] @ Q[b]
         if not prod.columns(cols).is_zero():
@@ -710,40 +681,27 @@ def q_decomposition(q: ProjectionFamily, F: Sequence[Path]) -> QDecomposition:
                 f"Q_{a.label()} and Q_{b.label()} are not orthogonal")
     for mu in vee_F:
         rhs = Q[mu]
-        for w in _extensions_in(g, mu, vee_F):
+        for w in _extensions_in(mu, vee_F):
             rhs = rhs + Q[w]
-        if not q.q(mu).equal_on_columns(rhs, cols):
+        if not fam.q(mu).equal_on_columns(rhs, cols):
             raise BooleanRelationFailure(
                 f"q_{mu.label()} is not the sum of its Q pieces")
-
-    B_flag: dict = {}
-    for lam in vee_F:
-        B = [segment(w, lam.degree, w.degree) for w in _extensions_in(g, lam, vee_F)]
-        if not B:
-            B_flag[lam] = False
-        else:
-            B_flag[lam] = bool(is_exhaustive(g, lam.source_vertex, B))
-    return QDecomposition(F, vee_F, Q, B_flag, budget)
+    return QDecomposition(vee_F, Q)
 
 
-def lem3_check(q: ProjectionFamily, F: Sequence[Path]) -> VerificationReport:
+def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> VerificationReport:
     """Nonvanishing of Q_alpha whenever the extension set below alpha in F
     fails to be exhaustive, witnessed by a projection it dominates."""
-    g = q.graph
+    g = fam.graph
     F = sorted(set(F), key=Path.sort_key)
-    for mu in F:
-        for nu in F:
-            for gamma in mce(g, mu, nu):
-                if gamma not in F:
-                    raise NotMceClosed(
-                        f"MCE({mu.label()},{nu.label()}) contains {gamma.label()} outside F")
+    _require_mce_closed(g, F)
     for lam in F:
-        if not q.nonzero(lam):
+        if fam.q(lam).is_zero():
             raise KGraphError(f"q_{lam.label()} vanishes; hypothesis violated")
 
     report = VerificationReport("lem3")
     for alpha in F:
-        B = [segment(w, alpha.degree, w.degree) for w in _extensions_in(g, alpha, F)]
+        B = [segment(w, alpha.degree, w.degree) for w in _extensions_in(alpha, F)]
         if B:
             verdict = is_exhaustive(g, alpha.source_vertex, B)
             if verdict.exhaustive:
@@ -753,45 +711,40 @@ def lem3_check(q: ProjectionFamily, F: Sequence[Path]) -> VerificationReport:
             tau = verdict.witness
         else:
             tau = g.vertex_path(alpha.source_vertex)
-        acc = q.q(alpha)
-        for w in _extensions_in(g, alpha, F):
-            acc = acc @ (q.q(alpha) - q.q(w))
-        q_ext = q.q(compose(alpha, tau))
-        ok = (acc @ q_ext) == q_ext and not q_ext.is_zero()
+        q_ext = fam.q(compose(alpha, tau))
+        ok = (_q_piece(fam, alpha, F) @ q_ext) == q_ext and not q_ext.is_zero()
         witness = None
         if ok:
             i = sorted(q_ext.diagonal())[0]
-            witness = q.fam.basis.labels[i]
+            witness = fam.basis.labels[i]
         report.add(CheckResult(
             f"lem3:{alpha.label()}", "pass" if ok else "fail", witness=witness,
             detail={"tau": tau.label()}))
     return report
 
 
-def diagonal_norm(q: ProjectionFamily, coeffs: dict) -> float:
+def diagonal_norm(fam: IsometryFamily, coeffs: dict) -> float:
     """Exact norm of a diagonal combination sum c_lam q_lam.
 
     The combination is constant on each nonzero piece Q_alpha of the vee
     closure of the support, so the norm is the largest sector total in
     absolute value.
     """
-    g = q.graph
+    g = fam.graph
     support = {lam: c for lam, c in coeffs.items() if c != 0}
     F = set(support)
     for lam in list(F):
         F.add(g.vertex_path(lam.source_vertex))
     if not F:
         return 0.0
-    dec = q_decomposition(q, sorted(F, key=Path.sort_key))
+    dec = q_decomposition(fam, sorted(F, key=Path.sort_key))
     best = 0.0
     for alpha in dec.vee_F:
         if dec.Q[alpha].is_zero():
             continue
         total = 0
         for lam, c in support.items():
-            if lam == alpha or (lam.degree <= alpha.degree
-                                and lam.range_vertex == alpha.range_vertex
-                                and segment(alpha, Degree.zero(g.rank), lam.degree) == lam):
+            if lam == alpha or extends(alpha, lam):
                 total += c
         best = max(best, abs(total))
     return float(best)
@@ -830,10 +783,7 @@ class FormalElement:
             for (mu, nu), a in self.coeffs.items()})
 
     def support_degree(self) -> Degree:
-        d = Degree.zero(self.graph.rank)
-        for mu, nu in self.coeffs:
-            d = d.join(mu.degree).join(nu.degree)
-        return d
+        return join_degrees((p.degree for pair in self.coeffs for p in pair), self.graph.rank)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalElement) and self.coeffs == other.coeffs
@@ -919,8 +869,7 @@ class SeparatingSystem:
     vee_F_bar: list[Path]
     B: dict  # Path -> list[Path]
     B_exhaustive: dict  # Path -> bool
-    alpha1: dict  # Path -> Path
-    alpha: dict  # Path -> Path (alpha1 extended)
+    alpha: dict  # Path -> Path (non-meeting witness, extended)
     tau: dict  # Path -> Path
     G: list[Path]
     tau_v: dict  # vertex -> Path
@@ -957,33 +906,23 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
     """
     g = fam.graph
     F = sorted(set(F), key=Path.sort_key)
-    for mu in F:
-        for nu in F:
-            for gamma in mce(g, mu, nu):
-                if gamma not in F:
-                    raise NotMceClosed(
-                        f"MCE({mu.label()},{nu.label()}) leaves F at {gamma.label()}")
+    _require_mce_closed(g, F)
 
     F_prime = _f_prime(g, F)
     F_bar = sorted(set(F) | set(F_prime), key=Path.sort_key)
     vee_F_bar = vee(g, F_bar)
-    M = Degree.zero(g.rank)
-    for w in vee_F_bar:
-        M = M.join(w.degree)
+    M = join_degrees((w.degree for w in vee_F_bar), g.rank)
     if tau_depth is None:
         tau_depth = M + Degree((1,) * g.rank)
     else:
         tau_depth = Degree(tau_depth)
 
-    q = ProjectionFamily(fam, cap=Degree.zero(g.rank), verify=False)
-
     B: dict = {}
     B_flag: dict = {}
-    alpha1: dict = {}
     alpha: dict = {}
     for lam in F:
         B[lam] = [segment(w, lam.degree, w.degree)
-                  for w in _extensions_in(g, lam, vee_F_bar)]
+                  for w in _extensions_in(lam, vee_F_bar)]
         if B[lam]:
             verdict = is_exhaustive(g, lam.source_vertex, B[lam])
             B_flag[lam] = verdict.exhaustive
@@ -993,7 +932,6 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
         else:
             B_flag[lam] = False
             a1 = g.vertex_path(lam.source_vertex)
-        alpha1[lam] = a1
         # grow until every deficient color reaches M or hits a source
         word = list(a1.word)
         at = a1.source_vertex
@@ -1019,9 +957,7 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
                     tau_depth, f"alpha for {lam.label()} meets its extension set")
         reach = compose(lam, full)
         for w in vee_F_bar:
-            if mce(g, reach, w) and not (
-                    w.degree <= reach.degree
-                    and segment(reach, Degree.zero(g.rank), w.degree) == w):
+            if mce(g, reach, w) and not extends(reach, w):
                 raise SeparationSearchExhausted(
                     tau_depth, f"alpha for {lam.label()} is not long enough past {w.label()}")
 
@@ -1029,8 +965,7 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
     for lam in alpha:
         reach = compose(lam, alpha[lam])
         for w in vee_F_bar:
-            if (w.degree <= reach.degree and w.range_vertex == reach.range_vertex
-                    and segment(reach, Degree.zero(g.rank), w.degree) == w):
+            if extends(reach, w):
                 G.add(segment(reach, w.degree, reach.degree))
     G = sorted(G, key=Path.sort_key)
 
@@ -1043,26 +978,18 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
                 tau_depth, f"no single extension separates the completions at {v}")
         tau_v[v] = tau
 
-    dec_Q: dict = {}
-    for lam in F:
-        if B_flag[lam]:
-            acc = q.q(lam)
-            for w in _extensions_in(g, lam, vee_F_bar):
-                acc = acc @ (q.q(lam) - q.q(w))
-            dec_Q[lam] = acc
-
     tau_map: dict = {}
     phi: dict = {}
     required = M
     for lam in F:
         if B_flag[lam]:
-            phi[lam] = dec_Q[lam]
+            phi[lam] = _q_piece(fam, lam, vee_F_bar)
             continue
         t = tau_v[alpha[lam].source_vertex]
         tau_map[lam] = t
         witness_path = compose(compose(lam, alpha[lam]), t)
         required = required.join(witness_path.degree)
-        phi[lam] = q.q(witness_path)
+        phi[lam] = fam.q(witness_path)
 
     # mutual orthogonality and domination by q_lam, on safe columns
     cols = fam.safe_columns(Degree.zero(g.rank))
@@ -1071,11 +998,11 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
             raise SeparationSearchExhausted(
                 tau_depth, f"phi_{a.label()} and phi_{b.label()} overlap")
     for lam in F:
-        if not (q.q(lam) @ phi[lam]).equal_on_columns(phi[lam], cols):
+        if not (fam.q(lam) @ phi[lam]).equal_on_columns(phi[lam], cols):
             raise SeparationSearchExhausted(
                 tau_depth, f"phi_{lam.label()} is not dominated by q_{lam.label()}")
 
-    return SeparatingSystem(F, F_prime, F_bar, vee_F_bar, B, B_flag, alpha1,
+    return SeparatingSystem(F, F_prime, F_bar, vee_F_bar, B, B_flag,
                             alpha, tau_map, G, tau_v, phi, required)
 
 
@@ -1083,30 +1010,20 @@ def verify_phi2(fam: IsometryFamily, system: SeparatingSystem, mu: Path,
                 nu: Path, lam: Path) -> CheckResult:
     """Compression of a spanning element by phi_lam follows the case split:
     phi_lam itself when mu = nu extends to lam, zero otherwise."""
-    g = fam.graph
     phi = system.phi[lam]
     middle = fam.generator(mu) @ fam.generator(nu).adjoint()
-    got = phi @ middle @ phi
-    lam_extends_mu = (mu.degree <= lam.degree
-                      and lam.range_vertex == mu.range_vertex
-                      and segment(lam, Degree.zero(g.rank), mu.degree) == mu)
-    expected = phi if (mu == nu and lam_extends_mu) else OperatorMatrix.zero(fam.basis)
-    cols = fam.safe_columns(mu.degree.join(nu.degree))
-    cid = f"phi2:{lam.label()}|{mu.label()},{nu.label()}"
-    if got.equal_on_columns(expected, cols):
-        return CheckResult(cid, "pass")
-    return CheckResult(cid, "fail", witness=str(got.first_difference(expected, cols)))
+    expected = (phi if mu == nu and extends(lam, mu)
+                else OperatorMatrix.zero(fam.basis))
+    return _compare_on(f"phi2:{lam.label()}|{mu.label()},{nu.label()}",
+                       phi @ middle @ phi, expected,
+                       fam.safe_columns(mu.degree.join(nu.degree)))
 
 
 def _closure_cap(g: KGraph, F: list) -> Degree:
-    got = Degree.zero(g.rank)
-    for w in vee(g, set(F) | set(_f_prime(g, F))):
-        got = got.join(w.degree)
-    return got
+    return join_degrees((w.degree for w in vee(g, set(F) | set(_f_prime(g, F)))), g.rank)
 
 
 def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
-                  q: Optional[ProjectionFamily] = None,
                   system: Optional[SeparatingSystem] = None,
                   tol: float = 1e-8) -> CheckResult:
     """Diagonal coefficients never beat the full element in norm.
@@ -1118,8 +1035,6 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
     """
     g = fam.graph
     F = sorted(set(F), key=Path.sort_key)
-    if q is None:
-        q = ProjectionFamily(fam, cap=Degree.zero(g.rank), verify=False)
     if system is not None:
         needed = system.required_cap
     else:
@@ -1129,7 +1044,7 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
             f"cap {tuple(fam.cap)} cannot hold the closure degree {tuple(needed)}")
 
     diag = {mu: table.get((mu, mu), 0) for mu in F}
-    lhs = diagonal_norm(q, diag)
+    lhs = diagonal_norm(fam, diag)
     element = FormalElement(g, {(mu, nu): table[(mu, nu)]
                                 for mu in F for nu in F if table.get((mu, nu), 0)})
     rhs = operator_norm(fam.evaluate(element))

@@ -234,9 +234,9 @@ def _claim1_tables(bouquet2, f_seven):
 
 def test_criterion_9_claim1_inequality(fock_b2_n6, bouquet2, f_seven):
     with criterion(9, "diagonal norm below element norm, 100 tables", 60.0):
-        q = boolean_rep(fock_b2_n6, cap=(1,))
+        boolean_rep(fock_b2_n6, cap=(1,))
         for table in _claim1_tables(bouquet2, f_seven):
-            check = verify_claim1(fock_b2_n6, f_seven, table, q=q)
+            check = verify_claim1(fock_b2_n6, f_seven, table)
             assert check.ok, check.to_jsonable()
 
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")

@@ -12,12 +12,11 @@ from kgraphkit import Degree, paths_up_to_degree, validate_presentation
 from kgraphkit.alignment import (
     CapTooLargeForBudget,
     EmptyEError,
-    _extends,
     enumerate_fe,
     enumerate_fe_brute,
+    extends,
     is_exhaustive,
     is_exhaustive_brute,
-    is_finitely_aligned,
     mce,
     mce_brute,
     mce_set,
@@ -136,20 +135,6 @@ def test_vee_matches_subset_oracle(data, corpus, twin, name):
     assert vee(g, F) == vee_brute(g, F), [p.label() for p in F]
 
 
-class TestFinitelyAligned:
-    def test_bouquet(self, bouquet2):
-        ok, cert = is_finitely_aligned(bouquet2, (3,))
-        assert ok and cert.max_mce_size == 1
-
-    def test_omega(self, omega22):
-        ok, cert = is_finitely_aligned(omega22)
-        assert ok and cert.max_mce_size == 1
-
-    def test_cycle(self, c3):
-        ok, cert = is_finitely_aligned(c3, (3,))
-        assert ok and cert.max_mce_size == 1
-
-
 class TestExhaustive:
     def test_both_loops(self, bouquet2):
         E = [bouquet2.edge_path("a"), bouquet2.edge_path("b")]
@@ -233,4 +218,4 @@ def test_enumerate_fe_matches_subset_oracle(corpus, twin, name, cap):
         for E in got:
             for i, lam in enumerate(E):
                 for mu in E[:i] + E[i + 1:]:
-                    assert not _extends(lam, mu), (v, lam.label(), mu.label())
+                    assert not extends(lam, mu), (v, lam.label(), mu.label())

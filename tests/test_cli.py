@@ -203,3 +203,35 @@ class TestRepVerify:
         code, _, _ = run(capsys, ["rep-verify", graph_files["bouquet2"],
                                   "--suite", "nonsense"])
         assert code == 2
+
+
+def _write(path, data) -> str:
+    path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    "degree-not-int", "degree-negative", "rank-not-int", "color-not-int", "seeds-missing",
+    "seeds-not-json", "seeds-no-rules", "seeds-no-word"])
+def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, case):
+    b2 = graph_files["bouquet2"]
+
+    def seeds(data):
+        return ["boundary-check", b2, "--seeds", _write(tmp_path / "seeds.json", data)]
+
+    argv = {
+        "degree-not-int": ["paths", b2, "--degree", "x"],
+        "degree-negative": ["paths", b2, "--degree", "-1"],
+        "rank-not-int": ["validate", _write(tmp_path / "rank.kg", {
+            "rank": "x", "vertices": ["v"], "edges": [], "squares": []})],
+        "color-not-int": ["validate", _write(tmp_path / "color.kg", {
+            "rank": 1, "vertices": ["v"], "squares": [],
+            "edges": [{"name": "a", "color": "x", "range": "v", "source": "v"}]})],
+        "seeds-missing": ["boundary-check", b2, "--seeds", str(tmp_path / "none.json")],
+        "seeds-not-json": seeds("{not json"),
+        "seeds-no-rules": seeds({"handles": [{"kind": "substitution", "seed": "a"}]}),
+        "seeds-no-word": seeds({"handles": [{"kind": "periodic"}]}),
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err

@@ -9,6 +9,7 @@ import pytest
 
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.repalg import (
+    BooleanRelationFailure,
     CapTooSmall,
     EmptySeedSet,
     FormalElement,
@@ -203,6 +204,15 @@ class TestBooleanRep:
         assert len(m.entries) == 1
         ((i, j),) = m.entries
         assert i == j and boundary_omega.handles[i].range_vertex == "v0_0"
+
+    def test_tampered_projection_is_caught(self, bouquet2):
+        fam = build_fock_family(bouquet2, (3,))
+        a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
+        fam._qs[a] = fam.q(b)  # q_a q_b = q_b, but MCE(a, b) is empty
+        with pytest.raises(BooleanRelationFailure):
+            boolean_rep(fam, cap=(1,))
+        with pytest.raises(BooleanRelationFailure):
+            q_decomposition(fam, [bouquet2.vertex_path("v"), a, b])
 
 
 class TestQDecomposition:
