@@ -9,6 +9,7 @@ give identical bytes); a short human summary goes to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -269,26 +270,26 @@ def cmd_rep_verify(args) -> int:
     rng = random.Random(args.seed)
 
     fock = build_fock_family(g, cap)
-    boundary = None
 
+    # whole-family objects several suites share: each is built on first use
+    @functools.cache
     def get_boundary():
-        nonlocal boundary
-        if boundary is None:
-            if args.seeds:
-                seeds = load_seed_handles(g, args.seeds)
-            elif g.has_finite_path_category():
-                seeds = finite_boundary_paths(g)
-            else:
-                raise ParseError(
-                    "graph has infinitely many paths; --seeds is required "
-                    "for a boundary family")
-            boundary = build_boundary_family(g, seeds, window, gen_cap)
-        return boundary
+        if args.seeds:
+            seeds = load_seed_handles(g, args.seeds)
+        elif g.has_finite_path_category():
+            seeds = finite_boundary_paths(g)
+        else:
+            raise ParseError(
+                "graph has infinitely many paths; --seeds is required "
+                "for a boundary family")
+        return build_boundary_family(g, seeds, window, gen_cap)
 
     fam = fock if args.family == "fock" else get_boundary()
 
     F_small = paths_up_to_degree(g, gen_cap)
     F_closed = vee(g, F_small)
+    checked_rep = functools.cache(lambda: boolean_rep(fam, cap=gen_cap))
+    separating_system = functools.cache(lambda: build_separating_system(fam, F_closed))
     results = []
     counts: dict = {}
 
@@ -307,12 +308,12 @@ def cmd_rep_verify(args) -> int:
                 F = sorted(set(F_small)
                            | {g.vertex_path(p.source_vertex) for p in F_small},
                            key=Path.sort_key)
-                q_decomposition(boolean_rep(fam, cap=gen_cap), F)
+                q_decomposition(checked_rep(), F)
                 absorb([repalg.CheckResult("lem1", "pass")])
             elif suite == "lem3":
-                absorb(lem3_check(boolean_rep(fam, cap=gen_cap), F_closed).checks)
+                absorb(lem3_check(checked_rep(), F_closed).checks)
             elif suite == "phi2":
-                system = build_separating_system(fam, F_closed)
+                system = separating_system()
                 checks = []
                 for lam in system.F:
                     for mu in system.F:
@@ -320,7 +321,7 @@ def cmd_rep_verify(args) -> int:
                             checks.append(verify_phi2(fam, system, mu, nu, lam))
                 absorb(checks)
             elif suite == "claim1":
-                system = build_separating_system(fam, F_closed)
+                system = separating_system()
                 for _ in range(args.suite_size):
                     table = _random_table(F_closed, rng, integer=False)
                     absorb([verify_claim1(fam, F_closed, table, system=system)])

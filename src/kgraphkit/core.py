@@ -10,6 +10,7 @@ factorization is a terminating rewrite driven by the square table.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -80,19 +81,23 @@ class Degree(tuple):
     def rank(self) -> int:
         return len(self)
 
+    def _result(self, other, coords: Iterable[int]) -> "Degree":
+        """Two Degrees give a result in N^k (`-` checks <= first); other operands are validated."""
+        return tuple.__new__(Degree, coords) if type(other) is Degree else Degree(coords)
+
     def __add__(self, other) -> "Degree":
-        return Degree(a + b for a, b in zip(self, other))
+        return self._result(other, map(operator.add, self, other))
 
     def __sub__(self, other) -> "Degree":
-        if not Degree(other) <= self:
+        if not (other if type(other) is Degree else Degree(other)) <= self:
             raise DegreeOutOfRange(f"{other} is not <= {tuple(self)}")
-        return Degree(a - b for a, b in zip(self, other))
+        return self._result(other, map(operator.sub, self, other))
 
     def join(self, other) -> "Degree":
-        return Degree(max(a, b) for a, b in zip(self, other))
+        return self._result(other, map(max, self, other))
 
     def meet(self, other) -> "Degree":
-        return Degree(min(a, b) for a, b in zip(self, other))
+        return self._result(other, map(min, self, other))
 
     def __le__(self, other) -> bool:
         return all(a <= b for a, b in zip(self, other))
@@ -197,6 +202,7 @@ class KGraph:
         self.rank = rank
         self.vertices = tuple(sorted(vertices))
         self.edges = {e.name: e for e in edges}
+        self._color = {e.name: e.color for e in edges}
         self.squares = tuple(squares)
         # rewrite tables keyed by ordered edge pairs
         self._top_to_bottom = {sq.top: sq.bottom for sq in squares}
@@ -211,7 +217,7 @@ class KGraph:
     # -- basic accessors -------------------------------------------------
 
     def color(self, edge_name: str) -> int:
-        return self.edges[edge_name].color
+        return self._color[edge_name]
 
     def edges_at(self, vertex: str, color: int) -> list[str]:
         """Color-i edges with range at the given vertex."""
@@ -254,7 +260,7 @@ class KGraph:
             return self.vertex_path(range_vertex)
         deg = [0] * self.rank
         for name in word:
-            deg[self.edges[name].color - 1] += 1
+            deg[self._color[name] - 1] += 1
         return Path(self, range_vertex, self.edges[word[-1]].source_vertex,
                     word, Degree(deg))
 
@@ -265,26 +271,36 @@ class KGraph:
         confluence (checked at validation time) makes the result unique.
         """
         w = list(word)
+        color = self._color
         for i in range(1, len(w)):
             j = i
-            while j > 0 and self.color(w[j - 1]) > self.color(w[j]):
+            while j > 0 and color[w[j - 1]] > color[w[j]]:
                 w[j - 1], w[j] = self._bottom_to_top[(w[j - 1], w[j])]
                 j -= 1
         return tuple(w)
 
-    def _split(self, range_vertex: str, word: tuple[str, ...], m: Degree
+    def _split(self, word: tuple[str, ...], d: Degree, m: Degree
                ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Factor a canonical word as front·rest with d(front) = m."""
+        """Factor a canonical word of degree d as front·rest with d(front) = m.
+
+        Block by block, the lower-color edges left behind are swapped rightward
+        past the first m_c color-c edges, which then join the front; factorization
+        is unique, so the order of the square swaps does not matter.
+        """
         front: list[str] = []
-        rest = list(word)
-        for color in range(1, self.rank + 1):
-            for _ in range(m[color - 1]):
-                pos = next(i for i, name in enumerate(rest) if self.color(name) == color)
-                # drag the color-i edge to the front past lower colors
-                for p in range(pos, 0, -1):
-                    rest[p - 1], rest[p] = self._top_to_bottom[(rest[p - 1], rest[p])]
-                front.append(rest.pop(0))
-        return tuple(front), tuple(rest)
+        behind: list[str] = []  # the lower-color edges not taken, in order
+        start = 0
+        for d_c, m_c in zip(d, m):
+            taken = list(word[start:start + m_c])
+            for p in range(len(behind) - 1, -1, -1):
+                a = behind[p]
+                for i, x in enumerate(taken):
+                    taken[i], a = self._top_to_bottom[(a, x)]
+                behind[p] = a
+            front += taken
+            behind += word[start + m_c:start + d_c]
+            start += d_c
+        return tuple(front), tuple(behind)
 
     # -- finiteness --------------------------------------------------------
 
@@ -363,7 +379,10 @@ def compose(lam: Path, mu: Path) -> Path:
         return mu
     if not mu.word:
         return lam
-    word = g.normalize(lam.word + mu.word)
+    word = lam.word + mu.word
+    # both factors are color-sorted, so only an inverted seam needs square swaps
+    if g._color[lam.word[-1]] > g._color[mu.word[0]]:
+        word = g.normalize(word)
     return Path(g, lam.range_vertex, mu.source_vertex, word, lam.degree + mu.degree)
 
 
@@ -375,10 +394,11 @@ def segment(lam: Path, m, n) -> Path:
     if not (m <= n and n <= lam.degree):
         raise DegreeOutOfRange(
             f"need m <= n <= d(λ); got m={tuple(m)}, n={tuple(n)}, d={tuple(lam.degree)}")
-    front, rest = g._split(lam.range_vertex, lam.word, m)
+    front, rest = g._split(lam.word, lam.degree, m)
     mid_range = g.edges[front[-1]].source_vertex if front else lam.range_vertex
-    mid, _tail = g._split(mid_range, rest, n - m)
-    return g._word_path(mid_range, mid)
+    mid, _tail = g._split(rest, lam.degree - m, n - m)
+    mid_source = g.edges[mid[-1]].source_vertex if mid else mid_range
+    return Path(g, mid_range, mid_source, mid, n - m)
 
 
 def vertex_at(lam: Path, n) -> str:

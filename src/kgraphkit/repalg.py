@@ -322,6 +322,7 @@ class IsometryFamily:
         self._gens: dict[Path, OperatorMatrix] = {}
         self._qs: dict[Path, OperatorMatrix] = {}
         self._safe: dict[tuple, tuple] = {}
+        self._closure: dict[tuple, Degree] = {}  # sorted F -> _closure_cap
 
     # subclass hooks
     def _generator(self, lam: Path) -> OperatorMatrix:
@@ -1038,7 +1039,9 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
     if system is not None:
         needed = system.required_cap
     else:
-        needed = _closure_cap(g, F)
+        needed = fam._closure.get(tuple(F))
+        if needed is None:
+            needed = fam._closure[tuple(F)] = _closure_cap(g, F)
     if isinstance(fam, FockFamily) and not needed <= fam.cap:
         raise CapTooSmall(
             f"cap {tuple(fam.cap)} cannot hold the closure degree {tuple(needed)}")

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from kgraphkit import kgraph_to_dict, make_bouquet, make_cycle, make_omega
+from kgraphkit import cli
 from kgraphkit.cli import main
 
 from conftest import flip_presentation
@@ -191,6 +192,19 @@ class TestRepVerify:
                                         "--window", "2,2"])
         assert code == 0
         assert all(c["status"] == "pass" for c in payload["results"])
+
+    def test_shared_suite_setup_built_once(self, capsys, graph_files, monkeypatch):
+        calls = {"boolean_rep": 0, "build_separating_system": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        code, payload, _ = run(capsys, ["rep-verify", graph_files["bouquet2"],
+                                        "--suite", "lem1,lem3,phi2,claim1", "--cap", "6",
+                                        "--gen-cap", "1", "--suite-size", "2"])
+        assert code == 0, payload
+        assert calls == {"boolean_rep": 1, "build_separating_system": 1}
 
     def test_deterministic_bytes(self, capsys, graph_files):
         argv = ["rep-verify", graph_files["bouquet2"], "--suite", "tck,claim1",

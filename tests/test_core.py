@@ -49,6 +49,21 @@ class TestDegree:
         with pytest.raises(ValueError):
             Degree((-1, 0))
 
+    def test_plain_tuple_operand_is_validated(self):
+        with pytest.raises(ValueError):
+            Degree((1,)) + (-2,)
+        with pytest.raises(ValueError):
+            Degree((1,)).meet((-2,))
+        with pytest.raises(ValueError):
+            Degree((1,)) - (-1,)
+
+    def test_arithmetic_matches_validated_construction(self):
+        a, b = Degree((3, 1, 2)), Degree((1, 1, 0))
+        for got, coords in [(a + b, (4, 2, 2)), (a - b, (2, 0, 2)), (a.join(b), (3, 1, 2)),
+                            (a.meet(b), (1, 1, 0)), (a + (1, 0, 0), (4, 1, 2))]:
+            assert type(got) is Degree
+            assert got == Degree(coords) and hash(got) == hash(Degree(coords))
+
     def test_degrees_up_to_order(self):
         got = degrees_up_to(Degree((1, 1)))
         assert got == [Degree((0, 0)), Degree((0, 1)), Degree((1, 0)), Degree((1, 1))]

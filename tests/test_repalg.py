@@ -7,6 +7,7 @@ import random
 import pytest
 
 
+from kgraphkit import repalg
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.repalg import (
     BooleanRelationFailure,
@@ -442,6 +443,18 @@ class TestClaim1:
         check = verify_claim1(fock_b2_n6, [a, b], table)
         assert check.ok
         assert abs(check.detail["lhs"] - check.detail["rhs"]) < 1e-9
+
+    def test_closure_degree_memoized_per_family(self, bouquet2, monkeypatch):
+        a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
+        calls = []
+        real = repalg._closure_cap
+        monkeypatch.setattr(repalg, "_closure_cap", lambda g, F: calls.append(F) or real(g, F))
+        fam = build_fock_family(bouquet2, (2,))
+        for F in ([a, b], [b, a, a], [a, b]):
+            assert verify_claim1(fam, F, {(a, a): 1}).ok
+        assert len(calls) == 1
+        assert verify_claim1(build_fock_family(bouquet2, (2,)), [a, b], {(a, a): 1}).ok
+        assert len(calls) == 2
 
     def test_cap_guard(self, bouquet2):
         small = build_fock_family(bouquet2, (1,))
