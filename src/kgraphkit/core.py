@@ -61,6 +61,8 @@ class Degree(tuple):
     """
 
     def __new__(cls, coords: Iterable[int]) -> "Degree":
+        if type(coords) is Degree:
+            return coords
         coords = tuple(int(c) for c in coords)
         if any(c < 0 for c in coords):
             raise ValueError(f"negative coordinate in degree {coords}")
@@ -68,7 +70,7 @@ class Degree(tuple):
 
     @classmethod
     def zero(cls, k: int) -> "Degree":
-        return cls((0,) * k)
+        return tuple.__new__(cls, (0,) * k)
 
     @classmethod
     def unit(cls, k: int, color: int) -> "Degree":

@@ -110,6 +110,13 @@ class OperatorMatrix:
         self._rows = None
 
     @classmethod
+    def _trusted(cls, basis: Basis, entries: dict) -> "OperatorMatrix":
+        """Wrap entries that hold no zero, skipping the filtering copy."""
+        out = cls.__new__(cls)
+        out.basis, out.entries, out._rows = basis, entries, None
+        return out
+
+    @classmethod
     def zero(cls, basis: Basis) -> "OperatorMatrix":
         return cls(basis, {})
 
@@ -155,7 +162,7 @@ class OperatorMatrix:
         return OperatorMatrix(self.basis, out)
 
     def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(
+        return OperatorMatrix._trusted(
             self.basis, {(j, i): v.conjugate() for (i, j), v in self.entries.items()})
 
     def is_zero(self) -> bool:
@@ -170,7 +177,7 @@ class OperatorMatrix:
 
     def columns(self, cols: Iterable[int]) -> "OperatorMatrix":
         cols = set(cols)
-        return OperatorMatrix(
+        return OperatorMatrix._trusted(
             self.basis, {k: v for k, v in self.entries.items() if k[1] in cols})
 
     def compress(self, indices: Iterable[int]) -> "OperatorMatrix":
@@ -221,20 +228,27 @@ class OperatorMatrix:
 def operator_norm(m: OperatorMatrix, tol: float = 1e-9, dense_threshold: int = 600,
                   max_iter: int = 20_000) -> float:
     """Largest singular value: dense solve below the threshold, else power
-    iteration on M*M from a deterministic start vector."""
+    iteration on M*M, as index arrays, from a deterministic start vector."""
     n = len(m.basis)
     if not m.entries:
         return 0.0
     if n <= dense_threshold:
         return float(np.linalg.norm(m.to_dense(), 2))
     gram = m.adjoint() @ m
-    rows = gram._row_view()
+    nnz = len(gram.entries)
+    rows = np.fromiter((i for i, _ in gram.entries), dtype=np.intp, count=nnz)
+    cols = np.fromiter((j for _, j in gram.entries), dtype=np.intp, count=nnz)
+    vals = np.fromiter(gram.entries.values(), dtype=complex, count=nnz)
+    vr, vi = vals.real, vals.imag
     x = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
     last = 0.0
     for _ in range(max_iter):
-        y = np.zeros(n, dtype=complex)
-        for i, cols in rows.items():
-            y[i] = sum(v * x[j] for j, v in cols)
+        # Split real arithmetic, summed per row in entry order: the same
+        # roundings as a scalar loop (numpy's complex multiply may fuse).
+        xr, xi = x.real[cols], x.imag[cols]
+        y = np.empty(n, dtype=complex)
+        y.real = np.bincount(rows, vr * xr - vi * xi, minlength=n)
+        y.imag = np.bincount(rows, vr * xi + vi * xr, minlength=n)
         norm_y = float(np.linalg.norm(y))
         if norm_y == 0.0:
             return 0.0
@@ -375,11 +389,12 @@ class FockFamily(IsometryFamily):
         if not lam.degree <= self.cap:
             raise CapTooSmall(
                 f"generator degree {tuple(lam.degree)} exceeds basis cap {tuple(self.cap)}")
+        room = self.cap - lam.degree
         entries = {}
         for j, beta in enumerate(self._paths):
             if beta.range_vertex != lam.source_vertex:
                 continue
-            if not (lam.degree + beta.degree) <= self.cap:
+            if not beta.degree <= room:
                 continue
             entries[(self._path_index[compose(lam, beta)], j)] = 1
         return OperatorMatrix(self.basis, entries)
@@ -389,8 +404,8 @@ class FockFamily(IsometryFamily):
             raise CapTooSmall(
                 f"budget {tuple(budget)} exceeds basis cap {tuple(self.cap)}; "
                 "the safe subspace is empty")
-        return tuple(j for j, beta in enumerate(self._paths)
-                     if (beta.degree + budget) <= self.cap)
+        room = self.cap - budget
+        return tuple(j for j, beta in enumerate(self._paths) if beta.degree <= room)
 
 
 class BoundaryFamily(IsometryFamily):

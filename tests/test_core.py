@@ -64,6 +64,19 @@ class TestDegree:
             assert type(got) is Degree
             assert got == Degree(coords) and hash(got) == hash(Degree(coords))
 
+    def test_degree_argument_returned_unchanged(self):
+        d = Degree((2, 1))
+        assert Degree(d) is d
+        with pytest.raises(ValueError):
+            Degree([-1])
+        with pytest.raises(ValueError):
+            Degree.unit(2, 3)
+
+    def test_zero_matches_validated_construction(self):
+        z = Degree.zero(3)
+        assert type(z) is Degree
+        assert z == Degree((0, 0, 0)) and hash(z) == hash(Degree((0, 0, 0)))
+
     def test_degrees_up_to_order(self):
         got = degrees_up_to(Degree((1, 1)))
         assert got == [Degree((0, 0)), Degree((0, 1)), Degree((1, 0)), Degree((1, 1))]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 
@@ -99,6 +100,75 @@ class TestOperatorMatrix:
         m = fock_b2_n4.generator(bouquet2.edge_path("a"))
         with pytest.raises(NonConvergence):
             operator_norm(m, dense_threshold=1, max_iter=1, tol=1e-30)
+
+    def test_trusted_results_match_validated_construction(self, fock_b2_n4, bouquet2):
+        rng = random.Random(3)
+        m = fock_b2_n4.evaluate(FormalElement(bouquet2, {
+            (bouquet2.path(list(mu)), bouquet2.path(list(nu))):
+                complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for mu in ("a", "ab", "ba") for nu in ("b", "aa")}))
+        basis, cols = m.basis, set(range(0, len(m.basis), 3))
+        adj = OperatorMatrix(basis, {(j, i): v.conjugate() for (i, j), v in m.entries.items()})
+        assert list(m.adjoint().entries.items()) == list(adj.entries.items())
+        col = OperatorMatrix(basis, {k: v for k, v in m.entries.items() if k[1] in cols})
+        assert list(m.columns(cols).entries.items()) == list(col.entries.items())
+
+    def test_cancellation_leaves_no_zero_entries(self, fock_b2_n4, bouquet2):
+        assert OperatorMatrix(fock_b2_n4.basis, {(0, 0): 0}).is_zero()
+        t = fock_b2_n4.generator(bouquet2.edge_path("a"))
+        q = fock_b2_n4.q(bouquet2.edge_path("b"))
+        assert (t - t).is_zero()
+        assert (t @ (q - q)).is_zero()
+
+
+def power_iteration_reference(m, tol=1e-9, max_iter=20_000):
+    """Scalar power iteration on M*M, as operator_norm ran it before index arrays."""
+    n = len(m.basis)
+    rows = (m.adjoint() @ m)._row_view()
+    x = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    last = 0.0
+    for _ in range(max_iter):
+        y = np.zeros(n, dtype=complex)
+        for i, cols in rows.items():
+            y[i] = sum(v * x[j] for j, v in cols)
+        norm_y = float(np.linalg.norm(y))
+        if norm_y == 0.0:
+            return 0.0
+        x = y / norm_y
+        if abs(norm_y - last) <= tol * max(1.0, norm_y):
+            return float(np.sqrt(norm_y))
+        last = norm_y
+    raise NonConvergence(f"power iteration did not settle in {max_iter} steps")
+
+
+@pytest.fixture(scope="module")
+def fock_b2_n9_matrices(bouquet2):
+    """A complex table, an integer table and a 0/1 matrix on the 1,023-vector basis.
+
+    The complex table's norm moves by one ulp if the matvec uses a fused
+    complex multiply, so the exact comparison below sees that change.
+    """
+    fam = build_fock_family(bouquet2, (9,))
+    pool = [bouquet2.vertex_path("v")] + [bouquet2.path(list(w)) for w in ("a", "b", "ab", "ba")]
+    rng = random.Random(0)
+    cx = {(mu, nu): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+          for mu in pool for nu in pool}
+    ints = {(mu, nu): rng.randint(-2, 2) for mu in pool for nu in pool}
+    zero_one = (fam.generator(bouquet2.edge_path("a")) + fam.generator(bouquet2.edge_path("b"))
+                + fam.generator(bouquet2.path(["a", "b"])))
+    return [fam.evaluate(FormalElement(bouquet2, cx)),
+            fam.evaluate(FormalElement(bouquet2, ints)), zero_one]
+
+
+class TestPowerIteration:
+    def test_equals_scalar_reference(self, fock_b2_n9_matrices):
+        for m in fock_b2_n9_matrices:
+            assert operator_norm(m, dense_threshold=1) == power_iteration_reference(m)
+
+    def test_agrees_with_dense_norm(self, fock_b2_n9_matrices):
+        for m in fock_b2_n9_matrices:
+            assert len(m.basis) == 1023
+            assert abs(operator_norm(m) - np.linalg.norm(m.to_dense(), 2)) < 1e-6
 
 
 class TestFockAction:
