@@ -136,12 +136,6 @@ class BoundaryPathHandle:
         return f"<boundary path {self.name} degree {ext_key(self.degree)}>"
 
 
-def windows_equal(x: BoundaryPathHandle, y: BoundaryPathHandle, width) -> bool:
-    if x.graph is not y.graph:
-        return False
-    return x.fingerprint(width) == y.fingerprint(width)
-
-
 class FinitePathHandle(BoundaryPathHandle):
     """Exact handle wrapping an ordinary finite path."""
 

@@ -6,11 +6,21 @@ boundary family acting on a basis of boundary-path handles.  All 0/1
 identities are asserted in exact integer arithmetic on safe basis vectors,
 where no truncation artifact can reach; norms are numeric with explicit
 tolerances.
+
+Each generator t_lam is a 0/1 partial injection, held as an int array with
+t[j] = i when t e_j = e_i and -1 where t is undefined; each q_lam, Q piece,
+phi_lam, CK gap product and lem3 test is a diagonal 0/1 matrix, held as a
+boolean mask.  Products of generators compose arrays, adjoints invert them,
+q_lam is the range mask, products of projections are AND and q_lam - q_w is
+AND-NOT.  Sums of injections are compared entry by entry, overlaps counted.
+The one way into OperatorMatrix, the sparse complex matrix kept for linear
+combinations and norms, is IsometryFamily.evaluate.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -96,10 +106,8 @@ class Basis:
 
 
 class OperatorMatrix:
-    """Sparse complex matrix on a shared named basis.
-
-    Integer-valued inputs stay integers through sums, products and adjoints,
-    so 0/1 identities can be compared entry-for-entry with no tolerance.
+    """Sparse complex matrix on a shared named basis, for linear combinations
+    of generator products; integer inputs stay integers, so exact.
     """
 
     __slots__ = ("basis", "entries", "_rows")
@@ -134,9 +142,6 @@ class OperatorMatrix:
         for k, v in other.entries.items():
             out[k] = out.get(k, 0) + v
         return OperatorMatrix(self.basis, out)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self + (other * -1)
 
     def __mul__(self, scalar) -> "OperatorMatrix":
         return OperatorMatrix(self.basis, {k: v * scalar for k, v in self.entries.items()})
@@ -175,11 +180,6 @@ class OperatorMatrix:
     def __hash__(self):
         raise TypeError("OperatorMatrix is unhashable")
 
-    def columns(self, cols: Iterable[int]) -> "OperatorMatrix":
-        cols = set(cols)
-        return OperatorMatrix._trusted(
-            self.basis, {k: v for k, v in self.entries.items() if k[1] in cols})
-
     def compress(self, indices: Iterable[int]) -> "OperatorMatrix":
         """Two-sided compression onto the given basis vectors."""
         indices = set(indices)
@@ -187,32 +187,18 @@ class OperatorMatrix:
             self.basis, {k: v for k, v in self.entries.items()
                          if k[0] in indices and k[1] in indices})
 
-    def equal_on_columns(self, other: "OperatorMatrix", cols: Iterable[int]) -> bool:
-        cols = set(cols)
-        return self.columns(cols).entries == other.columns(cols).entries
-
-    def first_difference(self, other: "OperatorMatrix", cols: Optional[Iterable[int]] = None):
+    def first_difference(self, other: "OperatorMatrix"):
         """Smallest (row, col) where the two matrices disagree, or None."""
         a, b = self.entries, other.entries
-        keys = set(a) | set(b)
-        if cols is not None:
-            cols = set(cols)
-            keys = {k for k in keys if k[1] in cols}
-        for k in sorted(keys):
+        for k in sorted(set(a) | set(b)):
             if a.get(k, 0) != b.get(k, 0):
                 return (self.basis.labels[k[0]], self.basis.labels[k[1]],
                         a.get(k, 0), b.get(k, 0))
         return None
 
-    def diagonal(self) -> dict:
-        return {i: v for (i, j), v in self.entries.items() if i == j}
-
     def diagonal_part(self) -> "OperatorMatrix":
         return OperatorMatrix(
             self.basis, {k: v for k, v in self.entries.items() if k[0] == k[1]})
-
-    def is_partial_isometry(self) -> bool:
-        return (self @ self.adjoint() @ self) == self
 
     def to_dense(self) -> np.ndarray:
         n = len(self.basis)
@@ -259,6 +245,58 @@ def operator_norm(m: OperatorMatrix, tol: float = 1e-9, dense_threshold: int = 6
     raise NonConvergence(f"power iteration did not settle in {max_iter} steps")
 
 
+# -- 0/1 partial injections and diagonal masks ---------------------------------
+
+
+def compose_maps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The partial injection a∘b: defined at j when b is and a is at b[j]."""
+    return np.where(b < 0, -1, a[b])
+
+
+def inverse_map(t: np.ndarray) -> np.ndarray:
+    """The adjoint t* of a partial injection: its inverse map."""
+    inv = np.full(len(t), -1, dtype=np.intp)
+    dom = np.flatnonzero(t >= 0)
+    inv[t[dom]] = dom
+    return inv
+
+
+def range_mask(t: np.ndarray) -> np.ndarray:
+    """The final projection t t* of a partial injection, as a mask."""
+    mask = np.zeros(len(t), dtype=bool)
+    mask[t[t >= 0]] = True
+    return mask
+
+
+def _as_map(term: np.ndarray) -> np.ndarray:
+    """A mask read as the partial identity on it; an index array unchanged."""
+    return np.where(term, np.arange(len(term)), -1) if term.dtype == bool else term
+
+
+def _rows_hit(terms: Sequence[np.ndarray], cols: np.ndarray, depth: int) -> np.ndarray:
+    """The rows a sum of partial injections or masks hits in each column, one
+    per term and -1 for none, padded to depth terms and sorted down each column."""
+    rows = np.full((depth, len(cols)), -1, dtype=np.intp)
+    for r, t in enumerate(terms):
+        rows[r] = _as_map(t)[cols]
+    rows.sort(axis=0)
+    return rows
+
+
+def first_difference_on(basis: Basis, lhs: Sequence[np.ndarray],
+                        rhs: Sequence[np.ndarray], cols: np.ndarray):
+    """First (row, col), in (row, col) order, where two sums of partial
+    injections or masks differ on the given columns, with both values; or None."""
+    depth = max(len(lhs), len(rhs), 1)
+    sides = [_rows_hit(terms, cols, depth) for terms in (lhs, rhs)]
+    if np.array_equal(*sides):
+        return None
+    a, b = (Counter((r, c) for r, c in zip(side.ravel().tolist(), np.tile(cols, depth).tolist())
+                    if r >= 0) for side in sides)
+    i, j = min(k for k in a.keys() | b.keys() if a[k] != b[k])
+    return (basis.labels[i], basis.labels[j], a[(i, j)], b[(i, j)])
+
+
 # -- reports ------------------------------------------------------------------
 
 
@@ -282,11 +320,13 @@ class CheckResult:
         return data
 
 
-def _compare_on(cid: str, lhs: OperatorMatrix, rhs: OperatorMatrix, cols) -> CheckResult:
+def _compare_on(cid: str, basis: Basis, lhs: Sequence[np.ndarray],
+                rhs: Sequence[np.ndarray], cols) -> CheckResult:
     """Exact comparison on the given columns; a failure names the first difference."""
-    if lhs.equal_on_columns(rhs, cols):
+    diff = first_difference_on(basis, lhs, rhs, cols)
+    if diff is None:
         return CheckResult(cid, "pass")
-    return CheckResult(cid, "fail", witness=str(lhs.first_difference(rhs, cols)))
+    return CheckResult(cid, "fail", witness=str(diff))
 
 
 class VerificationReport:
@@ -319,7 +359,7 @@ class VerificationReport:
 
 
 class IsometryFamily:
-    """Indexed family λ -> sparse matrix on a named basis.
+    """Indexed family λ -> 0/1 partial injection on a named basis.
 
     kind "fock": basis vectors are the paths of degree <= cap, acted on by
     left concatenation truncated at the cap.  kind "boundary": basis vectors
@@ -333,46 +373,57 @@ class IsometryFamily:
         self.graph = graph
         self.basis = basis
         self.gen_cap = gen_cap
-        self._gens: dict[Path, OperatorMatrix] = {}
-        self._qs: dict[Path, OperatorMatrix] = {}
-        self._safe: dict[tuple, tuple] = {}
+        self._gens: dict[Path, np.ndarray] = {}  # index arrays j -> i or -1
+        self._qs: dict[Path, np.ndarray] = {}  # range masks
+        self._safe: dict[tuple, np.ndarray] = {}
         self._closure: dict[tuple, Degree] = {}  # sorted F -> _closure_cap
 
-    # subclass hooks
-    def _generator(self, lam: Path) -> OperatorMatrix:
+    # subclass hooks: (domain, image) index lists of t_lam, and safe columns
+    def _generator(self, lam: Path) -> tuple[list, list]:
         raise NotImplementedError
 
-    def _safe_columns(self, budget: Degree) -> tuple:
+    def _safe_columns(self, budget: Degree) -> Sequence[int]:
         raise NotImplementedError
 
-    def generator(self, lam: Path) -> OperatorMatrix:
-        got = self._gens.get(lam)
+    @staticmethod
+    def _memo(memo: dict, key, build) -> np.ndarray:
+        """build() once per key, kept read-only."""
+        got = memo.get(key)
         if got is None:
-            got = self._generator(lam)
-            self._gens[lam] = got
+            got = memo[key] = build()
+            got.flags.writeable = False
         return got
 
-    def q(self, lam: Path) -> OperatorMatrix:
-        got = self._qs.get(lam)
-        if got is None:
-            t = self.generator(lam)
-            got = t @ t.adjoint()
-            self._qs[lam] = got
-        return got
+    def generator(self, lam: Path) -> np.ndarray:
+        """t_lam as a read-only index array j -> i, -1 where undefined."""
+        def build():
+            dom, img = self._generator(lam)
+            if len(set(img)) != len(img):
+                raise KGraphError(f"t_{lam.label()} is not injective")
+            t = np.full(len(self.basis), -1, dtype=np.intp)
+            t[dom] = img
+            return t
+        return self._memo(self._gens, lam, build)
 
-    def safe_columns(self, budget) -> tuple:
+    def q(self, lam: Path) -> np.ndarray:
+        """q_lam = t_lam t_lam* as a read-only mask."""
+        return self._memo(self._qs, lam, lambda: range_mask(self.generator(lam)))
+
+    def safe_columns(self, budget) -> np.ndarray:
+        """Sorted indices of the basis vectors safe at the budget."""
         budget = Degree(budget)
-        key = tuple(budget)
-        got = self._safe.get(key)
-        if got is None:
-            got = self._safe_columns(budget)
-            self._safe[key] = got
-        return got
+        return self._memo(self._safe, tuple(budget),
+                          lambda: np.array(self._safe_columns(budget), dtype=np.intp))
 
     def evaluate(self, element: "FormalElement") -> OperatorMatrix:
+        """Sum of a t_mu t_nu*; each term has entries (t_mu[k], t_nu[k]),
+        k ascending, the order of the sparse product t_mu @ t_nu.adjoint()."""
         out = OperatorMatrix.zero(self.basis)
         for (mu, nu), a in element.sorted_items():
-            out = out + (self.generator(mu) @ self.generator(nu).adjoint()) * a
+            tm, tn = self.generator(mu), self.generator(nu)
+            k = (tm >= 0) & (tn >= 0)
+            term = dict.fromkeys(zip(tm[k].tolist(), tn[k].tolist()), 1)
+            out = out + OperatorMatrix._trusted(self.basis, term) * a
         return out
 
 
@@ -384,28 +435,27 @@ class FockFamily(IsometryFamily):
         self.cap = cap
         self._paths = paths
         self._path_index = {p: i for i, p in enumerate(paths)}
+        self._degrees = np.array([tuple(p.degree) for p in paths], dtype=np.intp)
+        self._ranges = np.array([p.range_vertex for p in paths])
 
-    def _generator(self, lam: Path) -> OperatorMatrix:
+    def _within(self, d: Degree) -> np.ndarray:
+        """Mask of the basis paths beta with d(beta) <= cap - d."""
+        return np.all(self._degrees <= np.array(self.cap - d), axis=1)
+
+    def _generator(self, lam: Path) -> tuple[list, list]:
         if not lam.degree <= self.cap:
             raise CapTooSmall(
                 f"generator degree {tuple(lam.degree)} exceeds basis cap {tuple(self.cap)}")
-        room = self.cap - lam.degree
-        entries = {}
-        for j, beta in enumerate(self._paths):
-            if beta.range_vertex != lam.source_vertex:
-                continue
-            if not beta.degree <= room:
-                continue
-            entries[(self._path_index[compose(lam, beta)], j)] = 1
-        return OperatorMatrix(self.basis, entries)
+        dom = np.flatnonzero(self._within(lam.degree)
+                             & (self._ranges == lam.source_vertex)).tolist()
+        return dom, [self._path_index[compose(lam, self._paths[j])] for j in dom]
 
-    def _safe_columns(self, budget: Degree) -> tuple:
+    def _safe_columns(self, budget: Degree) -> np.ndarray:
         if not budget <= self.cap:
             raise CapTooSmall(
                 f"budget {tuple(budget)} exceeds basis cap {tuple(self.cap)}; "
                 "the safe subspace is empty")
-        room = self.cap - budget
-        return tuple(j for j, beta in enumerate(self._paths) if beta.degree <= room)
+        return np.flatnonzero(self._within(budget))
 
 
 class BoundaryFamily(IsometryFamily):
@@ -420,17 +470,24 @@ class BoundaryFamily(IsometryFamily):
     def handle_index(self, x: BoundaryPathHandle) -> Optional[int]:
         return self._fp_index.get(x.fingerprint(self.window))
 
-    def _generator(self, lam: Path) -> OperatorMatrix:
-        entries = {}
+    def _generator(self, lam: Path) -> tuple[list, list]:
+        """Domain and image of t_lam; two handles with one windowed image
+        would make t_lam no partial isometry, so they raise WindowCollision."""
+        source: dict[int, int] = {}  # image -> domain
         for j, x in enumerate(self.handles):
             if lam.source_vertex != x.range_vertex:
                 continue
             i = self.handle_index(extend(lam, x))
-            if i is not None:
-                entries[(i, j)] = 1
-        return OperatorMatrix(self.basis, entries)
+            if i is None:
+                continue
+            if i in source:
+                raise WindowCollision(
+                    f"t_{lam.label()} sends {self.handles[source[i]].describe()} and "
+                    f"{x.describe()} to one handle at window {tuple(self.window)}")
+            source[i] = j
+        return list(source.values()), list(source)
 
-    def _safe_columns(self, budget: Degree) -> tuple:
+    def _safe_columns(self, budget: Degree) -> list:
         exts = paths_up_to_degree(self.graph, budget)
         safe = []
         for j, x in enumerate(self.handles):
@@ -454,7 +511,7 @@ class BoundaryFamily(IsometryFamily):
             raise CapTooSmall(
                 f"no safe basis vectors at budget {tuple(budget)}; "
                 "enlarge the closure margin")
-        return tuple(safe)
+        return safe
 
 
 def build_fock_family(g: KGraph, cap) -> FockFamily:
@@ -552,40 +609,39 @@ def verify_tck(fam: IsometryFamily, cap=None) -> VerificationReport:
     cap = fam.gen_cap if cap is None else Degree(cap)
     report = VerificationReport(f"tck[{fam.kind}]")
 
+    t = fam.generator
     verts = [g.vertex_path(v) for v in g.vertices]
     for v in verts:
-        tv = fam.generator(v)
-        ok = tv == tv.adjoint() and (tv @ tv) == tv
+        tv = t(v)
+        ok = (np.array_equal(tv, inverse_map(tv))
+              and np.array_equal(compose_maps(tv, tv), tv))
         report.add(CheckResult(f"TCK1:{v.label()} projection",
                                "pass" if ok else "fail"))
     for v, w in itertools.combinations(verts, 2):
-        prod = fam.generator(v) @ fam.generator(w)
+        zero = not np.any(compose_maps(t(v), t(w)) >= 0)
         report.add(CheckResult(f"TCK1:{v.label()}·{w.label()} orthogonal",
-                               "pass" if prod.is_zero() else "fail"))
+                               "pass" if zero else "fail"))
 
     paths = paths_up_to_degree(g, cap)
     for lam in paths:
         for mu in paths:
-            if lam.source_vertex != mu.range_vertex:
+            if lam.source_vertex != mu.range_vertex or not lam.degree + mu.degree <= cap:
                 continue
-            if not (lam.degree + mu.degree) <= cap:
-                continue
-            report.add(_compare_on(f"TCK2:{lam.label()}·{mu.label()}",
-                                   fam.generator(lam) @ fam.generator(mu),
-                                   fam.generator(compose(lam, mu)),
+            report.add(_compare_on(f"TCK2:{lam.label()}·{mu.label()}", fam.basis,
+                                   [compose_maps(t(lam), t(mu))], [t(compose(lam, mu))],
                                    fam.safe_columns(lam.degree + mu.degree)))
 
     for mu in paths:
         for nu in paths:
             if mu.range_vertex != nu.range_vertex:
                 continue
-            lhs = fam.generator(mu).adjoint() @ fam.generator(nu)
-            rhs = OperatorMatrix.zero(fam.basis)
+            rhs = []
             for lam in mce(g, mu, nu):
                 alpha = segment(lam, mu.degree, lam.degree)
                 beta = segment(lam, nu.degree, lam.degree)
-                rhs = rhs + fam.generator(alpha) @ fam.generator(beta).adjoint()
-            report.add(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", lhs, rhs,
+                rhs.append(compose_maps(t(alpha), inverse_map(t(beta))))
+            report.add(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", fam.basis,
+                                   [compose_maps(inverse_map(t(mu)), t(nu))], rhs,
                                    fam.safe_columns(mu.degree.join(nu.degree))))
     return report
 
@@ -596,21 +652,20 @@ def verify_ck(fam: IsometryFamily, cap, fe_budget: int = 100_000) -> Verificatio
     cap = Degree(cap)
     report = VerificationReport(f"ck[{fam.kind}]")
     for v in g.vertices:
+        # t_v times each gap (t_v - q_lam) is diagonal once t_v is: the mask of
+        # t_v AND-NOT every q_lam
+        tv = fam.generator(g.vertex_path(v))
+        if np.any((tv >= 0) & (tv != np.arange(len(tv)))):
+            raise KGraphError(f"t_{v} is not a diagonal projection")
         for E in enumerate_fe(g, v, cap, budget=fe_budget):
-            budget = join_degrees((lam.degree for lam in E), g.rank)
-            prod = fam.generator(g.vertex_path(v))
+            gap = tv >= 0
             for lam in E:
-                prod = prod @ (fam.generator(g.vertex_path(v)) - fam.q(lam))
-            cols = set(fam.safe_columns(budget))
-            bad = sorted(j for (i, j) in prod.entries if j in cols and i == j)
+                gap &= ~fam.q(lam)
+            cols = fam.safe_columns(join_degrees((lam.degree for lam in E), g.rank))
+            hit = cols[gap[cols]]
             label = "{" + ",".join(p.label() for p in E) + "}"
-            check = CheckResult(f"CK:{v}:{label}", "pass")
-            if any(k[1] in cols for k in prod.entries):
-                check.status = "fail"
-                vec = bad[0] if bad else sorted(
-                    k[1] for k in prod.entries if k[1] in cols)[0]
-                check.witness = fam.basis.labels[vec]
-            report.add(check)
+            report.add(CheckResult(f"CK:{v}:{label}", "fail" if len(hit) else "pass",
+                                   witness=fam.basis.labels[hit[0]] if len(hit) else None))
     return report
 
 
@@ -632,15 +687,13 @@ def boolean_rep(fam: IsometryFamily, cap=None) -> IsometryFamily:
         for nu in paths:
             if mu.sort_key() > nu.sort_key():
                 continue
-            lhs = fam.q(mu) @ fam.q(nu)
-            rhs = OperatorMatrix.zero(fam.basis)
-            for gamma in mce(g, mu, nu):
-                rhs = rhs + fam.q(gamma)
-            cols = fam.safe_columns(mu.degree.join(nu.degree))
-            if not lhs.equal_on_columns(rhs, cols):
+            diff = first_difference_on(
+                fam.basis, [fam.q(mu) & fam.q(nu)], [fam.q(gamma) for gamma in mce(g, mu, nu)],
+                fam.safe_columns(mu.degree.join(nu.degree)))
+            if diff is not None:
                 raise BooleanRelationFailure(
                     f"q_{mu.label()} q_{nu.label()} != sum over MCE; "
-                    f"first difference {lhs.first_difference(rhs, cols)}")
+                    f"first difference {diff}")
     return fam
 
 
@@ -649,11 +702,12 @@ def _extensions_in(lam: Path, pool: Sequence[Path]) -> list[Path]:
     return [w for w in pool if w != lam and extends(w, lam)]
 
 
-def _q_piece(fam: IsometryFamily, lam: Path, pool: Sequence[Path]) -> OperatorMatrix:
-    """Q_lam = q_lam times (q_lam - q_w) over the proper extensions w of lam in the pool."""
+def _q_piece(fam: IsometryFamily, lam: Path, pool: Sequence[Path]) -> np.ndarray:
+    """Q_lam = q_lam times (q_lam - q_w) over the proper extensions w of lam in
+    the pool: the mask q_lam AND-NOT every q_w."""
     acc = fam.q(lam)
     for w in _extensions_in(lam, pool):
-        acc = acc @ (fam.q(lam) - fam.q(w))
+        acc = acc & ~fam.q(w)
     return acc
 
 
@@ -670,7 +724,7 @@ def _require_mce_closed(g: KGraph, F: Sequence[Path]) -> None:
 @dataclass
 class QDecomposition:
     vee_F: list[Path]
-    Q: dict  # Path -> OperatorMatrix
+    Q: dict  # Path -> mask
 
 
 def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> QDecomposition:
@@ -691,15 +745,12 @@ def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> QDecomposition:
 
     cols = fam.safe_columns(join_degrees((w.degree for w in vee_F), g.rank))
     for a, b in itertools.combinations(vee_F, 2):
-        prod = Q[a] @ Q[b]
-        if not prod.columns(cols).is_zero():
+        if np.any((Q[a] & Q[b])[cols]):
             raise BooleanRelationFailure(
                 f"Q_{a.label()} and Q_{b.label()} are not orthogonal")
     for mu in vee_F:
-        rhs = Q[mu]
-        for w in _extensions_in(mu, vee_F):
-            rhs = rhs + Q[w]
-        if not fam.q(mu).equal_on_columns(rhs, cols):
+        pieces = [Q[mu]] + [Q[w] for w in _extensions_in(mu, vee_F)]
+        if first_difference_on(fam.basis, [fam.q(mu)], pieces, cols) is not None:
             raise BooleanRelationFailure(
                 f"q_{mu.label()} is not the sum of its Q pieces")
     return QDecomposition(vee_F, Q)
@@ -712,7 +763,7 @@ def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> VerificationReport:
     F = sorted(set(F), key=Path.sort_key)
     _require_mce_closed(g, F)
     for lam in F:
-        if fam.q(lam).is_zero():
+        if not fam.q(lam).any():
             raise KGraphError(f"q_{lam.label()} vanishes; hypothesis violated")
 
     report = VerificationReport("lem3")
@@ -728,11 +779,8 @@ def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> VerificationReport:
         else:
             tau = g.vertex_path(alpha.source_vertex)
         q_ext = fam.q(compose(alpha, tau))
-        ok = (_q_piece(fam, alpha, F) @ q_ext) == q_ext and not q_ext.is_zero()
-        witness = None
-        if ok:
-            i = sorted(q_ext.diagonal())[0]
-            witness = fam.basis.labels[i]
+        ok = q_ext.any() and not np.any(q_ext & ~_q_piece(fam, alpha, F))
+        witness = fam.basis.labels[np.argmax(q_ext)] if ok else None
         report.add(CheckResult(
             f"lem3:{alpha.label()}", "pass" if ok else "fail", witness=witness,
             detail={"tau": tau.label()}))
@@ -756,7 +804,7 @@ def diagonal_norm(fam: IsometryFamily, coeffs: dict) -> float:
     dec = q_decomposition(fam, sorted(F, key=Path.sort_key))
     best = 0.0
     for alpha in dec.vee_F:
-        if dec.Q[alpha].is_zero():
+        if not dec.Q[alpha].any():
             continue
         total = 0
         for lam, c in support.items():
@@ -842,9 +890,9 @@ def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path
     """
     report = VerificationReport(f"diag[{mu.label()},{nu.label()}]")
     width = bfam.window
-    matrix = bfam.generator(mu) @ bfam.generator(nu).adjoint()
+    matrix = compose_maps(bfam.generator(mu), inverse_map(bfam.generator(nu)))
     budget = mu.degree.join(nu.degree)
-    safe = set(bfam.safe_columns(budget))
+    safe = set(bfam.safe_columns(budget).tolist())
     for j, x in enumerate(bfam.handles):
         label = f"{bfam.basis.labels[j]}({x.describe()})"
         is_prefix = (ext_le(mu.degree, x.degree)
@@ -865,7 +913,7 @@ def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path
                 report.add(CheckResult(f"{report.title}@{label}", "inconclusive",
                                        witness=label))
                 continue
-        got = matrix.entries.get((j, j), 0)
+        got = int(matrix[j] == j)
         if j in safe and got != expected:
             report.add(CheckResult(f"{report.title}@{label}", "fail",
                                    witness=f"{label}: matrix {got} vs window {expected}"))
@@ -889,7 +937,7 @@ class SeparatingSystem:
     tau: dict  # Path -> Path
     G: list[Path]
     tau_v: dict  # vertex -> Path
-    phi: dict  # Path -> OperatorMatrix
+    phi: dict  # Path -> mask
     required_cap: Degree
 
 
@@ -1010,11 +1058,11 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
     # mutual orthogonality and domination by q_lam, on safe columns
     cols = fam.safe_columns(Degree.zero(g.rank))
     for a, b in itertools.combinations(F, 2):
-        if not (phi[a] @ phi[b]).columns(cols).is_zero():
+        if np.any((phi[a] & phi[b])[cols]):
             raise SeparationSearchExhausted(
                 tau_depth, f"phi_{a.label()} and phi_{b.label()} overlap")
     for lam in F:
-        if not (fam.q(lam) @ phi[lam]).equal_on_columns(phi[lam], cols):
+        if np.any((phi[lam] & ~fam.q(lam))[cols]):
             raise SeparationSearchExhausted(
                 tau_depth, f"phi_{lam.label()} is not dominated by q_{lam.label()}")
 
@@ -1026,12 +1074,11 @@ def verify_phi2(fam: IsometryFamily, system: SeparatingSystem, mu: Path,
                 nu: Path, lam: Path) -> CheckResult:
     """Compression of a spanning element by phi_lam follows the case split:
     phi_lam itself when mu = nu extends to lam, zero otherwise."""
-    phi = system.phi[lam]
-    middle = fam.generator(mu) @ fam.generator(nu).adjoint()
-    expected = (phi if mu == nu and extends(lam, mu)
-                else OperatorMatrix.zero(fam.basis))
-    return _compare_on(f"phi2:{lam.label()}|{mu.label()},{nu.label()}",
-                       phi @ middle @ phi, expected,
+    phi = _as_map(system.phi[lam])
+    middle = compose_maps(fam.generator(mu), inverse_map(fam.generator(nu)))
+    expected = [phi] if mu == nu and extends(lam, mu) else []
+    return _compare_on(f"phi2:{lam.label()}|{mu.label()},{nu.label()}", fam.basis,
+                       [compose_maps(phi, compose_maps(middle, phi))], expected,
                        fam.safe_columns(mu.degree.join(nu.degree)))
 
 
@@ -1083,7 +1130,7 @@ def couniversal_norm_check(fock: IsometryFamily, boundary: IsometryFamily,
     cancellations and inflate the truncated norm past the true one.
     """
     safe = boundary.safe_columns(a.support_degree())
-    nb = operator_norm(boundary.evaluate(a).compress(safe))
+    nb = operator_norm(boundary.evaluate(a).compress(safe.tolist()))
     nf = operator_norm(fock.evaluate(a))
     ok = nb <= nf + tol
     return CheckResult("couniversal-norm", "heuristic-pass" if ok else "heuristic-fail",
@@ -1101,9 +1148,12 @@ def matrix_unit_span_rank(bfam: BoundaryFamily) -> int:
         for mu in paths:
             if lam.source_vertex != mu.source_vertex:
                 continue
-            m = bfam.generator(lam) @ bfam.generator(mu).adjoint()
-            if not m.is_zero():
-                vecs.append(m.to_dense().reshape(n * n))
+            tl, tm = bfam.generator(lam), bfam.generator(mu)
+            k = (tl >= 0) & (tm >= 0)
+            if k.any():
+                vec = np.zeros(n * n)
+                vec[tl[k] * n + tm[k]] = 1
+                vecs.append(vec)
     if not vecs:
         return 0
     return int(np.linalg.matrix_rank(np.array(vecs)))

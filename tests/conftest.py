@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from kgraphkit import make_bouquet, make_cycle, make_omega, validate_presentation
+from kgraphkit.repalg import OperatorMatrix
 
 
 def flip_presentation() -> dict:
@@ -22,6 +23,15 @@ def flip_presentation() -> dict:
             {"top": ["b", "f"], "bottom": ["f", "a"]},
         ],
     }
+
+
+def as_matrix(basis, t):
+    """The 0/1 matrix of an index array (entry (t[j], j)) or of a mask (entry
+    (j, j)), built entry by entry, j ascending: the sparse-product referee's
+    view of a generator or projection."""
+    if t.dtype == bool:
+        return OperatorMatrix(basis, {(j, j): 1 for j in range(len(t)) if t[j]})
+    return OperatorMatrix(basis, {(int(i), j): 1 for j, i in enumerate(t) if i >= 0})
 
 
 @pytest.fixture(scope="session")
