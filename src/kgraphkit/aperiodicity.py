@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .core import Degree, KGraph, KGraphError, Path, compose, paths_up_to_degree
+from .core import (
+    Degree,
+    KGraph,
+    KGraphError,
+    Path,
+    compose,
+    degrees_up_to,
+    paths_of_degree,
+    paths_up_to_degree,
+)
 from .alignment import mce, mce_brute
 
 
@@ -34,11 +43,13 @@ PERIODIC_EVIDENCE = "PeriodicEvidence"
 INCONCLUSIVE = "Inconclusive"
 
 
-def _tau_candidates(g: KGraph, v: str, depth: Degree) -> list[Path]:
-    """Extensions at v ordered breadth-first in degree, lexicographic within."""
+def _tau_candidates(g: KGraph, v: str, depth: Degree) -> Iterator[Path]:
+    """Extensions at v ordered breadth-first in degree, lexicographic within;
+    each degree is enumerated only when the search reaches it."""
     if g.has_finite_path_category():
         depth = depth.join(g.max_path_degree())
-    return paths_up_to_degree(g, depth, range_vertex=v)
+    for n in degrees_up_to(depth):
+        yield from paths_of_degree(g, n, range_vertex=v)
 
 
 def _confirm_separated(g: KGraph, mu: Path, nu: Path, tau: Path) -> None:
@@ -148,11 +159,14 @@ def aperiodicity_report(g: KGraph, pair_bound, tau_bound) -> AperiodicityReport:
         pair_bound = pair_bound.join(g.max_path_degree())
         tau_bound = tau_bound.join(g.max_path_degree())
 
+    # pools by source vertex, each in path order
+    pools: dict[str, list[Path]] = {v: [] for v in g.vertices}
+    for p in paths_up_to_degree(g, pair_bound):
+        pools[p.source_vertex].append(p)
+
     outcomes: list[PairOutcome] = []
     witness: Optional[tuple[Path, Path]] = None
-    for v in g.vertices:
-        pool = sorted(paths_up_to_degree(g, pair_bound, source_vertex=v),
-                      key=Path.sort_key)
+    for pool in pools.values():
         for a in range(len(pool)):
             for b in range(a):
                 mu, nu = pool[a], pool[b]

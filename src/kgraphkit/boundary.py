@@ -94,8 +94,6 @@ class BoundaryPathHandle:
     oracles must be pure.
     """
 
-    provenance = "user"
-
     def __init__(self, graph: KGraph, degree, range_vertex: str, name: str):
         self.graph = graph
         self.degree = ext_degree(degree)
@@ -139,8 +137,6 @@ class BoundaryPathHandle:
 class FinitePathHandle(BoundaryPathHandle):
     """Exact handle wrapping an ordinary finite path."""
 
-    provenance = "finite"
-
     def __init__(self, path: Path):
         super().__init__(path.graph, tuple(path.degree), path.range_vertex,
                          f"x[{path.label()}]")
@@ -157,13 +153,10 @@ class WordStreamHandle(BoundaryPathHandle):
     substitution fixed points and periodic words are both supplied this way.
     """
 
-    def __init__(self, graph: KGraph, prefix_of: Callable[[int], Sequence[str]],
-                 name: str, provenance: str, length=INF):
+    def __init__(self, graph: KGraph, prefix_of: Callable[[int], Sequence[str]], name: str):
         if graph.rank != 1 or len(graph.vertices) != 1:
             raise KGraphError("word streams need a single-vertex 1-graph")
-        v = graph.vertices[0]
-        super().__init__(graph, (length,), v, name)
-        self.provenance = provenance
+        super().__init__(graph, (INF,), graph.vertices[0], name)
         self._prefix_of = prefix_of
 
     def _window(self, n: Degree, m: Degree) -> Path:
@@ -171,15 +164,11 @@ class WordStreamHandle(BoundaryPathHandle):
         if len(letters) < m[0]:
             raise WindowUnavailable(
                 f"{self.name} has only {len(letters)} letters, window needs {m[0]}")
-        word = tuple(letters[n[0]:m[0]])
-        if not word:
-            return self.graph.vertex_path(self.range_vertex)
-        return self.graph._word_path(self.range_vertex, word)
+        v = self.range_vertex
+        return Path(self.graph, v, v, tuple(letters[n[0]:m[0]]), m - n)
 
 
 class ShiftHandle(BoundaryPathHandle):
-    provenance = "derived"
-
     def __init__(self, inner: BoundaryPathHandle, by: Degree):
         super().__init__(inner.graph, ext_sub(inner.degree, by),
                          inner.vertex_at(by), f"{inner.name}>>{tuple(by)}")
@@ -191,8 +180,6 @@ class ShiftHandle(BoundaryPathHandle):
 
 
 class ExtensionHandle(BoundaryPathHandle):
-    provenance = "derived"
-
     def __init__(self, prefix: Path, inner: BoundaryPathHandle):
         super().__init__(prefix.graph, ext_add(inner.degree, prefix.degree),
                          prefix.range_vertex, f"{prefix.label()}*{inner.name}")
@@ -321,7 +308,7 @@ def substitution_path(g: KGraph, rules: dict, seed: str, name: Optional[str] = N
             state["prefix"] = prefix
         return prefix
 
-    return WordStreamHandle(g, prefix_of, name or f"fix({seed})", "substitution")
+    return WordStreamHandle(g, prefix_of, name or f"fix({seed})")
 
 
 def periodic_path(g: KGraph, word: Sequence[str], name: Optional[str] = None
@@ -338,12 +325,12 @@ def periodic_path(g: KGraph, word: Sequence[str], name: Optional[str] = None
         reps = -(-n // len(word))
         return word * reps
 
-    return WordStreamHandle(g, prefix_of, name or f"({'.'.join(word)})^inf", "periodic-word")
+    return WordStreamHandle(g, prefix_of, name or f"({'.'.join(word)})^inf")
 
 
-def thue_morse_path(g: KGraph, a: str = "a", b: str = "b") -> BoundaryPathHandle:
-    """The Thue-Morse fixed point over two loops; not eventually periodic."""
-    return substitution_path(g, {a: [a, b], b: [b, a]}, a, name="tm")
+def thue_morse_path(g: KGraph) -> BoundaryPathHandle:
+    """The Thue-Morse fixed point over the loops a and b; not eventually periodic."""
+    return substitution_path(g, {"a": ["a", "b"], "b": ["b", "a"]}, "a", name="tm")
 
 
 # -- checks -------------------------------------------------------------------
@@ -361,8 +348,7 @@ class BoundaryVerdict:
         return f"BoundaryVerdict({self.status}, witness={self.witness})"
 
 
-def check_boundary_condition(x: BoundaryPathHandle, window, fe_cap,
-                             budget: int = 100_000) -> BoundaryVerdict:
+def check_boundary_condition(x: BoundaryPathHandle, window, fe_cap) -> BoundaryVerdict:
     """Windowed boundary-path test against every minimal FE set below fe_cap.
 
     For each position n in the window and each minimal finite exhaustive set
@@ -382,7 +368,7 @@ def check_boundary_condition(x: BoundaryPathHandle, window, fe_cap,
             unknown_witness = unknown_witness or (n, None)
             continue
         if v not in fe_cache:
-            fe_cache[v] = enumerate_fe(g, v, fe_cap, budget=budget)
+            fe_cache[v] = enumerate_fe(g, v, fe_cap)
         for E in fe_cache[v]:
             hit = False
             blocked = False

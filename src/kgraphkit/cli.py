@@ -234,8 +234,7 @@ def cmd_boundary_check(args) -> int:
         cond = check_boundary_condition(x, window, fe_cap)
         aper = aperiodicity_window_check(x, shift_bound, window)
         for verdict in (cond, aper):
-            key = verdict.status if verdict.status != "pass" else "pass"
-            counts[key] = counts.get(key, 0) + 1
+            counts[verdict.status] = counts.get(verdict.status, 0) + 1
         results.append({
             "handle": x.describe(),
             "boundary_condition": {"status": cond.status,
@@ -330,7 +329,7 @@ def cmd_rep_verify(args) -> int:
                 for _ in range(args.suite_size):
                     table = _random_table(F_small, rng, integer=True)
                     a = FormalElement(g, table)
-                    absorb([verify_exp_square(fock, b, a)])
+                    absorb([verify_exp_square(b, a)])
             elif suite == "diag":
                 b = get_boundary()
                 for mu in F_small:

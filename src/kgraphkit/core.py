@@ -257,15 +257,6 @@ class KGraph:
 
     # -- normal form machinery -------------------------------------------
 
-    def _word_path(self, range_vertex: str, word: tuple[str, ...]) -> Path:
-        if not word:
-            return self.vertex_path(range_vertex)
-        deg = [0] * self.rank
-        for name in word:
-            deg[self._color[name] - 1] += 1
-        return Path(self, range_vertex, self.edges[word[-1]].source_vertex,
-                    word, Degree(deg))
-
     def normalize(self, word: Sequence[str]) -> tuple[str, ...]:
         """Sort a composable word by color via square swaps.
 
@@ -425,7 +416,7 @@ def paths_of_degree(g: KGraph, n, range_vertex: Optional[str] = None,
     def extend(start: str, word: list[str], at: str, pos: int) -> None:
         if pos == len(colors):
             if source_vertex is None or at == source_vertex:
-                out.append(g._word_path(start, tuple(word)))
+                out.append(Path(g, start, at, tuple(word), n))
             return
         for name in g.edges_at(at, colors[pos]):
             word.append(name)
@@ -439,12 +430,11 @@ def paths_of_degree(g: KGraph, n, range_vertex: Optional[str] = None,
     return out
 
 
-def paths_up_to_degree(g: KGraph, cap, range_vertex: Optional[str] = None,
-                       source_vertex: Optional[str] = None) -> list[Path]:
+def paths_up_to_degree(g: KGraph, cap, range_vertex: Optional[str] = None) -> list[Path]:
     """All paths with degree <= cap, in (degree, range, word) order."""
     out: list[Path] = []
     for n in degrees_up_to(Degree(cap)):
-        out.extend(paths_of_degree(g, n, range_vertex, source_vertex))
+        out.extend(paths_of_degree(g, n, range_vertex))
     return out
 
 
@@ -469,6 +459,9 @@ def validate_presentation(raw: dict) -> KGraph:
     unknown = set(raw) - _PRESENTATION_KEYS
     if unknown:
         raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
+    for key in ("vertices", "edges", "squares"):
+        if not isinstance(raw.get(key, []), list):
+            raise ParseError(f"{key} must be a list, got {type(raw[key]).__name__}")
     try:
         rank = int(raw["rank"])
         vertex_names = [str(v) for v in raw["vertices"]]

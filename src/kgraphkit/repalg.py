@@ -128,10 +128,6 @@ class OperatorMatrix:
     def zero(cls, basis: Basis) -> "OperatorMatrix":
         return cls(basis, {})
 
-    @classmethod
-    def identity(cls, basis: Basis) -> "OperatorMatrix":
-        return cls(basis, {(i, i): 1 for i in range(len(basis))})
-
     def _same_basis(self, other: "OperatorMatrix") -> None:
         if self.basis is not other.basis:
             raise KGraphError("operands live on different bases")
@@ -145,8 +141,6 @@ class OperatorMatrix:
 
     def __mul__(self, scalar) -> "OperatorMatrix":
         return OperatorMatrix(self.basis, {k: v * scalar for k, v in self.entries.items()})
-
-    __rmul__ = __mul__
 
     def _row_view(self) -> dict:
         if self._rows is None:
@@ -176,9 +170,6 @@ class OperatorMatrix:
     def __eq__(self, other) -> bool:
         return (isinstance(other, OperatorMatrix) and self.basis is other.basis
                 and self.entries == other.entries)
-
-    def __hash__(self):
-        raise TypeError("OperatorMatrix is unhashable")
 
     def compress(self, indices: Iterable[int]) -> "OperatorMatrix":
         """Two-sided compression onto the given basis vectors."""
@@ -342,11 +333,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def inconclusive_only(self) -> bool:
-        return (not self.ok
-                and all(c.ok or c.status == "inconclusive" for c in self.checks))
-
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.ok]
 
@@ -368,11 +354,10 @@ class IsometryFamily:
     within the stated budget acts without hitting the truncation rim.
     """
 
-    def __init__(self, kind: str, graph: KGraph, basis: Basis, gen_cap: Degree):
+    def __init__(self, kind: str, graph: KGraph, basis: Basis):
         self.kind = kind
         self.graph = graph
         self.basis = basis
-        self.gen_cap = gen_cap
         self._gens: dict[Path, np.ndarray] = {}  # index arrays j -> i or -1
         self._qs: dict[Path, np.ndarray] = {}  # range masks
         self._safe: dict[tuple, np.ndarray] = {}
@@ -431,7 +416,7 @@ class FockFamily(IsometryFamily):
     def __init__(self, graph: KGraph, cap: Degree):
         paths = paths_up_to_degree(graph, cap)
         basis = Basis([p.label() for p in paths])
-        super().__init__("fock", graph, basis, cap)
+        super().__init__("fock", graph, basis)
         self.cap = cap
         self._paths = paths
         self._path_index = {p: i for i, p in enumerate(paths)}
@@ -460,9 +445,9 @@ class FockFamily(IsometryFamily):
 
 class BoundaryFamily(IsometryFamily):
     def __init__(self, graph: KGraph, handles: Sequence[BoundaryPathHandle],
-                 window: Degree, gen_cap: Degree, fingerprints: dict):
+                 window: Degree, fingerprints: dict):
         basis = Basis([f"x{i:03d}" for i in range(len(handles))])
-        super().__init__("boundary", graph, basis, gen_cap)
+        super().__init__("boundary", graph, basis)
         self.window = window
         self.handles = tuple(handles)
         self._fp_index = fingerprints  # fingerprint -> basis index
@@ -489,29 +474,25 @@ class BoundaryFamily(IsometryFamily):
 
     def _safe_columns(self, budget: Degree) -> list:
         exts = paths_up_to_degree(self.graph, budget)
-        safe = []
-        for j, x in enumerate(self.handles):
-            ok = True
-            for m in degrees_up_to(ext_meet(x.degree, ext_degree(budget))):
-                shifted = shift(x, m)
-                if self.handle_index(shifted) is None:
-                    ok = False
-                    break
-                for lam in exts:
-                    if lam.is_vertex() or lam.source_vertex != shifted.range_vertex:
-                        continue
-                    if self.handle_index(extend(lam, shifted)) is None:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                safe.append(j)
+        safe = [j for j, x in enumerate(self.handles)
+                if all(self.handle_index(y) is not None
+                       for y in _neighbourhood(x, budget, exts))]
         if not safe:
             raise CapTooSmall(
                 f"no safe basis vectors at budget {tuple(budget)}; "
-                "enlarge the closure margin")
+                "enlarge gen_cap")
         return safe
+
+
+def _neighbourhood(x: BoundaryPathHandle, bound: Degree, exts: Sequence[Path]):
+    """Each shift σ^m(x) with m <= bound, followed by its extensions λσ^m(x)
+    by the non-vertex paths λ of exts, in that order."""
+    for m in degrees_up_to(ext_meet(x.degree, ext_degree(bound))):
+        base = shift(x, m)
+        yield base
+        for lam in exts:
+            if not lam.is_vertex() and lam.source_vertex == base.range_vertex:
+                yield extend(lam, base)
 
 
 def build_fock_family(g: KGraph, cap) -> FockFamily:
@@ -523,28 +504,24 @@ def build_fock_family(g: KGraph, cap) -> FockFamily:
 
 
 def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window,
-                          gen_cap, margin=None, screen_bound=None) -> BoundaryFamily:
-    """Concatenation family on the shift/extension closure of the seeds.
+                          gen_cap) -> BoundaryFamily:
+    """Concatenation family on the closure of the seeds under shifts and
+    extensions up to gen_cap.
 
-    Seeds failing the windowed shift-distinctness screen are dropped, which
-    mirrors the degenerate case of a periodic graph supplying no usable
-    basis vectors.  Handle identity inside the basis is windowed equality at
-    the given width; two declared seeds indistinguishable at that width are
-    a WindowCollision.
+    Seeds failing the windowed shift-distinctness screen, on shifts up to
+    2·gen_cap, are dropped, which mirrors the degenerate case of a periodic
+    graph supplying no usable basis vectors.  Handle identity inside the
+    basis is windowed equality at the given width; two declared seeds
+    indistinguishable at that width are a WindowCollision.
     """
     window = Degree(window)
     gen_cap = Degree(gen_cap)
-    margin = gen_cap if margin is None else Degree(margin)
     seeds = list(seeds)
     if not seeds:
         raise EmptySeedSet("no boundary-path handles supplied")
 
-    kept = []
-    for x in seeds:
-        bound = screen_bound if screen_bound is not None else gen_cap + margin
-        probe = ext_meet(x.degree, ext_degree(Degree(bound)))
-        if aperiodicity_window_check(x, probe, window):
-            kept.append(x)
+    screen = ext_degree(gen_cap + gen_cap)
+    kept = [x for x in seeds if aperiodicity_window_check(x, ext_meet(x.degree, screen), window)]
     if not kept:
         raise EmptySeedSet(
             "every seed failed the windowed aperiodicity screen; "
@@ -567,14 +544,10 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
             index[fp] = len(handles)
             handles.append(h)
 
-    ext_words = paths_up_to_degree(g, margin)
+    exts = paths_up_to_degree(g, gen_cap)
     for x in kept:
-        for m in degrees_up_to(ext_meet(x.degree, ext_degree(margin))):
-            base = shift(x, m)
-            admit(base)
-            for lam in ext_words:
-                if not lam.is_vertex() and lam.source_vertex == base.range_vertex:
-                    admit(extend(lam, base))
+        for y in _neighbourhood(x, gen_cap, exts):
+            admit(y)
 
     order = sorted(range(len(handles)),
                    key=lambda i: (_ext_sort_key(handles[i].degree),
@@ -582,31 +555,29 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
                                   handles[i].fingerprint(window)[2]))
     handles = [handles[i] for i in order]
     fingerprints = {h.fingerprint(window): i for i, h in enumerate(handles)}
-    return BoundaryFamily(g, handles, window, gen_cap, fingerprints)
+    return BoundaryFamily(g, handles, window, fingerprints)
 
 
 def _ext_sort_key(deg) -> tuple:
     return tuple((1, 0) if c == float("inf") else (0, int(c)) for c in deg)
 
 
-def boundary_family_from_graph(g: KGraph, window=None, gen_cap=None) -> BoundaryFamily:
-    """Boundary family seeded with the complete finite boundary-path set."""
+def boundary_family_from_graph(g: KGraph) -> BoundaryFamily:
+    """Boundary family seeded with the complete finite boundary-path set,
+    with window and gen_cap both the maximal path degree."""
     from .boundary import finite_boundary_paths
 
     md = g.max_path_degree()
-    window = md if window is None else Degree(window)
-    gen_cap = md if gen_cap is None else Degree(gen_cap)
-    return build_boundary_family(g, finite_boundary_paths(g), window, gen_cap,
-                                 margin=md)
+    return build_boundary_family(g, finite_boundary_paths(g), md, md)
 
 
 # -- TCK / CK verification ----------------------------------------------------
 
 
-def verify_tck(fam: IsometryFamily, cap=None) -> VerificationReport:
+def verify_tck(fam: IsometryFamily, cap) -> VerificationReport:
     """Exact checks of the three defining relations on safe columns."""
     g = fam.graph
-    cap = fam.gen_cap if cap is None else Degree(cap)
+    cap = Degree(cap)
     report = VerificationReport(f"tck[{fam.kind}]")
 
     t = fam.generator
@@ -646,7 +617,7 @@ def verify_tck(fam: IsometryFamily, cap=None) -> VerificationReport:
     return report
 
 
-def verify_ck(fam: IsometryFamily, cap, fe_budget: int = 100_000) -> VerificationReport:
+def verify_ck(fam: IsometryFamily, cap) -> VerificationReport:
     """Gap-projection products over every minimal FE set below the cap."""
     g = fam.graph
     cap = Degree(cap)
@@ -657,7 +628,7 @@ def verify_ck(fam: IsometryFamily, cap, fe_budget: int = 100_000) -> Verificatio
         tv = fam.generator(g.vertex_path(v))
         if np.any((tv >= 0) & (tv != np.arange(len(tv)))):
             raise KGraphError(f"t_{v} is not a diagonal projection")
-        for E in enumerate_fe(g, v, cap, budget=fe_budget):
+        for E in enumerate_fe(g, v, cap):
             gap = tv >= 0
             for lam in E:
                 gap &= ~fam.q(lam)
@@ -672,16 +643,14 @@ def verify_ck(fam: IsometryFamily, cap, fe_budget: int = 100_000) -> Verificatio
 # -- boolean representations and decompositions -------------------------------
 
 
-def boolean_rep(fam: IsometryFamily, cap=None) -> IsometryFamily:
+def boolean_rep(fam: IsometryFamily, cap) -> IsometryFamily:
     """Check that the final projections q_lam of the family form a boolean
     representation, and return the family.
 
     The product rule q_mu q_nu = sum over MCE(mu, nu) of q_gamma is checked
-    exactly on safe columns for every pair of paths below the cap, which
-    defaults to gen_cap ∧ (2,...,2).
+    exactly on safe columns for every pair of paths below the cap.
     """
     g = fam.graph
-    cap = fam.gen_cap.meet(Degree((2,) * g.rank)) if cap is None else Degree(cap)
     paths = paths_up_to_degree(g, cap)
     for mu in paths:
         for nu in paths:
@@ -841,11 +810,6 @@ class FormalElement:
         return FormalElement(self.graph, {(mu, nu): a for (mu, nu), a
                                           in self.coeffs.items() if mu == nu})
 
-    def adjoint(self) -> "FormalElement":
-        return FormalElement(self.graph, {
-            (nu, mu): a.conjugate() if isinstance(a, complex) else a
-            for (mu, nu), a in self.coeffs.items()})
-
     def support_degree(self) -> Degree:
         return join_degrees((p.degree for pair in self.coeffs for p in pair), self.graph.rank)
 
@@ -863,16 +827,14 @@ def expectation(fam: IsometryFamily, a: FormalElement
     return diag, fam.evaluate(diag)
 
 
-def verify_exp_square(fock: IsometryFamily, boundary: IsometryFamily,
-                      a: FormalElement) -> CheckResult:
+def verify_exp_square(boundary: IsometryFamily, a: FormalElement) -> CheckResult:
     """Both routes around the expectation square agree as exact matrices.
 
     Left: keep the diagonal coefficients formally, then map each projection
     into the boundary family.  Right: evaluate in the boundary family and
     compress to the basis diagonal.
     """
-    diag, _ = expectation(fock, a)
-    left = boundary.evaluate(diag)
+    left = boundary.evaluate(a.diagonal())
     right = boundary.evaluate(a).diagonal_part()
     if left == right:
         return CheckResult("exp-square", "pass")
@@ -928,14 +890,7 @@ def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path
 @dataclass
 class SeparatingSystem:
     F: list[Path]
-    F_prime: list[Path]
-    F_bar: list[Path]
-    vee_F_bar: list[Path]
-    B: dict  # Path -> list[Path]
     B_exhaustive: dict  # Path -> bool
-    alpha: dict  # Path -> Path (non-meeting witness, extended)
-    tau: dict  # Path -> Path
-    G: list[Path]
     tau_v: dict  # vertex -> Path
     phi: dict  # Path -> mask
     required_cap: Degree
@@ -972,23 +927,19 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
     F = sorted(set(F), key=Path.sort_key)
     _require_mce_closed(g, F)
 
-    F_prime = _f_prime(g, F)
-    F_bar = sorted(set(F) | set(F_prime), key=Path.sort_key)
-    vee_F_bar = vee(g, F_bar)
+    vee_F_bar = vee(g, sorted(set(F) | set(_f_prime(g, F)), key=Path.sort_key))
     M = join_degrees((w.degree for w in vee_F_bar), g.rank)
     if tau_depth is None:
         tau_depth = M + Degree((1,) * g.rank)
     else:
         tau_depth = Degree(tau_depth)
 
-    B: dict = {}
     B_flag: dict = {}
     alpha: dict = {}
     for lam in F:
-        B[lam] = [segment(w, lam.degree, w.degree)
-                  for w in _extensions_in(lam, vee_F_bar)]
-        if B[lam]:
-            verdict = is_exhaustive(g, lam.source_vertex, B[lam])
+        B = [segment(w, lam.degree, w.degree) for w in _extensions_in(lam, vee_F_bar)]
+        if B:
+            verdict = is_exhaustive(g, lam.source_vertex, B)
             B_flag[lam] = verdict.exhaustive
             if verdict.exhaustive:
                 continue
@@ -1015,7 +966,7 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
             deg[g.color(step) - 1] += 1
         full = g.path(word) if word else a1
         alpha[lam] = full
-        for mu_b in B[lam]:
+        for mu_b in B:
             if mce(g, mu_b, full):
                 raise SeparationSearchExhausted(
                     tau_depth, f"alpha for {lam.label()} meets its extension set")
@@ -1042,16 +993,13 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
                 tau_depth, f"no single extension separates the completions at {v}")
         tau_v[v] = tau
 
-    tau_map: dict = {}
     phi: dict = {}
     required = M
     for lam in F:
         if B_flag[lam]:
             phi[lam] = _q_piece(fam, lam, vee_F_bar)
             continue
-        t = tau_v[alpha[lam].source_vertex]
-        tau_map[lam] = t
-        witness_path = compose(compose(lam, alpha[lam]), t)
+        witness_path = compose(compose(lam, alpha[lam]), tau_v[alpha[lam].source_vertex])
         required = required.join(witness_path.degree)
         phi[lam] = fam.q(witness_path)
 
@@ -1066,8 +1014,7 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
             raise SeparationSearchExhausted(
                 tau_depth, f"phi_{lam.label()} is not dominated by q_{lam.label()}")
 
-    return SeparatingSystem(F, F_prime, F_bar, vee_F_bar, B, B_flag,
-                            alpha, tau_map, G, tau_v, phi, required)
+    return SeparatingSystem(F, B_flag, tau_v, phi, required)
 
 
 def verify_phi2(fam: IsometryFamily, system: SeparatingSystem, mu: Path,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kgraphkit import aperiodicity, compose
+from kgraphkit import aperiodicity, compose, core
 from kgraphkit.alignment import mce_brute
 from kgraphkit.aperiodicity import (
     APERIODIC_CERTIFIED,
@@ -45,6 +45,22 @@ class TestFindSeparatingExtension:
     def test_source_mismatch(self, c3):
         with pytest.raises(SourceMismatch):
             find_separating_extension(c3, c3.edge_path("e0"), c3.edge_path("e1"), (2,))
+
+    def test_search_stops_at_first_hit(self, bouquet2, monkeypatch):
+        # a and b are separated by the vertex itself, so only degree 0 is enumerated
+        calls = []
+        real = core.paths_of_degree
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, "paths_of_degree", counted)
+        monkeypatch.setattr(aperiodicity, "paths_of_degree", counted, raising=False)
+        tau = find_separating_extension(
+            bouquet2, bouquet2.edge_path("a"), bouquet2.edge_path("b"), (12,))
+        assert tau == bouquet2.vertex_path("v")
+        assert len(calls) == 1
 
     def test_monotone_in_depth(self, bouquet2):
         aa = bouquet2.path(["a", "a"])

@@ -128,7 +128,7 @@ class FlipStreamHandle(BoundaryPathHandle):
         word += ["f"] * (m[1] - n[1])
         if not word:
             return self.graph.vertex_path("v")
-        return self.graph._word_path("v", tuple(word))
+        return self.graph.path(word)
 
 
 class TestRankTwoUserHandle:
@@ -210,7 +210,7 @@ class TestBoundaryCondition:
 
     def test_truncated_user_handle_unknown(self, bouquet2):
         letters = list("abbabaab")
-        x = WordStreamHandle(bouquet2, lambda n: letters, "trunc", "user")
+        x = WordStreamHandle(bouquet2, lambda n: letters, "trunc")
         verdict = check_boundary_condition(x, (10,), (1,))
         assert verdict.status == "unknown"
 

@@ -226,7 +226,8 @@ def _write(path, data) -> str:
 
 @pytest.mark.parametrize("case", [
     "degree-not-int", "degree-negative", "rank-not-int", "color-not-int", "seeds-missing",
-    "seeds-not-json", "seeds-no-rules", "seeds-no-word"])
+    "seeds-not-json", "seeds-no-rules", "seeds-no-word", "vertices-string", "vertices-object",
+    "edges-object", "squares-string"])
 def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, case):
     b2 = graph_files["bouquet2"]
 
@@ -245,6 +246,14 @@ def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, ca
         "seeds-not-json": seeds("{not json"),
         "seeds-no-rules": seeds({"handles": [{"kind": "substitution", "seed": "a"}]}),
         "seeds-no-word": seeds({"handles": [{"kind": "periodic"}]}),
+        "vertices-string": ["validate", _write(tmp_path / "vs.kg", {
+            "rank": 1, "vertices": "uv", "edges": [], "squares": []})],
+        "vertices-object": ["validate", _write(tmp_path / "vo.kg", {
+            "rank": 1, "vertices": {"u": 0, "v": 1}, "edges": [], "squares": []})],
+        "edges-object": ["validate", _write(tmp_path / "eo.kg", {
+            "rank": 1, "vertices": ["v"], "edges": {}, "squares": []})],
+        "squares-string": ["validate", _write(tmp_path / "ss.kg", {
+            "rank": 1, "vertices": ["v"], "edges": [], "squares": "ab"})],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from kgraphkit import kgraph_to_dict, make_bouquet, make_omega
+from kgraphkit import kgraph_to_dict, make_bouquet, make_cycle, make_omega
 from kgraphkit.cli import main
 
 from conftest import flip_presentation
@@ -47,6 +47,11 @@ RUNS = {
                         "--tau-bound", "1,1"], 0),
     "aperiodic-omega22": (["aperiodic", "omega22.kg", "--pair-bound", "1,1",
                            "--tau-bound", "1,1"], 0),
+    # PeriodicEvidence: every tau candidate is tried and none separates
+    "aperiodic-c3": (["aperiodic", "c3.kg", "--pair-bound", "3", "--tau-bound", "3"], 1),
+    "boundary-check-bouquet2": (["boundary-check", "bouquet2.kg", "--seeds", "tm.json"], 0),
+    "rep-verify-boundary-bouquet2": (["rep-verify", "bouquet2.kg", "--family", "boundary",
+                                      "--seeds", "tm.json", "--suite", "tck,ck,diag"], 0),
     "rep-verify-fock-bouquet2": (["rep-verify", "bouquet2.kg", "--cap", "4",
                                   "--gen-cap", "1", "--seeds", "tm.json", "--window", "32",
                                   "--suite", EXACT_SUITES, "--suite-size", "2"], 1),
@@ -62,6 +67,7 @@ def write_inputs(directory: Path) -> None:
         "bouquet2.kg": kgraph_to_dict(make_bouquet(2)),
         "flip.kg": flip_presentation(),
         "omega22.kg": kgraph_to_dict(make_omega(2, (2, 2))),
+        "c3.kg": kgraph_to_dict(make_cycle(3)),
         "tm.json": {"handles": [{"kind": "substitution", "seed": "a", "shifts": 4,
                                  "rules": {"a": "ab", "b": "ba"}}]},
     }

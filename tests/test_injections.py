@@ -104,7 +104,7 @@ class TestReferee:
 def boundary_tm_family(bouquet2):
     tm = thue_morse_path(bouquet2)
     seeds = [shift(tm, (j,)) for j in range(16)]
-    return build_boundary_family(bouquet2, seeds, (128,), (2,), margin=(2,))
+    return build_boundary_family(bouquet2, seeds, (128,), (2,))
 
 
 @pytest.mark.parametrize("name, cap", [("bouquet2", (3,)), ("flip", (2, 1)),
