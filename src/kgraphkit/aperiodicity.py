@@ -70,12 +70,7 @@ def find_separating_extension(g: KGraph, mu: Path, nu: Path, depth
     if mu.source_vertex != nu.source_vertex:
         raise SourceMismatch(
             f"s({mu.label()}) = {mu.source_vertex} != s({nu.label()}) = {nu.source_vertex}")
-    depth = Degree(depth)
-    for tau in _tau_candidates(g, mu.source_vertex, depth):
-        if not mce(g, compose(mu, tau), compose(nu, tau)):
-            _confirm_separated(g, mu, nu, tau)
-            return tau
-    return None
+    return None if mu == nu else separate_family(g, [mu, nu], depth)
 
 
 def separate_family(g: KGraph, H: Sequence[Path], depth) -> Optional[Path]:

@@ -83,10 +83,6 @@ def ext_meet(a, b) -> Degree:
     return Degree(m)
 
 
-def ext_key(a) -> tuple:
-    return tuple("inf" if c == INF else int(c) for c in a)
-
-
 class BoundaryPathHandle:
     """Immutable window oracle for a boundary path.
 
@@ -125,13 +121,13 @@ class BoundaryPathHandle:
         """Identity key at the given window width."""
         w = ext_meet(self.degree, ext_degree(width))
         head = self.window(Degree.zero(self.graph.rank), w)
-        return (ext_key(self.degree), self.range_vertex, head.word)
+        return (self.degree, self.range_vertex, head.word)
 
     def describe(self) -> str:
         return self.name
 
     def __repr__(self) -> str:
-        return f"<boundary path {self.name} degree {ext_key(self.degree)}>"
+        return f"<boundary path {self.name} degree {self.degree}>"
 
 
 class FinitePathHandle(BoundaryPathHandle):
@@ -231,39 +227,14 @@ def extend(lam: Path, x: BoundaryPathHandle) -> BoundaryPathHandle:
 
 
 def finite_boundary_paths(g: KGraph) -> list[BoundaryPathHandle]:
-    """The complete boundary-path set of a graph with finitely many paths.
-
-    Every path is screened against the boundary condition: at each inner
-    vertex, every minimal finite exhaustive set must contain one of the
-    remaining tail segments.
-    """
+    """The complete boundary-path set of a graph with finitely many paths:
+    the paths that pass the boundary condition below the maximal degree."""
     if not g.has_finite_path_category():
         raise GraphHasCycles("boundary enumeration needs a finite path category")
     cap = g.max_path_degree()
-    fe_cache: dict[str, list[list[Path]]] = {}
-
-    def fe_at(v: str) -> list[list[Path]]:
-        if v not in fe_cache:
-            fe_cache[v] = enumerate_fe(g, v, cap)
-        return fe_cache[v]
-
-    out = []
-    for lam in paths_up_to_degree(g, cap):
-        ok = True
-        for n in degrees_up_to(lam.degree):
-            v = segment(lam, n, n).range_vertex
-            remaining = lam.degree - n
-            for E in fe_at(v):
-                if not any(e.degree <= remaining
-                           and segment(lam, n, n + e.degree) == e for e in E):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(FinitePathHandle(lam))
-    out.sort(key=lambda h: h.path.sort_key())
-    return out
+    handles = [FinitePathHandle(lam) for lam in paths_up_to_degree(g, cap)]
+    return [x for x, verdict in zip(handles, check_boundary_condition(handles, cap, cap))
+            if verdict]
 
 
 def substitution_path(g: KGraph, rules: dict, seed: str, name: Optional[str] = None
@@ -348,49 +319,55 @@ class BoundaryVerdict:
         return f"BoundaryVerdict({self.status}, witness={self.witness})"
 
 
-def check_boundary_condition(x: BoundaryPathHandle, window, fe_cap) -> BoundaryVerdict:
-    """Windowed boundary-path test against every minimal FE set below fe_cap.
+def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_cap
+                             ) -> list[BoundaryVerdict]:
+    """Windowed boundary-path test against every minimal FE set below fe_cap,
+    one verdict per handle; the handles share one graph.
 
-    For each position n in the window and each minimal finite exhaustive set
-    at the vertex there, some tail segment of x must lie in the set.  A
+    For each handle x, each position n in the window and each minimal finite
+    exhaustive set at the vertex there, some tail segment of x must lie in
+    the set.  A
     handle that cannot produce a needed window yields an unknown verdict
-    rather than a fail.
+    rather than a fail.  The FE sets of each vertex are enumerated once.
     """
-    g = x.graph
     fe_cap = Degree(fe_cap)
-    scan = ext_meet(x.degree, ext_degree(Degree(window)))
-    unknown_witness = None
+    width = ext_degree(Degree(window))
     fe_cache: dict[str, list[list[Path]]] = {}
-    for n in degrees_up_to(scan):
-        try:
-            v = x.vertex_at(n)
-        except WindowUnavailable:
-            unknown_witness = unknown_witness or (n, None)
-            continue
-        if v not in fe_cache:
-            fe_cache[v] = enumerate_fe(g, v, fe_cap)
-        for E in fe_cache[v]:
-            hit = False
-            blocked = False
-            for e in E:
-                target = n + e.degree
-                if not ext_le(target, x.degree):
+
+    def verdict(x: BoundaryPathHandle) -> BoundaryVerdict:
+        unknown_witness = None
+        for n in degrees_up_to(ext_meet(x.degree, width)):
+            try:
+                v = x.vertex_at(n)
+            except WindowUnavailable:
+                unknown_witness = unknown_witness or (n, None)
+                continue
+            if v not in fe_cache:
+                fe_cache[v] = enumerate_fe(x.graph, v, fe_cap)
+            for E in fe_cache[v]:
+                hit = False
+                blocked = False
+                for e in E:
+                    target = n + e.degree
+                    if not ext_le(target, x.degree):
+                        continue
+                    try:
+                        if x.window(n, target) == e:
+                            hit = True
+                            break
+                    except WindowUnavailable:
+                        blocked = True
+                if hit:
                     continue
-                try:
-                    if x.window(n, target) == e:
-                        hit = True
-                        break
-                except WindowUnavailable:
-                    blocked = True
-            if hit:
-                continue
-            if blocked:
-                unknown_witness = unknown_witness or (n, [e.label() for e in E])
-                continue
-            return BoundaryVerdict("fail", (n, [e.label() for e in E]))
-    if unknown_witness is not None:
-        return BoundaryVerdict("unknown", unknown_witness)
-    return BoundaryVerdict("pass")
+                if blocked:
+                    unknown_witness = unknown_witness or (n, [e.label() for e in E])
+                    continue
+                return BoundaryVerdict("fail", (n, [e.label() for e in E]))
+        if unknown_witness is not None:
+            return BoundaryVerdict("unknown", unknown_witness)
+        return BoundaryVerdict("pass")
+
+    return [verdict(x) for x in handles]
 
 
 def aperiodicity_window_check(x: BoundaryPathHandle, shift_bound, window
@@ -408,7 +385,7 @@ def aperiodicity_window_check(x: BoundaryPathHandle, shift_bound, window
     for i, m in enumerate(shifts):
         for n in shifts[i + 1:]:
             a, b = handles[tuple(m)], handles[tuple(n)]
-            if ext_key(a.degree) != ext_key(b.degree):
+            if a.degree != b.degree:
                 continue
             if a.range_vertex != b.range_vertex:
                 continue

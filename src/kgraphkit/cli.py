@@ -219,19 +219,25 @@ def load_seed_handles(g: KGraph, path: str) -> list[BoundaryPathHandle]:
     return handles
 
 
+def boundary_handles(g: KGraph, seeds: Optional[str]) -> list[BoundaryPathHandle]:
+    """The handles of the seeds file, else the finite boundary-path set."""
+    if seeds:
+        return load_seed_handles(g, seeds)
+    if not g.has_finite_path_category():
+        raise ParseError(
+            "graph has infinitely many paths; --seeds is required for a boundary family")
+    return finite_boundary_paths(g)
+
+
 def cmd_boundary_check(args) -> int:
     g = load_graph(args.graph)
     window = parse_degree(args.window, g.rank)
     fe_cap = parse_degree(args.fe_cap, g.rank)
     shift_bound = parse_degree(args.shift_bound, g.rank)
-    if args.seeds:
-        handles = load_seed_handles(g, args.seeds)
-    else:
-        handles = finite_boundary_paths(g)
+    handles = boundary_handles(g, args.seeds)
     results = []
     counts: dict = {}
-    for x in handles:
-        cond = check_boundary_condition(x, window, fe_cap)
+    for x, cond in zip(handles, check_boundary_condition(handles, window, fe_cap)):
         aper = aperiodicity_window_check(x, shift_bound, window)
         for verdict in (cond, aper):
             counts[verdict.status] = counts.get(verdict.status, 0) + 1
@@ -268,27 +274,17 @@ def cmd_rep_verify(args) -> int:
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     rng = random.Random(args.seed)
 
-    fock = build_fock_family(g, cap)
-
     # whole-family objects several suites share: each is built on first use
-    @functools.cache
-    def get_boundary():
-        if args.seeds:
-            seeds = load_seed_handles(g, args.seeds)
-        elif g.has_finite_path_category():
-            seeds = finite_boundary_paths(g)
-        else:
-            raise ParseError(
-                "graph has infinitely many paths; --seeds is required "
-                "for a boundary family")
-        return build_boundary_family(g, seeds, window, gen_cap)
+    get_fock = functools.cache(lambda: build_fock_family(g, cap))
+    get_boundary = functools.cache(lambda: build_boundary_family(
+        g, boundary_handles(g, args.seeds), window, gen_cap))
+    fam = get_fock() if args.family == "fock" else get_boundary()
 
-    fam = fock if args.family == "fock" else get_boundary()
-
-    F_small = paths_up_to_degree(g, gen_cap)
-    F_closed = vee(g, F_small)
+    # MCEs of paths below gen_cap lie below it, so F is MCE-closed and holds
+    # the source vertex of each member
+    F = paths_up_to_degree(g, gen_cap)
     checked_rep = functools.cache(lambda: boolean_rep(fam, cap=gen_cap))
-    separating_system = functools.cache(lambda: build_separating_system(fam, F_closed))
+    separating_system = functools.cache(lambda: build_separating_system(fam, F))
     results = []
     counts: dict = {}
 
@@ -304,13 +300,10 @@ def cmd_rep_verify(args) -> int:
             elif suite == "ck":
                 absorb(verify_ck(fam, fe_cap).checks)
             elif suite == "lem1":
-                F = sorted(set(F_small)
-                           | {g.vertex_path(p.source_vertex) for p in F_small},
-                           key=Path.sort_key)
                 q_decomposition(checked_rep(), F)
                 absorb([repalg.CheckResult("lem1", "pass")])
             elif suite == "lem3":
-                absorb(lem3_check(checked_rep(), F_closed).checks)
+                absorb(lem3_check(checked_rep(), F).checks)
             elif suite == "phi2":
                 system = separating_system()
                 checks = []
@@ -322,26 +315,26 @@ def cmd_rep_verify(args) -> int:
             elif suite == "claim1":
                 system = separating_system()
                 for _ in range(args.suite_size):
-                    table = _random_table(F_closed, rng, integer=False)
-                    absorb([verify_claim1(fam, F_closed, table, system=system)])
+                    table = _random_table(F, rng, integer=False)
+                    absorb([verify_claim1(fam, F, table, system=system)])
             elif suite == "exp":
                 b = get_boundary()
                 for _ in range(args.suite_size):
-                    table = _random_table(F_small, rng, integer=True)
+                    table = _random_table(F, rng, integer=True)
                     a = FormalElement(g, table)
                     absorb([verify_exp_square(b, a)])
             elif suite == "diag":
                 b = get_boundary()
-                for mu in F_small:
-                    for nu in F_small:
+                for mu in F:
+                    for nu in F:
                         if mu.source_vertex == nu.source_vertex:
                             absorb(verify_diagonal_formula(b, mu, nu).checks)
             elif suite == "couniversal":
                 b = get_boundary()
                 for _ in range(args.suite_size):
-                    table = _random_table(F_small, rng, integer=False)
+                    table = _random_table(F, rng, integer=False)
                     a = FormalElement(g, table)
-                    absorb([couniversal_norm_check(fock, b, a)])
+                    absorb([couniversal_norm_check(get_fock(), b, a)])
             else:
                 raise ParseError(f"unknown suite {suite!r}")
         except (repalg.SeparationSearchExhausted,) as exc:

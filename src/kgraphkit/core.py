@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Optional, Sequence
 
 
@@ -213,8 +214,7 @@ class KGraph:
         self._by_color_range: dict[tuple[int, str], list[str]] = {}
         for e in sorted(self.edges.values(), key=lambda e: e.name):
             self._by_color_range.setdefault((e.color, e.range_vertex), []).append(e.name)
-        self._finite_cache: Optional[bool] = None
-        self._max_degree_cache: Optional[Degree] = None
+        self._max_degree = self._longest_degrees()  # None: the path category is infinite
 
     # -- basic accessors -------------------------------------------------
 
@@ -297,64 +297,35 @@ class KGraph:
 
     # -- finiteness --------------------------------------------------------
 
+    def _longest_degrees(self) -> Optional[Degree]:
+        """Join of all path degrees, or None when the skeleton has a directed cycle.
+
+        One topological pass, sources first: the longest degrees into v are
+        the edges at v followed by the longest degrees from their sources.
+        """
+        order = TopologicalSorter({v: () for v in self.vertices})
+        for e in self.edges.values():
+            order.add(e.range_vertex, e.source_vertex)
+        longest: dict[str, Degree] = {}
+        try:
+            for v in order.static_order():
+                longest[v] = join_degrees(
+                    (longest[self.edges[name].source_vertex] + Degree.unit(self.rank, color)
+                     for color in range(1, self.rank + 1) for name in self.edges_at(v, color)),
+                    self.rank)
+        except CycleError:
+            return None
+        return join_degrees(longest.values(), self.rank)
+
     def has_finite_path_category(self) -> bool:
         """True when the skeleton has no directed cycle, so paths are finite."""
-        if self._finite_cache is None:
-            succ: dict[str, list[str]] = {v: [] for v in self.vertices}
-            for e in self.edges.values():
-                succ[e.range_vertex].append(e.source_vertex)
-            state = dict.fromkeys(self.vertices, 0)  # 0 new, 1 active, 2 done
-            acyclic = True
-
-            def visit(v: str) -> bool:
-                stack = [(v, iter(succ[v]))]
-                state[v] = 1
-                while stack:
-                    node, it = stack[-1]
-                    advanced = False
-                    for w in it:
-                        if state[w] == 1:
-                            return False
-                        if state[w] == 0:
-                            state[w] = 1
-                            stack.append((w, iter(succ[w])))
-                            advanced = True
-                            break
-                    if not advanced:
-                        state[node] = 2
-                        stack.pop()
-                return True
-
-            for v in self.vertices:
-                if state[v] == 0 and not visit(v):
-                    acyclic = False
-                    break
-            self._finite_cache = acyclic
-        return self._finite_cache
+        return self._max_degree is not None
 
     def max_path_degree(self) -> Degree:
         """Coordinatewise maximum degree over all paths; needs no cycles."""
-        if not self.has_finite_path_category():
+        if self._max_degree is None:
             raise KGraphError("path category is infinite (skeleton has a cycle)")
-        if self._max_degree_cache is None:
-            memo: dict[str, tuple[int, ...]] = {}
-
-            def longest(v: str) -> tuple[int, ...]:
-                if v in memo:
-                    return memo[v]
-                counts = [0] * self.rank
-                for color in range(1, self.rank + 1):
-                    for name in self.edges_at(v, color):
-                        tail = longest(self.edges[name].source_vertex)
-                        for i in range(self.rank):
-                            cand = tail[i] + (1 if i == color - 1 else 0)
-                            if cand > counts[i]:
-                                counts[i] = cand
-                memo[v] = tuple(counts)
-                return memo[v]
-
-            self._max_degree_cache = join_degrees(map(longest, self.vertices), self.rank)
-        return self._max_degree_cache
+        return self._max_degree
 
 
 # -- composition, segments, enumeration ------------------------------------

@@ -43,7 +43,6 @@ from .boundary import (
     BoundaryPathHandle,
     aperiodicity_window_check,
     ext_degree,
-    ext_key,
     ext_le,
     ext_meet,
     extend,
@@ -97,8 +96,7 @@ class NonConvergence(KGraphError):
 class Basis:
     def __init__(self, labels: Sequence[str]):
         self.labels = tuple(labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self.index) != len(self.labels):
+        if len(set(self.labels)) != len(self.labels):
             raise KGraphError("basis labels must be unique")
 
     def __len__(self) -> int:
@@ -497,10 +495,7 @@ def _neighbourhood(x: BoundaryPathHandle, bound: Degree, exts: Sequence[Path]):
 
 def build_fock_family(g: KGraph, cap) -> FockFamily:
     """Left-concatenation family on all paths of degree <= cap."""
-    cap = Degree(cap)
-    if not Degree.zero(g.rank) <= cap:
-        raise CapTooSmall("basis cap must be nonnegative")
-    return FockFamily(g, cap)
+    return FockFamily(g, Degree(cap))
 
 
 def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window,
@@ -550,16 +545,12 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
             admit(y)
 
     order = sorted(range(len(handles)),
-                   key=lambda i: (_ext_sort_key(handles[i].degree),
+                   key=lambda i: (handles[i].degree,
                                   handles[i].range_vertex,
                                   handles[i].fingerprint(window)[2]))
     handles = [handles[i] for i in order]
     fingerprints = {h.fingerprint(window): i for i, h in enumerate(handles)}
     return BoundaryFamily(g, handles, window, fingerprints)
-
-
-def _ext_sort_key(deg) -> tuple:
-    return tuple((1, 0) if c == float("inf") else (0, int(c)) for c in deg)
 
 
 def boundary_family_from_graph(g: KGraph) -> BoundaryFamily:
@@ -865,7 +856,7 @@ def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path
             expected = 0
         else:
             ya, yb = shift(x, mu.degree), shift(x, nu.degree)
-            if ext_key(ya.degree) != ext_key(yb.degree) or ya.range_vertex != yb.range_vertex:
+            if ya.degree != yb.degree or ya.range_vertex != yb.range_vertex:
                 expected = 0
             elif ya.fingerprint(width) != yb.fingerprint(width):
                 expected = 0

@@ -266,7 +266,6 @@ def test_criterion_10_expectation_laws(fock_b2_n6, boundary_tm, bouquet2,
             a = FormalElement(bouquet2, coeffs)
             assert verify_exp_square(boundary_tm, a).ok
 
-        fock_omega = build_fock_family(omega22, (2, 2))
         pool_om = paths_up_to_degree(omega22, (1, 1))
         for _ in range(50):
             coeffs = {}

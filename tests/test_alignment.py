@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgraphkit import Degree, paths_up_to_degree, validate_presentation
+from kgraphkit import Degree, make_bouquet, paths_up_to_degree, validate_presentation
 from kgraphkit.alignment import (
     CapTooLargeForBudget,
     EmptyEError,
@@ -63,6 +63,17 @@ class TestMce:
         small = [flip.vertex_path("v"), flip.edge_path("a")]
         large = small + [flip.edge_path("f")]
         assert set(vee(flip, small)) <= set(vee(flip, large))
+
+    def test_vee_of_degree_truncation_is_itself(self, corpus):
+        # an MCE of two paths below a cap lies below it, so the truncation is
+        # vee-closed, in its own sort order (rep-verify uses it as its F)
+        caps = {1: [(0,), (1,), (2,), (3,)],
+                2: [(0, 0), (1, 1), (1, 2), (2, 1), (0, 3), (2, 2)],
+                3: [(0, 0, 0), (1, 1, 1), (1, 0, 2), (2, 2, 1)]}
+        for g in [*corpus.values(), make_bouquet(3)]:
+            for cap in caps[g.rank]:
+                F = paths_up_to_degree(g, cap)
+                assert vee(g, F) == F, (g.vertices, cap)
 
 
 @pytest.fixture(scope="module")

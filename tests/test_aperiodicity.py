@@ -62,6 +62,15 @@ class TestFindSeparatingExtension:
         assert tau == bouquet2.vertex_path("v")
         assert len(calls) == 1
 
+    def test_equal_pair_enumerates_nothing(self, bouquet2, monkeypatch):
+        # MCE(μτ, μτ) = {μτ} for every τ, so no candidate is examined
+        calls = []
+        monkeypatch.setattr(aperiodicity, "paths_of_degree",
+                            lambda *args, **kwargs: calls.append(args) or [])
+        a = bouquet2.edge_path("a")
+        assert find_separating_extension(bouquet2, a, a, (6,)) is None
+        assert calls == []
+
     def test_monotone_in_depth(self, bouquet2):
         aa = bouquet2.path(["a", "a"])
         a = bouquet2.edge_path("a")

@@ -166,7 +166,7 @@ class TestRankTwoUserHandle:
         assert back.fingerprint((4, 4)) == stream.fingerprint((4, 4))
 
     def test_boundary_condition_window(self, stream):
-        assert check_boundary_condition(stream, (2, 2), (1, 1))
+        assert check_boundary_condition([stream], (2, 2), (1, 1))[0]
 
 
 class TestFiniteBoundary:
@@ -191,18 +191,18 @@ class TestFiniteBoundary:
 class TestBoundaryCondition:
     def test_thue_morse_passes(self, bouquet2):
         tm = thue_morse_path(bouquet2)
-        assert check_boundary_condition(tm, (8,), (1,))
+        assert check_boundary_condition([tm], (8,), (1,))[0]
 
     def test_omega_corner_passes(self, omega22):
         handles = {h.range_vertex: h for h in finite_boundary_paths(omega22)}
         x = handles[_omega_vertex((0, 0))]
-        assert check_boundary_condition(x, (2, 2), (1, 1))
+        assert check_boundary_condition([x], (2, 2), (1, 1))[0]
 
     def test_non_maximal_path_fails(self, omega22):
         from kgraphkit.boundary import FinitePathHandle
 
         stub = FinitePathHandle(omega22.edge_path("e1_0_0"))
-        verdict = check_boundary_condition(stub, (1, 0), (1, 1))
+        [verdict] = check_boundary_condition([stub], (1, 0), (1, 1))
         assert verdict.status == "fail"
         n, E = verdict.witness
         assert Degree(n) <= Degree((1, 0))
@@ -211,7 +211,7 @@ class TestBoundaryCondition:
     def test_truncated_user_handle_unknown(self, bouquet2):
         letters = list("abbabaab")
         x = WordStreamHandle(bouquet2, lambda n: letters, "trunc")
-        verdict = check_boundary_condition(x, (10,), (1,))
+        [verdict] = check_boundary_condition([x], (10,), (1,))
         assert verdict.status == "unknown"
 
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from kgraphkit import kgraph_to_dict, make_bouquet, make_cycle, make_omega
-from kgraphkit import cli
+from kgraphkit import boundary, cli
 from kgraphkit.cli import main
 
 from conftest import flip_presentation
@@ -193,8 +193,9 @@ class TestRepVerify:
         assert code == 0
         assert all(c["status"] == "pass" for c in payload["results"])
 
-    def test_shared_suite_setup_built_once(self, capsys, graph_files, monkeypatch):
-        calls = {"boolean_rep": 0, "build_separating_system": 0}
+    def test_shared_suite_setup_built_once(self, capsys, graph_files, tm_seeds, tmp_path,
+                                           monkeypatch):
+        calls = {"boolean_rep": 0, "build_separating_system": 0, "build_fock_family": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
                 calls[_name] += 1
@@ -204,7 +205,32 @@ class TestRepVerify:
                                         "--suite", "lem1,lem3,phi2,claim1", "--cap", "6",
                                         "--gen-cap", "1", "--suite-size", "2"])
         assert code == 0, payload
-        assert calls == {"boolean_rep": 1, "build_separating_system": 1}
+        assert calls == {"boolean_rep": 1, "build_separating_system": 1,
+                         "build_fock_family": 1}
+
+        # a boundary family builds the Fock family only for the suite that compares the two
+        for suite, builds in (("tck", 0), ("couniversal", 1)):
+            calls["build_fock_family"] = 0
+            code, payload, _ = run(capsys, ["rep-verify", graph_files["bouquet2"],
+                                            "--family", "boundary", "--seeds", tm_seeds,
+                                            "--suite", suite, "--suite-size", "1"])
+            assert code == 0, payload
+            assert calls["build_fock_family"] == builds, suite
+
+        # the FE sets of the one vertex are enumerated once for all 32 handles
+        fe_calls = []
+        real_fe = boundary.enumerate_fe
+        monkeypatch.setattr(boundary, "enumerate_fe",
+                            lambda *args, **kwargs: fe_calls.append(args) or real_fe(*args, **kwargs))
+        tm32 = tmp_path / "tm32.json"
+        tm32.write_text(json.dumps({"handles": [{"kind": "substitution", "seed": "a", "shifts": 32,
+                                                 "rules": {"a": "ab", "b": "ba"}}]}),
+                        encoding="utf-8")
+        code, payload, _ = run(capsys, ["boundary-check", graph_files["bouquet2"],
+                                        "--seeds", str(tm32), "--window", "64"])
+        assert code == 0, payload
+        assert len(payload["results"]) == 32
+        assert len(fe_calls) == 1
 
     def test_deterministic_bytes(self, capsys, graph_files):
         argv = ["rep-verify", graph_files["bouquet2"], "--suite", "tck,claim1",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kgraphkit import (
     Degree,
     DegreeOutOfRange,
+    KGraphError,
     NotComposable,
     ValidationError,
     compose,
@@ -23,6 +24,7 @@ from kgraphkit import (
     validate_presentation,
     vertex_at,
 )
+from kgraphkit.core import join_degrees
 
 from conftest import flip_presentation
 
@@ -270,6 +272,39 @@ class TestFiniteness:
     def test_omega_is_finite(self, omega22):
         assert omega22.has_finite_path_category()
         assert omega22.max_path_degree() == Degree((2, 2))
+
+    @staticmethod
+    def _two_lines(second_loops: bool = False):
+        """A color-1 line u0 -> u3 beside a color-2 line w0 -> w2, or beside a
+        color-2 loop at w0 when second_loops is set."""
+        edges = [{"name": f"e{i}", "color": 1, "range": f"u{i}", "source": f"u{i + 1}"}
+                 for i in range(3)]
+        if second_loops:
+            vertices = ["w0"]
+            edges.append({"name": "f0", "color": 2, "range": "w0", "source": "w0"})
+        else:
+            vertices = ["w0", "w1", "w2"]
+            edges += [{"name": f"f{i}", "color": 2, "range": f"w{i}", "source": f"w{i + 1}"}
+                      for i in range(2)]
+        return validate_presentation({"rank": 2, "vertices": [f"u{i}" for i in range(4)]
+                                      + vertices, "edges": edges, "squares": []})
+
+    def test_max_degree_matches_path_enumeration(self, omega222):
+        # referee: the join of the degrees of every path, enumerated past the maximum
+        two_lines = self._two_lines()
+        for g, expected in ((make_omega(1, (3,)), (3,)), (omega222, (2, 2, 2)),
+                            (two_lines, (3, 2))):
+            beyond = g.max_path_degree() + Degree((1,) * g.rank)
+            degrees = [p.degree for p in paths_up_to_degree(g, beyond)]
+            assert g.max_path_degree() == join_degrees(degrees, g.rank) == Degree(expected)
+        # no single path of the two lines has the joined degree
+        assert Degree((3, 2)) not in [p.degree for p in paths_up_to_degree(two_lines, (3, 2))]
+
+    def test_cycle_in_second_component_is_infinite(self):
+        g = self._two_lines(second_loops=True)
+        assert not g.has_finite_path_category()
+        with pytest.raises(KGraphError):
+            g.max_path_degree()
 
 
 # property checks over the corpus ------------------------------------------

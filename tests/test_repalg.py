@@ -68,7 +68,7 @@ def boundary_tm(bouquet2):
 
 
 def path_index(fam, label):
-    return fam.basis.index[label]
+    return fam.basis.labels.index(label)
 
 
 class TestOperatorMatrix:
@@ -570,16 +570,16 @@ class TestClaim1:
 
 
 class TestExpSquare:
-    def test_offdiagonal_spanning_element(self, fock_b2_n6, boundary_tm, bouquet2):
+    def test_offdiagonal_spanning_element(self, boundary_tm, bouquet2):
         a = FormalElement(bouquet2, {(bouquet2.edge_path("a"), bouquet2.edge_path("b")): 1})
         assert verify_exp_square(boundary_tm, a).ok
 
-    def test_diagonal_spanning_element(self, fock_b2_n6, boundary_tm, bouquet2):
+    def test_diagonal_spanning_element(self, boundary_tm, bouquet2):
         pa = bouquet2.edge_path("a")
         a = FormalElement(bouquet2, {(pa, pa): 1})
         assert verify_exp_square(boundary_tm, a).ok
 
-    def test_random_integer_elements(self, fock_b2_n6, boundary_tm, bouquet2):
+    def test_random_integer_elements(self, boundary_tm, bouquet2):
         rng = random.Random(881100)
         pool = [bouquet2.vertex_path("v"), bouquet2.edge_path("a"),
                 bouquet2.edge_path("b"), bouquet2.path(["a", "b"]),
