@@ -5,6 +5,11 @@ window(n, m) -> the finite path x(n, m).  Equality of infinite handles is
 always windowed equality at an explicit width; shifts and extensions are
 implemented window-for-window so the defining equations hold exactly on
 every requested window.
+
+Each handle memoises its windows under validated (n, m) keys and looks the
+memo up before validating.  Derived handles (shift and extend results) are
+built afresh on every call, never cached on their parent: each holds the
+windows asked of it, so keeping them alive would grow memory.
 """
 
 from __future__ import annotations
@@ -95,20 +100,19 @@ class BoundaryPathHandle:
         self.degree = ext_degree(degree)
         self.range_vertex = range_vertex
         self.name = name
-        self._memo: dict[tuple, Path] = {}
+        self._memo: dict[tuple[Degree, Degree], Path] = {}  # validated (n, m) -> x(n, m)
 
     def window(self, n, m) -> Path:
-        n = Degree(n)
-        m = Degree(m)
-        if not n <= m:
-            raise DegreeExceeded(f"window needs n <= m, got {tuple(n)}, {tuple(m)}")
-        if not ext_le(m, self.degree):
-            raise DegreeExceeded(f"window {tuple(m)} exceeds degree {self.degree}")
-        key = (tuple(n), tuple(m))
-        got = self._memo.get(key)
+        """x(n, m); only validated keys are stored, so a memo hit is returned as is."""
+        if type(n) is not Degree or type(m) is not Degree:
+            n, m = Degree(n), Degree(m)
+        got = self._memo.get((n, m))
         if got is None:
-            got = self._window(n, m)
-            self._memo[key] = got
+            if not n <= m:
+                raise DegreeExceeded(f"window needs n <= m, got {tuple(n)}, {tuple(m)}")
+            if not ext_le(m, self.degree):
+                raise DegreeExceeded(f"window {tuple(m)} exceeds degree {self.degree}")
+            got = self._memo[n, m] = self._window(n, m)
         return got
 
     def _window(self, n: Degree, m: Degree) -> Path:
@@ -375,20 +379,28 @@ def aperiodicity_window_check(x: BoundaryPathHandle, shift_bound, window
     """Pairwise-distinguish all shifts of x below the bound at window width.
 
     Shifts of different extended degree or range are distinct outright; the
-    rest are compared on their common initial window.  A collision returns
-    the first colliding pair in scan order.
+    rest are compared on their common initial window, each shift's
+    fingerprint taken once.  A collision returns the first colliding pair in
+    scan order.
     """
     shift_bound = Degree(shift_bound)
     width = ext_degree(Degree(window))
     shifts = [n for n in degrees_up_to(shift_bound) if ext_le(n, x.degree)]
-    handles = {tuple(n): shift(x, n) for n in shifts}
+    handles = {n: shift(x, n) for n in shifts}
+    fingerprints: dict[Degree, tuple] = {}
+
+    def fingerprint(n: Degree) -> tuple:
+        if n not in fingerprints:
+            fingerprints[n] = handles[n].fingerprint(width)
+        return fingerprints[n]
+
     for i, m in enumerate(shifts):
         for n in shifts[i + 1:]:
-            a, b = handles[tuple(m)], handles[tuple(n)]
+            a, b = handles[m], handles[n]
             if a.degree != b.degree:
                 continue
             if a.range_vertex != b.range_vertex:
                 continue
-            if a.fingerprint(width) == b.fingerprint(width):
+            if fingerprint(m) == fingerprint(n):
                 return BoundaryVerdict("fail", (m, n))
     return BoundaryVerdict("pass")

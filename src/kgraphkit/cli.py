@@ -199,7 +199,7 @@ def load_seed_handles(g: KGraph, path: str) -> list[BoundaryPathHandle]:
     decl = _read_json(path)
     handles: list[BoundaryPathHandle] = []
     try:
-        for rec in decl.get("handles", []):
+        for i, rec in enumerate(decl.get("handles", [])):
             kind = rec.get("kind")
             if kind == "substitution":
                 base = substitution_path(g, {k: list(v) for k, v in rec["rules"].items()},
@@ -208,7 +208,10 @@ def load_seed_handles(g: KGraph, path: str) -> list[BoundaryPathHandle]:
                 base = periodic_path(g, list(rec["word"]), name=rec.get("name"))
             else:
                 raise ParseError(f"unknown handle kind {kind!r}")
-            shifts = int(rec.get("shifts", 1))
+            shifts = rec.get("shifts", 1)
+            if type(shifts) is not int or shifts < 1:  # bool is an int subclass
+                raise ParseError(
+                    f"{path}: handle {i}: shifts must be a positive integer, got {shifts!r}")
             for j in range(shifts):
                 handles.append(shift(base, (j,) * g.rank))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -351,16 +351,26 @@ def compose(lam: Path, mu: Path) -> Path:
 
 
 def segment(lam: Path, m, n) -> Path:
-    """The unique middle factor λ(m,n) with λ = λ(0,m)·λ(m,n)·λ(n,d(λ))."""
+    """The unique middle factor λ(m,n) with λ = λ(0,m)·λ(m,n)·λ(n,d(λ)).
+
+    A zero m or an n of d(λ) skips the split on that side, whose factor is
+    a vertex; λ(0, d(λ)) is λ itself.
+    """
     g = lam.graph
     m = Degree(m)
     n = Degree(n)
-    if not (m <= n and n <= lam.degree):
+    d = lam.degree
+    if not (m <= n and n <= d):
         raise DegreeOutOfRange(
-            f"need m <= n <= d(λ); got m={tuple(m)}, n={tuple(n)}, d={tuple(lam.degree)}")
-    front, rest = g._split(lam.word, lam.degree, m)
-    mid_range = g.edges[front[-1]].source_vertex if front else lam.range_vertex
-    mid, _tail = g._split(rest, lam.degree - m, n - m)
+            f"need m <= n <= d(λ); got m={tuple(m)}, n={tuple(n)}, d={tuple(d)}")
+    if any(m):
+        front, rest = g._split(lam.word, d, m)
+        mid_range = g.edges[front[-1]].source_vertex
+    elif n == d:
+        return lam
+    else:
+        rest, mid_range = lam.word, lam.range_vertex
+    mid = rest if n == d else g._split(rest, d - m, n - m)[0]
     mid_source = g.edges[mid[-1]].source_vertex if mid else mid_range
     return Path(g, mid_range, mid_source, mid, n - m)
 

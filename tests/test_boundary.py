@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -106,6 +107,40 @@ class TestShiftExtend:
                 left = x.window(p, q)
                 right = x.window(q, r)
                 assert compose(left, right) == whole
+
+
+def corner_handle(omega22):
+    """The boundary path of degree (2, 2)."""
+    return next(h for h in finite_boundary_paths(omega22) if h.degree == (2, 2))
+
+
+class TestWindowMemo:
+    def test_invalid_windows_raise_after_memo_filled(self, bouquet2, omega22):
+        x = corner_handle(omega22)
+        tm = thue_morse_path(bouquet2)
+        for h, top in ((x, x.degree), (tm, (6,))):
+            cells = [Degree(c) for c in itertools.product(*(range(t + 1) for t in top))]
+            for n in cells:
+                for m in cells:
+                    if n <= m:
+                        h.window(n, m)
+        with pytest.raises(DegreeExceeded):
+            x.window(Degree((1, 0)), Degree((0, 1)))  # n and m incomparable
+        with pytest.raises(DegreeExceeded):
+            x.window(Degree((0, 0)), Degree((2, 3)))  # beyond the finite degree
+        with pytest.raises(DegreeExceeded):
+            tm.window(Degree((3,)), Degree((2,)))
+        for h, n, m in ((x, (0, -1), (1, 1)), (tm, (-1,), (2,)), (tm, (0,), (-2,))):
+            with pytest.raises(ValueError):
+                h.window(n, m)
+
+    def test_tuple_and_list_arguments(self, bouquet2, omega22):
+        x = corner_handle(omega22)
+        for h, n, m in ((x, (0, 1), (2, 2)), (thue_morse_path(bouquet2), (3,), (40,))):
+            fresh = h.window(list(n), list(m))  # a miss, stored under Degree keys
+            assert h.window(Degree(n), Degree(m)) is fresh
+            assert h.window(n, m) is fresh
+            assert h.window(list(n), list(m)) is fresh
 
 
 class FlipStreamHandle(BoundaryPathHandle):

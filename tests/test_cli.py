@@ -284,3 +284,23 @@ def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, ca
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("shifts", [2.9, True, 0, -2, "3"])
+def test_seed_shifts_must_be_positive_int(capsys, graph_files, tmp_path, shifts):
+    # the bad record sits after a valid one, so it cannot be dropped silently
+    tm = {"kind": "substitution", "seed": "a", "rules": {"a": "ab", "b": "ba"}}
+    path = _write(tmp_path / "seeds.json",
+                  {"handles": [dict(tm, shifts=2), dict(tm, shifts=shifts)]})
+    assert main(["boundary-check", graph_files["bouquet2"], "--seeds", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: handle 1: shifts must be a positive integer, "
+                            f"got {shifts!r}\n")
+
+
+def test_seed_shifts_default_and_positive_int(graph_files, tmp_path):
+    g = cli.load_graph(graph_files["bouquet2"])
+    tm = {"kind": "substitution", "seed": "a", "rules": {"a": "ab", "b": "ba"}}
+    path = _write(tmp_path / "seeds.json", {"handles": [tm, dict(tm, shifts=3)]})
+    assert len(cli.load_seed_handles(g, path)) == 1 + 3

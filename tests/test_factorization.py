@@ -113,3 +113,25 @@ def test_thue_morse_window_factors_by_slicing(bouquet2):
             assert mid.degree == Degree((n - m,))
         assert compose(segment(lam, (0,), (m,)), segment(lam, (m,), (512,))) == lam
     assert _shape(segment(lam, (100,), (400,))) == segment_ref(lam, Degree((100,)), Degree((400,)))
+
+
+@pytest.mark.parametrize("name", ["flip", "omega22", "omega222"])
+def test_segment_end_fast_paths_match_reference(pools, name):
+    # m = 0 skips the front split and n = d(λ) the tail split
+    _, paths = pools[name]
+    for lam in paths:
+        zero = Degree.zero(len(lam.degree))
+        for p in degrees_up_to(lam.degree):
+            assert _shape(segment(lam, zero, p)) == segment_ref(lam, zero, p)
+            assert _shape(segment(lam, p, lam.degree)) == segment_ref(lam, p, lam.degree)
+        assert segment(lam, zero, lam.degree) is lam
+
+
+def test_segment_end_fast_paths_on_long_word(bouquet2):
+    lam = thue_morse_path(bouquet2).window((0,), (512,))
+    d = lam.degree
+    for k in list(range(0, 513, 11)) + [511, 512]:
+        p = Degree((k,))
+        assert _shape(segment(lam, (0,), p)) == segment_ref(lam, Degree((0,)), p)
+        assert _shape(segment(lam, p, d)) == segment_ref(lam, p, d)
+    assert segment(lam, (0,), (512,)) is lam
