@@ -253,8 +253,8 @@ def test_criterion_10_expectation_laws(fock_b2_n6, boundary_tm, bouquet2,
             a = FormalElement(bouquet2, table)
             assert a.diagonal().diagonal() == a.diagonal()
             _, diag_m = expectation(fock_b2_n6, a)
-            assert operator_norm(diag_m) <= operator_norm(
-                fock_b2_n6.evaluate(a)) + 1e-8
+            assert operator_norm(diag_m)["value"] <= operator_norm(
+                fock_b2_n6.evaluate(a))["value"] + 1e-8
 
         rng = random.Random(EXP_SEED)
         pool_b2 = paths_up_to_degree(bouquet2, (2,))

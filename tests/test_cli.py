@@ -10,7 +10,7 @@ from kgraphkit import kgraph_to_dict, make_bouquet, make_cycle, make_omega
 from kgraphkit import boundary, cli
 from kgraphkit.cli import main
 
-from conftest import flip_presentation
+from conftest import flip_presentation, weak_lower_end
 
 
 @pytest.fixture()
@@ -238,6 +238,15 @@ class TestRepVerify:
         _, _, first = run(capsys, argv)
         _, _, second = run(capsys, argv)
         assert first == second
+
+    def test_claim1_inside_bracket_exits_3(self, capsys, graph_files, monkeypatch):
+        weak_lower_end(monkeypatch)
+        code, payload, _ = run(capsys, ["rep-verify", graph_files["bouquet2"], "--cap", "9",
+                                        "--gen-cap", "1", "--suite", "claim1",
+                                        "--suite-size", "1", "--seed", "1"])
+        assert code == 3
+        (check,) = payload["results"]
+        assert check["status"] == "inconclusive" and "reason" in check["detail"]
 
     def test_unknown_suite(self, capsys, graph_files):
         code, _, _ = run(capsys, ["rep-verify", graph_files["bouquet2"],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 
-from conftest import as_matrix
+from conftest import as_matrix, weak_lower_end
 from kgraphkit import repalg
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.repalg import (
@@ -84,28 +84,30 @@ class TestOperatorMatrix:
         assert np.array_equal(inverse_map(inverse_map(t)), t)
 
     def test_norm_of_zero(self, fock_b2_n4):
-        assert operator_norm(OperatorMatrix.zero(fock_b2_n4.basis)) == 0.0
+        assert operator_norm(OperatorMatrix.zero(fock_b2_n4.basis))["value"] == 0.0
 
     def test_norm_of_projection(self, fock_b2_n4, bouquet2):
         q = as_matrix(fock_b2_n4.basis, fock_b2_n4.q(bouquet2.edge_path("a")))
-        assert abs(operator_norm(q) - 1.0) < 1e-12
+        assert abs(operator_norm(q)["value"] - 1.0) < 1e-12
 
     def test_norm_sqrt_two(self, fock_b2_n4, bouquet2):
         m = (as_matrix(fock_b2_n4.basis, fock_b2_n4.generator(bouquet2.edge_path("a")))
              + as_matrix(fock_b2_n4.basis, fock_b2_n4.generator(bouquet2.edge_path("b"))))
-        assert abs(operator_norm(m) - 2 ** 0.5) < 1e-9
+        assert abs(operator_norm(m)["value"] - 2 ** 0.5) < 1e-9
 
-    def test_power_iteration_matches_dense(self, fock_b2_n4, bouquet2):
+    def test_lanczos_matches_dense(self, fock_b2_n4, bouquet2):
         m = (as_matrix(fock_b2_n4.basis, fock_b2_n4.generator(bouquet2.edge_path("a")))
              + as_matrix(fock_b2_n4.basis, fock_b2_n4.q(bouquet2.edge_path("b"))) * 0.5)
-        dense = operator_norm(m)
-        power = operator_norm(m, dense_threshold=1)
-        assert abs(dense - power) < 1e-6
+        dense = np.linalg.norm(m.to_dense(), 2)
+        norm = operator_norm(m, dense_threshold=1)
+        assert norm["method"] == "lanczos"
+        assert norm["lower"] <= dense <= norm["upper"]
+        assert abs(norm["lower"] - dense) < 1e-12
 
-    def test_power_iteration_budget(self, fock_b2_n4, bouquet2):
+    def test_lanczos_budget(self, fock_b2_n4, bouquet2):
         m = as_matrix(fock_b2_n4.basis, fock_b2_n4.generator(bouquet2.edge_path("a")))
         with pytest.raises(NonConvergence):
-            operator_norm(m, dense_threshold=1, max_iter=1, tol=1e-30)
+            operator_norm(m, dense_threshold=1, max_iter=1)
 
     def test_trusted_results_match_validated_construction(self, fock_b2_n4, bouquet2):
         rng = random.Random(3)
@@ -129,34 +131,15 @@ class TestOperatorMatrix:
             hash(OperatorMatrix.zero(fock_b2_n4.basis))
 
 
-def power_iteration_reference(m, tol=1e-9, max_iter=20_000):
-    """Scalar power iteration on M*M, as operator_norm ran it before index arrays."""
-    n = len(m.basis)
-    rows = (m.adjoint() @ m)._row_view()
-    x = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
-    last = 0.0
-    for _ in range(max_iter):
-        y = np.zeros(n, dtype=complex)
-        for i, cols in rows.items():
-            y[i] = sum(v * x[j] for j, v in cols)
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            return 0.0
-        x = y / norm_y
-        if abs(norm_y - last) <= tol * max(1.0, norm_y):
-            return float(np.sqrt(norm_y))
-        last = norm_y
-    raise NonConvergence(f"power iteration did not settle in {max_iter} steps")
+@pytest.fixture(scope="module")
+def fock_b2_n9(bouquet2):
+    return build_fock_family(bouquet2, (9,))
 
 
 @pytest.fixture(scope="module")
-def fock_b2_n9_matrices(bouquet2):
-    """A complex table, an integer table and a 0/1 matrix on the 1,023-vector basis.
-
-    The complex table's norm moves by one ulp if the matvec uses a fused
-    complex multiply, so the exact comparison below sees that change.
-    """
-    fam = build_fock_family(bouquet2, (9,))
+def fock_b2_n9_matrices(fock_b2_n9, bouquet2):
+    """A complex table, an integer table and a 0/1 matrix on the 1,023-vector basis."""
+    fam = fock_b2_n9
     pool = [bouquet2.vertex_path("v")] + [bouquet2.path(list(w)) for w in ("a", "b", "ab", "ba")]
     rng = random.Random(0)
     cx = {(mu, nu): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -169,15 +152,44 @@ def fock_b2_n9_matrices(bouquet2):
             fam.evaluate(FormalElement(bouquet2, ints)), zero_one]
 
 
-class TestPowerIteration:
-    def test_equals_scalar_reference(self, fock_b2_n9_matrices):
-        for m in fock_b2_n9_matrices:
-            assert operator_norm(m, dense_threshold=1) == power_iteration_reference(m)
+def diagonal_tables(bouquet2, seeds):
+    """Random complex diagonal-only claim1 tables over {v, a, b}."""
+    F = [bouquet2.vertex_path("v"), bouquet2.edge_path("a"), bouquet2.edge_path("b")]
+    for seed in seeds:
+        rng = random.Random(seed)
+        yield F, {(mu, mu): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for mu in F}
 
+
+class TestLanczosBracket:
     def test_agrees_with_dense_norm(self, fock_b2_n9_matrices):
         for m in fock_b2_n9_matrices:
             assert len(m.basis) == 1023
-            assert abs(operator_norm(m) - np.linalg.norm(m.to_dense(), 2)) < 1e-6
+            dense = np.linalg.norm(m.to_dense(), 2)
+            norm = operator_norm(m)
+            assert norm["method"] == "lanczos" and 0 < norm["steps"]
+            assert abs(norm["value"] - dense) < 1e-12
+            assert norm["lower"] <= dense <= norm["upper"]
+            assert abs(norm["lower"] - dense) < 1e-12
+            assert norm["lower"] <= norm["value"] - norm["allowance"]
+
+    def test_diagonal_bracket_is_tight(self, fock_b2_n9, bouquet2):
+        for F, table in diagonal_tables(bouquet2, range(5)):
+            m = fock_b2_n9.evaluate(FormalElement(bouquet2, table))
+            norm = operator_norm(m)
+            dense = np.linalg.norm(m.to_dense(), 2)
+            assert norm["method"] == "lanczos"
+            assert norm["lower"] <= dense <= norm["upper"]
+            assert norm["upper"] - norm["lower"] <= 1e-12
+
+    def test_invariant_subspace_stop(self, fock_b2_n4, bouquet2):
+        # (q_a - 2 q_b)*(q_a - 2 q_b) = q_a + 4 q_b has three eigenvalues, so
+        # the Krylov space of the start vector is invariant after three steps
+        m = (as_matrix(fock_b2_n4.basis, fock_b2_n4.q(bouquet2.edge_path("a")))
+             + as_matrix(fock_b2_n4.basis, fock_b2_n4.q(bouquet2.edge_path("b"))) * -2)
+        norm = operator_norm(m, dense_threshold=1)
+        assert norm["steps"] <= 3
+        assert norm["lower"] <= 2.0 <= norm["upper"]
+        assert norm["upper"] - norm["lower"] <= 1e-12
 
 
 class TestFockAction:
@@ -401,7 +413,7 @@ class TestDiagonalNorm:
             m = OperatorMatrix.zero(fock_b2_n4.basis)
             for p, coeff in c.items():
                 m = m + as_matrix(fock_b2_n4.basis, q.q(p)) * coeff
-            assert abs(diagonal_norm(q, c) - operator_norm(m)) < 1e-10
+            assert abs(diagonal_norm(q, c) - operator_norm(m)["value"]) < 1e-10
 
 
 class TestExpectation:
@@ -439,7 +451,8 @@ class TestExpectation:
                     coeffs[(mu, nu)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             a = FormalElement(bouquet2, coeffs)
             _, diag_m = expectation(fock_b2_n6, a)
-            assert operator_norm(diag_m) <= operator_norm(fock_b2_n6.evaluate(a)) + 1e-8
+            assert (operator_norm(diag_m)["value"]
+                    <= operator_norm(fock_b2_n6.evaluate(a))["value"] + 1e-8)
 
     def test_source_mismatch_rejected(self, c3):
         with pytest.raises(Exception):
@@ -567,6 +580,45 @@ class TestClaim1:
         aa = bouquet2.path(["a", "a"])
         with pytest.raises(CapTooSmall):
             verify_claim1(small, [a, b, aa], {(a, a): 1})
+
+
+class TestClaim1Bracket:
+    def test_diagonal_tables_pass_above_dense_threshold(self, fock_b2_n9, bouquet2):
+        # seed 3 failed with power iteration: lhs - rhs = 1.02e-8 > tol
+        for F, table in diagonal_tables(bouquet2, [3, *range(8)]):
+            check = verify_claim1(fock_b2_n9, F, table)
+            assert check.status == "pass", check.to_jsonable()
+            d = check.detail
+            assert d["method"] == "lanczos" and d["steps"] > 0
+            assert d["lower"] <= d["lhs"] <= d["upper"]
+            assert abs(d["lhs"] - d["rhs"]) < 1e-12
+
+    def test_detail_keys(self, fock_b2_n9, bouquet2):
+        (F, table), = diagonal_tables(bouquet2, [3])
+        detail = verify_claim1(fock_b2_n9, F, table).detail
+        assert set(detail) == {"lhs", "rhs", "method", "steps", "lower", "upper", "allowance"}
+        assert 0 < detail["allowance"] < 1e-12
+
+    def test_lhs_inside_bracket_is_inconclusive(self, fock_b2_n9, bouquet2, monkeypatch):
+        weak_lower_end(monkeypatch)
+        F = [bouquet2.vertex_path("v"), bouquet2.edge_path("a"), bouquet2.edge_path("b")]
+        rng = random.Random(1)
+        table = {(mu, nu): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                 for mu in F for nu in F}
+        check = verify_claim1(fock_b2_n9, F, table)
+        d = check.detail
+        assert check.status == "inconclusive" and check.witness is None
+        assert d["lower"] + 1e-8 < d["lhs"] < d["upper"]
+        assert "inside the lanczos norm bracket" in d["reason"]
+
+    def test_fails_only_above_upper_end(self, fock_b2_n6, bouquet2, monkeypatch):
+        a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
+        monkeypatch.setattr(repalg, "operator_norm", lambda m, **kw: {
+            "value": 0.5, "method": "dense", "steps": 0, "lower": 0.5, "upper": 0.5,
+            "allowance": 0.0})
+        check = verify_claim1(fock_b2_n6, [a, b], {(a, a): 1})
+        assert check.status == "fail"
+        assert check.witness == "lhs=1.0 upper=0.5"
 
 
 class TestExpSquare:
