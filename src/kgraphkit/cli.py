@@ -268,6 +268,9 @@ def _random_table(pool: list[Path], rng: random.Random, integer: bool) -> dict:
     return table
 
 
+SUITES = ("tck", "ck", "lem1", "lem3", "phi2", "claim1", "exp", "diag", "couniversal")
+
+
 def cmd_rep_verify(args) -> int:
     g = load_graph(args.graph)
     cap = parse_degree(args.cap, g.rank)
@@ -275,6 +278,11 @@ def cmd_rep_verify(args) -> int:
     fe_cap = parse_degree(args.fe_cap, g.rank)
     window = parse_degree(args.window, g.rank)
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+    unknown = [s for s in suites if s not in SUITES]
+    if unknown or not suites:
+        raise ParseError(f"unknown suite {unknown[0]!r}" if unknown else "--suite names no suite")
+    if args.suite_size < 1:
+        raise ParseError(f"--suite-size must be at least 1, got {args.suite_size}")
     rng = random.Random(args.seed)
 
     # whole-family objects several suites share: each is built on first use
@@ -332,14 +340,12 @@ def cmd_rep_verify(args) -> int:
                     for nu in F:
                         if mu.source_vertex == nu.source_vertex:
                             absorb(verify_diagonal_formula(b, mu, nu).checks)
-            elif suite == "couniversal":
+            else:  # couniversal
                 b = get_boundary()
                 for _ in range(args.suite_size):
                     table = _random_table(F, rng, integer=False)
                     a = FormalElement(g, table)
                     absorb([couniversal_norm_check(get_fock(), b, a)])
-            else:
-                raise ParseError(f"unknown suite {suite!r}")
         except (repalg.SeparationSearchExhausted,) as exc:
             absorb([repalg.CheckResult(suite, "inconclusive", witness=str(exc))])
     emit(_config(args), results, counts)

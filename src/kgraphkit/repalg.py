@@ -14,8 +14,9 @@ phi_lam, CK gap product and lem3 test is a diagonal 0/1 matrix, held as a
 boolean mask.  Products of generators compose arrays, adjoints invert them,
 q_lam is the range mask, products of projections are AND and q_lam - q_w is
 AND-NOT.  Sums of injections are compared entry by entry, overlaps counted.
-The one way into OperatorMatrix, the sparse complex matrix kept for linear
-combinations and norms, is IsometryFamily.evaluate.
+A linear combination sum a t_mu t_nu* is evaluated by IsometryFamily.evaluate
+into a SparseSum, its merged (rows, cols, vals) entry arrays, which the norm,
+the expectation square and the co-universality check read.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -106,110 +107,28 @@ class Basis:
         return len(self.labels)
 
 
-class OperatorMatrix:
-    """Sparse complex matrix on a shared named basis, for linear combinations
-    of generator products; integer inputs stay integers, so exact.
-    """
+class SparseSum(NamedTuple):
+    """An evaluated element on a named basis: entry vals[k] at (rows[k],
+    cols[k]), each (row, col) once and no val zero."""
 
-    __slots__ = ("basis", "entries", "_rows")
-
-    def __init__(self, basis: Basis, entries: dict):
-        self.basis = basis
-        self.entries = {k: v for k, v in entries.items() if v != 0}
-        self._rows = None
-
-    @classmethod
-    def _trusted(cls, basis: Basis, entries: dict) -> "OperatorMatrix":
-        """Wrap entries that hold no zero, skipping the filtering copy."""
-        out = cls.__new__(cls)
-        out.basis, out.entries, out._rows = basis, entries, None
-        return out
-
-    @classmethod
-    def zero(cls, basis: Basis) -> "OperatorMatrix":
-        return cls(basis, {})
-
-    def _same_basis(self, other: "OperatorMatrix") -> None:
-        if self.basis is not other.basis:
-            raise KGraphError("operands live on different bases")
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._same_basis(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return OperatorMatrix(self.basis, out)
-
-    def __mul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, {k: v * scalar for k, v in self.entries.items()})
-
-    def _row_view(self) -> dict:
-        if self._rows is None:
-            rows: dict[int, list] = {}
-            for (i, j), v in self.entries.items():
-                rows.setdefault(i, []).append((j, v))
-            self._rows = rows
-        return self._rows
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._same_basis(other)
-        rows = other._row_view()
-        out: dict = {}
-        for (i, j), a in self.entries.items():
-            for k, b in rows.get(j, ()):
-                key = (i, k)
-                out[key] = out.get(key, 0) + a * b
-        return OperatorMatrix(self.basis, out)
-
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix._trusted(
-            self.basis, {(j, i): v.conjugate() for (i, j), v in self.entries.items()})
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, OperatorMatrix) and self.basis is other.basis
-                and self.entries == other.entries)
-
-    def compress(self, indices: Iterable[int]) -> "OperatorMatrix":
-        """Two-sided compression onto the given basis vectors."""
-        indices = set(indices)
-        return OperatorMatrix(
-            self.basis, {k: v for k, v in self.entries.items()
-                         if k[0] in indices and k[1] in indices})
-
-    def first_difference(self, other: "OperatorMatrix"):
-        """Smallest (row, col) where the two matrices disagree, or None."""
-        a, b = self.entries, other.entries
-        for k in sorted(set(a) | set(b)):
-            if a.get(k, 0) != b.get(k, 0):
-                return (self.basis.labels[k[0]], self.basis.labels[k[1]],
-                        a.get(k, 0), b.get(k, 0))
-        return None
-
-    def diagonal_part(self) -> "OperatorMatrix":
-        return OperatorMatrix(
-            self.basis, {k: v for k, v in self.entries.items() if k[0] == k[1]})
-
-    def to_dense(self) -> np.ndarray:
-        n = len(self.basis)
-        out = np.zeros((n, n), dtype=complex)
-        for (i, j), v in self.entries.items():
-            out[i, j] = v
-        return out
-
-    def __repr__(self) -> str:
-        return f"<OperatorMatrix {len(self.basis)}x{len(self.basis)}, nnz={len(self.entries)}>"
+    basis: Basis
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
 
-def operator_norm(m: OperatorMatrix, dense_threshold: int = 600,
-                  max_iter: int = 1_000) -> dict:
+DENSE_THRESHOLD = 600  # operator_norm takes a dense SVD up to this many basis vectors
+MAX_LANCZOS_STEPS = 1_000  # each residual test is a dense eigh of T_k, O(k³)
+CLAIM1_TOL = 1e-8  # absolute slack of verify_claim1's comparison
+COUNIVERSAL_TOL = 0.05  # absolute slack of couniversal_norm_check's comparison
+
+
+def operator_norm(m: SparseSum) -> dict:
     """Largest singular value: an estimate "value" and a bracket "lower" <=
     ‖M‖ <= "upper", with the "method", Lanczos "steps" and the rounding
     "allowance" taken off the lower end.
 
-    method "zero": M has no entries.  method "dense", up to dense_threshold
+    method "zero": M has no entries.  method "dense", up to DENSE_THRESHOLD
     basis vectors: LAPACK's value plus or minus γ_n·value, the backward error
     of a stable SVD with its constant taken as 1, an estimate rather than a
     proof.  method "lanczos": Lanczos on M*M from a deterministic start
@@ -220,8 +139,8 @@ def operator_norm(m: OperatorMatrix, dense_threshold: int = 600,
     M and M* are applied as bincount matvecs on the entry arrays.  Pass 1
     keeps only the tridiagonal coefficients and stops when the top Ritz
     value's residual β_k·|s_k| is below 1e-10 of it, which also covers an
-    invariant subspace (β_k = 0); max_iter steps without that raise
-    NonConvergence (each residual test is a dense eigh of T_k, O(k³)).
+    invariant subspace (β_k = 0); MAX_LANCZOS_STEPS steps without that raise
+    NonConvergence.
     Pass 2 repeats the recurrence with the stored coefficients, so it
     rebuilds the same Lanczos vectors, and sums the Ritz vector y.  No basis
     is stored and none is reorthogonalised: the bounds hold for any y.
@@ -239,15 +158,15 @@ def operator_norm(m: OperatorMatrix, dense_threshold: int = 600,
         """‖x‖², each square rounded once and the sum rounded once: within γ_2."""
         return math.fsum(np.square(x.view(float)).tolist())
 
-    n = len(m.basis)
-    if not m.entries:
+    n, rows, cols, vals = len(m.basis), m.rows, m.cols, m.vals
+    if not len(vals):
         return bracket(0.0, 0.0, 0.0, "zero", 0, 0.0)
-    if n <= dense_threshold:
-        value = float(np.linalg.norm(m.to_dense(), 2))
+    if n <= DENSE_THRESHOLD:
+        dense = np.zeros((n, n), dtype=complex)
+        dense[rows, cols] = vals
+        value = float(np.linalg.norm(dense, 2))
         allowance = gamma(n) * value
         return bracket(value, value - allowance, value + allowance, "dense", 0, allowance)
-    rows, cols = np.array(list(m.entries), dtype=np.intp).T
-    vals = np.fromiter(m.entries.values(), dtype=complex, count=len(m.entries))
     conj = vals.conj()
 
     def apply(v: np.ndarray, x: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -293,12 +212,12 @@ def operator_norm(m: OperatorMatrix, dense_threshold: int = 600,
         # subspace at β = 0) already meets the residual test
         if beta <= settle * top:
             break
-        if k % 8 == 0 or k == max_iter:
+        if k % 8 == 0 or k == MAX_LANCZOS_STEPS:
             theta, s = ritz(k)
             if beta * abs(s[-1]) <= settle * theta:
                 break
-        if k == max_iter:
-            raise NonConvergence(f"Lanczos residual did not settle in {max_iter} steps")
+        if k == MAX_LANCZOS_STEPS:
+            raise NonConvergence(f"Lanczos residual did not settle in {k} steps")
         q_prev, q = q, w / beta
     theta, s = ritz(k)
     y = s[0] * start
@@ -494,16 +413,28 @@ class IsometryFamily:
         return self._memo(self._safe, tuple(budget),
                           lambda: np.array(self._safe_columns(budget), dtype=np.intp))
 
-    def evaluate(self, element: "FormalElement") -> OperatorMatrix:
-        """Sum of a t_mu t_nu*; each term has entries (t_mu[k], t_nu[k]),
-        k ascending, the order of the sparse product t_mu @ t_nu.adjoint()."""
-        out = OperatorMatrix.zero(self.basis)
+    def evaluate(self, element: "FormalElement") -> SparseSum:
+        """Sum of a t_mu t_nu* over the sorted terms; term (mu, nu) has the
+        entries (t_mu[k], t_nu[k]), k ascending, where both are defined.
+        Each entry is summed in term order and kept in the order of its first
+        appearance; entries that cancel exactly are dropped."""
+        n = len(self.basis)
+        keys, coeffs = [], []  # each term's entries as row·n + col, and its a
         for (mu, nu), a in element.sorted_items():
             tm, tn = self.generator(mu), self.generator(nu)
             k = (tm >= 0) & (tn >= 0)
-            term = dict.fromkeys(zip(tm[k].tolist(), tn[k].tolist()), 1)
-            out = out + OperatorMatrix._trusted(self.basis, term) * a
-        return out
+            keys.append(tm[k] * n + tn[k])
+            coeffs.append(a)
+        weights = np.repeat(np.array(coeffs, dtype=complex), [len(k) for k in keys])
+        keys = np.concatenate(keys) if keys else np.empty(0, dtype=np.intp)
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        # bincount adds each bin's weights in input order, the term order
+        vals = (np.bincount(inverse, weights.real, minlength=len(uniq))
+                + 1j * np.bincount(inverse, weights.imag, minlength=len(uniq)))[order]
+        kept = vals != 0
+        rows, cols = np.divmod(uniq[order][kept], n)
+        return SparseSum(self.basis, rows, cols, vals[kept])
 
 
 class FockFamily(IsometryFamily):
@@ -948,25 +879,36 @@ class FormalElement:
 
 
 def expectation(fam: IsometryFamily, a: FormalElement
-                ) -> tuple[FormalElement, OperatorMatrix]:
+                ) -> tuple[FormalElement, SparseSum]:
     """Diagonal part of a formal element and its evaluation in the family."""
     diag = a.diagonal()
     return diag, fam.evaluate(diag)
 
 
 def verify_exp_square(boundary: IsometryFamily, a: FormalElement) -> CheckResult:
-    """Both routes around the expectation square agree as exact matrices.
+    """Both routes around the expectation square agree exactly.
 
     Left: keep the diagonal coefficients formally, then map each projection
     into the boundary family.  Right: evaluate in the boundary family and
-    compress to the basis diagonal.
+    compress to the basis diagonal.  Each t_mu t_mu* is diagonal, so both
+    routes are compared as diagonal vectors; a failure names the first
+    differing basis vector.
     """
-    left = boundary.evaluate(a.diagonal())
-    right = boundary.evaluate(a).diagonal_part()
-    if left == right:
+    def diagonal(m: SparseSum) -> np.ndarray:
+        out = np.zeros(len(m.basis), dtype=complex)
+        on = m.rows == m.cols
+        out[m.rows[on]] = m.vals[on]
+        return out
+
+    left = diagonal(boundary.evaluate(a.diagonal()))
+    right = diagonal(boundary.evaluate(a))
+    diff = np.flatnonzero(left != right)
+    if not len(diff):
         return CheckResult("exp-square", "pass")
+    i = diff[0]
+    label = boundary.basis.labels[i]
     return CheckResult("exp-square", "fail",
-                       witness=str(left.first_difference(right)))
+                       witness=str((label, label, left[i].item(), right[i].item())))
 
 
 def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path
@@ -1156,13 +1098,12 @@ def _closure_cap(g: KGraph, F: list) -> Degree:
 
 
 def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
-                  system: Optional[SeparatingSystem] = None,
-                  tol: float = 1e-8) -> CheckResult:
+                  system: Optional[SeparatingSystem] = None) -> CheckResult:
     """Diagonal coefficients never beat the full element in norm.
 
     The exact diagonal norm lhs passes when it is at most the lower end of
-    the element's norm bracket plus tol, fails only above the upper end plus
-    tol, and is inconclusive in between, with the reason in the detail.
+    the element's norm bracket plus CLAIM1_TOL, fails only above the upper
+    end plus it, and is inconclusive in between, with the reason in the detail.
     The cap must contain the vee closure of F and its completions, so the
     sector-attaining diagonal entries live inside the truncation; when a
     separating system is supplied, its full degree requirement is enforced
@@ -1186,7 +1127,7 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
                                 for mu in F for nu in F if table.get((mu, nu), 0)})
     norm = operator_norm(fam.evaluate(element))
     detail = {"lhs": lhs, "rhs": norm.pop("value"), **norm}
-    lower, upper = norm["lower"], norm["upper"]
+    lower, upper, tol = norm["lower"], norm["upper"], CLAIM1_TOL
     if lhs <= lower + tol:
         return CheckResult("claim1", "pass", detail=detail)
     if lhs > upper + tol:
@@ -1198,7 +1139,7 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
 
 
 def couniversal_norm_check(fock: IsometryFamily, boundary: IsometryFamily,
-                           a: FormalElement, tol: float = 0.05) -> CheckResult:
+                           a: FormalElement) -> CheckResult:
     """Boundary evaluation norm stays below the path-space norm.
 
     Both sides are finite truncations converging from below on different
@@ -1208,9 +1149,11 @@ def couniversal_norm_check(fock: IsometryFamily, boundary: IsometryFamily,
     cancellations and inflate the truncated norm past the true one.
     """
     safe = boundary.safe_columns(a.support_degree())
-    nb = operator_norm(boundary.evaluate(a).compress(safe.tolist()))
+    m = boundary.evaluate(a)
+    box = np.isin(m.rows, safe) & np.isin(m.cols, safe)
+    nb = operator_norm(SparseSum(m.basis, m.rows[box], m.cols[box], m.vals[box]))
     nf = operator_norm(fock.evaluate(a))
-    b, f = nb.pop("value"), nf.pop("value")
+    b, f, tol = nb.pop("value"), nf.pop("value"), COUNIVERSAL_TOL
     ok = b <= f + tol
     return CheckResult("couniversal-norm", "heuristic-pass" if ok else "heuristic-fail",
                        witness=None if ok else f"boundary={b!r} fock={f!r}",

@@ -1,12 +1,12 @@
-"""Shared corpus graphs used across the test suite."""
+"""Shared corpus graphs and the dict-matrix referee used across the test suite."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from kgraphkit import make_bouquet, make_cycle, make_omega, validate_presentation
 from kgraphkit import repalg
-from kgraphkit.repalg import OperatorMatrix
 
 
 def flip_presentation() -> dict:
@@ -26,6 +26,67 @@ def flip_presentation() -> dict:
     }
 
 
+class OperatorMatrix:
+    """Sparse complex matrix on a named basis as a dict (row, col) -> value:
+    the referee for the array arithmetic of repalg.  Zero entries are dropped
+    and the others keep the order they first appear in; integer inputs stay
+    integers, so exact.
+    """
+
+    def __init__(self, basis, entries: dict):
+        self.basis = basis
+        self.entries = {k: v for k, v in entries.items() if v != 0}
+
+    @classmethod
+    def sum(cls, basis, terms) -> "OperatorMatrix":
+        """The terms added entry by entry in order, zeros dropped at the end."""
+        out: dict = {}
+        for term in terms:
+            for k, v in term.entries.items():
+                out[k] = out.get(k, 0) + v
+        return cls(basis, out)
+
+    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        return OperatorMatrix.sum(self.basis, [self, other])
+
+    def __mul__(self, scalar) -> "OperatorMatrix":
+        return OperatorMatrix(self.basis, {k: v * scalar for k, v in self.entries.items()})
+
+    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        rows: dict = {}
+        for (i, j), v in other.entries.items():
+            rows.setdefault(i, []).append((j, v))
+        out: dict = {}
+        for (i, j), a in self.entries.items():
+            for k, b in rows.get(j, ()):
+                out[(i, k)] = out.get((i, k), 0) + a * b
+        return OperatorMatrix(self.basis, out)
+
+    def adjoint(self) -> "OperatorMatrix":
+        return OperatorMatrix(self.basis, {(j, i): v.conjugate()
+                                           for (i, j), v in self.entries.items()})
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, OperatorMatrix) and self.basis is other.basis
+                and self.entries == other.entries)
+
+    def first_difference(self, other: "OperatorMatrix"):
+        """Smallest (row, col) where the two matrices disagree, or None."""
+        a, b = self.entries, other.entries
+        for k in sorted(set(a) | set(b)):
+            if a.get(k, 0) != b.get(k, 0):
+                return (self.basis.labels[k[0]], self.basis.labels[k[1]],
+                        a.get(k, 0), b.get(k, 0))
+        return None
+
+    def to_dense(self) -> np.ndarray:
+        n = len(self.basis)
+        out = np.zeros((n, n), dtype=complex)
+        for (i, j), v in self.entries.items():
+            out[i, j] = v
+        return out
+
+
 def as_matrix(basis, t):
     """The 0/1 matrix of an index array (entry (t[j], j)) or of a mask (entry
     (j, j)), built entry by entry, j ascending: the sparse-product referee's
@@ -35,12 +96,30 @@ def as_matrix(basis, t):
     return OperatorMatrix(basis, {(int(i), j): 1 for j, i in enumerate(t) if i >= 0})
 
 
+def as_referee(m):
+    """The referee's view of a SparseSum, whose entries must be distinct and
+    nonzero; the entry order is kept."""
+    assert len(m.rows) == len(m.cols) == len(m.vals)
+    entries = dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.vals.tolist()))
+    assert len(entries) == len(m.vals) and all(entries.values())
+    return OperatorMatrix(m.basis, entries)
+
+
+def referee_evaluate(fam, element):
+    """sum a t_mu t_nu* as dict products of the referee's generator matrices,
+    the terms added in sorted_items order."""
+    def gen(lam):
+        return as_matrix(fam.basis, fam.generator(lam))
+
+    return OperatorMatrix.sum(fam.basis, [(gen(mu) @ gen(nu).adjoint()) * a
+                                          for (mu, nu), a in element.sorted_items()])
+
+
 def weak_lower_end(monkeypatch):
     """Make operator_norm report 0 as its lower end, as a Ritz vector far from
     the top singular vector would; the upper end stays the proven one."""
     real = repalg.operator_norm
-    monkeypatch.setattr(repalg, "operator_norm",
-                        lambda m, **kw: {**real(m, **kw), "lower": 0.0})
+    monkeypatch.setattr(repalg, "operator_norm", lambda m: {**real(m), "lower": 0.0})
 
 
 @pytest.fixture(scope="session")

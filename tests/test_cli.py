@@ -253,6 +253,23 @@ class TestRepVerify:
                                   "--suite", "nonsense"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--suite", ","], "--suite names no suite"),
+        (["--suite", "claim1", "--suite-size", "0"], "--suite-size must be at least 1, got 0"),
+        (["--suite", "claim1", "--suite-size", "-1"], "--suite-size must be at least 1, got -1"),
+        (["--suite", "tck,bogus"], "unknown suite 'bogus'"),
+    ], ids=["no-suite", "size-0", "size-negative", "unknown-after-known"])
+    def test_nothing_to_check_exits_2_before_building(self, capsys, graph_files,
+                                                      monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family was built")
+
+        monkeypatch.setattr(cli, "build_fock_family", refuse)
+        assert main(["rep-verify", graph_files["bouquet2"], *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 def _write(path, data) -> str:
     path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")

@@ -1,9 +1,9 @@
 """0/1 partial injections and masks against the sparse dict product as referee.
 
 Every 0/1 check in ``repalg`` composes index arrays and ANDs masks; here each
-of those operations is compared with ``OperatorMatrix`` arithmetic on the
-same 0/1 matrices, on random partial injections and on every generator of
-small Fock and boundary families.
+of those operations is compared with the arithmetic of the dict-matrix
+referee ``conftest.OperatorMatrix`` on the same 0/1 matrices, on random
+partial injections and on every generator of small Fock and boundary families.
 """
 
 from __future__ import annotations
@@ -15,14 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_matrix
+from conftest import OperatorMatrix, as_matrix
+from kgraphkit import repalg
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.core import Degree, paths_up_to_degree
 from kgraphkit.repalg import (
     Basis,
     FockFamily,
+    IsometryFamily,
     KGraphError,
-    OperatorMatrix,
     boolean_rep,
     build_boundary_family,
     build_fock_family,
@@ -86,9 +87,7 @@ class TestReferee:
         lhs, rhs = terms[:split], terms[split:]
 
         def restricted_sum(side):
-            total = OperatorMatrix.zero(basis)
-            for t in side:
-                total = total + as_matrix(basis, t)
+            total = OperatorMatrix.sum(basis, [as_matrix(basis, t) for t in side])
             return OperatorMatrix(basis, {k: v for k, v in total.entries.items()
                                           if k[1] in set(cols.tolist())})
 
@@ -142,12 +141,13 @@ class _NoProduct(Exception):
 
 
 def test_zero_one_checks_use_no_sparse_products(bouquet2, monkeypatch):
-    """tck, ck, lem1, lem3 and phi2 run with every sparse product disabled."""
+    """tck, ck, lem1, lem3 and phi2 run with evaluation into linear
+    combinations and the numeric norm disabled."""
     def refuse(*args, **kwargs):
         raise _NoProduct
 
-    for name in ("__matmul__", "__add__", "adjoint", "_row_view"):
-        monkeypatch.setattr(OperatorMatrix, name, refuse)
+    monkeypatch.setattr(IsometryFamily, "evaluate", refuse)
+    monkeypatch.setattr(repalg, "operator_norm", refuse)
     fam = build_fock_family(bouquet2, (6,))
     F_small = paths_up_to_degree(bouquet2, (1,))
     F_closed = vee(bouquet2, F_small)

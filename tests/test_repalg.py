@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 
 
-from conftest import as_matrix, weak_lower_end
+from conftest import OperatorMatrix, as_matrix, as_referee, referee_evaluate, weak_lower_end
 from kgraphkit import repalg
 from kgraphkit.boundary import shift, thue_morse_path
+from kgraphkit.core import paths_up_to_degree
 from kgraphkit.repalg import (
     BooleanRelationFailure,
+    BoundaryFamily,
     CapTooSmall,
     EmptySeedSet,
     FormalElement,
     NonConvergence,
     NotMceClosed,
-    OperatorMatrix,
     SeparationSearchExhausted,
     SourceClosureViolation,
     WindowCollision,
@@ -71,6 +72,27 @@ def path_index(fam, label):
     return fam.basis.labels.index(label)
 
 
+def element(g, pairs) -> FormalElement:
+    """The formal element sum a t_mu t_nu* from (mu word, nu word, a) triples,
+    "" standing for the vertex of a single-vertex graph."""
+    def path(w):
+        return g.path(list(w)) if w else g.vertex_path(g.vertices[0])
+
+    return FormalElement(g, {(path(mu), path(nu)): a for mu, nu, a in pairs})
+
+
+def random_table(g, pool, rng, gaussian: bool) -> dict:
+    """Coefficients on a random half of the source-matching pairs of the pool:
+    Gaussian integers in [-2, 2]², which often cancel, or complex floats."""
+    table = {}
+    for mu in pool:
+        for nu in pool:
+            if mu.source_vertex == nu.source_vertex and rng.random() < 0.5:
+                table[(mu, nu)] = (complex(rng.randint(-2, 2), rng.randint(-2, 2)) if gaussian
+                                   else complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    return table
+
+
 class TestOperatorMatrix:
     def test_generators_are_partial_isometries(self, fock_b2_n4, bouquet2):
         t_a = fock_b2_n4.generator(bouquet2.edge_path("a"))
@@ -83,52 +105,87 @@ class TestOperatorMatrix:
         t = fock_b2_n4.generator(bouquet2.path(["a", "b"]))
         assert np.array_equal(inverse_map(inverse_map(t)), t)
 
-    def test_norm_of_zero(self, fock_b2_n4):
-        assert operator_norm(OperatorMatrix.zero(fock_b2_n4.basis))["value"] == 0.0
+    def test_norm_of_zero(self, fock_b2_n4, bouquet2):
+        assert operator_norm(fock_b2_n4.evaluate(element(bouquet2, [])))["value"] == 0.0
 
     def test_norm_of_projection(self, fock_b2_n4, bouquet2):
-        q = as_matrix(fock_b2_n4.basis, fock_b2_n4.q(bouquet2.edge_path("a")))
+        q = fock_b2_n4.evaluate(element(bouquet2, [("a", "a", 1)]))
+        assert as_referee(q) == as_matrix(fock_b2_n4.basis, fock_b2_n4.q(bouquet2.edge_path("a")))
         assert abs(operator_norm(q)["value"] - 1.0) < 1e-12
 
     def test_norm_sqrt_two(self, fock_b2_n4, bouquet2):
-        m = (as_matrix(fock_b2_n4.basis, fock_b2_n4.generator(bouquet2.edge_path("a")))
-             + as_matrix(fock_b2_n4.basis, fock_b2_n4.generator(bouquet2.edge_path("b"))))
+        # t_a t_v* + t_b t_v* = t_a + t_b
+        m = fock_b2_n4.evaluate(element(bouquet2, [("a", "", 1), ("b", "", 1)]))
+        basis = fock_b2_n4.basis
+        assert as_referee(m) == (as_matrix(basis, fock_b2_n4.generator(bouquet2.edge_path("a")))
+                                 + as_matrix(basis, fock_b2_n4.generator(bouquet2.edge_path("b"))))
         assert abs(operator_norm(m)["value"] - 2 ** 0.5) < 1e-9
 
-    def test_lanczos_matches_dense(self, fock_b2_n4, bouquet2):
-        m = (as_matrix(fock_b2_n4.basis, fock_b2_n4.generator(bouquet2.edge_path("a")))
-             + as_matrix(fock_b2_n4.basis, fock_b2_n4.q(bouquet2.edge_path("b"))) * 0.5)
-        dense = np.linalg.norm(m.to_dense(), 2)
-        norm = operator_norm(m, dense_threshold=1)
+    def test_lanczos_matches_dense(self, fock_b2_n4, bouquet2, monkeypatch):
+        m = fock_b2_n4.evaluate(element(bouquet2, [("a", "", 1), ("b", "b", 0.5)]))
+        dense = np.linalg.norm(as_referee(m).to_dense(), 2)
+        monkeypatch.setattr(repalg, "DENSE_THRESHOLD", 1)
+        norm = operator_norm(m)
         assert norm["method"] == "lanczos"
         assert norm["lower"] <= dense <= norm["upper"]
         assert abs(norm["lower"] - dense) < 1e-12
 
-    def test_lanczos_budget(self, fock_b2_n4, bouquet2):
-        m = as_matrix(fock_b2_n4.basis, fock_b2_n4.generator(bouquet2.edge_path("a")))
-        with pytest.raises(NonConvergence):
-            operator_norm(m, dense_threshold=1, max_iter=1)
+    def test_lanczos_budget(self, fock_b2_n4, bouquet2, monkeypatch):
+        m = fock_b2_n4.evaluate(element(bouquet2, [("a", "", 1)]))
+        monkeypatch.setattr(repalg, "DENSE_THRESHOLD", 1)
+        monkeypatch.setattr(repalg, "MAX_LANCZOS_STEPS", 1)
+        with pytest.raises(NonConvergence, match="did not settle in 1 steps"):
+            operator_norm(m)
 
-    def test_trusted_results_match_validated_construction(self, fock_b2_n4, bouquet2):
-        rng = random.Random(3)
-        m = fock_b2_n4.evaluate(FormalElement(bouquet2, {
-            (bouquet2.path(list(mu)), bouquet2.path(list(nu))):
-                complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            for mu in ("a", "ab", "ba") for nu in ("b", "aa")}))
-        adj = OperatorMatrix(m.basis, {(j, i): v.conjugate() for (i, j), v in m.entries.items()})
-        assert list(m.adjoint().entries.items()) == list(adj.entries.items())
+    def test_cancellation_leaves_no_zero_entries(self, fock_b2_n4, boundary_omega,
+                                                 bouquet2, omega22):
+        assert not OperatorMatrix(fock_b2_n4.basis, {(0, 0): 0}).entries
+        # t_a - t_aa t_a* - t_ab t_b* keeps only the vacuum entry t_a e_v = e_a
+        m = fock_b2_n4.evaluate(element(bouquet2, [("a", "", 1), ("aa", "a", -1),
+                                                   ("ab", "b", -1)]))
+        labels = fock_b2_n4.basis.labels
+        assert [(labels[i], labels[j]) for i, j in zip(m.rows, m.cols)] == [("a", "v")]
+        assert m.vals.tolist() == [1]
+        # {e1_0_0} is exhaustive at v0_0, so q_v0_0 = q_e1_0_0 on the boundary
+        v, e = omega22.vertex_path("v0_0"), omega22.edge_path("e1_0_0")
+        zero = boundary_omega.evaluate(FormalElement(omega22, {(v, v): 1, (e, e): -1}))
+        assert len(zero.rows) == len(zero.cols) == len(zero.vals) == 0
+        assert operator_norm(zero)["method"] == "zero"
 
-    def test_cancellation_leaves_no_zero_entries(self, fock_b2_n4, bouquet2):
-        assert OperatorMatrix(fock_b2_n4.basis, {(0, 0): 0}).is_zero()
-        t = as_matrix(fock_b2_n4.basis, fock_b2_n4.generator(bouquet2.edge_path("a")))
-        q = as_matrix(fock_b2_n4.basis, fock_b2_n4.q(bouquet2.edge_path("b")))
-        assert (t + t * -1).is_zero()
-        assert (t @ (q + q * -1)).is_zero()
-
-    def test_unhashable(self, fock_b2_n4):
-        # a mutable entries dict compared by value: __eq__ without __hash__
+    def test_unhashable(self, fock_b2_n4, bouquet2):
+        # a record of mutable entry arrays can be no dict or memo key
         with pytest.raises(TypeError, match="unhashable"):
-            hash(OperatorMatrix.zero(fock_b2_n4.basis))
+            hash(fock_b2_n4.evaluate(element(bouquet2, [("a", "a", 1)])))
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["complex", "gaussian"])
+@pytest.mark.parametrize("name, cap", [("fock_b2_n4", (2,)), ("boundary_tm", (2,)),
+                                       ("boundary_omega", (1, 1))],
+                         ids=["fock_b2_n4", "boundary_tm", "boundary_omega"])
+def test_evaluate_matches_referee(request, name, cap, gaussian):
+    """Entries, values and first-appearance order equal the dict referee's,
+    on random tables whose Gaussian-integer entries often cancel."""
+    fam = request.getfixturevalue(name)
+    pool = paths_up_to_degree(fam.graph, cap)
+    rng = random.Random(f"{name}:{gaussian}")
+    cancelled = 0
+    for _ in range(20):
+        table = random_table(fam.graph, pool, rng, gaussian)
+        a = FormalElement(fam.graph, table)
+        m = fam.evaluate(a)
+        ref = referee_evaluate(fam, a)
+        assert m.basis is fam.basis
+        assert m.rows.dtype == m.cols.dtype == np.intp and m.vals.dtype == complex
+        assert not np.any(m.vals == 0)
+        assert [(i, j) for i, j in zip(m.rows.tolist(), m.cols.tolist())] == list(ref.entries)
+        assert m.vals.tolist() == list(ref.entries.values())
+        touched = set()
+        for mu, nu in table:
+            tm, tn = fam.generator(mu), fam.generator(nu)
+            k = (tm >= 0) & (tn >= 0)
+            touched |= set(zip(tm[k].tolist(), tn[k].tolist()))
+        cancelled += len(touched) - len(m.vals)
+    assert (cancelled > 0) == gaussian
 
 
 @pytest.fixture(scope="module")
@@ -137,19 +194,22 @@ def fock_b2_n9(bouquet2):
 
 
 @pytest.fixture(scope="module")
-def fock_b2_n9_matrices(fock_b2_n9, bouquet2):
-    """A complex table, an integer table and a 0/1 matrix on the 1,023-vector basis."""
+def fock_b2_n9_sums(fock_b2_n9, bouquet2):
+    """A complex table, an integer table and the 0/1 sum t_a + t_b + t_ab on
+    the 1,023-vector basis, each with the referee's dense matrix."""
     fam = fock_b2_n9
     pool = [bouquet2.vertex_path("v")] + [bouquet2.path(list(w)) for w in ("a", "b", "ab", "ba")]
     rng = random.Random(0)
     cx = {(mu, nu): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
           for mu in pool for nu in pool}
     ints = {(mu, nu): rng.randint(-2, 2) for mu in pool for nu in pool}
-    zero_one = (as_matrix(fam.basis, fam.generator(bouquet2.edge_path("a")))
-                + as_matrix(fam.basis, fam.generator(bouquet2.edge_path("b")))
-                + as_matrix(fam.basis, fam.generator(bouquet2.path(["a", "b"]))))
-    return [fam.evaluate(FormalElement(bouquet2, cx)),
-            fam.evaluate(FormalElement(bouquet2, ints)), zero_one]
+    out = [(fam.evaluate(FormalElement(bouquet2, table)),
+            referee_evaluate(fam, FormalElement(bouquet2, table)).to_dense())
+           for table in (cx, ints)]
+    zero_one = fam.evaluate(element(bouquet2, [("a", "", 1), ("b", "", 1), ("ab", "", 1)]))
+    gens = [as_matrix(fam.basis, fam.generator(bouquet2.path(list(w)))) for w in ("a", "b", "ab")]
+    out.append((zero_one, (gens[0] + gens[1] + gens[2]).to_dense()))
+    return out
 
 
 def diagonal_tables(bouquet2, seeds):
@@ -161,10 +221,11 @@ def diagonal_tables(bouquet2, seeds):
 
 
 class TestLanczosBracket:
-    def test_agrees_with_dense_norm(self, fock_b2_n9_matrices):
-        for m in fock_b2_n9_matrices:
+    def test_agrees_with_dense_norm(self, fock_b2_n9_sums):
+        for m, referee in fock_b2_n9_sums:
             assert len(m.basis) == 1023
-            dense = np.linalg.norm(m.to_dense(), 2)
+            assert np.array_equal(as_referee(m).to_dense(), referee)
+            dense = np.linalg.norm(referee, 2)
             norm = operator_norm(m)
             assert norm["method"] == "lanczos" and 0 < norm["steps"]
             assert abs(norm["value"] - dense) < 1e-12
@@ -176,17 +237,17 @@ class TestLanczosBracket:
         for F, table in diagonal_tables(bouquet2, range(5)):
             m = fock_b2_n9.evaluate(FormalElement(bouquet2, table))
             norm = operator_norm(m)
-            dense = np.linalg.norm(m.to_dense(), 2)
+            dense = np.linalg.norm(as_referee(m).to_dense(), 2)
             assert norm["method"] == "lanczos"
             assert norm["lower"] <= dense <= norm["upper"]
             assert norm["upper"] - norm["lower"] <= 1e-12
 
-    def test_invariant_subspace_stop(self, fock_b2_n4, bouquet2):
+    def test_invariant_subspace_stop(self, fock_b2_n4, bouquet2, monkeypatch):
         # (q_a - 2 q_b)*(q_a - 2 q_b) = q_a + 4 q_b has three eigenvalues, so
         # the Krylov space of the start vector is invariant after three steps
-        m = (as_matrix(fock_b2_n4.basis, fock_b2_n4.q(bouquet2.edge_path("a")))
-             + as_matrix(fock_b2_n4.basis, fock_b2_n4.q(bouquet2.edge_path("b"))) * -2)
-        norm = operator_norm(m, dense_threshold=1)
+        m = fock_b2_n4.evaluate(element(bouquet2, [("a", "a", 1), ("b", "b", -2)]))
+        monkeypatch.setattr(repalg, "DENSE_THRESHOLD", 1)
+        norm = operator_norm(m)
         assert norm["steps"] <= 3
         assert norm["lower"] <= 2.0 <= norm["upper"]
         assert norm["upper"] - norm["lower"] <= 1e-12
@@ -289,7 +350,6 @@ class TestBoundaryBasis:
         # the two handles differ only in the last window letter, so t_a sends
         # both to the handle whose window is a.a.a.a: no partial isometry
         from kgraphkit.boundary import periodic_path
-        from kgraphkit.repalg import BoundaryFamily
 
         handles = [periodic_path(bouquet2, "aaab", name="x1"),
                    periodic_path(bouquet2, "a", name="x2")]
@@ -410,9 +470,10 @@ class TestDiagonalNorm:
                 bouquet2.path(["a", "b"])]
         for _ in range(20):
             c = {p: complex(rng.randint(-3, 3), rng.randint(-3, 3)) for p in pool}
-            m = OperatorMatrix.zero(fock_b2_n4.basis)
-            for p, coeff in c.items():
-                m = m + as_matrix(fock_b2_n4.basis, q.q(p)) * coeff
+            m = fock_b2_n4.evaluate(FormalElement(bouquet2, {(p, p): k for p, k in c.items()}))
+            referee = OperatorMatrix.sum(fock_b2_n4.basis, [
+                as_matrix(fock_b2_n4.basis, q.q(p)) * k for p, k in c.items()])
+            assert as_referee(m) == referee
             assert abs(diagonal_norm(q, c) - operator_norm(m)["value"]) < 1e-10
 
 
@@ -420,19 +481,19 @@ class TestExpectation:
     def test_offdiagonal_killed(self, fock_b2_n4, bouquet2):
         a = FormalElement(bouquet2, {(bouquet2.edge_path("a"), bouquet2.edge_path("b")): 1})
         diag, matrix = expectation(fock_b2_n4, a)
-        assert len(diag) == 0 and matrix.is_zero()
+        assert len(diag) == 0 and len(matrix.rows) == len(matrix.cols) == len(matrix.vals) == 0
 
     def test_diagonal_kept(self, fock_b2_n4, bouquet2):
         pa = bouquet2.edge_path("a")
         a = FormalElement(bouquet2, {(pa, pa): 1})
         diag, matrix = expectation(fock_b2_n4, a)
-        assert diag == a and matrix == as_matrix(fock_b2_n4.basis, fock_b2_n4.q(pa))
+        assert diag == a and as_referee(matrix) == as_matrix(fock_b2_n4.basis, fock_b2_n4.q(pa))
 
     def test_linearity(self, fock_b2_n4, bouquet2):
         pa, pb = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         a = FormalElement(bouquet2, {(pa, pa): 2, (pa, pb): 1j})
         diag, matrix = expectation(fock_b2_n4, a)
-        assert matrix == as_matrix(fock_b2_n4.basis, fock_b2_n4.q(pa)) * 2
+        assert as_referee(matrix) == as_matrix(fock_b2_n4.basis, fock_b2_n4.q(pa)) * 2
 
     def test_formally_idempotent(self, fock_b2_n4, bouquet2):
         pa, pb = bouquet2.edge_path("a"), bouquet2.edge_path("b")
@@ -465,9 +526,9 @@ class TestExpectation:
         for _ in range(10):
             coeffs = {(mu, nu): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                       for mu in pool for nu in pool}
-            m = fock_b2_n6.evaluate(FormalElement(bouquet2, coeffs))
+            m = as_referee(fock_b2_n6.evaluate(FormalElement(bouquet2, coeffs)))
             gram = m.adjoint() @ m
-            for value in gram.diagonal_part().entries.values():
+            for value in (v for (i, j), v in gram.entries.items() if i == j):
                 assert abs(complex(value).imag) < 1e-12
                 assert complex(value).real >= -1e-12
 
@@ -613,7 +674,7 @@ class TestClaim1Bracket:
 
     def test_fails_only_above_upper_end(self, fock_b2_n6, bouquet2, monkeypatch):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
-        monkeypatch.setattr(repalg, "operator_norm", lambda m, **kw: {
+        monkeypatch.setattr(repalg, "operator_norm", lambda m: {
             "value": 0.5, "method": "dense", "steps": 0, "lower": 0.5, "upper": 0.5,
             "allowance": 0.0})
         check = verify_claim1(fock_b2_n6, [a, b], {(a, a): 1})
@@ -645,6 +706,28 @@ class TestExpSquare:
             a = FormalElement(bouquet2, coeffs)
             assert verify_exp_square(boundary_tm, a).ok
 
+    def test_failure_witness(self, boundary_tm, bouquet2):
+        # t_a tampered to fix one handle it used to move: the off-diagonal
+        # t_a t_v* then has a diagonal entry there, which E drops
+        a_path = bouquet2.edge_path("a")
+
+        class Tampered(BoundaryFamily):
+            def _generator(self, lam):
+                dom, img = super()._generator(lam)
+                if lam == a_path:
+                    k = next(k for k, j in enumerate(dom) if j not in img)
+                    img[k] = dom[k]
+                    self.fixed = dom[k]
+                return dom, img
+
+        fam = Tampered(bouquet2, boundary_tm.handles, boundary_tm.window,
+                       boundary_tm._fp_index)
+        check = verify_exp_square(fam, FormalElement(
+            bouquet2, {(a_path, bouquet2.vertex_path("v")): 1}))
+        label = fam.basis.labels[fam.fixed]
+        assert check.status == "fail"
+        assert check.witness == f"('{label}', '{label}', 0j, (1+0j))"
+
 
 class TestDiagonalFormula:
     def test_omega_offdiagonal_zero(self, boundary_omega, omega22):
@@ -658,7 +741,8 @@ class TestDiagonalFormula:
         report = verify_diagonal_formula(boundary_omega, mu, mu)
         assert report.ok
         _, matrix = expectation(boundary_omega, FormalElement(omega22, {(mu, mu): 1}))
-        assert len(matrix.entries) == 1
+        assert as_referee(matrix) == as_matrix(boundary_omega.basis, boundary_omega.q(mu))
+        assert len(matrix.vals) == 1
 
     def test_tm_no_inconclusive_small_degrees(self, boundary_tm, bouquet2):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
