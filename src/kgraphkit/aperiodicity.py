@@ -8,7 +8,6 @@ from certificates; only graphs with finitely many paths are ever certified.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -135,9 +134,6 @@ class AperiodicityReport:
         if self.witness is not None:
             data["witness"] = [self.witness[0].label(), self.witness[1].label()]
         return data
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
 
 
 def aperiodicity_report(g: KGraph, pair_bound, tau_bound) -> AperiodicityReport:

@@ -281,6 +281,9 @@ def cmd_rep_verify(args) -> int:
     unknown = [s for s in suites if s not in SUITES]
     if unknown or not suites:
         raise ParseError(f"unknown suite {unknown[0]!r}" if unknown else "--suite names no suite")
+    repeated = [s for i, s in enumerate(suites) if s in suites[:i]]
+    if repeated:
+        raise ParseError(f"suite {repeated[0]!r} is named twice")
     if args.suite_size < 1:
         raise ParseError(f"--suite-size must be at least 1, got {args.suite_size}")
     rng = random.Random(args.seed)
@@ -355,7 +358,9 @@ def cmd_rep_verify(args) -> int:
 # -- argument wiring -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kgraphkit",
         description="higher-rank graph combinatorics and operator checks")

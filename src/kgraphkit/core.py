@@ -9,6 +9,7 @@ factorization is a terminating rewrite driven by the square table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -103,10 +104,10 @@ class Degree(tuple):
         return self._result(other, map(min, self, other))
 
     def __le__(self, other) -> bool:
-        return all(a <= b for a, b in zip(self, other))
+        return all(map(operator.le, self, other))
 
     def __ge__(self, other) -> bool:
-        return all(a >= b for a, b in zip(self, other))
+        return all(map(operator.ge, self, other))
 
     def __lt__(self, other) -> bool:
         return self <= other and tuple(self) != tuple(other)
@@ -125,11 +126,17 @@ class Degree(tuple):
 
 
 def degrees_up_to(cap: Degree) -> list[Degree]:
-    """All degrees <= cap, ordered by (total, lexicographic)."""
+    """All degrees <= cap, ordered by (total, lexicographic).
+
+    Each cap's lattice is built once; every call returns a fresh list.
+    """
+    return list(_lattice(Degree(cap)))
+
+
+@functools.cache
+def _lattice(cap: Degree) -> tuple[Degree, ...]:
     ranges = [range(c + 1) for c in cap]
-    out = [Degree(t) for t in itertools.product(*ranges)]
-    out.sort(key=Degree.sort_key)
-    return out
+    return tuple(sorted((Degree(t) for t in itertools.product(*ranges)), key=Degree.sort_key))
 
 
 def join_degrees(degrees: Iterable[Degree], rank: int) -> Degree:
@@ -215,6 +222,8 @@ class KGraph:
         for e in sorted(self.edges.values(), key=lambda e: e.name):
             self._by_color_range.setdefault((e.color, e.range_vertex), []).append(e.name)
         self._max_degree = self._longest_degrees()  # None: the path category is infinite
+        # (degree, range vertex) -> its paths, filled by paths_of_degree
+        self._paths: dict[tuple[Degree, str], tuple[Path, ...]] = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -385,30 +394,36 @@ def paths_of_degree(g: KGraph, n, range_vertex: Optional[str] = None,
     """All canonical paths of degree n, optionally filtered by endpoint.
 
     Canonical words are exactly the color-sorted composable words, so they
-    are enumerated directly; output is ordered by (range vertex, word).
+    are enumerated directly; output is ordered by (range vertex, word).  The
+    paths of each (degree, range vertex) are enumerated once per graph, and
+    every call returns a fresh list.
     """
     n = Degree(n)
     if n.rank != g.rank:
         raise KGraphError(f"degree rank {n.rank} != graph rank {g.rank}")
-    colors = [c for c in range(1, g.rank + 1) for _ in range(n[c - 1])]
-    starts = [range_vertex] if range_vertex is not None else list(g.vertices)
     out: list[Path] = []
-
-    def extend(start: str, word: list[str], at: str, pos: int) -> None:
-        if pos == len(colors):
-            if source_vertex is None or at == source_vertex:
-                out.append(Path(g, start, at, tuple(word), n))
-            return
-        for name in g.edges_at(at, colors[pos]):
-            word.append(name)
-            extend(start, word, g.edges[name].source_vertex, pos + 1)
-            word.pop()
-
-    for v in starts:
-        if v not in g.vertices:
-            raise KGraphError(f"unknown vertex {v!r}")
-        extend(v, [], v, 0)
+    for v in (range_vertex,) if range_vertex is not None else g.vertices:
+        paths = g._paths.get((n, v))
+        if paths is None:
+            if v not in g.vertices:
+                raise KGraphError(f"unknown vertex {v!r}")
+            paths = g._paths[(n, v)] = _enumerate_paths(g, n, v)
+        if source_vertex is None:
+            out.extend(paths)
+        else:
+            out.extend(p for p in paths if p.source_vertex == source_vertex)
     return out
+
+
+def _enumerate_paths(g: KGraph, n: Degree, v: str) -> tuple[Path, ...]:
+    """Paths of degree n with range v, ordered by word: each color-sorted
+    word is grown one edge at a time, edges in name order."""
+    grown: list[tuple[tuple[str, ...], str]] = [((), v)]
+    for color, count in enumerate(n, 1):
+        for _ in range(count):
+            grown = [(word + (name,), g.edges[name].source_vertex)
+                     for word, at in grown for name in g.edges_at(at, color)]
+    return tuple(Path(g, v, at, word, n) for word, at in grown)
 
 
 def paths_up_to_degree(g: KGraph, cap, range_vertex: Optional[str] = None) -> list[Path]:

@@ -130,7 +130,7 @@ class TestReport:
     def test_report_reproducible(self, c3):
         r1 = aperiodicity_report(c3, (3,), (6,))
         r2 = aperiodicity_report(c3, (3,), (6,))
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_jsonable() == r2.to_jsonable()
 
     def test_periodic_never_certified(self, c3, flip):
         for g, P, D in [(c3, (3,), (6,)), (flip, (0, 2), (2, 2))]:

@@ -258,7 +258,10 @@ class TestRepVerify:
         (["--suite", "claim1", "--suite-size", "0"], "--suite-size must be at least 1, got 0"),
         (["--suite", "claim1", "--suite-size", "-1"], "--suite-size must be at least 1, got -1"),
         (["--suite", "tck,bogus"], "unknown suite 'bogus'"),
-    ], ids=["no-suite", "size-0", "size-negative", "unknown-after-known"])
+        (["--suite", "tck,ck,tck"], "suite 'tck' is named twice"),
+        (["--suite", "claim1, claim1"], "suite 'claim1' is named twice"),
+    ], ids=["no-suite", "size-0", "size-negative", "unknown-after-known", "suite-twice",
+            "suite-twice-spaced"])
     def test_nothing_to_check_exits_2_before_building(self, capsys, graph_files,
                                                       monkeypatch, argv, message):
         def refuse(*args, **kwargs):

@@ -15,6 +15,7 @@ from kgraphkit import (
     compose,
     degrees_up_to,
     kgraph_to_dict,
+    make_bouquet,
     make_cycle,
     make_omega,
     omega_path,
@@ -262,6 +263,59 @@ class TestEnumeration:
                 if m <= n:
                     assert segment(lam, m, n) == omega_path(
                         omega222, tuple(m), tuple(n))
+
+
+class TestEnumerationMemo:
+    """paths_of_degree memoises per graph and degrees_up_to per cap."""
+
+    def test_returned_lists_are_fresh(self):
+        g = validate_presentation(flip_presentation())
+        calls = [
+            lambda: paths_of_degree(g, (1, 1)),
+            lambda: paths_of_degree(g, (1, 1), range_vertex="v"),
+            lambda: paths_of_degree(g, (1, 1), source_vertex="v"),
+            lambda: paths_up_to_degree(g, (1, 1)),
+            lambda: paths_up_to_degree(g, (1, 1), range_vertex="v"),
+            lambda: degrees_up_to(Degree((1, 1))),
+        ]
+        for call in calls:
+            first = call()
+            expected = list(first)
+            first.reverse()
+            first.append(first[0])
+            again = call()
+            assert type(again) is list and again == expected
+
+    def test_memo_is_per_graph(self):
+        # both graphs name their one vertex v
+        b2, b3 = make_bouquet(2), make_bouquet(3)
+        for n in (0, 1, 2, 1, 0, 2):
+            for g, loops in ((b2, 2), (b3, 3), (b2, 2)):
+                for got in (paths_of_degree(g, (n,), range_vertex="v"),
+                            paths_of_degree(g, (n,), source_vertex="v")):
+                    assert len(got) == loops ** n
+                    assert all(p.graph is g for p in got)
+        for g in (b3, b2):
+            assert all(p.graph is g for p in paths_up_to_degree(g, (2,)))
+
+    def test_memo_matches_fresh_enumeration(self, corpus):
+        for name in ("c3", "flip", "omega22", "omega222"):
+            g = corpus[name]
+            cap = Degree((2,) * g.rank)
+            ends = (None, *g.vertices)
+            # degrees in reverse and source filters first, so the memo fills
+            # in a different order than it is read
+            for n in reversed(degrees_up_to(cap)):
+                fresh = paths_of_degree(validate_presentation(kgraph_to_dict(g)), n)
+                for r in ends:
+                    for s in reversed(ends):
+                        expected = [(p.range_vertex, p.source_vertex, p.word, p.degree)
+                                    for p in fresh if r in (None, p.range_vertex)
+                                    and s in (None, p.source_vertex)]
+                        for _ in range(2):
+                            got = paths_of_degree(g, n, range_vertex=r, source_vertex=s)
+                            assert [(p.range_vertex, p.source_vertex, p.word, p.degree)
+                                    for p in got] == expected, (name, n, r, s)
 
 
 class TestFiniteness:
