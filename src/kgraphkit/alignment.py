@@ -2,9 +2,10 @@
 
 Every operation here has a brute-force counterpart enumerating candidate
 paths or subsets directly; the fast MCE versions extend one participant
-along degree complements and filter by the prefix condition, and vee and
-enumerate_fe are built from pairwise MCEs.  The test suite keeps the oracles
-wired to the fast paths permanently.
+along degree complements and filter by the prefix condition, vee is built
+from pairwise MCEs, and is_exhaustive and enumerate_fe share one finite
+test set (_test_degree).  The test suite keeps the oracles wired to the
+fast paths permanently.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .core import (
     join_degrees,
     paths_of_degree,
     paths_up_to_degree,
-    segment,
 )
 
 
@@ -35,13 +35,16 @@ class CapTooLargeForBudget(KGraphError):
     pass
 
 
+class NotLocallyConvex(KGraphError):
+    """No finite test set decides exhaustiveness: the graph is neither
+    locally convex nor finite."""
+
+
 def extends(lam: Path, mu: Path) -> bool:
     """True when lam = mu.mu' for some mu', i.e. mu is an initial segment."""
-    if not mu.degree <= lam.degree:
+    if not mu.degree <= lam.degree or lam.range_vertex != mu.range_vertex:
         return False
-    if lam.range_vertex != mu.range_vertex:
-        return False
-    return segment(lam, Degree.zero(lam.graph.rank), mu.degree) == mu
+    return lam.graph._split(lam.word, lam.degree, mu.degree)[0] == mu.word
 
 
 def mce(g: KGraph, mu: Path, nu: Path) -> list[Path]:
@@ -132,32 +135,42 @@ class ExhaustiveVerdict:
 
 
 def _test_set(g: KGraph, v: str, D: Degree) -> list[Path]:
-    """Paths from v of degree D plus source-blocked maximal ones below D.
+    """Paths μ from v of degree <= D with no edge at s(μ) of any color i
+    where d(μ)_i < D_i: those of degree D and the source-blocked ones."""
+    return sorted((mu for n in degrees_up_to(D) for mu in paths_of_degree(g, n, range_vertex=v)
+                   if all(n[i] == D[i] or not g.edges_at(mu.source_vertex, i + 1)
+                          for i in range(g.rank))), key=Path.sort_key)
 
-    A path below D is kept only when every deficient color has no edge at
-    its source, so no extension could raise it toward D.
+
+def _test_degree(g: KGraph, D: Degree) -> Degree:
+    """The C with: E (degrees <= D) is exhaustive at v exactly when every
+    μ ∈ T(C) = _test_set(g, v, C) has a member of E as a prefix.
+
+    For μ ∈ T(C) and d(λ) <= C, μ meets λ only as a prefix: if γ extends
+    both, each color has d(μ)_i = C_i or d(γ)_i = d(μ)_i, so d(λ) <= d(μ).
+    Locally convex graph, C = D: extend a path ν meeting no member of E
+    greedily in the colors where d_i < C_i, to ν̃.  By induction on local
+    convexity along the rest of ν̃, μ = ν̃(0, d(ν̃) ∧ C) lies in T(C); a member
+    that is a prefix of μ would be one of ν̃.  Without local convexity this
+    fails: with e: u <- w of color 1, f: u <- x of color 2 and no squares,
+    T(d(e)) = {e} though f meets no extension of e.  With finitely many
+    paths, C = max_path_degree() makes T(C) the maximal paths, which is
+    exact; any other graph raises NotLocallyConvex.
     """
-    out = []
-    for n in degrees_up_to(D):
-        for mu in paths_of_degree(g, n, range_vertex=v):
-            if tuple(n) == tuple(D):
-                out.append(mu)
-                continue
-            blocked = all(
-                g.edges_at(mu.source_vertex, i + 1) == []
-                for i in range(g.rank) if n[i] < D[i])
-            if blocked:
-                out.append(mu)
-    out.sort(key=Path.sort_key)
-    return out
+    if g.locally_convex:
+        return D
+    if g.has_finite_path_category():
+        return g.max_path_degree()
+    raise NotLocallyConvex(
+        "exhaustiveness needs a locally convex graph or finitely many paths")
 
 
 def is_exhaustive(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdict:
     """Decide whether every path from v has a common extension with some λ in E.
 
-    Runs on the finite test set of degree-D and source-blocked paths, where
-    D joins the degrees in E; the brute-force oracle below stays in the test
-    suite as a permanent guard on this reduction.
+    Runs on the finite test set at _test_degree of the joined degree D of E;
+    the brute-force oracle below stays in the test suite as a permanent
+    guard on this reduction.
     """
     E = list(E)
     if not E:
@@ -165,24 +178,28 @@ def is_exhaustive(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdict:
     for lam in E:
         if lam.range_vertex != v:
             raise KGraphError(f"{lam.label()} does not have range {v!r}")
-    D = join_degrees((lam.degree for lam in E), g.rank)
-    test = _test_set(g, v, D)
+    C = _test_degree(g, join_degrees((lam.degree for lam in E), g.rank))
+    test = _test_set(g, v, C)
     for mu in test:
-        if not any(mce(g, mu, lam) for lam in E):
-            return ExhaustiveVerdict(False, mu, D, len(test))
-    return ExhaustiveVerdict(True, None, D, len(test))
+        if not any(extends(mu, lam) for lam in E):
+            return ExhaustiveVerdict(False, mu, C, len(test))
+    return ExhaustiveVerdict(True, None, C, len(test))
 
 
 def is_exhaustive_brute(g: KGraph, v: str, E: Sequence[Path], slack: int = 1
                         ) -> ExhaustiveVerdict:
-    """Oracle: test every path from v of degree <= D + slack·(1,...,1)."""
+    """Oracle: test every path from v up to max_path_degree() when there are
+    finitely many, else every one of degree <= D + slack·(1,...,1).
+
+    Exact on graphs with finitely many paths; on the others only when they
+    are locally convex (the argument at _test_degree).
+    """
     E = list(E)
     if not E:
         raise EmptyEError(f"empty candidate set at {v!r} is not exhaustive")
     D = join_degrees((lam.degree for lam in E), g.rank)
-    cap = D + Degree((slack,) * g.rank)
-    if g.has_finite_path_category():
-        cap = cap.meet(g.max_path_degree().join(D))
+    cap = (g.max_path_degree() if g.has_finite_path_category()
+           else D + Degree((slack,) * g.rank))
     count = 0
     for mu in paths_up_to_degree(g, cap, range_vertex=v):
         count += 1
@@ -194,90 +211,56 @@ def is_exhaustive_brute(g: KGraph, v: str, E: Sequence[Path], slack: int = 1
 def enumerate_fe(g: KGraph, v: str, cap, budget: int = 100_000) -> list[list[Path]]:
     """All inclusion-minimal exhaustive subsets of the paths from v below cap.
 
-    Minimality is by inclusion only, an artifact convenience.  Candidates are
-    scanned by size, and only antichains are grown: a minimal exhaustive set
-    never holds both mu and a proper extension mu·alpha, since every path
-    meeting mu·alpha meets mu, so the extension could be dropped.  A candidate
-    of size s + 1 is a live candidate of size s plus one later universe member
-    that extends none of its members (the universe is ordered by total
-    degree, so a later member is never a proper prefix of an earlier one).
-    Supersets of found sets are pruned, and the scan stops at the first size
-    with no live candidate.
-
-    Exhaustiveness is the is_exhaustive predicate on the test set of the
-    joined degree D: each member contributes a bitmask of the test paths it
-    has a common extension with, and a candidate is exhaustive when the OR of
-    its members' masks covers the whole test set.  Test sets, masks and prefix
-    tests are built on first use and live only for this call.
-
-    The budget bounds the candidates examined, i.e. the antichains holding no
-    found set; exceeding it fails loudly with CapTooLargeForBudget instead of
-    hanging.
+    By _test_degree, a subset is exhaustive exactly when it covers the one
+    test set T at _test_degree(g, cap), each test path being covered by its
+    prefixes.  So the minimal FE sets are the minimal covers of T, found by
+    MMCS (Murakami–Uno 2014): branch on the uncovered test path with the
+    fewest candidates left, and keep every chosen member's critical test
+    paths (those only it covers) nonempty.  A minimal cover is an antichain,
+    since an extension of a member covers only test paths the member does.
+    The budget bounds the search nodes; past it CapTooLargeForBudget is raised.
     """
     cap = Degree(cap)
     if g.has_finite_path_category():
         cap = cap.meet(g.max_path_degree())
     universe = paths_up_to_degree(g, cap, range_vertex=v)
-    tests: dict[Degree, list[Path]] = {}
-    rows: dict[tuple[Degree, int], int] = {}
-    prefix_of: dict[tuple[int, int], bool] = {}
-
-    def test_set(D: Degree) -> list[Path]:
-        if D not in tests:
-            tests[D] = _test_set(g, v, D)
-        return tests[D]
-
-    def row(D: Degree, i: int) -> int:
-        """Bit t is set when test path t has a common extension with member i."""
-        key = (D, i)
-        if key not in rows:
-            lam = universe[i]
-            rows[key] = sum(1 << t for t, mu in enumerate(test_set(D)) if mce(g, mu, lam))
-        return rows[key]
-
-    def member_extends(j: int, i: int) -> bool:
-        if (i, j) not in prefix_of:
-            prefix_of[(i, j)] = extends(universe[j], universe[i])
-        return prefix_of[(i, j)]
-
-    found_by_last: list[list[int]] = [[] for _ in universe]  # masks by highest member
+    test = _test_set(g, v, _test_degree(g, cap))
+    # bit i of rows[t]: member i covers test path t; cols is the transpose
+    rows = [sum(1 << i for i, lam in enumerate(universe) if extends(mu, lam)) for mu in test]
+    cols = [sum(1 << t for t, row in enumerate(rows) if row >> i & 1)
+            for i in range(len(universe))]
     out: list[list[Path]] = []
-    checked = 0
-    # live candidates that are not exhaustive: (member indices, joined degree)
-    level: list[tuple[tuple[int, ...], Degree]] = [((), Degree.zero(g.rank))]
-    while level:
-        grown = []
-        for members, D in level:
-            mask = sum(1 << i for i in members)
-            for j in range(members[-1] + 1 if members else 0, len(universe)):
-                if any(member_extends(j, i) for i in members):
-                    continue
-                cand_mask = mask | (1 << j)
-                # the live prefix holds no found set, so one inside must end at j
-                if any(f & cand_mask == f for f in found_by_last[j]):
-                    continue
-                checked += 1
-                if checked > budget:
-                    raise CapTooLargeForBudget(
-                        f"examined more than {budget} candidate sets at cap {tuple(cap)}")
-                cand = members + (j,)
-                joined = D.join(universe[j].degree)
-                cover = 0
-                for i in cand:
-                    cover |= row(joined, i)
-                if cover == (1 << len(test_set(joined))) - 1:
-                    found_by_last[j].append(cand_mask)
-                    out.append(sorted((universe[i] for i in cand), key=Path.sort_key))
-                else:
-                    grown.append((cand, joined))
-        level = grown
+    nodes = 0
+
+    def search(crit: dict[int, int], uncovered: int, cand: int) -> None:
+        """crit maps each chosen member to the test paths only it covers."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise CapTooLargeForBudget(
+                f"examined more than {budget} search nodes at cap {tuple(cap)}")
+        if not uncovered:
+            out.append(sorted((universe[i] for i in crit), key=Path.sort_key))
+            return
+        branch = min((rows[t] & cand for t in range(len(test)) if uncovered >> t & 1),
+                     key=int.bit_count)
+        cand &= ~branch
+        for i in range(len(universe)):
+            if branch >> i & 1:
+                kept = {j: c & ~cols[i] for j, c in crit.items()}
+                if all(kept.values()):
+                    kept[i] = uncovered & cols[i]
+                    search(kept, uncovered & ~cols[i], cand)
+                cand |= 1 << i
+
+    search({}, (1 << len(test)) - 1, (1 << len(universe)) - 1)
     out.sort(key=lambda E: (len(E), [p.sort_key() for p in E]))
     return out
 
 
 def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000
                        ) -> list[list[Path]]:
-    """Oracle: every subset of the universe by size, tested with is_exhaustive."""
+    """Oracle: every subset of the universe by size, tested with is_exhaustive_brute."""
     cap = Degree(cap)
     if g.has_finite_path_category():
         cap = cap.meet(g.max_path_degree())
@@ -296,7 +279,7 @@ def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000
             if checked > budget:
                 raise CapTooLargeForBudget(
                     f"examined more than {budget} candidate sets at cap {tuple(cap)}")
-            if is_exhaustive(g, v, list(combo)):
+            if is_exhaustive_brute(g, v, list(combo)):
                 found.append(cand)
                 out.append(sorted(combo, key=Path.sort_key))
         if not any_live:

@@ -222,6 +222,12 @@ class KGraph:
         for e in sorted(self.edges.values(), key=lambda e: e.name):
             self._by_color_range.setdefault((e.color, e.range_vertex), []).append(e.name)
         self._max_degree = self._longest_degrees()  # None: the path category is infinite
+        # a vertex receiving a color-i edge and a color-j edge g (i != j) has a
+        # color-i edge at s(g) too (Raeburn–Sims–Yeend 2004)
+        self.locally_convex = all(
+            (i, e.source_vertex) in self._by_color_range
+            for e in self.edges.values() for i in range(1, rank + 1)
+            if i != e.color and (i, e.range_vertex) in self._by_color_range)
         # (degree, range vertex) -> its paths, filled by paths_of_degree
         self._paths: dict[tuple[Degree, str], tuple[Path, ...]] = {}
 
@@ -442,6 +448,13 @@ _EDGE_KEYS = {"name", "color", "range", "source"}
 _SQUARE_KEYS = {"top", "bottom"}
 
 
+def _keys(rec, what: str) -> set:
+    """The keys of a JSON object; anything else is a ParseError."""
+    if not isinstance(rec, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(rec).__name__}")
+    return set(rec)
+
+
 def validate_presentation(raw: dict) -> KGraph:
     """Check a raw presentation and return the KGraph it defines.
 
@@ -452,7 +465,7 @@ def validate_presentation(raw: dict) -> KGraph:
     """
     violations: list[Violation] = []
 
-    unknown = set(raw) - _PRESENTATION_KEYS
+    unknown = _keys(raw, "presentation") - _PRESENTATION_KEYS
     if unknown:
         raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
     for key in ("vertices", "edges", "squares"):
@@ -478,7 +491,7 @@ def validate_presentation(raw: dict) -> KGraph:
     edges: list[SkeletonEdge] = []
     edge_by_name: dict[str, SkeletonEdge] = {}
     for rec in edge_records:
-        unknown = set(rec) - _EDGE_KEYS
+        unknown = _keys(rec, "edge record") - _EDGE_KEYS
         if unknown:
             raise ParseError(f"unknown edge keys: {sorted(unknown)}")
         try:
@@ -505,7 +518,7 @@ def validate_presentation(raw: dict) -> KGraph:
     tops_seen: dict[tuple[str, str], int] = {}
     bottoms_seen: dict[tuple[str, str], int] = {}
     for rec in square_records:
-        unknown = set(rec) - _SQUARE_KEYS
+        unknown = _keys(rec, "square record") - _SQUARE_KEYS
         if unknown:
             raise ParseError(f"unknown square keys: {sorted(unknown)}")
         try:

@@ -835,7 +835,7 @@ def diagonal_norm(fam: IsometryFamily, coeffs: dict) -> float:
             continue
         total = 0
         for lam, c in support.items():
-            if lam == alpha or extends(alpha, lam):
+            if extends(alpha, lam):
                 total += c
         best = max(best, abs(total))
     return float(best)

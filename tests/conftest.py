@@ -26,6 +26,36 @@ def flip_presentation() -> dict:
     }
 
 
+def _presentation(rank, vertices, edges, squares=()) -> dict:
+    return {"rank": rank, "vertices": vertices,
+            "edges": [{"name": n, "color": c, "range": r, "source": s}
+                      for n, c, r, s in edges],
+            "squares": [{"top": list(t), "bottom": list(b)} for t, b in squares]}
+
+
+def nlc_presentation(loop: bool = False) -> dict:
+    """2-graph u <-e- w (color 1), u <-f- x (color 2), no squares: not locally
+    convex, since s(f) = x has no color-1 edge.  With loop, a color-1 loop a
+    at w makes its path category infinite."""
+    edges = [("e", 1, "u", "w"), ("f", 2, "u", "x")]
+    if loop:
+        edges.append(("a", 1, "w", "w"))
+    return _presentation(2, ["u", "w", "x"], edges)
+
+
+def ladder_presentation(n: int) -> dict:
+    """2-graph on a color-2 chain u0 <-f1- u1 <- ... <-fn- un with color-1 rungs
+    e_i: u_i <- w_i (i < n), color-2 edges h_i: w_{i-1} <- w_i and squares
+    e_i h_{i+1} = f_{i+1} e_{i+1}; not locally convex, since s(fn) = un has
+    no color-1 edge."""
+    edges = [(f"f{i}", 2, f"u{i - 1}", f"u{i}") for i in range(1, n + 1)]
+    edges += [(f"e{i}", 1, f"u{i}", f"w{i}") for i in range(n)]
+    edges += [(f"h{i}", 2, f"w{i - 1}", f"w{i}") for i in range(1, n)]
+    squares = [((f"e{i}", f"h{i + 1}"), (f"f{i + 1}", f"e{i + 1}")) for i in range(n - 1)]
+    vertices = [f"u{i}" for i in range(n + 1)] + [f"w{i}" for i in range(n)]
+    return _presentation(2, vertices, edges, squares)
+
+
 class OperatorMatrix:
     """Sparse complex matrix on a named basis as a dict (row, col) -> value:
     the referee for the array arithmetic of repalg.  Zero entries are dropped
@@ -145,6 +175,21 @@ def omega22():
 @pytest.fixture(scope="session")
 def omega222():
     return make_omega(3, (2, 2, 2))
+
+
+@pytest.fixture(scope="session")
+def nlc():
+    return validate_presentation(nlc_presentation())
+
+
+@pytest.fixture(scope="session")
+def ladder2():
+    return validate_presentation(ladder_presentation(2))
+
+
+@pytest.fixture(scope="session")
+def ladder3():
+    return validate_presentation(ladder_presentation(3))
 
 
 @pytest.fixture(scope="session")

@@ -138,7 +138,7 @@ def test_criterion_3_mce_oracle_equivalence(corpus):
 
 
 def test_criterion_4_exhaustivity_soundness(corpus):
-    with criterion(4, "is_exhaustive agrees with the D+1 oracle, 200/graph", 60.0):
+    with criterion(4, "is_exhaustive agrees with the brute-force oracle, 200/graph", 60.0):
         rng = random.Random(EXHAUSTIVE_SEED)
         for g in corpus.values():
             cap = Degree((2,) * g.rank)

@@ -12,6 +12,9 @@ from kgraphkit import Degree, make_bouquet, paths_up_to_degree, validate_present
 from kgraphkit.alignment import (
     CapTooLargeForBudget,
     EmptyEError,
+    NotLocallyConvex,
+    _test_degree,
+    _test_set,
     enumerate_fe,
     enumerate_fe_brute,
     extends,
@@ -25,6 +28,8 @@ from kgraphkit.alignment import (
     vee_brute,
 )
 from kgraphkit.core import _omega_vertex
+
+from conftest import nlc_presentation
 
 
 class TestMce:
@@ -216,13 +221,20 @@ class TestEnumerateFe:
 
 
 _FE_CAPS = {"c3": [(1,), (3,)], "bouquet2": [(1,), (2,)], "flip": [(1, 0), (1, 1)],
-            "omega22": [(1, 1), (2, 2)], "omega222": [(1, 1, 1)], "twin": [(1, 1)]}
+            "omega22": [(1, 1), (2, 2)], "omega222": [(1, 1, 1)], "twin": [(1, 1)],
+            "nlc": [(1, 1)], "ladder3": [(1, 1), (1, 3)]}
+
+
+@pytest.fixture(scope="module")
+def graphs(corpus, twin, nlc, ladder2, ladder3):
+    """The corpus plus the twin and the graphs that are not locally convex."""
+    return {**corpus, "twin": twin, "nlc": nlc, "ladder2": ladder2, "ladder3": ladder3}
 
 
 @pytest.mark.parametrize("name,cap", [(name, cap) for name, caps in _FE_CAPS.items()
                                       for cap in caps])
-def test_enumerate_fe_matches_subset_oracle(corpus, twin, name, cap):
-    g = twin if name == "twin" else corpus[name]
+def test_enumerate_fe_matches_subset_oracle(graphs, name, cap):
+    g = graphs[name]
     for v in g.vertices:
         got = enumerate_fe(g, v, cap)
         assert got == enumerate_fe_brute(g, v, cap), (v, cap)
@@ -230,3 +242,50 @@ def test_enumerate_fe_matches_subset_oracle(corpus, twin, name, cap):
             for i, lam in enumerate(E):
                 for mu in E[:i] + E[i + 1:]:
                     assert not extends(lam, mu), (v, lam.label(), mu.label())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", ["c3", "bouquet2", "flip", "omega22", "omega222", "twin",
+                                  "nlc", "ladder2", "ladder3"])
+def test_is_exhaustive_matches_brute_on_random_sets(data, graphs, name):
+    # the cover test of enumerate_fe at a cap agrees too: one test set
+    # decides every member set below it
+    g = graphs[name]
+    v = data.draw(st.sampled_from(g.vertices))
+    cap = _pair_cap(g)
+    pool = paths_up_to_degree(g, cap, range_vertex=v)
+    E = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    fast = is_exhaustive(g, v, E)
+    assert fast.exhaustive == is_exhaustive_brute(g, v, E).exhaustive, [p.label() for p in E]
+    test = _test_set(g, v, _test_degree(g, cap))
+    assert fast.exhaustive == all(any(extends(mu, lam) for lam in E) for mu in test)
+
+
+class TestNotLocallyConvex:
+    def test_corpus_is_locally_convex(self, graphs):
+        assert [n for n, g in graphs.items() if not g.locally_convex] == [
+            "nlc", "ladder2", "ladder3"]
+
+    def test_nlc_edge_alone_is_not_exhaustive(self, nlc):
+        verdict = is_exhaustive(nlc, "u", [nlc.edge_path("e")])
+        assert not verdict and verdict.witness == nlc.edge_path("f")
+        got = enumerate_fe(nlc, "u", (1, 1))
+        assert [[p.label() for p in E] for E in got] == [["u"], ["f", "e"]]
+
+    def test_ladder_rung_is_not_exhaustive(self, ladder3):
+        verdict = is_exhaustive(ladder3, "u0", [ladder3.edge_path("e0")])
+        assert not verdict and verdict.witness.label() == "f1.f2.f3"
+
+    def test_infinite_graph_raises(self):
+        g = validate_presentation(nlc_presentation(loop=True))
+        assert not g.locally_convex and not g.has_finite_path_category()
+        with pytest.raises(NotLocallyConvex):
+            is_exhaustive(g, "u", [g.edge_path("e")])
+        with pytest.raises(NotLocallyConvex):
+            enumerate_fe(g, "u", (1, 1))
+
+
+@pytest.mark.parametrize("loops,cap,count", [(2, (4,), 677), (3, (3,), 730)])
+def test_fe_caps_reached_at_default_budget(loops, cap, count):
+    assert len(enumerate_fe(make_bouquet(loops), "v", cap)) == count

@@ -10,7 +10,7 @@ from kgraphkit import kgraph_to_dict, make_bouquet, make_cycle, make_omega
 from kgraphkit import boundary, cli
 from kgraphkit.cli import main
 
-from conftest import flip_presentation, weak_lower_end
+from conftest import flip_presentation, nlc_presentation, weak_lower_end
 
 
 @pytest.fixture()
@@ -107,6 +107,19 @@ class TestQueries:
                                         "--cap", "1"])
         assert code == 0
         assert payload["results"] == [["v"], ["a", "b"]]
+
+    def test_not_locally_convex(self, capsys, tmp_path):
+        nlc = _write(tmp_path / "nlc.kg", nlc_presentation())
+        code, payload, _ = run(capsys, ["exhaustive", nlc, "u", "e"])
+        assert code == 1 and payload["results"]["witness"] == "f"
+        code, payload, _ = run(capsys, ["fe", nlc, "u", "--cap", "1,1"])
+        assert code == 0 and payload["results"] == [["u"], ["f", "e"]]
+        loop = _write(tmp_path / "nlc_loop.kg", nlc_presentation(loop=True))
+        for argv in (["exhaustive", loop, "u", "e"], ["fe", loop, "u", "--cap", "1,1"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                "error: exhaustiveness needs a locally convex graph or finitely many paths\n")
 
 
 class TestAperiodic:
@@ -282,7 +295,8 @@ def _write(path, data) -> str:
 @pytest.mark.parametrize("case", [
     "degree-not-int", "degree-negative", "rank-not-int", "color-not-int", "seeds-missing",
     "seeds-not-json", "seeds-no-rules", "seeds-no-word", "vertices-string", "vertices-object",
-    "edges-object", "squares-string"])
+    "edges-object", "squares-string", "top-list", "top-int", "top-string", "edge-int",
+    "square-int"])
 def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, case):
     b2 = graph_files["bouquet2"]
 
@@ -309,10 +323,20 @@ def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, ca
             "rank": 1, "vertices": ["v"], "edges": {}, "squares": []})],
         "squares-string": ["validate", _write(tmp_path / "ss.kg", {
             "rank": 1, "vertices": ["v"], "edges": [], "squares": "ab"})],
+        "top-list": ["validate", _write(tmp_path / "tl.kg", [])],
+        "top-int": ["validate", _write(tmp_path / "ti.kg", 5)],
+        # a top-level string must not be read as its characters
+        "top-string": ["validate", _write(tmp_path / "ts.kg", json.dumps("rank"))],
+        "edge-int": ["validate", _write(tmp_path / "ei.kg", {
+            "rank": 1, "vertices": ["v"], "edges": [5], "squares": []})],
+        "square-int": ["validate", _write(tmp_path / "si.kg", {
+            "rank": 1, "vertices": ["v"], "edges": [], "squares": [1]})],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+    if case in ("top-list", "top-int", "top-string", "edge-int", "square-int"):
+        assert "must be a JSON object" in err, err
 
 
 @pytest.mark.parametrize("shifts", [2.9, True, 0, -2, "3"])
