@@ -5,8 +5,7 @@ left-concatenation operators on a degree-truncated path basis, and the
 boundary family acting on a basis of boundary-path handles.  All 0/1
 identities are asserted in exact integer arithmetic on safe basis vectors,
 where no truncation artifact can reach; norms are numeric and carry a
-bracket, proven above the dense threshold, so a norm comparison can come out
-inconclusive but not wrong.
+proven bracket, so a norm comparison can come out inconclusive but not wrong.
 
 Each generator t_lam is a 0/1 partial injection, held as an int array with
 t[j] = i when t e_j = e_i and -1 where t is undefined; each q_lam, Q piece,
@@ -117,7 +116,6 @@ class SparseSum(NamedTuple):
     vals: np.ndarray
 
 
-DENSE_THRESHOLD = 600  # operator_norm takes a dense SVD up to this many basis vectors
 MAX_LANCZOS_STEPS = 1_000  # each residual test is a dense eigh of T_k, O(k³)
 CLAIM1_TOL = 1e-8  # absolute slack of verify_claim1's comparison
 COUNIVERSAL_TOL = 0.05  # absolute slack of couniversal_norm_check's comparison
@@ -128,13 +126,10 @@ def operator_norm(m: SparseSum) -> dict:
     ‖M‖ <= "upper", with the "method", Lanczos "steps" and the rounding
     "allowance" taken off the lower end.
 
-    method "zero": M has no entries.  method "dense", up to DENSE_THRESHOLD
-    basis vectors: LAPACK's value plus or minus γ_n·value, the backward error
-    of a stable SVD with its constant taken as 1, an estimate rather than a
-    proof.  method "lanczos": Lanczos on M*M from a deterministic start
-    vector; lower is the Rayleigh quotient ‖My‖/‖y‖ of the Ritz vector y
-    minus the allowance, upper the Collatz–Wielandt bound on |M|ᵀ|M|, and
-    both are proven bounds.
+    method "zero": M has no entries.  method "lanczos", at every other size:
+    Lanczos on M*M from a fixed start vector; lower is the Rayleigh quotient
+    ‖My‖/‖y‖ of the Ritz vector y minus the allowance, upper the
+    Collatz–Wielandt bound on |M|ᵀ|M|, and both are proven bounds.
 
     M and M* are applied as bincount matvecs on the entry arrays.  Pass 1
     keeps only the tridiagonal coefficients and stops when the top Ritz
@@ -161,12 +156,6 @@ def operator_norm(m: SparseSum) -> dict:
     n, rows, cols, vals = len(m.basis), m.rows, m.cols, m.vals
     if not len(vals):
         return bracket(0.0, 0.0, 0.0, "zero", 0, 0.0)
-    if n <= DENSE_THRESHOLD:
-        dense = np.zeros((n, n), dtype=complex)
-        dense[rows, cols] = vals
-        value = float(np.linalg.norm(dense, 2))
-        allowance = gamma(n) * value
-        return bracket(value, value - allowance, value + allowance, "dense", 0, allowance)
     conj = vals.conj()
 
     def apply(v: np.ndarray, x: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -196,7 +185,11 @@ def operator_norm(m: SparseSum) -> dict:
         evals, evecs = np.linalg.eigh(t)
         return float(evals[-1]), evecs[:, -1]
 
-    start = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    # 1 + frac(j·φ), φ = (√5 - 1)/2: the constant vector can be orthogonal to
+    # the top singular vector of a 0/1 element (M = t_a t_a* - t_a t_b* on
+    # the Fock basis sends it to 0); these irrational steps break the symmetry
+    start = 1 + np.mod(np.arange(n) * ((math.sqrt(5) - 1) / 2), 1.0)
+    start = (start / np.linalg.norm(start)).astype(complex)
     zeros = np.zeros(n, dtype=complex)
     alphas: list[float] = []
     betas: list[float] = []
@@ -367,6 +360,9 @@ class IsometryFamily:
     within the stated budget acts without hitting the truncation rim.
     """
 
+    cap: Optional[Degree] = None  # a truncated basis's cap, which bounds every generator
+    _ranges: np.ndarray  # the range vertex of each basis vector, set by each subclass
+
     def __init__(self, kind: str, graph: KGraph, basis: Basis):
         self.kind = kind
         self.graph = graph
@@ -376,8 +372,8 @@ class IsometryFamily:
         self._safe: dict[tuple, np.ndarray] = {}
         self._closure: dict[tuple, Degree] = {}  # sorted F -> _closure_cap
 
-    # subclass hooks: (domain, image) indices of t_lam, and safe columns
-    def _generator(self, lam: Path) -> tuple[Sequence[int], Sequence[int]]:
+    # subclass hooks: (domain, image) indices of t_e for an edge e, and safe columns
+    def _edge_generator(self, e: Path) -> tuple[Sequence[int], Sequence[int]]:
         raise NotImplementedError
 
     def _safe_columns(self, budget: Degree) -> Sequence[int]:
@@ -393,9 +389,24 @@ class IsometryFamily:
         return got
 
     def generator(self, lam: Path) -> np.ndarray:
-        """t_lam as a read-only index array j -> i, -1 where undefined."""
+        """t_lam as a read-only index array j -> i, -1 where undefined.
+
+        t_v is the identity on the basis vectors with range v, t_e is the
+        subclass hook's, and every longer t_lam composes the edge generators
+        along lam's word: t_lam = t_e1 ⋯ t_en."""
         def build():
-            dom, img = self._generator(lam)
+            if self.cap is not None and not lam.degree <= self.cap:
+                raise CapTooSmall(f"generator degree {tuple(lam.degree)} "
+                                  f"exceeds basis cap {tuple(self.cap)}")
+            if lam.is_vertex():
+                return _as_map(self._ranges == lam.range_vertex)
+            edges = [self.graph.edge_path(e) for e in lam.word]
+            if len(edges) > 1:
+                t = self.generator(edges[-1])
+                for e in reversed(edges[:-1]):
+                    t = compose_maps(self.generator(e), t)
+                return t
+            dom, img = self._edge_generator(lam)
             t = np.full(len(self.basis), -1, dtype=np.intp)
             t[dom] = img
             if np.count_nonzero(range_mask(t)) != len(dom):
@@ -443,44 +454,31 @@ class FockFamily(IsometryFamily):
         basis = Basis([p.label() for p in paths])
         super().__init__("fock", graph, basis)
         self.cap = cap
+        self._ranges = np.array([p.range_vertex for p in paths])
         self._paths = paths
         self._label_index = {label: i for i, label in enumerate(basis.labels)}
         self._degrees = np.array([tuple(p.degree) for p in paths], dtype=np.intp)
-        self._ranges = np.array([p.range_vertex for p in paths])
 
     def _within(self, d: Degree) -> np.ndarray:
         """Mask of the basis paths beta with d(beta) <= cap - d."""
         return np.all(self._degrees <= np.array(self.cap - d), axis=1)
 
-    def _generator(self, lam: Path) -> tuple[np.ndarray, np.ndarray]:
-        """t_v is the identity on the paths with range v, t_e sends beta to
-        e·beta, and t_lam composes the edge generators along lam's word: both
-        sides are defined exactly when s(lam) = r(beta) and d(lam·beta) <= cap."""
-        if not lam.degree <= self.cap:
-            raise CapTooSmall(
-                f"generator degree {tuple(lam.degree)} exceeds basis cap {tuple(self.cap)}")
+    def _edge_generator(self, e: Path) -> tuple[np.ndarray, np.ndarray]:
+        """t_e sends beta to e·beta, defined exactly when s(e) = r(beta) and
+        d(e·beta) <= cap; the image is found by label."""
         g = self.graph
-        if lam.is_vertex():
-            dom = np.flatnonzero(self._ranges == lam.range_vertex)
-            return dom, dom
-        if len(lam.word) > 1:
-            t = self.generator(g.edge_path(lam.word[-1]))
-            for e in reversed(lam.word[:-1]):
-                t = compose_maps(self.generator(g.edge_path(e)), t)
-            dom = np.flatnonzero(t >= 0)
-            return dom, t[dom]
-        (e,) = lam.word
-        dom = np.flatnonzero(self._within(lam.degree) & (self._ranges == lam.source_vertex))
+        dom = np.flatnonzero(self._within(e.degree) & (self._ranges == e.source_vertex))
         index, color = self._label_index, g._color
+        (name,) = e.word
         img = []
         for j in dom.tolist():
             word = self._paths[j].word
             if not word:
-                img.append(index[e])
+                img.append(index[name])
                 continue
-            word = (e,) + word
+            word = (name,) + word
             # beta's word is color-sorted, so only an inverted seam needs swaps
-            if color[e] > color[word[1]]:
+            if color[name] > color[word[1]]:
                 word = g.normalize(word)
             img.append(index[".".join(word)])
         return dom, np.array(img, dtype=np.intp)
@@ -498,6 +496,7 @@ class BoundaryFamily(IsometryFamily):
                  window: Degree, fingerprints: dict):
         basis = Basis([f"x{i:03d}" for i in range(len(handles))])
         super().__init__("boundary", graph, basis)
+        self._ranges = np.array([x.range_vertex for x in handles])
         self.window = window
         self.handles = tuple(handles)
         self._fp_index = fingerprints  # fingerprint -> basis index
@@ -530,19 +529,19 @@ class BoundaryFamily(IsometryFamily):
             got = self._tails[j, d] = ids.setdefault(fp, len(ids))
         return got
 
-    def _generator(self, lam: Path) -> tuple[list, list]:
-        """Domain and image of t_lam; two handles with one windowed image
-        would make t_lam no partial isometry, so they raise WindowCollision."""
+    def _edge_generator(self, e: Path) -> tuple[list, list]:
+        """Domain and image of t_e, one extension per handle; two handles with
+        one windowed image would make t_e no partial isometry, so they raise
+        WindowCollision."""
         source: dict[int, int] = {}  # image -> domain
-        for j, x in enumerate(self.handles):
-            if lam.source_vertex != x.range_vertex:
-                continue
-            i = self.handle_index(extend(lam, x))
+        for j in np.flatnonzero(self._ranges == e.source_vertex).tolist():
+            x = self.handles[j]
+            i = self.handle_index(extend(e, x))
             if i is None:
                 continue
             if i in source:
                 raise WindowCollision(
-                    f"t_{lam.label()} sends {self.handles[source[i]].describe()} and "
+                    f"t_{e.label()} sends {self.handles[source[i]].describe()} and "
                     f"{x.describe()} to one handle at window {tuple(self.window)}")
             source[i] = j
         return list(source.values()), list(source)
@@ -1117,7 +1116,7 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
         needed = fam._closure.get(tuple(F))
         if needed is None:
             needed = fam._closure[tuple(F)] = _closure_cap(g, F)
-    if isinstance(fam, FockFamily) and not needed <= fam.cap:
+    if fam.cap is not None and not needed <= fam.cap:
         raise CapTooSmall(
             f"cap {tuple(fam.cap)} cannot hold the closure degree {tuple(needed)}")
 

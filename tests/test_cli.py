@@ -266,6 +266,14 @@ class TestRepVerify:
                                   "--suite", "nonsense"])
         assert code == 2
 
+    def test_generator_above_cap_exits_2(self, capsys, graph_files):
+        # the tck suite asks for t_aaa before any budget above the cap
+        assert main(["rep-verify", graph_files["bouquet2"], "--cap", "2",
+                     "--gen-cap", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: generator degree (3,) exceeds basis cap (2,)\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["--suite", ","], "--suite names no suite"),
         (["--suite", "claim1", "--suite-size", "0"], "--suite-size must be at least 1, got 0"),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kgraphkit.core import compose, paths_up_to_degree
-from kgraphkit.repalg import build_fock_family
+from kgraphkit.repalg import CapTooSmall, build_fock_family
 
 
 def fock_generator_reference(fam, paths, index, lam):
@@ -43,3 +43,11 @@ def test_generators_match_referee(corpus, name, cap, gen_cap):
     for lam in lams:
         t = fam.generator(lam)
         assert np.array_equal(t, fock_generator_reference(fam, paths, index, lam)), lam.label()
+
+
+def test_composed_generator_above_cap_raises(bouquet2):
+    """A word longer than the cap is refused, not composed into the zero map."""
+    fam = build_fock_family(bouquet2, (2,))
+    assert np.count_nonzero(fam.generator(bouquet2.path(["a", "a"])) >= 0) == 1
+    with pytest.raises(CapTooSmall, match=r"^generator degree \(3,\) exceeds basis cap \(2,\)$"):
+        fam.generator(bouquet2.path(["a", "a", "a"]))

@@ -127,8 +127,8 @@ def test_generator_rejects_repeated_image(bouquet2):
     """A family whose hook sends two basis vectors to one is refused at build
     time, for every family, before the inverse map could drop one of them."""
     class Folded(FockFamily):
-        def _generator(self, lam):
-            dom, img = super()._generator(lam)
+        def _edge_generator(self, e):
+            dom, img = super()._edge_generator(e)
             return dom, [img[0]] * len(img)
 
     folded = Folded(bouquet2, Degree((2,)))

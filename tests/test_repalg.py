@@ -121,10 +121,9 @@ class TestOperatorMatrix:
                                  + as_matrix(basis, fock_b2_n4.generator(bouquet2.edge_path("b"))))
         assert abs(operator_norm(m)["value"] - 2 ** 0.5) < 1e-9
 
-    def test_lanczos_matches_dense(self, fock_b2_n4, bouquet2, monkeypatch):
+    def test_lanczos_matches_dense(self, fock_b2_n4, bouquet2):
         m = fock_b2_n4.evaluate(element(bouquet2, [("a", "", 1), ("b", "b", 0.5)]))
         dense = np.linalg.norm(as_referee(m).to_dense(), 2)
-        monkeypatch.setattr(repalg, "DENSE_THRESHOLD", 1)
         norm = operator_norm(m)
         assert norm["method"] == "lanczos"
         assert norm["lower"] <= dense <= norm["upper"]
@@ -132,7 +131,6 @@ class TestOperatorMatrix:
 
     def test_lanczos_budget(self, fock_b2_n4, bouquet2, monkeypatch):
         m = fock_b2_n4.evaluate(element(bouquet2, [("a", "", 1)]))
-        monkeypatch.setattr(repalg, "DENSE_THRESHOLD", 1)
         monkeypatch.setattr(repalg, "MAX_LANCZOS_STEPS", 1)
         with pytest.raises(NonConvergence, match="did not settle in 1 steps"):
             operator_norm(m)
@@ -242,15 +240,24 @@ class TestLanczosBracket:
             assert norm["lower"] <= dense <= norm["upper"]
             assert norm["upper"] - norm["lower"] <= 1e-12
 
-    def test_invariant_subspace_stop(self, fock_b2_n4, bouquet2, monkeypatch):
+    def test_invariant_subspace_stop(self, fock_b2_n4, bouquet2):
         # (q_a - 2 q_b)*(q_a - 2 q_b) = q_a + 4 q_b has three eigenvalues, so
         # the Krylov space of the start vector is invariant after three steps
         m = fock_b2_n4.evaluate(element(bouquet2, [("a", "a", 1), ("b", "b", -2)]))
-        monkeypatch.setattr(repalg, "DENSE_THRESHOLD", 1)
         norm = operator_norm(m)
         assert norm["steps"] <= 3
         assert norm["lower"] <= 2.0 <= norm["upper"]
         assert norm["upper"] - norm["lower"] <= 1e-12
+
+    @pytest.mark.parametrize("cap", [4, 10])
+    def test_start_vector_meets_top_singular_vector(self, bouquet2, cap):
+        # M = t_a t_a* - t_a t_b* sends the constant vector to 0, and ‖M‖ = √2:
+        # a constant start vector would stop after one step at value 0
+        fam = build_fock_family(bouquet2, (cap,))
+        norm = operator_norm(fam.evaluate(element(bouquet2, [("a", "a", 1), ("a", "b", -1)])))
+        assert norm["method"] == "lanczos"
+        assert norm["lower"] <= 2 ** 0.5 <= norm["upper"]
+        assert abs(norm["value"] - 2 ** 0.5) <= 1e-12
 
 
 class TestFockAction:
@@ -644,7 +651,7 @@ class TestClaim1:
 
 
 class TestClaim1Bracket:
-    def test_diagonal_tables_pass_above_dense_threshold(self, fock_b2_n9, bouquet2):
+    def test_diagonal_tables_pass_on_lanczos_bracket(self, fock_b2_n9, bouquet2):
         # seed 3 failed with power iteration: lhs - rhs = 1.02e-8 > tol
         for F, table in diagonal_tables(bouquet2, [3, *range(8)]):
             check = verify_claim1(fock_b2_n9, F, table)
@@ -675,7 +682,7 @@ class TestClaim1Bracket:
     def test_fails_only_above_upper_end(self, fock_b2_n6, bouquet2, monkeypatch):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         monkeypatch.setattr(repalg, "operator_norm", lambda m: {
-            "value": 0.5, "method": "dense", "steps": 0, "lower": 0.5, "upper": 0.5,
+            "value": 0.5, "method": "lanczos", "steps": 0, "lower": 0.5, "upper": 0.5,
             "allowance": 0.0})
         check = verify_claim1(fock_b2_n6, [a, b], {(a, a): 1})
         assert check.status == "fail"
@@ -712,8 +719,8 @@ class TestExpSquare:
         a_path = bouquet2.edge_path("a")
 
         class Tampered(BoundaryFamily):
-            def _generator(self, lam):
-                dom, img = super()._generator(lam)
+            def _edge_generator(self, lam):
+                dom, img = super()._edge_generator(lam)
                 if lam == a_path:
                     k = next(k for k, j in enumerate(dom) if j not in img)
                     img[k] = dom[k]
