@@ -195,23 +195,30 @@ def cmd_aperiodic(args) -> int:
     return exit_code(status)
 
 
+def _word(value, where: str) -> list:  # a seed file's word or rule image
+    if not isinstance(value, (str, list)):
+        raise ParseError(f"{where} must be a string or a list of edge names, got {value!r}")
+    return list(value)
+
+
 def load_seed_handles(g: KGraph, path: str) -> list[BoundaryPathHandle]:
     decl = _read_json(path)
     handles: list[BoundaryPathHandle] = []
     try:
         for i, rec in enumerate(decl.get("handles", [])):
-            kind = rec.get("kind")
+            where, kind, name = f"{path}: handle {i}", rec.get("kind"), rec.get("name")
+            if name is not None and not isinstance(name, str):
+                raise ParseError(f"{where}: name must be a string, got {name!r}")
             if kind == "substitution":
-                base = substitution_path(g, {k: list(v) for k, v in rec["rules"].items()},
-                                         rec["seed"], name=rec.get("name"))
+                rules = {k: _word(v, f"{where}: rule {k!r}") for k, v in rec["rules"].items()}
+                base = substitution_path(g, rules, rec["seed"], name=name)
             elif kind == "periodic":
-                base = periodic_path(g, list(rec["word"]), name=rec.get("name"))
+                base = periodic_path(g, _word(rec["word"], f"{where}: word"), name=name)
             else:
                 raise ParseError(f"unknown handle kind {kind!r}")
             shifts = rec.get("shifts", 1)
             if type(shifts) is not int or shifts < 1:  # bool is an int subclass
-                raise ParseError(
-                    f"{path}: handle {i}: shifts must be a positive integer, got {shifts!r}")
+                raise ParseError(f"{where}: shifts must be a positive integer, got {shifts!r}")
             for j in range(shifts):
                 handles.append(shift(base, (j,) * g.rank))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -357,7 +357,8 @@ class IsometryFamily:
     left concatenation truncated at the cap.  kind "boundary": basis vectors
     are boundary-path handles, acted on by extension with windowed identity.
     Relations are only asserted on safe columns, where every operator word
-    within the stated budget acts without hitting the truncation rim.
+    within the stated budget acts without hitting the truncation rim; a
+    boundary family reads them from its tail ids and generator arrays.
     """
 
     cap: Optional[Degree] = None  # a truncated basis's cap, which bounds every generator
@@ -499,16 +500,16 @@ class BoundaryFamily(IsometryFamily):
         self._ranges = np.array([x.range_vertex for x in handles])
         self.window = window
         self.handles = tuple(handles)
-        self._fp_index = fingerprints  # fingerprint -> basis index
+        self._fp_index = dict(fingerprints)  # fingerprint -> basis index, or tail_id's id
         # per-handle facts of the diagonal-formula checks, each built once
         self.check_labels = [f"{label}({x.describe()})"
                              for label, x in zip(basis.labels, self.handles)]
         self._prefixes: dict[Degree, list] = {}  # d -> [x(0, d) or None]
         self._tails: dict[tuple, int] = {}  # (j, d) -> id of σ^d(x_j)'s fingerprint
-        self._fingerprint_ids: dict[tuple, int] = {}  # fingerprint -> id
 
     def handle_index(self, x: BoundaryPathHandle) -> Optional[int]:
-        return self._fp_index.get(x.fingerprint(self.window))
+        i = self._fp_index.get(x.fingerprint(self.window), len(self.basis))
+        return i if i < len(self.basis) else None
 
     def prefixes(self, d: Degree) -> list:
         """x(0, d) for each handle x, None where d exceeds d(x)."""
@@ -520,12 +521,13 @@ class BoundaryFamily(IsometryFamily):
         return got
 
     def tail_id(self, j: int, d: Degree) -> int:
-        """A small int for the fingerprint of σ^d(x_j) at the family window:
-        equal ids, equal fingerprints.  The shifted handle is not kept."""
+        """The basis index of σ^d(x_j) when its fingerprint at the family window
+        is in the basis, else a fresh id >= len(basis): equal ids, equal
+        fingerprints.  Only the int is kept, not the shifted handle."""
         got = self._tails.get((j, d))
         if got is None:
             fp = shift(self.handles[j], d).fingerprint(self.window)
-            ids = self._fingerprint_ids
+            ids = self._fp_index
             got = self._tails[j, d] = ids.setdefault(fp, len(ids))
         return got
 
@@ -547,26 +549,24 @@ class BoundaryFamily(IsometryFamily):
         return list(source.values()), list(source)
 
     def _safe_columns(self, budget: Degree) -> list:
-        exts = paths_up_to_degree(self.graph, budget)
+        """x_j is safe when, for each m <= budget with m <= d(x_j), σ^m(x_j)
+        has a basis index i (its tail id) and t_lam x_i is defined for each lam
+        <= budget with s(lam) = r(x_i).  Then each lam·σ^m(x_j) has a basis
+        index: its fingerprint depends only on σ^m(x_j)'s, which is x_i's, and
+        a composed t_lam is defined at x_i only where lam·x_i has one."""
+        n = len(self.basis)
+        ok = np.ones(n, dtype=bool)  # x_i with every t_lam x_i defined
+        for lam in paths_up_to_degree(self.graph, budget):
+            ok &= (self.generator(lam) >= 0) | (self._ranges != lam.source_vertex)
+        ok, bound = ok.tolist(), ext_degree(budget)
         safe = [j for j, x in enumerate(self.handles)
-                if all(self.handle_index(y) is not None
-                       for y in _neighbourhood(x, budget, exts))]
+                if all(i < n and ok[i] for i in (self.tail_id(j, m) for m in
+                                                 degrees_up_to(ext_meet(x.degree, bound))))]
         if not safe:
             raise CapTooSmall(
                 f"no safe basis vectors at budget {tuple(budget)}; "
                 "enlarge gen_cap")
         return safe
-
-
-def _neighbourhood(x: BoundaryPathHandle, bound: Degree, exts: Sequence[Path]):
-    """Each shift σ^m(x) with m <= bound, followed by its extensions λσ^m(x)
-    by the non-vertex paths λ of exts, in that order."""
-    for m in degrees_up_to(ext_meet(x.degree, ext_degree(bound))):
-        base = shift(x, m)
-        yield base
-        for lam in exts:
-            if not lam.is_vertex() and lam.source_vertex == base.range_vertex:
-                yield extend(lam, base)
 
 
 def build_fock_family(g: KGraph, cap) -> FockFamily:
@@ -584,6 +584,10 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
     graph supplying no usable basis vectors.  Handle identity inside the
     basis is windowed equality at the given width; two declared seeds
     indistinguishable at that width are a WindowCollision.
+
+    Each distinct shift σ^m(x), m <= gen_cap, is extended by every lam <=
+    gen_cap once: the fingerprint of lam·y depends only on y's.  A shift equal
+    only to an earlier extension, not to an extended shift, is extended.
     """
     window = Degree(window)
     gen_cap = Degree(gen_cap)
@@ -607,10 +611,18 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
         fps[fp] = x
 
     first: dict[tuple, BoundaryPathHandle] = {}  # fingerprint -> first handle with it
-    exts = paths_up_to_degree(g, gen_cap)
+    expanded = set()  # fingerprints of the shifts extended so far
+    exts = [lam for lam in paths_up_to_degree(g, gen_cap) if not lam.is_vertex()]
     for x in kept:
-        for y in _neighbourhood(x, gen_cap, exts):
-            first.setdefault(y.fingerprint(window), y)
+        for m in degrees_up_to(ext_meet(x.degree, ext_degree(gen_cap))):
+            base = shift(x, m)
+            fp = base.fingerprint(window)
+            first.setdefault(fp, base)
+            if fp in expanded:
+                continue
+            expanded.add(fp)
+            for y in (extend(lam, base) for lam in exts if lam.source_vertex == base.range_vertex):
+                first.setdefault(y.fingerprint(window), y)
 
     # a fingerprint is (degree, range vertex, head word): the basis order
     ordered = sorted(first)

@@ -360,6 +360,37 @@ def test_seed_shifts_must_be_positive_int(capsys, graph_files, tmp_path, shifts)
                             f"got {shifts!r}\n")
 
 
+@pytest.mark.parametrize("record, message", [
+    ({"kind": "periodic", "word": ["a", "b"], "name": 5}, "name must be a string, got 5"),
+    ({"kind": "periodic", "word": ["a", "b"], "name": ["x"]},
+     "name must be a string, got ['x']"),
+    ({"kind": "periodic", "word": {"a": 1}},
+     "word must be a string or a list of edge names, got {'a': 1}"),
+    ({"kind": "periodic", "word": 7}, "word must be a string or a list of edge names, got 7"),
+    ({"kind": "substitution", "seed": "a", "rules": {"a": {"a": 1, "b": 2}, "b": "ba"}},
+     "rule 'a' must be a string or a list of edge names, got {'a': 1, 'b': 2}"),
+], ids=["name-int", "name-list", "word-dict", "word-int", "rule-dict"])
+def test_seed_names_and_words_must_be_strings_or_lists(capsys, graph_files, tmp_path,
+                                                       record, message):
+    tm = {"kind": "substitution", "seed": "a", "rules": {"a": "ab", "b": "ba"}}
+    path = _write(tmp_path / "seeds.json", {"handles": [tm, record]})
+    assert main(["boundary-check", graph_files["bouquet2"], "--seeds", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: handle 1: {message}\n"
+
+
+def test_seed_words_and_names_as_strings_or_lists(graph_files, tmp_path):
+    g = cli.load_graph(graph_files["bouquet2"])
+    path = _write(tmp_path / "seeds.json", {"handles": [
+        {"kind": "periodic", "word": "ab", "name": "p"},
+        {"kind": "periodic", "word": ["a", "b"], "name": None},
+        {"kind": "substitution", "seed": "a", "rules": {"a": ["a", "b"], "b": "ba"}}]})
+    handles = cli.load_seed_handles(g, path)
+    assert [x.describe() for x in handles] == ["p", "(a.b)^inf", "fix(a)"]
+    assert handles[0].fingerprint((4,)) == handles[1].fingerprint((4,))
+
+
 def test_seed_shifts_default_and_positive_int(graph_files, tmp_path):
     g = cli.load_graph(graph_files["bouquet2"])
     tm = {"kind": "substitution", "seed": "a", "rules": {"a": "ab", "b": "ba"}}
