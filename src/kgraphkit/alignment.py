@@ -1,16 +1,16 @@
 """Minimal common extensions, the vee closure, and exhaustive sets.
 
-Every operation here has a brute-force counterpart enumerating candidate
-paths or subsets directly; the fast MCE versions extend one participant
-along degree complements and filter by the prefix condition, vee is built
-from pairwise MCEs, and is_exhaustive and enumerate_fe share one finite
-test set (_test_degree).  The test suite keeps the oracles wired to the
-fast paths permanently.
+The fast MCE versions extend one participant along degree complements and
+filter by the prefix condition, vee is built from pairwise MCEs, and
+is_exhaustive and enumerate_fe share one finite test set (_test_degree).
+Each has a brute-force referee, which the test suite keeps wired to it.
+mce_brute stays here because aperiodicity re-checks every separation with it
+at run time; mce_set_brute and is_exhaustive_brute stay while the benchmark's
+record script imports them from here; the rest live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -113,16 +113,6 @@ def vee(g: KGraph, F: Iterable[Path]) -> list[Path]:
     return sorted(closed, key=Path.sort_key)
 
 
-def vee_brute(g: KGraph, F: Iterable[Path]) -> list[Path]:
-    """Oracle: mce_set over every nonempty subset of F, deduplicated."""
-    F = sorted(set(F), key=Path.sort_key)
-    seen: set[Path] = set()
-    for size in range(1, len(F) + 1):
-        for G in itertools.combinations(F, size):
-            seen.update(mce_set(g, list(G)))
-    return sorted(seen, key=Path.sort_key)
-
-
 @dataclass(frozen=True)
 class ExhaustiveVerdict:
     exhaustive: bool
@@ -186,10 +176,9 @@ def is_exhaustive(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdict:
     return ExhaustiveVerdict(True, None, C, len(test))
 
 
-def is_exhaustive_brute(g: KGraph, v: str, E: Sequence[Path], slack: int = 1
-                        ) -> ExhaustiveVerdict:
+def is_exhaustive_brute(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdict:
     """Oracle: test every path from v up to max_path_degree() when there are
-    finitely many, else every one of degree <= D + slack·(1,...,1).
+    finitely many, else every one of degree <= D + (1,...,1).
 
     Exact on graphs with finitely many paths; on the others only when they
     are locally convex (the argument at _test_degree).
@@ -199,7 +188,7 @@ def is_exhaustive_brute(g: KGraph, v: str, E: Sequence[Path], slack: int = 1
         raise EmptyEError(f"empty candidate set at {v!r} is not exhaustive")
     D = join_degrees((lam.degree for lam in E), g.rank)
     cap = (g.max_path_degree() if g.has_finite_path_category()
-           else D + Degree((slack,) * g.rank))
+           else D + Degree((1,) * g.rank))
     count = 0
     for mu in paths_up_to_degree(g, cap, range_vertex=v):
         count += 1
@@ -254,35 +243,5 @@ def enumerate_fe(g: KGraph, v: str, cap, budget: int = 100_000) -> list[list[Pat
                 cand |= 1 << i
 
     search({}, (1 << len(test)) - 1, (1 << len(universe)) - 1)
-    out.sort(key=lambda E: (len(E), [p.sort_key() for p in E]))
-    return out
-
-
-def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000
-                       ) -> list[list[Path]]:
-    """Oracle: every subset of the universe by size, tested with is_exhaustive_brute."""
-    cap = Degree(cap)
-    if g.has_finite_path_category():
-        cap = cap.meet(g.max_path_degree())
-    universe = paths_up_to_degree(g, cap, range_vertex=v)
-    found: list[frozenset[Path]] = []
-    out: list[list[Path]] = []
-    checked = 0
-    for size in range(1, len(universe) + 1):
-        any_live = False
-        for combo in itertools.combinations(universe, size):
-            cand = frozenset(combo)
-            if any(prev <= cand for prev in found):
-                continue
-            any_live = True
-            checked += 1
-            if checked > budget:
-                raise CapTooLargeForBudget(
-                    f"examined more than {budget} candidate sets at cap {tuple(cap)}")
-            if is_exhaustive_brute(g, v, list(combo)):
-                found.append(cand)
-                out.append(sorted(combo, key=Path.sort_key))
-        if not any_live:
-            break
     out.sort(key=lambda E: (len(E), [p.sort_key() for p in E]))
     return out

@@ -80,13 +80,11 @@ def separate_family(g: KGraph, H: Sequence[Path], depth) -> Optional[Path]:
     v = H[0].source_vertex
     if any(p.source_vertex != v for p in H):
         raise MixedSources("family members must share a source vertex")
-    if len(H) == 1:
-        return g.vertex_path(v)
-    depth = Degree(depth)
     pairs = [(H[i], H[j]) for i in range(len(H)) for j in range(i + 1, len(H))
              if H[i] != H[j]]
     if not pairs:
         return g.vertex_path(v)
+    depth = Degree(depth)
     for tau in _tau_candidates(g, v, depth):
         if all(not mce(g, compose(mu, tau), compose(nu, tau)) for mu, nu in pairs):
             for mu, nu in pairs:

@@ -23,6 +23,7 @@ from .core import (
     ParseError,
     Path,
     ValidationError,
+    _keys,
     paths_of_degree,
     paths_up_to_degree,
     validate_presentation,
@@ -203,27 +204,35 @@ def _word(value, where: str) -> list:  # a seed file's word or rule image
 
 def load_seed_handles(g: KGraph, path: str) -> list[BoundaryPathHandle]:
     decl = _read_json(path)
+    _keys(decl, f"{path}:")
+    records = decl.get("handles", [])
+    if not isinstance(records, list):
+        raise ParseError(f"{path}: handles must be a list, got {type(records).__name__}")
     handles: list[BoundaryPathHandle] = []
-    try:
-        for i, rec in enumerate(decl.get("handles", [])):
-            where, kind, name = f"{path}: handle {i}", rec.get("kind"), rec.get("name")
-            if name is not None and not isinstance(name, str):
-                raise ParseError(f"{where}: name must be a string, got {name!r}")
+    for i, rec in enumerate(records):
+        where = f"{path}: handle {i}"
+        _keys(rec, f"{where}:")
+        kind, name = rec.get("kind"), rec.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ParseError(f"{where}: name must be a string, got {name!r}")
+        try:
             if kind == "substitution":
+                _keys(rec["rules"], f"{where}: rules")
                 rules = {k: _word(v, f"{where}: rule {k!r}") for k, v in rec["rules"].items()}
                 base = substitution_path(g, rules, rec["seed"], name=name)
             elif kind == "periodic":
                 base = periodic_path(g, _word(rec["word"], f"{where}: word"), name=name)
             else:
-                raise ParseError(f"unknown handle kind {kind!r}")
-            shifts = rec.get("shifts", 1)
-            if type(shifts) is not int or shifts < 1:  # bool is an int subclass
-                raise ParseError(f"{where}: shifts must be a positive integer, got {shifts!r}")
-            for j in range(shifts):
-                handles.append(shift(base, (j,) * g.rank))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(
-            f"{path}: malformed handle declaration ({type(exc).__name__}: {exc})") from exc
+                raise ParseError(f"{where}: unknown handle kind {kind!r}")
+        except KeyError as exc:
+            raise ParseError(f"{where}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"{where}: malformed handle declaration ({type(exc).__name__}: {exc})") from exc
+        shifts = rec.get("shifts", 1)
+        if type(shifts) is not int or shifts < 1:  # bool is an int subclass
+            raise ParseError(f"{where}: shifts must be a positive integer, got {shifts!r}")
+        handles.extend(shift(base, (j,) * g.rank) for j in range(shifts))
     if not handles:
         raise ParseError(f"{path} declares no handles")
     return handles

@@ -205,6 +205,12 @@ class KGraph:
     Immutable after construction; every operation on it is a pure function.
     Instances are built through validate_presentation or the generators
     below, never directly.
+
+    The _paths memo of paths_of_degree makes a graph that has enumerated
+    paths a reference cycle (graph -> memo -> Path.graph), freed only by the
+    cycle collector.  It stays: a FockFamily holds the same Path objects
+    anyway, a graph lives for a whole CLI run, and breaking the cycle would
+    put a weak reference on every Path.
     """
 
     def __init__(self, rank: int, vertices: Sequence[str], edges: Sequence[SkeletonEdge],

@@ -15,7 +15,7 @@ q_lam is the range mask, products of projections are AND and q_lam - q_w is
 AND-NOT.  Sums of injections are compared entry by entry, overlaps counted.
 A linear combination sum a t_mu t_nu* is evaluated by IsometryFamily.evaluate
 into a SparseSum, its merged (rows, cols, vals) entry arrays, which the norm,
-the expectation square and the co-universality check read.
+the exp-square and the co-universality check read.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ class SparseSum(NamedTuple):
 
 
 MAX_LANCZOS_STEPS = 1_000  # each residual test is a dense eigh of T_k, O(k³)
-CLAIM1_TOL = 1e-8  # absolute slack of verify_claim1's comparison
-COUNIVERSAL_TOL = 0.05  # absolute slack of couniversal_norm_check's comparison
+CLAIM1_TOL = 1e-8  # absolute tolerance of verify_claim1's comparison
+COUNIVERSAL_TOL = 0.05  # absolute tolerance of couniversal_norm_check's comparison
 
 
 def operator_norm(m: SparseSum) -> dict:
@@ -331,20 +331,12 @@ class VerificationReport:
         self.title = title
         self.checks: list[CheckResult] = []
 
-    def add(self, check: CheckResult) -> CheckResult:
+    def add(self, check: CheckResult) -> None:
         self.checks.append(check)
-        return check
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.ok]
-
-    def to_jsonable(self) -> dict:
-        return {"title": self.title, "ok": self.ok,
-                "checks": [c.to_jsonable() for c in self.checks]}
 
 
 # -- isometry families --------------------------------------------------------
@@ -371,7 +363,7 @@ class IsometryFamily:
         self._gens: dict[Path, np.ndarray] = {}  # index arrays j -> i or -1
         self._qs: dict[Path, np.ndarray] = {}  # range masks
         self._safe: dict[tuple, np.ndarray] = {}
-        self._closure: dict[tuple, Degree] = {}  # sorted F -> _closure_cap
+        self._closure: dict[tuple, Degree] = {}  # sorted F -> degree of _closure(F)
 
     # subclass hooks: (domain, image) indices of t_e for an edge e, and safe columns
     def _edge_generator(self, e: Path) -> tuple[Sequence[int], Sequence[int]]:
@@ -631,15 +623,6 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
     return BoundaryFamily(g, handles, window, fingerprints)
 
 
-def boundary_family_from_graph(g: KGraph) -> BoundaryFamily:
-    """Boundary family seeded with the complete finite boundary-path set,
-    with window and gen_cap both the maximal path degree."""
-    from .boundary import finite_boundary_paths
-
-    md = g.max_path_degree()
-    return build_boundary_family(g, finite_boundary_paths(g), md, md)
-
-
 # -- TCK / CK verification ----------------------------------------------------
 
 
@@ -749,7 +732,9 @@ def _q_piece(fam: IsometryFamily, lam: Path, pool: Sequence[Path]) -> np.ndarray
     return acc
 
 
-def _require_mce_closed(g: KGraph, F: Sequence[Path]) -> None:
+def _require_mce_closed(g: KGraph, F: Sequence[Path]) -> list[Path]:
+    """F sorted and deduplicated, once every MCE of two members lies in it."""
+    F = sorted(set(F), key=Path.sort_key)
     members = set(F)
     for mu in F:
         for nu in F:
@@ -757,6 +742,18 @@ def _require_mce_closed(g: KGraph, F: Sequence[Path]) -> None:
                 if gamma not in members:
                     raise NotMceClosed(
                         f"MCE({mu.label()},{nu.label()}) contains {gamma.label()} outside F")
+    return F
+
+
+def _lem3_witness(g: KGraph, lam: Path, pool: Sequence[Path]
+                  ) -> tuple[list[Path], Optional[Path]]:
+    """λ's extension tails B = {α : λα in the pool, d(α) nonzero} and Lemma 3's
+    witness: a path from s(λ) meeting no member of B (the vertex when B is
+    empty), or None when B is exhaustive."""
+    B = [segment(w, lam.degree, w.degree) for w in _extensions_in(lam, pool)]
+    if not B:
+        return B, g.vertex_path(lam.source_vertex)
+    return B, is_exhaustive(g, lam.source_vertex, B).witness
 
 
 @dataclass
@@ -798,24 +795,18 @@ def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> VerificationReport:
     """Nonvanishing of Q_alpha whenever the extension set below alpha in F
     fails to be exhaustive, witnessed by a projection it dominates."""
     g = fam.graph
-    F = sorted(set(F), key=Path.sort_key)
-    _require_mce_closed(g, F)
+    F = _require_mce_closed(g, F)
     for lam in F:
         if not fam.q(lam).any():
             raise KGraphError(f"q_{lam.label()} vanishes; hypothesis violated")
 
     report = VerificationReport("lem3")
     for alpha in F:
-        B = [segment(w, alpha.degree, w.degree) for w in _extensions_in(alpha, F)]
-        if B:
-            verdict = is_exhaustive(g, alpha.source_vertex, B)
-            if verdict.exhaustive:
-                report.add(CheckResult(f"lem3:{alpha.label()}", "pass",
-                                       detail={"claim": "none (extension set exhaustive)"}))
-                continue
-            tau = verdict.witness
-        else:
-            tau = g.vertex_path(alpha.source_vertex)
+        tau = _lem3_witness(g, alpha, F)[1]
+        if tau is None:
+            report.add(CheckResult(f"lem3:{alpha.label()}", "pass",
+                                   detail={"claim": "none (extension set exhaustive)"}))
+            continue
         q_ext = fam.q(compose(alpha, tau))
         ok = q_ext.any() and not np.any(q_ext & ~_q_piece(fam, alpha, F))
         witness = fam.basis.labels[np.argmax(q_ext)] if ok else None
@@ -852,7 +843,7 @@ def diagonal_norm(fam: IsometryFamily, coeffs: dict) -> float:
     return float(best)
 
 
-# -- formal elements and expectations -----------------------------------------
+# -- formal elements and the exp-square ---------------------------------------
 
 
 class FormalElement:
@@ -889,15 +880,8 @@ class FormalElement:
         return len(self.coeffs)
 
 
-def expectation(fam: IsometryFamily, a: FormalElement
-                ) -> tuple[FormalElement, SparseSum]:
-    """Diagonal part of a formal element and its evaluation in the family."""
-    diag = a.diagonal()
-    return diag, fam.evaluate(diag)
-
-
 def verify_exp_square(boundary: IsometryFamily, a: FormalElement) -> CheckResult:
-    """Both routes around the expectation square agree exactly.
+    """Both routes around the exp-square agree exactly.
 
     Left: keep the diagonal coefficients formally, then map each projection
     into the boundary family.  Right: evaluate in the boundary family and
@@ -971,8 +955,11 @@ class SeparatingSystem:
     required_cap: Degree
 
 
-def _f_prime(g: KGraph, F: Sequence[Path]) -> list[Path]:
-    out: set[Path] = set()
+def _closure(g: KGraph, F: Sequence[Path]) -> list[Path]:
+    """vee(F ∪ F′), where F′ holds the completions λβ′ and λδ′ of every
+    λ ∈ MCE(μ, ν), μ, ν ∈ F, through each ξ = ββ′ = δδ′ ∈ MCE(β, δ) of the
+    tails λ = μβ = νδ."""
+    out: set[Path] = set(F)
     for mu in F:
         for nu in F:
             for lam in mce(g, mu, nu):
@@ -983,7 +970,7 @@ def _f_prime(g: KGraph, F: Sequence[Path]) -> list[Path]:
                     delta_p = segment(xi, delta.degree, xi.degree)
                     out.add(compose(lam, beta_p))
                     out.add(compose(lam, delta_p))
-    return sorted(out, key=Path.sort_key)
+    return vee(g, out)
 
 
 def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
@@ -999,65 +986,37 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
     system is returned.
     """
     g = fam.graph
-    F = sorted(set(F), key=Path.sort_key)
-    _require_mce_closed(g, F)
-
-    vee_F_bar = vee(g, sorted(set(F) | set(_f_prime(g, F)), key=Path.sort_key))
+    F = _require_mce_closed(g, F)
+    vee_F_bar = _closure(g, F)
     M = join_degrees((w.degree for w in vee_F_bar), g.rank)
-    if tau_depth is None:
-        tau_depth = M + Degree((1,) * g.rank)
-    else:
-        tau_depth = Degree(tau_depth)
+    tau_depth = M + Degree((1,) * g.rank) if tau_depth is None else Degree(tau_depth)
 
-    B_flag: dict = {}
-    alpha: dict = {}
+    reach: dict = {}  # lam -> lam·alpha, for each lam with a non-exhaustive extension set
     for lam in F:
-        B = [segment(w, lam.degree, w.degree) for w in _extensions_in(lam, vee_F_bar)]
-        if B:
-            verdict = is_exhaustive(g, lam.source_vertex, B)
-            B_flag[lam] = verdict.exhaustive
-            if verdict.exhaustive:
-                continue
-            a1 = verdict.witness
-        else:
-            B_flag[lam] = False
-            a1 = g.vertex_path(lam.source_vertex)
+        B, alpha = _lem3_witness(g, lam, vee_F_bar)
+        if alpha is None:
+            continue
         # grow until every deficient color reaches M or hits a source
-        word = list(a1.word)
-        at = a1.source_vertex
-        deg = list(a1.degree)
         while True:
-            step = None
             for i in range(g.rank):
-                if deg[i] < M[i]:
-                    names = g.edges_at(at, i + 1)
-                    if names:
-                        step = names[0]
-                        break
-            if step is None:
+                names = alpha.degree[i] < M[i] and g.edges_at(alpha.source_vertex, i + 1)
+                if names:
+                    alpha = compose(alpha, g.edge_path(names[0]))
+                    break
+            else:
                 break
-            word.append(step)
-            at = g.edges[step].source_vertex
-            deg[g.color(step) - 1] += 1
-        full = g.path(word) if word else a1
-        alpha[lam] = full
         for mu_b in B:
-            if mce(g, mu_b, full):
+            if mce(g, mu_b, alpha):
                 raise SeparationSearchExhausted(
                     tau_depth, f"alpha for {lam.label()} meets its extension set")
-        reach = compose(lam, full)
+        r = reach[lam] = compose(lam, alpha)
         for w in vee_F_bar:
-            if mce(g, reach, w) and not extends(reach, w):
+            if mce(g, r, w) and not extends(r, w):
                 raise SeparationSearchExhausted(
                     tau_depth, f"alpha for {lam.label()} is not long enough past {w.label()}")
 
-    G: set[Path] = set()
-    for lam in alpha:
-        reach = compose(lam, alpha[lam])
-        for w in vee_F_bar:
-            if extends(reach, w):
-                G.add(segment(reach, w.degree, reach.degree))
-    G = sorted(G, key=Path.sort_key)
+    G = sorted({segment(r, w.degree, r.degree) for r in reach.values()
+                for w in vee_F_bar if extends(r, w)}, key=Path.sort_key)
 
     tau_v: dict = {}
     for v in sorted({eps.source_vertex for eps in G}):
@@ -1071,10 +1030,10 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
     phi: dict = {}
     required = M
     for lam in F:
-        if B_flag[lam]:
+        if lam not in reach:
             phi[lam] = _q_piece(fam, lam, vee_F_bar)
             continue
-        witness_path = compose(compose(lam, alpha[lam]), tau_v[alpha[lam].source_vertex])
+        witness_path = compose(reach[lam], tau_v[reach[lam].source_vertex])
         required = required.join(witness_path.degree)
         phi[lam] = fam.q(witness_path)
 
@@ -1089,7 +1048,7 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
             raise SeparationSearchExhausted(
                 tau_depth, f"phi_{lam.label()} is not dominated by q_{lam.label()}")
 
-    return SeparatingSystem(F, B_flag, tau_v, phi, required)
+    return SeparatingSystem(F, {lam: lam not in reach for lam in F}, tau_v, phi, required)
 
 
 def verify_phi2(fam: IsometryFamily, system: SeparatingSystem, mu: Path,
@@ -1102,10 +1061,6 @@ def verify_phi2(fam: IsometryFamily, system: SeparatingSystem, mu: Path,
     return _compare_on(f"phi2:{lam.label()}|{mu.label()},{nu.label()}", fam.basis,
                        [compose_maps(phi, compose_maps(middle, phi))], expected,
                        fam.safe_columns(mu.degree.join(nu.degree)))
-
-
-def _closure_cap(g: KGraph, F: list) -> Degree:
-    return join_degrees((w.degree for w in vee(g, set(F) | set(_f_prime(g, F)))), g.rank)
 
 
 def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
@@ -1127,7 +1082,8 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
     else:
         needed = fam._closure.get(tuple(F))
         if needed is None:
-            needed = fam._closure[tuple(F)] = _closure_cap(g, F)
+            needed = fam._closure[tuple(F)] = join_degrees(
+                (w.degree for w in _closure(g, F)), g.rank)
     if fam.cap is not None and not needed <= fam.cap:
         raise CapTooSmall(
             f"cap {tuple(fam.cap)} cannot hold the closure degree {tuple(needed)}")
@@ -1170,24 +1126,3 @@ def couniversal_norm_check(fock: IsometryFamily, boundary: IsometryFamily,
                        witness=None if ok else f"boundary={b!r} fock={f!r}",
                        detail={"boundary": b, "fock": f, "tolerance": tol,
                                "boundary_norm": nb, "fock_norm": nf})
-
-
-def matrix_unit_span_rank(bfam: BoundaryFamily) -> int:
-    """Rank of the span of all products S_lam S_mu* with matching sources."""
-    g = bfam.graph
-    paths = paths_up_to_degree(g, g.max_path_degree())
-    vecs = []
-    n = len(bfam.basis)
-    for lam in paths:
-        for mu in paths:
-            if lam.source_vertex != mu.source_vertex:
-                continue
-            tl, tm = bfam.generator(lam), bfam.generator(mu)
-            k = (tl >= 0) & (tm >= 0)
-            if k.any():
-                vec = np.zeros(n * n)
-                vec[tl[k] * n + tm[k]] = 1
-                vecs.append(vec)
-    if not vecs:
-        return 0
-    return int(np.linalg.matrix_rank(np.array(vecs)))

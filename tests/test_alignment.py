@@ -16,7 +16,6 @@ from kgraphkit.alignment import (
     _test_degree,
     _test_set,
     enumerate_fe,
-    enumerate_fe_brute,
     extends,
     is_exhaustive,
     is_exhaustive_brute,
@@ -25,11 +24,11 @@ from kgraphkit.alignment import (
     mce_set,
     mce_set_brute,
     vee,
-    vee_brute,
 )
 from kgraphkit.core import _omega_vertex
 
 from conftest import nlc_presentation
+from oracles import enumerate_fe_brute, vee_brute
 
 
 class TestMce:

@@ -32,7 +32,9 @@ from kgraphkit.boundary import (
     thue_morse_path,
 )
 from kgraphkit.core import Degree, degrees_up_to, paths_up_to_degree
-from kgraphkit.repalg import CapTooSmall, boundary_family_from_graph, build_boundary_family
+from kgraphkit.repalg import CapTooSmall, build_boundary_family
+
+from oracles import boundary_family_from_graph
 
 
 def boundary_generator_reference(bfam, lam):

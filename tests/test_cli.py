@@ -396,3 +396,21 @@ def test_seed_shifts_default_and_positive_int(graph_files, tmp_path):
     tm = {"kind": "substitution", "seed": "a", "rules": {"a": "ab", "b": "ba"}}
     path = _write(tmp_path / "seeds.json", {"handles": [tm, dict(tm, shifts=3)]})
     assert len(cli.load_seed_handles(g, path)) == 1 + 3
+
+
+@pytest.mark.parametrize("decl, message", [
+    ([], "must be a JSON object, got list"),
+    ({"handles": {"a": 1}}, "handles must be a list, got dict"),
+    ({"handles": [5]}, "handle 0: must be a JSON object, got int"),
+    ({"handles": [{"kind": "substitution", "seed": "a", "rules": ["ab"]}]},
+     "handle 0: rules must be a JSON object, got list"),
+    ({"handles": [{"kind": "substitution", "rules": {"a": "ab", "b": "ba"}}]},
+     "handle 0: missing key 'seed'"),
+    ({"handles": [{"kind": "fixed"}]}, "handle 0: unknown handle kind 'fixed'"),
+], ids=["top-list", "handles-object", "record-int", "rules-list", "seed-missing", "kind-unknown"])
+def test_seed_file_errors_name_the_handle(capsys, graph_files, tmp_path, decl, message):
+    path = _write(tmp_path / "seeds.json", decl)
+    assert main(["boundary-check", graph_files["bouquet2"], "--seeds", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"

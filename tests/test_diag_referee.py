@@ -15,12 +15,13 @@ import gc
 from kgraphkit import Degree, paths_up_to_degree
 from kgraphkit.boundary import BoundaryPathHandle, ext_le, shift, thue_morse_path
 from kgraphkit.repalg import (
-    boundary_family_from_graph,
     build_boundary_family,
     compose_maps,
     inverse_map,
     verify_diagonal_formula,
 )
+
+from oracles import boundary_family_from_graph
 
 
 def diag_reference(bfam, mu, nu) -> list[tuple]:

@@ -9,9 +9,11 @@ import pytest
 
 
 from conftest import OperatorMatrix, as_matrix, as_referee, referee_evaluate, weak_lower_end
+from oracles import boundary_family_from_graph, matrix_unit_span_rank
 from kgraphkit import repalg
+from kgraphkit.alignment import extends, is_exhaustive_brute
 from kgraphkit.boundary import shift, thue_morse_path
-from kgraphkit.core import paths_up_to_degree
+from kgraphkit.core import paths_up_to_degree, segment
 from kgraphkit.repalg import (
     BooleanRelationFailure,
     BoundaryFamily,
@@ -24,17 +26,14 @@ from kgraphkit.repalg import (
     SourceClosureViolation,
     WindowCollision,
     boolean_rep,
-    boundary_family_from_graph,
     build_boundary_family,
     build_fock_family,
     build_separating_system,
     compose_maps,
     couniversal_norm_check,
     diagonal_norm,
-    expectation,
     inverse_map,
     lem3_check,
-    matrix_unit_span_rank,
     operator_norm,
     q_decomposition,
     verify_ck,
@@ -290,7 +289,7 @@ class TestFockAction:
 class TestVerifyTckCk:
     def test_fock_tck_passes(self, fock_b2_n4):
         report = verify_tck(fock_b2_n4, cap=(2,))
-        assert report.ok, report.failures()[0].to_jsonable()
+        assert report.ok, [c.to_jsonable() for c in report.checks if not c.ok]
 
     def test_fock_ck_fails_at_vacuum(self, fock_b2_n4):
         report = verify_ck(fock_b2_n4, (1,))
@@ -487,19 +486,19 @@ class TestDiagonalNorm:
 class TestExpectation:
     def test_offdiagonal_killed(self, fock_b2_n4, bouquet2):
         a = FormalElement(bouquet2, {(bouquet2.edge_path("a"), bouquet2.edge_path("b")): 1})
-        diag, matrix = expectation(fock_b2_n4, a)
-        assert len(diag) == 0 and len(matrix.rows) == len(matrix.cols) == len(matrix.vals) == 0
+        matrix = fock_b2_n4.evaluate(a.diagonal())
+        assert len(a.diagonal()) == 0 and len(matrix.rows) == len(matrix.cols) == len(matrix.vals) == 0
 
     def test_diagonal_kept(self, fock_b2_n4, bouquet2):
         pa = bouquet2.edge_path("a")
         a = FormalElement(bouquet2, {(pa, pa): 1})
-        diag, matrix = expectation(fock_b2_n4, a)
-        assert diag == a and as_referee(matrix) == as_matrix(fock_b2_n4.basis, fock_b2_n4.q(pa))
+        matrix = fock_b2_n4.evaluate(a.diagonal())
+        assert a.diagonal() == a and as_referee(matrix) == as_matrix(fock_b2_n4.basis, fock_b2_n4.q(pa))
 
     def test_linearity(self, fock_b2_n4, bouquet2):
         pa, pb = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         a = FormalElement(bouquet2, {(pa, pa): 2, (pa, pb): 1j})
-        diag, matrix = expectation(fock_b2_n4, a)
+        matrix = fock_b2_n4.evaluate(a.diagonal())
         assert as_referee(matrix) == as_matrix(fock_b2_n4.basis, fock_b2_n4.q(pa)) * 2
 
     def test_formally_idempotent(self, fock_b2_n4, bouquet2):
@@ -518,7 +517,7 @@ class TestExpectation:
                 for nu in pool:
                     coeffs[(mu, nu)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             a = FormalElement(bouquet2, coeffs)
-            _, diag_m = expectation(fock_b2_n6, a)
+            diag_m = fock_b2_n6.evaluate(a.diagonal())
             assert (operator_norm(diag_m)["value"]
                     <= operator_norm(fock_b2_n6.evaluate(a))["value"] + 1e-8)
 
@@ -604,6 +603,32 @@ class TestSeparatingSystem:
         assert all(tau.is_vertex() for tau in sys.tau_v.values())
 
 
+@pytest.mark.parametrize("graph, f_cap, cap, exhaustive", [
+    ("bouquet2", (2,), (8,), (3, 3)), ("omega22", (1, 1), (2, 2), (16, 16)),
+    ("flip", (1, 1), (4, 4), (6, 4))], ids=["bouquet2", "omega22", "flip"])
+def test_lem3_witness_matches_brute_exhaustiveness(request, graph, f_cap, cap, exhaustive):
+    # the separating system reads λ's tails in the closure, lem3 in F itself;
+    # both must call them exhaustive exactly when the brute referee does; the
+    # pinned counts keep both kinds of λ in play (flip's closure tails are all
+    # exhaustive, its tails in F are not)
+    g = request.getfixturevalue(graph)
+    F = paths_up_to_degree(g, f_cap)
+    fam = build_fock_family(g, cap)
+
+    def brute(lam, pool):
+        tails = [segment(w, lam.degree, w.degree) for w in pool
+                 if w != lam and extends(w, lam)]
+        return bool(tails) and is_exhaustive_brute(g, lam.source_vertex, tails).exhaustive
+
+    closure = repalg._closure(g, F)
+    system = build_separating_system(fam, F)
+    assert system.B_exhaustive == {lam: brute(lam, closure) for lam in F}
+    claims = {c.id: "claim" in c.detail for c in lem3_check(fam, F).checks}
+    assert claims == {f"lem3:{lam.label()}": brute(lam, F) for lam in F}
+    assert (sum(system.B_exhaustive.values()), sum(claims.values())) == exhaustive
+    assert len(F) > exhaustive[1]
+
+
 class TestPhi2:
     def test_case_split_samples(self, b2_system, fock_b2_n8, bouquet2):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
@@ -633,8 +658,8 @@ class TestClaim1:
     def test_closure_degree_memoized_per_family(self, bouquet2, monkeypatch):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         calls = []
-        real = repalg._closure_cap
-        monkeypatch.setattr(repalg, "_closure_cap", lambda g, F: calls.append(F) or real(g, F))
+        real = repalg._closure
+        monkeypatch.setattr(repalg, "_closure", lambda g, F: calls.append(F) or real(g, F))
         fam = build_fock_family(bouquet2, (2,))
         for F in ([a, b], [b, a, a], [a, b]):
             assert verify_claim1(fam, F, {(a, a): 1}).ok
@@ -747,7 +772,7 @@ class TestDiagonalFormula:
         mu = omega22.edge_path("e1_0_0")
         report = verify_diagonal_formula(boundary_omega, mu, mu)
         assert report.ok
-        _, matrix = expectation(boundary_omega, FormalElement(omega22, {(mu, mu): 1}))
+        matrix = boundary_omega.evaluate(FormalElement(omega22, {(mu, mu): 1}).diagonal())
         assert as_referee(matrix) == as_matrix(boundary_omega.basis, boundary_omega.q(mu))
         assert len(matrix.vals) == 1
 
