@@ -330,9 +330,9 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
 
     For each handle x, each position n in the window and each minimal finite
     exhaustive set at the vertex there, some tail segment of x must lie in
-    the set.  A
-    handle that cannot produce a needed window yields an unknown verdict
-    rather than a fail.  The FE sets of each vertex are enumerated once.
+    the set.  A handle that cannot produce a needed window yields an unknown
+    verdict rather than a fail.  The FE sets of each vertex are enumerated
+    once.
     """
     fe_cap = Degree(fe_cap)
     width = ext_degree(Degree(window))

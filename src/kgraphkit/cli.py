@@ -1,9 +1,12 @@
 """File ingestion, command dispatch, and deterministic JSON reports.
 
-Machine output goes to stdout as stably serialized JSON (identical inputs
-give identical bytes); a short human summary goes to stderr.  Exit codes:
-0 all hard checks pass, 1 a check failed, 2 configuration or parse error,
-3 only inconclusive outcomes.
+Each ``cmd_*`` function returns ``(results, statuses)``: the JSON payload and
+one status string per outcome.  ``main`` alone counts the statuses, writes the
+report and the summary, and picks the exit code.  Machine output goes to
+stdout as stably serialized JSON (identical inputs give identical bytes); one
+summary line ``kgraphkit COMMAND: status=count, ...``, sorted by status, goes
+to stderr.  Exit codes: 0 all hard checks pass, 1 a check failed, 2
+configuration or parse error, 3 only inconclusive outcomes.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from . import __version__
@@ -92,18 +96,16 @@ def parse_degree(text: str, rank: int) -> Degree:
         raise ParseError(f"bad degree {text!r}: {exc}") from exc
 
 
-def emit(config: dict, results, status_counts: dict, out=None, err=None) -> None:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def emit(config: dict, results, status_counts: dict) -> None:
     report = {
         "tool": "kgraphkit",
         "version": __version__,
         "config": config,
         "results": results,
     }
-    out.write(json.dumps(report, sort_keys=True, indent=2, default=str) + "\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, default=str) + "\n")
     summary = ", ".join(f"{k}={v}" for k, v in sorted(status_counts.items()))
-    err.write(f"kgraphkit {config.get('command')}: {summary or 'done'}\n")
+    sys.stderr.write(f"kgraphkit {config.get('command')}: {summary or 'done'}\n")
 
 
 def exit_code(status_counts: dict) -> int:
@@ -123,77 +125,66 @@ def _config(args: argparse.Namespace) -> dict:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_validate(args) -> int:
-    cfg = _config(args)
+def cmd_validate(args):
     try:
         g = load_graph(args.graph)
     except ValidationError as exc:
-        results = {"valid": False,
-                   "violations": [{"code": v.code, "detail": v.detail}
-                                  for v in exc.violations]}
-        emit(cfg, results, {"fail": 1})
-        return EXIT_CHECK_FAILED
-    results = {"valid": True, "rank": g.rank, "vertices": len(g.vertices),
-               "edges": len(g.edges), "squares": len(g.squares)}
-    emit(cfg, results, {"pass": 1})
-    return EXIT_OK
+        return {"valid": False,
+                "violations": [{"code": v.code, "detail": v.detail}
+                               for v in exc.violations]}, ["fail"]
+    return {"valid": True, "rank": g.rank, "vertices": len(g.vertices),
+            "edges": len(g.edges), "squares": len(g.squares)}, ["pass"]
 
 
-def cmd_paths(args) -> int:
+def cmd_paths(args):
     g = load_graph(args.graph)
     n = parse_degree(args.degree, g.rank)
     got = paths_of_degree(g, n, range_vertex=args.range, source_vertex=args.source)
-    emit(_config(args), [p.label() for p in got], {"pass": 1})
-    return EXIT_OK
+    return [p.label() for p in got], ["pass"]
 
 
-def cmd_mce(args) -> int:
+def cmd_mce(args):
     g = load_graph(args.graph)
     mu = g.parse_path(args.mu)
     nu = g.parse_path(args.nu)
     got = mce(g, mu, nu)
-    emit(_config(args), [p.label() for p in got], {"pass": 1})
-    return EXIT_OK
+    return [p.label() for p in got], ["pass"]
 
 
-def cmd_vee(args) -> int:
+def cmd_vee(args):
     g = load_graph(args.graph)
     F = [g.parse_path(text) for text in args.paths]
-    emit(_config(args), [p.label() for p in vee(g, F)], {"pass": 1})
-    return EXIT_OK
+    return [p.label() for p in vee(g, F)], ["pass"]
 
 
-def cmd_exhaustive(args) -> int:
+def cmd_exhaustive(args):
     g = load_graph(args.graph)
     E = [g.parse_path(text) for text in args.members]
     verdict = is_exhaustive(g, args.vertex, E)
     results = {"exhaustive": verdict.exhaustive,
                "witness": verdict.witness.label() if verdict.witness else None,
                "test_set_size": verdict.test_set_size}
-    emit(_config(args), results, {"pass" if verdict.exhaustive else "fail": 1})
-    return EXIT_OK if verdict.exhaustive else EXIT_CHECK_FAILED
+    return results, ["pass" if verdict.exhaustive else "fail"]
 
 
-def cmd_fe(args) -> int:
+def cmd_fe(args):
     g = load_graph(args.graph)
     cap = parse_degree(args.cap, g.rank)
     sets = enumerate_fe(g, args.vertex, cap, budget=args.budget)
-    emit(_config(args), [[p.label() for p in E] for E in sets], {"pass": 1})
-    return EXIT_OK
+    return [[p.label() for p in E] for E in sets], ["pass"]
 
 
-def cmd_aperiodic(args) -> int:
+def cmd_aperiodic(args):
     g = load_graph(args.graph)
     P = parse_degree(args.pair_bound, g.rank)
     D = parse_degree(args.tau_bound, g.rank)
     report = aperiodicity_report(g, P, D)
-    status = {"pass": 1}
+    status = "pass"
     if report.status == PERIODIC_EVIDENCE:
-        status = {"fail": 1}
+        status = "fail"
     elif report.status == INCONCLUSIVE:
-        status = {"inconclusive": 1}
-    emit(_config(args), report.to_jsonable(), status)
-    return exit_code(status)
+        status = "inconclusive"
+    return report.to_jsonable(), [status]
 
 
 def _word(value, where: str) -> list:  # a seed file's word or rule image
@@ -229,6 +220,10 @@ def load_seed_handles(g: KGraph, path: str) -> list[BoundaryPathHandle]:
         except (TypeError, ValueError) as exc:
             raise ParseError(
                 f"{where}: malformed handle declaration ({type(exc).__name__}: {exc})") from exc
+        except ParseError:
+            raise
+        except KGraphError as exc:  # from the handle constructors
+            raise ParseError(f"{where}: {exc}") from exc
         shifts = rec.get("shifts", 1)
         if type(shifts) is not int or shifts < 1:  # bool is an int subclass
             raise ParseError(f"{where}: shifts must be a positive integer, got {shifts!r}")
@@ -248,18 +243,16 @@ def boundary_handles(g: KGraph, seeds: Optional[str]) -> list[BoundaryPathHandle
     return finite_boundary_paths(g)
 
 
-def cmd_boundary_check(args) -> int:
+def cmd_boundary_check(args):
     g = load_graph(args.graph)
     window = parse_degree(args.window, g.rank)
     fe_cap = parse_degree(args.fe_cap, g.rank)
     shift_bound = parse_degree(args.shift_bound, g.rank)
     handles = boundary_handles(g, args.seeds)
-    results = []
-    counts: dict = {}
+    results, statuses = [], []
     for x, cond in zip(handles, check_boundary_condition(handles, window, fe_cap)):
         aper = aperiodicity_window_check(x, shift_bound, window)
-        for verdict in (cond, aper):
-            counts[verdict.status] = counts.get(verdict.status, 0) + 1
+        statuses += [cond.status, aper.status]
         results.append({
             "handle": x.describe(),
             "boundary_condition": {"status": cond.status,
@@ -267,8 +260,7 @@ def cmd_boundary_check(args) -> int:
             "windowed_aperiodicity": {"status": aper.status,
                                       "witness": str(aper.witness) if aper.witness else None},
         })
-    emit(_config(args), results, counts)
-    return exit_code(counts)
+    return results, statuses
 
 
 def _random_table(pool: list[Path], rng: random.Random, integer: bool) -> dict:
@@ -287,7 +279,7 @@ def _random_table(pool: list[Path], rng: random.Random, integer: bool) -> dict:
 SUITES = ("tck", "ck", "lem1", "lem3", "phi2", "claim1", "exp", "diag", "couniversal")
 
 
-def cmd_rep_verify(args) -> int:
+def cmd_rep_verify(args):
     g = load_graph(args.graph)
     cap = parse_degree(args.cap, g.rank)
     gen_cap = parse_degree(args.gen_cap, g.rank)
@@ -315,60 +307,48 @@ def cmd_rep_verify(args) -> int:
     F = paths_up_to_degree(g, gen_cap)
     checked_rep = functools.cache(lambda: boolean_rep(fam, cap=gen_cap))
     separating_system = functools.cache(lambda: build_separating_system(fam, F))
-    results = []
-    counts: dict = {}
-
-    def absorb(checks) -> None:
-        for c in checks:
-            counts[c.status] = counts.get(c.status, 0) + 1
-            results.append(c.to_jsonable())
-
+    checks: list[repalg.CheckResult] = []
     for suite in suites:
         try:
             if suite == "tck":
-                absorb(verify_tck(fam, cap=gen_cap).checks)
+                checks += verify_tck(fam, cap=gen_cap)
             elif suite == "ck":
-                absorb(verify_ck(fam, fe_cap).checks)
+                checks += verify_ck(fam, fe_cap)
             elif suite == "lem1":
                 q_decomposition(checked_rep(), F)
-                absorb([repalg.CheckResult("lem1", "pass")])
+                checks.append(repalg.CheckResult("lem1", "pass"))
             elif suite == "lem3":
-                absorb(lem3_check(checked_rep(), F).checks)
+                checks += lem3_check(checked_rep(), F)
             elif suite == "phi2":
                 system = separating_system()
-                checks = []
-                for lam in system.F:
-                    for mu in system.F:
-                        for nu in system.F:
-                            checks.append(verify_phi2(fam, system, mu, nu, lam))
-                absorb(checks)
+                checks += [verify_phi2(fam, system, mu, nu, lam)
+                           for lam in system.F for mu in system.F for nu in system.F]
             elif suite == "claim1":
                 system = separating_system()
                 for _ in range(args.suite_size):
                     table = _random_table(F, rng, integer=False)
-                    absorb([verify_claim1(fam, F, table, system=system)])
+                    checks.append(verify_claim1(fam, F, table, system=system))
             elif suite == "exp":
                 b = get_boundary()
                 for _ in range(args.suite_size):
                     table = _random_table(F, rng, integer=True)
                     a = FormalElement(g, table)
-                    absorb([verify_exp_square(b, a)])
+                    checks.append(verify_exp_square(b, a))
             elif suite == "diag":
                 b = get_boundary()
                 for mu in F:
                     for nu in F:
                         if mu.source_vertex == nu.source_vertex:
-                            absorb(verify_diagonal_formula(b, mu, nu).checks)
+                            checks += verify_diagonal_formula(b, mu, nu)
             else:  # couniversal
                 b = get_boundary()
                 for _ in range(args.suite_size):
                     table = _random_table(F, rng, integer=False)
                     a = FormalElement(g, table)
-                    absorb([couniversal_norm_check(get_fock(), b, a)])
-        except (repalg.SeparationSearchExhausted,) as exc:
-            absorb([repalg.CheckResult(suite, "inconclusive", witness=str(exc))])
-    emit(_config(args), results, counts)
-    return exit_code(counts)
+                    checks.append(couniversal_norm_check(get_fock(), b, a))
+        except repalg.SeparationSearchExhausted as exc:
+            checks.append(repalg.CheckResult(suite, "inconclusive", witness=str(exc)))
+    return [c.to_jsonable() for c in checks], [c.status for c in checks]
 
 
 # -- argument wiring -----------------------------------------------------------
@@ -448,13 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        results, statuses = args.func(args)
     except KGraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG_ERROR
+    counts = Counter(statuses)
+    emit(_config(args), results, counts)
+    return exit_code(counts)
 
 
 if __name__ == "__main__":

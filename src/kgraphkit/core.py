@@ -461,6 +461,15 @@ def _keys(rec, what: str) -> set:
     return set(rec)
 
 
+def _typed(value, kind: type, what: str):
+    """value when its type is exactly kind, so a bool is no int and a number
+    no name; anything else is a ParseError."""
+    if type(value) is not kind:
+        noun = "an integer" if kind is int else "a string"
+        raise ParseError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
 def validate_presentation(raw: dict) -> KGraph:
     """Check a raw presentation and return the KGraph it defines.
 
@@ -478,11 +487,11 @@ def validate_presentation(raw: dict) -> KGraph:
         if not isinstance(raw.get(key, []), list):
             raise ParseError(f"{key} must be a list, got {type(raw[key]).__name__}")
     try:
-        rank = int(raw["rank"])
-        vertex_names = [str(v) for v in raw["vertices"]]
+        rank = _typed(raw["rank"], int, "rank")
+        vertex_names = [_typed(v, str, "vertex name") for v in raw["vertices"]]
         edge_records = list(raw.get("edges", []))
         square_records = list(raw.get("squares", []))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ParseError(f"malformed presentation: {exc}") from exc
     if rank < 1:
         raise ParseError(f"rank must be >= 1, got {rank}")
@@ -500,11 +509,14 @@ def validate_presentation(raw: dict) -> KGraph:
         unknown = _keys(rec, "edge record") - _EDGE_KEYS
         if unknown:
             raise ParseError(f"unknown edge keys: {sorted(unknown)}")
+        what = f"malformed edge record {rec!r}:"
         try:
-            e = SkeletonEdge(str(rec["name"]), int(rec["color"]),
-                             str(rec["range"]), str(rec["source"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed edge record {rec!r}: {exc}") from exc
+            e = SkeletonEdge(_typed(rec["name"], str, f"{what} name"),
+                             _typed(rec["color"], int, f"{what} color"),
+                             _typed(rec["range"], str, f"{what} range"),
+                             _typed(rec["source"], str, f"{what} source"))
+        except KeyError as exc:
+            raise ParseError(f"{what} {exc}") from exc
         if e.name in seen:
             violations.append(Violation("DuplicateName", f"name {e.name!r} reused"))
             continue
@@ -527,11 +539,14 @@ def validate_presentation(raw: dict) -> KGraph:
         unknown = _keys(rec, "square record") - _SQUARE_KEYS
         if unknown:
             raise ParseError(f"unknown square keys: {sorted(unknown)}")
-        try:
-            top = (str(rec["top"][0]), str(rec["top"][1]))
-            bottom = (str(rec["bottom"][0]), str(rec["bottom"][1]))
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ParseError(f"malformed square record {rec!r}: {exc}") from exc
+        what = f"malformed square record {rec!r}:"
+        sides = []
+        for key in ("top", "bottom"):
+            side = rec.get(key)
+            if type(side) is not list or len(side) != 2:
+                raise ParseError(f"{what} {key} must be a list of two edge names")
+            sides.append(tuple(_typed(n, str, f"{what} {key} entry") for n in side))
+        top, bottom = sides
         names = (*top, *bottom)
         if any(n not in edge_by_name for n in names):
             violations.append(Violation(

@@ -326,27 +326,14 @@ def _compare_on(cid: str, basis: Basis, lhs: Sequence[np.ndarray],
     return CheckResult(cid, "fail", witness=str(diff))
 
 
-class VerificationReport:
-    def __init__(self, title: str):
-        self.title = title
-        self.checks: list[CheckResult] = []
-
-    def add(self, check: CheckResult) -> None:
-        self.checks.append(check)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 # -- isometry families --------------------------------------------------------
 
 
 class IsometryFamily:
     """Indexed family λ -> 0/1 partial injection on a named basis.
 
-    kind "fock": basis vectors are the paths of degree <= cap, acted on by
-    left concatenation truncated at the cap.  kind "boundary": basis vectors
+    FockFamily: basis vectors are the paths of degree <= cap, acted on by
+    left concatenation truncated at the cap.  BoundaryFamily: basis vectors
     are boundary-path handles, acted on by extension with windowed identity.
     Relations are only asserted on safe columns, where every operator word
     within the stated budget acts without hitting the truncation rim; a
@@ -356,8 +343,7 @@ class IsometryFamily:
     cap: Optional[Degree] = None  # a truncated basis's cap, which bounds every generator
     _ranges: np.ndarray  # the range vertex of each basis vector, set by each subclass
 
-    def __init__(self, kind: str, graph: KGraph, basis: Basis):
-        self.kind = kind
+    def __init__(self, graph: KGraph, basis: Basis):
         self.graph = graph
         self.basis = basis
         self._gens: dict[Path, np.ndarray] = {}  # index arrays j -> i or -1
@@ -445,7 +431,7 @@ class FockFamily(IsometryFamily):
     def __init__(self, graph: KGraph, cap: Degree):
         paths = paths_up_to_degree(graph, cap)
         basis = Basis([p.label() for p in paths])
-        super().__init__("fock", graph, basis)
+        super().__init__(graph, basis)
         self.cap = cap
         self._ranges = np.array([p.range_vertex for p in paths])
         self._paths = paths
@@ -488,7 +474,7 @@ class BoundaryFamily(IsometryFamily):
     def __init__(self, graph: KGraph, handles: Sequence[BoundaryPathHandle],
                  window: Degree, fingerprints: dict):
         basis = Basis([f"x{i:03d}" for i in range(len(handles))])
-        super().__init__("boundary", graph, basis)
+        super().__init__(graph, basis)
         self._ranges = np.array([x.range_vertex for x in handles])
         self.window = window
         self.handles = tuple(handles)
@@ -626,11 +612,11 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
 # -- TCK / CK verification ----------------------------------------------------
 
 
-def verify_tck(fam: IsometryFamily, cap) -> VerificationReport:
+def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
     """Exact checks of the three defining relations on safe columns."""
     g = fam.graph
     cap = Degree(cap)
-    report = VerificationReport(f"tck[{fam.kind}]")
+    checks = []
 
     t = fam.generator
     verts = [g.vertex_path(v) for v in g.vertices]
@@ -638,21 +624,21 @@ def verify_tck(fam: IsometryFamily, cap) -> VerificationReport:
         tv = t(v)
         ok = (np.array_equal(tv, inverse_map(tv))
               and np.array_equal(compose_maps(tv, tv), tv))
-        report.add(CheckResult(f"TCK1:{v.label()} projection",
-                               "pass" if ok else "fail"))
+        checks.append(CheckResult(f"TCK1:{v.label()} projection",
+                                  "pass" if ok else "fail"))
     for v, w in itertools.combinations(verts, 2):
         zero = not np.any(compose_maps(t(v), t(w)) >= 0)
-        report.add(CheckResult(f"TCK1:{v.label()}·{w.label()} orthogonal",
-                               "pass" if zero else "fail"))
+        checks.append(CheckResult(f"TCK1:{v.label()}·{w.label()} orthogonal",
+                                  "pass" if zero else "fail"))
 
     paths = paths_up_to_degree(g, cap)
     for lam in paths:
         for mu in paths:
             if lam.source_vertex != mu.range_vertex or not lam.degree + mu.degree <= cap:
                 continue
-            report.add(_compare_on(f"TCK2:{lam.label()}·{mu.label()}", fam.basis,
-                                   [compose_maps(t(lam), t(mu))], [t(compose(lam, mu))],
-                                   fam.safe_columns(lam.degree + mu.degree)))
+            checks.append(_compare_on(f"TCK2:{lam.label()}·{mu.label()}", fam.basis,
+                                      [compose_maps(t(lam), t(mu))], [t(compose(lam, mu))],
+                                      fam.safe_columns(lam.degree + mu.degree)))
 
     for mu in paths:
         for nu in paths:
@@ -663,17 +649,17 @@ def verify_tck(fam: IsometryFamily, cap) -> VerificationReport:
                 alpha = segment(lam, mu.degree, lam.degree)
                 beta = segment(lam, nu.degree, lam.degree)
                 rhs.append(compose_maps(t(alpha), inverse_map(t(beta))))
-            report.add(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", fam.basis,
-                                   [compose_maps(inverse_map(t(mu)), t(nu))], rhs,
-                                   fam.safe_columns(mu.degree.join(nu.degree))))
-    return report
+            checks.append(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", fam.basis,
+                                      [compose_maps(inverse_map(t(mu)), t(nu))], rhs,
+                                      fam.safe_columns(mu.degree.join(nu.degree))))
+    return checks
 
 
-def verify_ck(fam: IsometryFamily, cap) -> VerificationReport:
+def verify_ck(fam: IsometryFamily, cap) -> list[CheckResult]:
     """Gap-projection products over every minimal FE set below the cap."""
     g = fam.graph
     cap = Degree(cap)
-    report = VerificationReport(f"ck[{fam.kind}]")
+    checks = []
     for v in g.vertices:
         # t_v times each gap (t_v - q_lam) is diagonal once t_v is: the mask of
         # t_v AND-NOT every q_lam
@@ -687,9 +673,9 @@ def verify_ck(fam: IsometryFamily, cap) -> VerificationReport:
             cols = fam.safe_columns(join_degrees((lam.degree for lam in E), g.rank))
             hit = cols[gap[cols]]
             label = "{" + ",".join(p.label() for p in E) + "}"
-            report.add(CheckResult(f"CK:{v}:{label}", "fail" if len(hit) else "pass",
-                                   witness=fam.basis.labels[hit[0]] if len(hit) else None))
-    return report
+            checks.append(CheckResult(f"CK:{v}:{label}", "fail" if len(hit) else "pass",
+                                      witness=fam.basis.labels[hit[0]] if len(hit) else None))
+    return checks
 
 
 # -- boolean representations and decompositions -------------------------------
@@ -791,7 +777,7 @@ def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> QDecomposition:
     return QDecomposition(vee_F, Q)
 
 
-def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> VerificationReport:
+def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> list[CheckResult]:
     """Nonvanishing of Q_alpha whenever the extension set below alpha in F
     fails to be exhaustive, witnessed by a projection it dominates."""
     g = fam.graph
@@ -800,20 +786,20 @@ def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> VerificationReport:
         if not fam.q(lam).any():
             raise KGraphError(f"q_{lam.label()} vanishes; hypothesis violated")
 
-    report = VerificationReport("lem3")
+    checks = []
     for alpha in F:
         tau = _lem3_witness(g, alpha, F)[1]
         if tau is None:
-            report.add(CheckResult(f"lem3:{alpha.label()}", "pass",
-                                   detail={"claim": "none (extension set exhaustive)"}))
+            checks.append(CheckResult(f"lem3:{alpha.label()}", "pass",
+                                      detail={"claim": "none (extension set exhaustive)"}))
             continue
         q_ext = fam.q(compose(alpha, tau))
         ok = q_ext.any() and not np.any(q_ext & ~_q_piece(fam, alpha, F))
         witness = fam.basis.labels[np.argmax(q_ext)] if ok else None
-        report.add(CheckResult(
+        checks.append(CheckResult(
             f"lem3:{alpha.label()}", "pass" if ok else "fail", witness=witness,
             detail={"tau": tau.label()}))
-    return report
+    return checks
 
 
 def diagonal_norm(fam: IsometryFamily, coeffs: dict) -> float:
@@ -906,15 +892,15 @@ def verify_exp_square(boundary: IsometryFamily, a: FormalElement) -> CheckResult
                        witness=str((label, label, left[i].item(), right[i].item())))
 
 
-def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path
-                            ) -> VerificationReport:
+def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path) -> list[CheckResult]:
     """Per-handle diagonal entries of S_mu S_nu*: zero off the diagonal pairs.
 
     For mu != nu the entry at x vanishes unless the two shifted handles are
     equal, which windowed comparison can only refute; an unresolvable
     comparison is reported as inconclusive, never coerced to a pass.
     """
-    report = VerificationReport(f"diag[{mu.label()},{nu.label()}]")
+    prefix = f"diag[{mu.label()},{nu.label()}]"
+    checks = []
     matrix = compose_maps(bfam.generator(mu), inverse_map(bfam.generator(nu)))
     on_diagonal = (matrix == np.arange(len(matrix))).tolist()
     safe = np.zeros(len(matrix), dtype=bool)
@@ -931,16 +917,16 @@ def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path
         elif mu == nu:
             expected = 1
         else:
-            report.add(CheckResult(f"{report.title}@{label}", "inconclusive",
-                                   witness=label))
+            checks.append(CheckResult(f"{prefix}@{label}", "inconclusive",
+                                      witness=label))
             continue
         got = int(on_diagonal[j])
         if safe[j] and got != expected:
-            report.add(CheckResult(f"{report.title}@{label}", "fail",
-                                   witness=f"{label}: matrix {got} vs window {expected}"))
+            checks.append(CheckResult(f"{prefix}@{label}", "fail",
+                                      witness=f"{label}: matrix {got} vs window {expected}"))
             continue
-        report.add(CheckResult(f"{report.title}@{label}", "pass"))
-    return report
+        checks.append(CheckResult(f"{prefix}@{label}", "pass"))
+    return checks
 
 
 # -- separating systems and the norm inequality --------------------------------

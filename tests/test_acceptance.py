@@ -185,25 +185,25 @@ def test_criterion_6_lem1_lem3(fock_b2_n4, bouquet2):
             dec = q_decomposition(q, F)  # orthogonality and eq1 asserted inside
             assert dec.vee_F
             report = lem3_check(q, F)
-            assert report.ok, [c.to_jsonable() for c in report.checks if not c.ok]
+            assert all(c.ok for c in report), [c.to_jsonable() for c in report if not c.ok]
         report = lem3_check(q, [v, a])
-        by_id = {c.id: c for c in report.checks}
+        by_id = {c.id: c for c in report}
         assert by_id["lem3:v"].witness == "b"
 
 
 def test_criterion_7_tck_ck_discrimination(fock_b2_n4, boundary_omega, boundary_tm):
     with criterion(7, "Fock is TCK-not-CK; boundary families are CK", 10.0):
-        assert verify_tck(fock_b2_n4, cap=(2,)).ok
+        assert all(c.ok for c in verify_tck(fock_b2_n4, cap=(2,)))
         ck = verify_ck(fock_b2_n4, (1,))
-        bad = [c for c in ck.checks if not c.ok]
+        bad = [c for c in ck if not c.ok]
         assert [c.id for c in bad] == ["CK:v:{a,b}"]
         assert bad[0].witness == "v"
 
-        assert verify_tck(boundary_omega, cap=(1, 1)).ok
-        assert verify_ck(boundary_omega, (1, 1)).ok
+        assert all(c.ok for c in verify_tck(boundary_omega, cap=(1, 1)))
+        assert all(c.ok for c in verify_ck(boundary_omega, (1, 1)))
         assert len(boundary_tm.handles) >= 16
-        assert verify_tck(boundary_tm, cap=(2,)).ok
-        assert verify_ck(boundary_tm, (1,)).ok
+        assert all(c.ok for c in verify_tck(boundary_tm, cap=(2,)))
+        assert all(c.ok for c in verify_ck(boundary_tm, (1,)))
 
 
 @pytest.fixture(scope="module")
@@ -286,8 +286,8 @@ def test_criterion_11_diagonal_formula(boundary_tm, boundary_omega, bouquet2,
                 if mu == nu:
                     continue
                 report = verify_diagonal_formula(boundary_tm, mu, nu)
-                assert report.ok
-                assert not any(c.status == "inconclusive" for c in report.checks)
+                assert all(c.ok for c in report)
+                assert not any(c.status == "inconclusive" for c in report)
 
         units = {h.range_vertex: i for i, h in enumerate(boundary_omega.handles)}
         for q in [(1, 0), (1, 1), (2, 2)]:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from kgraphkit import kgraph_to_dict, make_bouquet, make_cycle, make_omega
-from kgraphkit import boundary, cli
+from kgraphkit import boundary, cli, repalg
 from kgraphkit.cli import main
 
 from conftest import flip_presentation, nlc_presentation, weak_lower_end
@@ -304,7 +304,9 @@ def _write(path, data) -> str:
     "degree-not-int", "degree-negative", "rank-not-int", "color-not-int", "seeds-missing",
     "seeds-not-json", "seeds-no-rules", "seeds-no-word", "vertices-string", "vertices-object",
     "edges-object", "squares-string", "top-list", "top-int", "top-string", "edge-int",
-    "square-int"])
+    "square-int", "rank-float", "rank-bool", "rank-string", "rank-integral-float",
+    "color-float", "vertex-int", "edge-name-null", "endpoint-int", "square-entry-int",
+    "square-side-string"])
 def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, case):
     b2 = graph_files["bouquet2"]
 
@@ -339,12 +341,38 @@ def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, ca
             "rank": 1, "vertices": ["v"], "edges": [5], "squares": []})],
         "square-int": ["validate", _write(tmp_path / "si.kg", {
             "rank": 1, "vertices": ["v"], "edges": [], "squares": [1]})],
+        **{f"rank-{label}": ["validate", _write(tmp_path / f"r{label}.kg", {
+            "rank": rank, "vertices": ["v"], "edges": [], "squares": []})]
+           for label, rank in (("float", 1.9), ("bool", True), ("string", "1"),
+                               ("integral-float", 2.0))},
+        "color-float": ["validate", _write(tmp_path / "cf.kg", {
+            "rank": 1, "vertices": ["v"], "squares": [],
+            "edges": [{"name": "a", "color": 1.7, "range": "v", "source": "v"}]})],
+        "vertex-int": ["validate", _write(tmp_path / "vi.kg", {
+            "rank": 1, "vertices": [7], "edges": [], "squares": []})],
+        "edge-name-null": ["validate", _write(tmp_path / "en.kg", {
+            "rank": 1, "vertices": ["v"], "squares": [],
+            "edges": [{"name": None, "color": 1, "range": "v", "source": "v"}]})],
+        "endpoint-int": ["validate", _write(tmp_path / "ep.kg", {
+            "rank": 1, "vertices": ["v"], "squares": [],
+            "edges": [{"name": "a", "color": 1, "range": "v", "source": 0}]})],
+        "square-entry-int": ["validate", _write(tmp_path / "se.kg", {
+            "rank": 1, "vertices": ["v"], "edges": [],
+            "squares": [{"top": ["a", 1], "bottom": ["a", "a"]}]})],
+        # a string side must not be read as its characters
+        "square-side-string": ["validate", _write(tmp_path / "sq.kg", {
+            "rank": 1, "vertices": ["v"], "squares": [{"top": "aa", "bottom": ["a", "a"]}],
+            "edges": [{"name": "a", "color": 1, "range": "v", "source": "v"}]})],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     if case in ("top-list", "top-int", "top-string", "edge-int", "square-int"):
         assert "must be a JSON object" in err, err
+    if case.startswith(("rank-", "color-")):
+        assert "must be an integer, got" in err, err
+    if case in ("vertex-int", "edge-name-null", "endpoint-int", "square-entry-int"):
+        assert "must be a string, got" in err, err
 
 
 @pytest.mark.parametrize("shifts", [2.9, True, 0, -2, "3"])
@@ -398,19 +426,66 @@ def test_seed_shifts_default_and_positive_int(graph_files, tmp_path):
     assert len(cli.load_seed_handles(g, path)) == 1 + 3
 
 
-@pytest.mark.parametrize("decl, message", [
-    ([], "must be a JSON object, got list"),
-    ({"handles": {"a": 1}}, "handles must be a list, got dict"),
-    ({"handles": [5]}, "handle 0: must be a JSON object, got int"),
-    ({"handles": [{"kind": "substitution", "seed": "a", "rules": ["ab"]}]},
+_TM = {"kind": "substitution", "seed": "a", "rules": {"a": "ab", "b": "ba"}}
+
+
+@pytest.mark.parametrize("graph, decl, message", [
+    ("bouquet2", [], "must be a JSON object, got list"),
+    ("bouquet2", {"handles": {"a": 1}}, "handles must be a list, got dict"),
+    ("bouquet2", {"handles": [5]}, "handle 0: must be a JSON object, got int"),
+    ("bouquet2", {"handles": [{"kind": "substitution", "seed": "a", "rules": ["ab"]}]},
      "handle 0: rules must be a JSON object, got list"),
-    ({"handles": [{"kind": "substitution", "rules": {"a": "ab", "b": "ba"}}]},
+    ("bouquet2", {"handles": [{"kind": "substitution", "rules": {"a": "ab", "b": "ba"}}]},
      "handle 0: missing key 'seed'"),
-    ({"handles": [{"kind": "fixed"}]}, "handle 0: unknown handle kind 'fixed'"),
-], ids=["top-list", "handles-object", "record-int", "rules-list", "seed-missing", "kind-unknown"])
-def test_seed_file_errors_name_the_handle(capsys, graph_files, tmp_path, decl, message):
+    ("bouquet2", {"handles": [{"kind": "fixed"}]}, "handle 0: unknown handle kind 'fixed'"),
+    # errors raised by the handle constructors themselves
+    ("bouquet2", {"handles": [_TM, {"kind": "periodic", "word": "az"}]},
+     "handle 1: unknown edge 'z' in periodic word"),
+    ("bouquet2", {"handles": [dict(_TM, rules={"a": "ba", "b": "ab"})]},
+     "handle 0: rule 'a' -> ba has no growing fixed point at 'a'"),
+    ("flip", {"handles": [_TM]}, "handle 0: substitutions need a single-vertex 1-graph"),
+], ids=["top-list", "handles-object", "record-int", "rules-list", "seed-missing", "kind-unknown",
+        "periodic-unknown-edge", "no-fixed-point", "not-single-vertex"])
+def test_seed_file_errors_name_the_handle(capsys, graph_files, tmp_path, graph, decl, message):
     path = _write(tmp_path / "seeds.json", decl)
-    assert main(["boundary-check", graph_files["bouquet2"], "--seeds", path]) == 2
+    assert main(["boundary-check", graph_files[graph], "--seeds", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, code, line, results", [
+    (["validate", "flip"], 0, "kgraphkit validate: pass=1", None),
+    (["validate", "broken"], 1, "kgraphkit validate: fail=1", None),
+    (["paths", "bouquet2", "--degree", "1"], 0, "kgraphkit paths: pass=1", None),
+    (["exhaustive", "bouquet2", "v", "a"], 1, "kgraphkit exhaustive: fail=1", None),
+    (["exhaustive", "bouquet2", "v", "a", "b"], 0, "kgraphkit exhaustive: pass=1", None),
+    (["aperiodic", "c3", "--pair-bound", "3", "--tau-bound", "3"], 1,
+     "kgraphkit aperiodic: fail=1", None),
+    (["aperiodic", "bouquet2", "--pair-bound", "0", "--tau-bound", "0"], 3,
+     "kgraphkit aperiodic: inconclusive=1", None),
+    (["boundary-check", "bouquet2", "--seeds", "tm"], 0, "kgraphkit boundary-check: pass=32",
+     None),
+    # the Fock family is TCK but not CK: one CK gap fails among passes
+    (["rep-verify", "bouquet2", "--cap", "4", "--suite", "tck,ck"], 1,
+     "kgraphkit rep-verify: fail=1, pass=16", None),
+    (["rep-verify", "bouquet2", "--suite", "phi2"], 3, "kgraphkit rep-verify: inconclusive=1",
+     [{"id": "phi2", "status": "inconclusive", "witness": "budget spent (depth (1,))"}]),
+], ids=["validate-pass", "validate-fail", "paths", "exhaustive-fail", "exhaustive-pass",
+        "aperiodic-fail", "aperiodic-inconclusive", "boundary-check-pass", "rep-verify-mixed",
+        "phi2-search-exhausted"])
+def test_exit_code_and_summary_line(capsys, graph_files, tm_seeds, tmp_path, monkeypatch,
+                                    argv, code, line, results):
+    def exhausted(*args, **kwargs):
+        raise repalg.SeparationSearchExhausted((1,), "budget spent")
+
+    # only the phi2 run builds a separating system; here its search gives up
+    monkeypatch.setattr(cli, "build_separating_system", exhausted)
+    pres = flip_presentation()
+    del pres["squares"][1]
+    files = dict(graph_files, broken=_write(tmp_path / "broken.kg", pres), tm=tm_seeds)
+    assert main([files.get(a, a) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n"
+    if results is not None:
+        assert json.loads(captured.out)["results"] == results

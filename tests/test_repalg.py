@@ -289,11 +289,11 @@ class TestFockAction:
 class TestVerifyTckCk:
     def test_fock_tck_passes(self, fock_b2_n4):
         report = verify_tck(fock_b2_n4, cap=(2,))
-        assert report.ok, [c.to_jsonable() for c in report.checks if not c.ok]
+        assert all(c.ok for c in report), [c.to_jsonable() for c in report if not c.ok]
 
     def test_fock_ck_fails_at_vacuum(self, fock_b2_n4):
         report = verify_ck(fock_b2_n4, (1,))
-        bad = [c for c in report.checks if not c.ok]
+        bad = [c for c in report if not c.ok]
         assert len(bad) == 1
         assert bad[0].id == "CK:v:{a,b}"
         assert bad[0].witness == "v"
@@ -309,16 +309,16 @@ class TestVerifyTckCk:
             verify_ck(fam, (1,))
 
     def test_boundary_omega_tck_ck(self, boundary_omega):
-        assert verify_tck(boundary_omega, cap=(1, 1)).ok
-        assert verify_ck(boundary_omega, (1, 1)).ok
+        assert all(c.ok for c in verify_tck(boundary_omega, cap=(1, 1)))
+        assert all(c.ok for c in verify_ck(boundary_omega, (1, 1)))
 
     def test_boundary_tm_tck_ck(self, boundary_tm):
-        assert verify_tck(boundary_tm, cap=(2,)).ok
-        assert verify_ck(boundary_tm, (1,)).ok
+        assert all(c.ok for c in verify_tck(boundary_tm, cap=(2,)))
+        assert all(c.ok for c in verify_ck(boundary_tm, (1,)))
 
     def test_flip_fock_tck(self, flip):
         fam = build_fock_family(flip, (2, 2))
-        assert verify_tck(fam, cap=(1, 1)).ok
+        assert all(c.ok for c in verify_tck(fam, cap=(1, 1)))
 
 
 class TestBoundaryBasis:
@@ -435,7 +435,7 @@ class TestLem3:
     def test_nonexhaustive_branch(self, fock_b2_n4, bouquet2):
         q = boolean_rep(fock_b2_n4, cap=(1,))
         report = lem3_check(q, [bouquet2.vertex_path("v"), bouquet2.edge_path("a")])
-        by_id = {c.id: c for c in report.checks}
+        by_id = {c.id: c for c in report}
         assert by_id["lem3:v"].ok and by_id["lem3:v"].witness == "b"
         assert by_id["lem3:a"].ok
 
@@ -443,7 +443,7 @@ class TestLem3:
         q = boolean_rep(fock_b2_n4, cap=(1,))
         F = [bouquet2.vertex_path("v"), bouquet2.edge_path("a"), bouquet2.edge_path("b")]
         report = lem3_check(q, F)
-        by_id = {c.id: c for c in report.checks}
+        by_id = {c.id: c for c in report}
         assert "none" in by_id["lem3:v"].detail["claim"]
 
     def test_mce_closure_enforced(self, omega22):
@@ -623,7 +623,7 @@ def test_lem3_witness_matches_brute_exhaustiveness(request, graph, f_cap, cap, e
     closure = repalg._closure(g, F)
     system = build_separating_system(fam, F)
     assert system.B_exhaustive == {lam: brute(lam, closure) for lam in F}
-    claims = {c.id: "claim" in c.detail for c in lem3_check(fam, F).checks}
+    claims = {c.id: "claim" in c.detail for c in lem3_check(fam, F)}
     assert claims == {f"lem3:{lam.label()}": brute(lam, F) for lam in F}
     assert (sum(system.B_exhaustive.values()), sum(claims.values())) == exhaustive
     assert len(F) > exhaustive[1]
@@ -765,13 +765,13 @@ class TestDiagonalFormula:
     def test_omega_offdiagonal_zero(self, boundary_omega, omega22):
         report = verify_diagonal_formula(
             boundary_omega, omega22.edge_path("e1_0_0"), omega22.edge_path("e2_0_0"))
-        assert report.ok
-        assert not any(c.status == "inconclusive" for c in report.checks)
+        assert all(c.ok for c in report)
+        assert not any(c.status == "inconclusive" for c in report)
 
     def test_omega_diagonal_unit(self, boundary_omega, omega22):
         mu = omega22.edge_path("e1_0_0")
         report = verify_diagonal_formula(boundary_omega, mu, mu)
-        assert report.ok
+        assert all(c.ok for c in report)
         matrix = boundary_omega.evaluate(FormalElement(omega22, {(mu, mu): 1}).diagonal())
         assert as_referee(matrix) == as_matrix(boundary_omega.basis, boundary_omega.q(mu))
         assert len(matrix.vals) == 1
@@ -779,8 +779,8 @@ class TestDiagonalFormula:
     def test_tm_no_inconclusive_small_degrees(self, boundary_tm, bouquet2):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         report = verify_diagonal_formula(boundary_tm, a, b)
-        assert report.ok
-        assert not any(c.status == "inconclusive" for c in report.checks)
+        assert all(c.ok for c in report)
+        assert not any(c.status == "inconclusive" for c in report)
 
 
 class TestMatrixUnits:
