@@ -331,42 +331,73 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
     For each handle x, each position n in the window and each minimal finite
     exhaustive set at the vertex there, some tail segment of x must lie in
     the set.  A handle that cannot produce a needed window yields an unknown
-    verdict rather than a fail.  The FE sets of each vertex are enumerated
-    once.
+    verdict rather than a fail.  The witness is the first failing n with the
+    labels of its first unmet set; otherwise the first unknown n with the
+    labels of its first blocked set, or None when the vertex at n itself is
+    unavailable.
+
+    Each position is tested once per call.  The shift identity
+    (σ^s y)(n, n + d) = y(s + n, s + n + d), with d(σ^s y) = d(y) - s, makes
+    position n of σ^s(y) the same test as position s + n of y: the same
+    vertex, the same segments, the same degree bound and the same
+    unavailable windows.  So a ShiftHandle(y, s) reads its outcomes from
+    y's at s + n, and the shifts of one seed share them.  The FE sets of
+    each vertex are enumerated once.
     """
     fe_cap = Degree(fe_cap)
     width = ext_degree(Degree(window))
     fe_cache: dict[str, list[list[Path]]] = {}
+    # base handle -> absolute position -> (status, labels); keyed by the
+    # handle itself, which the dict keeps alive for the call
+    outcomes: dict[BoundaryPathHandle, dict[Degree, tuple]] = {}
+
+    def outcome(y: BoundaryPathHandle, p: Degree) -> tuple:
+        """(status, labels) of position p of y: the first unmet set fails
+        it, else the first blocked set leaves it unknown."""
+        try:
+            v = y.vertex_at(p)
+        except WindowUnavailable:
+            return ("unknown", None)
+        if v not in fe_cache:
+            fe_cache[v] = enumerate_fe(y.graph, v, fe_cap)
+        first_blocked = None
+        for E in fe_cache[v]:
+            blocked = False
+            for e in E:
+                target = p + e.degree
+                if not ext_le(target, y.degree):
+                    continue
+                try:
+                    if y.window(p, target) == e:
+                        break
+                except WindowUnavailable:
+                    blocked = True
+            else:
+                if not blocked:
+                    return ("fail", [e.label() for e in E])
+                if first_blocked is None:
+                    first_blocked = E
+        if first_blocked is not None:
+            return ("unknown", [e.label() for e in first_blocked])
+        return ("pass", None)
 
     def verdict(x: BoundaryPathHandle) -> BoundaryVerdict:
+        if isinstance(x, ShiftHandle):
+            y, s = x.inner, x.by
+        else:
+            y, s = x, Degree.zero(x.graph.rank)
+        seen = outcomes.setdefault(y, {})
         unknown_witness = None
         for n in degrees_up_to(ext_meet(x.degree, width)):
-            try:
-                v = x.vertex_at(n)
-            except WindowUnavailable:
-                unknown_witness = unknown_witness or (n, None)
-                continue
-            if v not in fe_cache:
-                fe_cache[v] = enumerate_fe(x.graph, v, fe_cap)
-            for E in fe_cache[v]:
-                hit = False
-                blocked = False
-                for e in E:
-                    target = n + e.degree
-                    if not ext_le(target, x.degree):
-                        continue
-                    try:
-                        if x.window(n, target) == e:
-                            hit = True
-                            break
-                    except WindowUnavailable:
-                        blocked = True
-                if hit:
-                    continue
-                if blocked:
-                    unknown_witness = unknown_witness or (n, [e.label() for e in E])
-                    continue
-                return BoundaryVerdict("fail", (n, [e.label() for e in E]))
+            p = s + n
+            got = seen.get(p)
+            if got is None:
+                got = seen[p] = outcome(y, p)
+            status, labels = got
+            if status == "fail":
+                return BoundaryVerdict("fail", (n, labels))
+            if status == "unknown" and unknown_witness is None:
+                unknown_witness = (n, labels)
         if unknown_witness is not None:
             return BoundaryVerdict("unknown", unknown_witness)
         return BoundaryVerdict("pass")

@@ -3,9 +3,13 @@
 Each ``cmd_*`` function returns ``(results, statuses)``: the JSON payload and
 one status string per outcome.  ``main`` alone counts the statuses, writes the
 report and the summary, and picks the exit code.  Machine output goes to
-stdout as stably serialized JSON (identical inputs give identical bytes); one
-summary line ``kgraphkit COMMAND: status=count, ...``, sorted by status, goes
-to stderr.  Exit codes: 0 all hard checks pass, 1 a check failed, 2
+stdout in one byte format: two-space indentation, sorted keys, ASCII escapes
+for every non-ASCII character and ``str`` for objects JSON cannot represent,
+that is the bytes of ``json.dumps(report, sort_keys=True, indent=2,
+default=str)`` plus a newline, laid out by ``encode`` through the standard
+library's C encoder (identical inputs give identical bytes).  One summary
+line ``kgraphkit COMMAND: status=count, ...``, sorted by status, goes to
+stderr.  Exit codes: 0 all hard checks pass, 1 a check failed, 2
 configuration or parse error, 3 only inconclusive outcomes.
 """
 
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -96,6 +101,76 @@ def parse_degree(text: str, rank: int) -> Degree:
         raise ParseError(f"bad degree {text!r}: {exc}") from exc
 
 
+def encode(obj) -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2, default=str)``,
+    laid out with the standard library's C encoder.
+
+    ``json.JSONEncoder`` with ``indent=None`` encodes in C, and an item
+    separator of ",\\n" plus padding lays out every member of one container
+    at one depth.  So a container of scalars is one C call, to which only its
+    opening and closing newlines are added.  A list of non-empty flat
+    containers of one kind (the rep-verify results) is one C call too: the
+    seams between its items, such as "},\\n<padding>{", are re-indented with
+    ``str.replace``.  That is unambiguous, because an encoded string never
+    holds a raw newline and a scalar never ends in a bracket.  Everything
+    else recurses, with dict items sorted on the keys as given and each key
+    written by json itself, so json's rules hold throughout: for key types,
+    for subclasses (a Degree is a tuple, so an array) and for ``default=str``.
+    The pieces go to one list, joined once at the end, so no container's
+    text is copied into its parent's.
+    """
+
+    def c_encode(obj, levels: int) -> str:
+        """obj in one C call, members separated by ",\\n" and levels of padding."""
+        return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * levels, ": "),
+                                default=str).encode(obj)
+
+    def all_scalars(members) -> bool:
+        """No member is a container; decided on the set of member types."""
+        return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, members)))
+
+    out: list[str] = []
+
+    def layout(obj, depth: int) -> None:
+        """Append the text of obj, nested depth levels deep, to out."""
+        if not isinstance(obj, (dict, list, tuple)) or not obj:
+            out.append(c_encode(obj, 0))
+            return
+        pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+        if all_scalars(obj.values() if isinstance(obj, dict) else obj):
+            text = c_encode(obj, depth + 1)
+            out.extend((text[0], inner, text[1:-1], pad, text[-1]))
+            return
+        if isinstance(obj, dict):
+            # c_encode({key: 0}) is '{"<key as json writes it>": 0}'
+            for i, (key, value) in enumerate(sorted(obj.items())):
+                out.append(("," if i else "{") + inner + c_encode({key: 0}, 0)[1:-4] + ": ")
+                layout(value, depth + 1)
+            out.append(pad + "}")
+            return
+        kinds = set(map(type, obj))
+        if all(issubclass(k, dict) for k in kinds):
+            members = itertools.chain.from_iterable(map(dict.values, obj))
+        elif all(issubclass(k, (list, tuple)) for k in kinds):
+            members = itertools.chain.from_iterable(obj)
+        else:
+            members = None
+        if members is not None and all(obj) and all_scalars(members):
+            opening, closing = ("{", "}") if isinstance(obj[0], dict) else ("[", "]")
+            deep = "\n" + "  " * (depth + 2)
+            text = c_encode(obj, depth + 2).replace(
+                closing + "," + deep + opening, inner + closing + "," + inner + opening + deep)
+            out.extend(("[", inner, opening, deep, text[2:-2], inner, closing, pad, "]"))
+            return
+        for i, item in enumerate(obj):
+            out.append(("," if i else "[") + inner)
+            layout(item, depth + 1)
+        out.append(pad + "]")
+
+    layout(obj, 0)
+    return "".join(out)
+
+
 def emit(config: dict, results, status_counts: dict) -> None:
     report = {
         "tool": "kgraphkit",
@@ -103,7 +178,7 @@ def emit(config: dict, results, status_counts: dict) -> None:
         "config": config,
         "results": results,
     }
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, default=str) + "\n")
+    sys.stdout.write(encode(report) + "\n")
     summary = ", ".join(f"{k}={v}" for k, v in sorted(status_counts.items()))
     sys.stderr.write(f"kgraphkit {config.get('command')}: {summary or 'done'}\n")
 

@@ -523,7 +523,7 @@ def validate_presentation(raw: dict) -> KGraph:
         seen.add(e.name)
         if not 1 <= e.color <= rank:
             violations.append(Violation(
-                "DanglingEndpoint", f"edge {e.name!r} has color {e.color} outside 1..{rank}"))
+                "ColorOutOfRange", f"edge {e.name!r} has color {e.color} outside 1..{rank}"))
             continue
         if e.range_vertex not in vertices or e.source_vertex not in vertices:
             violations.append(Violation(

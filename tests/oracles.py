@@ -1,7 +1,9 @@
 """Brute-force referees that only the test suite calls, each checking a fast
-routine by direct enumeration (vee E and finite exhaustive sets as defined by
-Raeburn-Sims-Yeend, JFA 2004).  The referees the package itself needs stay in
-kgraphkit.alignment (its docstring says why).
+routine by direct enumeration: vee E and finite exhaustive sets as defined by
+Raeburn-Sims-Yeend, JFA 2004, and the boundary condition of Sims, Indiana
+Univ. Math. J. 2006, tested position by position on each handle.  The
+referees the package itself needs stay in kgraphkit.alignment (its docstring
+says why).
 
 No assert statement here: pytest rewrites the asserts of test modules only,
 not of the helpers they import, so an assert here would vanish under -O.
@@ -14,9 +16,22 @@ from typing import Iterable
 
 import numpy as np
 
-from kgraphkit.alignment import CapTooLargeForBudget, is_exhaustive_brute, mce_set
-from kgraphkit.boundary import finite_boundary_paths
-from kgraphkit.core import Degree, KGraph, Path, paths_up_to_degree
+from kgraphkit.alignment import (
+    CapTooLargeForBudget,
+    enumerate_fe,
+    is_exhaustive_brute,
+    mce_set,
+)
+from kgraphkit.boundary import (
+    BoundaryPathHandle,
+    BoundaryVerdict,
+    WindowUnavailable,
+    ext_degree,
+    ext_le,
+    ext_meet,
+    finite_boundary_paths,
+)
+from kgraphkit.core import Degree, KGraph, Path, degrees_up_to, paths_up_to_degree
 from kgraphkit.repalg import BoundaryFamily, build_boundary_family
 
 
@@ -58,6 +73,42 @@ def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000
             break
     out.sort(key=lambda E: (len(E), [p.sort_key() for p in E]))
     return out
+
+
+def boundary_verdict_per_handle(x: BoundaryPathHandle, window, fe_cap) -> BoundaryVerdict:
+    """Oracle: check_boundary_condition of the one handle x, scanning every
+    position of x through x's own windows, with no outcome shared."""
+    fe_cap = Degree(fe_cap)
+    width = ext_degree(Degree(window))
+    unknown_witness = None
+    for n in degrees_up_to(ext_meet(x.degree, width)):
+        try:
+            v = x.vertex_at(n)
+        except WindowUnavailable:
+            unknown_witness = unknown_witness or (n, None)
+            continue
+        for E in enumerate_fe(x.graph, v, fe_cap):
+            hit = False
+            blocked = False
+            for e in E:
+                target = n + e.degree
+                if not ext_le(target, x.degree):
+                    continue
+                try:
+                    if x.window(n, target) == e:
+                        hit = True
+                        break
+                except WindowUnavailable:
+                    blocked = True
+            if hit:
+                continue
+            if blocked:
+                unknown_witness = unknown_witness or (n, [e.label() for e in E])
+                continue
+            return BoundaryVerdict("fail", (n, [e.label() for e in E]))
+    if unknown_witness is not None:
+        return BoundaryVerdict("unknown", unknown_witness)
+    return BoundaryVerdict("pass")
 
 
 def boundary_family_from_graph(g: KGraph) -> BoundaryFamily:

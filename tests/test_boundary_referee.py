@@ -12,6 +12,10 @@ Safe columns are read from the tail ids and the composed generators; their
 referee fingerprints every shift σ^m(x) and extension lam·σ^m(x) of each
 handle.  The basis is built with one extension pass per distinct shift; its
 referee extends every shift of every seed.
+
+``check_boundary_condition`` tests each position of a seed once and reads a
+shift's verdict from the seed's positions; its referee scans every position
+of each handle through the handle's own windows.
 """
 
 from __future__ import annotations
@@ -21,20 +25,25 @@ import gc
 import numpy as np
 import pytest
 
+from kgraphkit import make_omega
 from kgraphkit.boundary import (
     BoundaryPathHandle,
+    FinitePathHandle,
+    WordStreamHandle,
     aperiodicity_window_check,
+    check_boundary_condition,
     ext_degree,
     ext_meet,
     extend,
     finite_boundary_paths,
+    periodic_path,
     shift,
     thue_morse_path,
 )
 from kgraphkit.core import Degree, degrees_up_to, paths_up_to_degree
 from kgraphkit.repalg import CapTooSmall, build_boundary_family
 
-from oracles import boundary_family_from_graph
+from oracles import boundary_family_from_graph, boundary_verdict_per_handle
 
 
 def boundary_generator_reference(bfam, lam):
@@ -190,3 +199,59 @@ def test_tail_ids_name_basis_indices(bouquet2):
     # equal ids exactly when equal fingerprints
     assert len(set(ids.values())) == len(set(fps.values()))
     assert len(set(zip(ids.values(), fps.values()))) == len(set(fps.values()))
+
+
+def all_shifts(x):
+    bound = ext_meet(x.degree, ext_degree((3,) * len(x.degree)))
+    return [shift(x, m) for m in degrees_up_to(bound)]
+
+
+def verdicts_matching_referee(handles, window, fe_cap):
+    got = check_boundary_condition(handles, window, fe_cap)
+    want = [boundary_verdict_per_handle(x, window, fe_cap) for x in handles]
+    assert [(v.status, v.witness) for v in got] == [(v.status, v.witness) for v in want]
+    return got
+
+
+def test_boundary_condition_of_stream_shifts_matches_referee(bouquet2):
+    tm = thue_morse_path(bouquet2)
+    handles = [shift(tm, (j,)) for j in range(64)]
+    assert all(x.inner is tm for x in handles[1:])
+    assert all(verdicts_matching_referee(handles, (512,), (1,)))
+    periodic = [shift(periodic_path(bouquet2, list(w)), (j,)) for w in ("a", "ab", "abb")
+                for j in range(5)]
+    # the seeds and their shifts in one call, one handle twice, at three caps
+    mixed = periodic + handles[:8] + [tm, handles[3]]
+    for fe_cap in ((0,), (1,), (2,)):
+        assert all(verdicts_matching_referee(mixed, (32,), fe_cap))
+
+
+@pytest.mark.parametrize("graph", ["omega22", "line3"])
+def test_boundary_condition_of_finite_shifts_matches_referee(request, graph):
+    g = make_omega(1, (3,)) if graph == "line3" else request.getfixturevalue(graph)
+    md = g.max_path_degree()
+    seeds = [FinitePathHandle(lam) for lam in paths_up_to_degree(g, md)]
+    handles = [y for x in seeds for y in all_shifts(x)]
+    assert any(y not in seeds for y in handles)
+    verdicts = verdicts_matching_referee(handles, md, md)
+    assert {v.status for v in verdicts} == {"pass", "fail"}
+    # a shift reads other positions of its seed, so some shift's verdict
+    # differs from its seed's
+    of = {x: (v.status, v.witness) for x, v in zip(handles, verdicts)}
+    assert any(of[y] != of[y.inner] for y in handles if y not in seeds)
+    verdicts_matching_referee(handles[::-1], md, md)
+
+
+@pytest.mark.parametrize("fe_cap", [(0,), (1,)])
+def test_boundary_condition_of_truncated_stream_matches_referee(bouquet2, fe_cap):
+    """Eight letters: the vertex at position 8 is available, its one-letter
+    windows are not, and the vertex at 9 is not.  At cap 0 only the vertex
+    set is tested, so the first unknown position is the vertex's; at cap 1
+    it is the blocked set {a, b} one position earlier."""
+    letters = list("abbabaab")
+    x = WordStreamHandle(bouquet2, lambda n: letters, "trunc")
+    handles = [shift(x, (j,)) for j in range(9)]
+    verdicts = verdicts_matching_referee(handles, (10,), fe_cap)
+    first, blocked = (9, None) if fe_cap == (0,) else (8, ["a", "b"])
+    assert [(v.status, v.witness) for v in verdicts] == [
+        ("unknown", ((first - j,), blocked)) for j in range(9)]

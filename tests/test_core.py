@@ -132,6 +132,17 @@ class TestValidation:
             validate_presentation(pres)
         assert err.value.has("DanglingEndpoint")
 
+    @pytest.mark.parametrize("color", [0, 5])
+    def test_color_out_of_range(self, color):
+        pres = {"rank": 1, "vertices": ["v"],
+                "edges": [{"name": "a", "color": 1, "range": "v", "source": "v"},
+                          {"name": "b", "color": color, "range": "v", "source": "v"}]}
+        with pytest.raises(ValidationError) as err:
+            validate_presentation(pres)
+        assert [(v.code, v.detail) for v in err.value.violations] == [
+            ("ColorOutOfRange", f"edge 'b' has color {color} outside 1..1")]
+        assert not err.value.has("DanglingEndpoint")
+
     def test_duplicate_name(self):
         pres = flip_presentation()
         pres["edges"][1]["name"] = "a"

@@ -35,6 +35,16 @@ EXACT_SUITES = "tck,ck,lem1,lem3,phi2,exp,diag"
 
 # name -> (argv, exit code)
 RUNS = {
+    "validate-omega22": (["validate", "omega22.kg"], 0),
+    # an edge whose source is no declared vertex: one DanglingEndpoint violation
+    "validate-dangling": (["validate", "dangling.kg"], 1),
+    "paths-omega22": (["paths", "omega22.kg", "--degree", "1,1"], 0),
+    "paths-flip": (["paths", "flip.kg", "--degree", "2,1", "--range", "v"], 0),
+    "mce-omega22": (["mce", "omega22.kg", "e1_0_0", "e2_0_0"], 0),
+    "mce-flip": (["mce", "flip.kg", "a.b", "f"], 0),
+    "exhaustive-bouquet2": (["exhaustive", "bouquet2.kg", "v", "a", "b"], 0),
+    # one loop alone misses every path through the other
+    "exhaustive-bouquet2-fail": (["exhaustive", "bouquet2.kg", "v", "a"], 1),
     "fe-bouquet2": (["fe", "bouquet2.kg", "v", "--cap", "2"], 0),
     "fe-flip": (["fe", "flip.kg", "v", "--cap", "1,1"], 0),
     "fe-omega22": (["fe", "omega22.kg", "v0_0", "--cap", "1,1"], 0),
@@ -68,6 +78,8 @@ def write_inputs(directory: Path) -> None:
         "flip.kg": flip_presentation(),
         "omega22.kg": kgraph_to_dict(make_omega(2, (2, 2))),
         "c3.kg": kgraph_to_dict(make_cycle(3)),
+        "dangling.kg": {"rank": 1, "vertices": ["v"],
+                        "edges": [{"name": "a", "color": 1, "range": "v", "source": "w"}]},
         "tm.json": {"handles": [{"kind": "substitution", "seed": "a", "shifts": 4,
                                  "rules": {"a": "ab", "b": "ba"}}]},
     }
