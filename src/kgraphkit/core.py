@@ -208,9 +208,10 @@ class KGraph:
 
     The _paths memo of paths_of_degree makes a graph that has enumerated
     paths a reference cycle (graph -> memo -> Path.graph), freed only by the
-    cycle collector.  It stays: a FockFamily holds the same Path objects
-    anyway, a graph lives for a whole CLI run, and breaking the cycle would
-    put a weak reference on every Path.
+    cycle collector.  It stays: the memo holds only the paths that path
+    combinatorics asked for (a FockFamily lays its basis out from degree
+    blocks and enumerates none), a graph lives for a whole CLI run, and
+    breaking the cycle would put a weak reference on every Path.
     """
 
     def __init__(self, rank: int, vertices: Sequence[str], edges: Sequence[SkeletonEdge],
@@ -505,6 +506,7 @@ def validate_presentation(raw: dict) -> KGraph:
 
     edges: list[SkeletonEdge] = []
     edge_by_name: dict[str, SkeletonEdge] = {}
+    declared: set[str] = set()  # every edge name, kept or rejected with a violation
     for rec in edge_records:
         unknown = _keys(rec, "edge record") - _EDGE_KEYS
         if unknown:
@@ -517,6 +519,7 @@ def validate_presentation(raw: dict) -> KGraph:
                              _typed(rec["source"], str, f"{what} source"))
         except KeyError as exc:
             raise ParseError(f"{what} {exc}") from exc
+        declared.add(e.name)
         if e.name in seen:
             violations.append(Violation("DuplicateName", f"name {e.name!r} reused"))
             continue
@@ -547,10 +550,12 @@ def validate_presentation(raw: dict) -> KGraph:
                 raise ParseError(f"{what} {key} must be a list of two edge names")
             sides.append(tuple(_typed(n, str, f"{what} {key} entry") for n in side))
         top, bottom = sides
-        names = (*top, *bottom)
-        if any(n not in edge_by_name for n in names):
-            violations.append(Violation(
-                "DanglingEndpoint", f"square {top}/{bottom} uses an unknown edge"))
+        unknown = {n for n in (*top, *bottom) if n not in edge_by_name}
+        if unknown:
+            # a declared edge rejected above already has its own violation
+            if not unknown <= declared:
+                violations.append(Violation(
+                    "DanglingEndpoint", f"square {top}/{bottom} uses an unknown edge"))
             continue
         g, h = (edge_by_name[n] for n in top)
         hp, gp = (edge_by_name[n] for n in bottom)

@@ -427,47 +427,109 @@ class IsometryFamily:
         return SparseSum(self.basis, rows, cols, vals[kept])
 
 
-class FockFamily(IsometryFamily):
-    def __init__(self, graph: KGraph, cap: Degree):
-        paths = paths_up_to_degree(graph, cap)
-        basis = Basis([p.label() for p in paths])
-        super().__init__(graph, basis)
-        self.cap = cap
-        self._ranges = np.array([p.range_vertex for p in paths])
-        self._paths = paths
-        self._label_index = {label: i for i, label in enumerate(basis.labels)}
-        self._degrees = np.array([tuple(p.degree) for p in paths], dtype=np.intp)
+def _lowest_color(n: tuple) -> Optional[int]:
+    """The 0-based index of the first nonzero coordinate of n; None for zero."""
+    return next((i for i, x in enumerate(n) if x), None)
 
-    def _within(self, d: Degree) -> np.ndarray:
-        """Mask of the basis paths beta with d(beta) <= cap - d."""
-        return np.all(self._degrees <= np.array(self.cap - d), axis=1)
+
+def _step(n: tuple, i: int, by: int) -> tuple:
+    """n with coordinate i moved by `by`, as a plain tuple."""
+    return n[:i] + (n[i] + by,) + n[i + 1:]
+
+
+class FockFamily(IsometryFamily):
+    """Left concatenation on the paths of degree <= cap, truncated at the cap.
+
+    The basis is laid out in blocks (n, v), the paths of degree n with range
+    v, in (degree, range vertex, word) order.  By unique factorization a path
+    of nonzero degree n is its first edge f, of the lowest color c of n,
+    followed by a path of degree n - e_c from s(f); so block (n, v) is, for
+    each color-c edge f at v in name order, f followed by the whole block
+    (n - e_c, s(f)).  Labels, range vertices and degrees are read off the
+    blocks, and each t_e is offset arithmetic between blocks (_local), so no
+    Path is built per basis vector.
+    """
+
+    def __init__(self, graph: KGraph, cap: Degree):
+        degrees = [tuple(n) for n in degrees_up_to(cap)]
+        blocks: dict[tuple, tuple[int, int]] = {}  # (n, v) -> (start, size) in the basis
+        heads: dict[tuple, dict[str, int]] = {}  # (n, v) -> first edge f -> start of f's part
+        labels: list[str] = []
+        for n in degrees:
+            c = _lowest_color(n)
+            tail = None if c is None else _step(n, c, -1)
+            for v in graph.vertices:
+                start = len(labels)
+                if c is None:
+                    labels.append(v)
+                else:
+                    parts = heads[n, v] = {}
+                    for f in graph.edges_at(v, c + 1):
+                        parts[f] = len(labels) - start
+                        t0, size = blocks[tail, graph.edges[f].source_vertex]
+                        if any(tail):
+                            labels += [f"{f}.{t}" for t in labels[t0:t0 + size]]
+                        else:
+                            labels.append(f)
+                blocks[n, v] = (start, len(labels) - start)
+        super().__init__(graph, Basis(labels))
+        self.cap = cap
+        self._lattice = degrees
+        self._blocks = blocks
+        self._heads = heads
+        self._locals: dict[tuple, np.ndarray] = {}  # (edge, n) -> _local's offsets
+        sizes = [size for _, size in blocks.values()]
+        self._ranges = np.repeat(np.array([v for _, v in blocks]), sizes)
+        self._degrees = np.repeat(np.array([n for n, _ in blocks], dtype=np.intp), sizes, axis=0)
+
+    def _local(self, name: str, n: tuple) -> np.ndarray:
+        """t_e, e the edge called name, on block (n, s(e)): for each path of
+        the block in order, the offset of its image within block
+        (n + e_c(e), r(e)).  Built once per (edge, degree)."""
+        got = self._locals.get((name, n))
+        if got is None:
+            g = self.graph
+            e = g.edges[name]
+            i = e.color - 1
+            heads = self._heads[_step(n, i, 1), e.range_vertex]
+            c = _lowest_color(n)
+            if c is None or i <= c:
+                # e·β is color-sorted as it stands: e's part of the image block
+                got = heads[name] + np.arange(self._blocks[n, e.source_vertex][1])
+            else:
+                # β = f·β′ with f of color c, and e·f = f′·e′ by a square: f's
+                # part goes to f′'s part, moved within it by t_e′ on β′
+                tail = _step(n, c, -1)
+                parts = [np.empty(0, dtype=np.intp)]
+                for f in g.edges_at(e.source_vertex, c + 1):
+                    f2, e2 = g._bottom_to_top[name, f]
+                    parts.append(heads[f2] + self._local(e2, tail))
+                got = np.concatenate(parts)
+            self._locals[name, n] = got
+        return got
 
     def _edge_generator(self, e: Path) -> tuple[np.ndarray, np.ndarray]:
-        """t_e sends beta to e·beta, defined exactly when s(e) = r(beta) and
-        d(e·beta) <= cap; the image is found by label."""
-        g = self.graph
-        dom = np.flatnonzero(self._within(e.degree) & (self._ranges == e.source_vertex))
-        index, color = self._label_index, g._color
+        """t_e sends block (n, s(e)) into block (n + e_c(e), r(e)), for each n
+        with n + e_c(e) <= cap."""
         (name,) = e.word
-        img = []
-        for j in dom.tolist():
-            word = self._paths[j].word
-            if not word:
-                img.append(index[name])
-                continue
-            word = (name,) + word
-            # beta's word is color-sorted, so only an inverted seam needs swaps
-            if color[name] > color[word[1]]:
-                word = g.normalize(word)
-            img.append(index[".".join(word)])
-        return dom, np.array(img, dtype=np.intp)
+        edge = self.graph.edges[name]
+        i = edge.color - 1
+        dom, img = [], []
+        for n in self._lattice:
+            start, size = self._blocks[n, edge.source_vertex]
+            if size and n[i] < self.cap[i]:
+                dom.append(np.arange(start, start + size))
+                img.append(self._blocks[_step(n, i, 1), edge.range_vertex][0]
+                           + self._local(name, n))
+        return np.concatenate(dom), np.concatenate(img)
 
     def _safe_columns(self, budget: Degree) -> np.ndarray:
+        """The basis paths beta with d(beta) <= cap - budget."""
         if not budget <= self.cap:
             raise CapTooSmall(
                 f"budget {tuple(budget)} exceeds basis cap {tuple(self.cap)}; "
                 "the safe subspace is empty")
-        return np.flatnonzero(self._within(budget))
+        return np.flatnonzero(np.all(self._degrees <= np.array(self.cap - budget), axis=1))
 
 
 class BoundaryFamily(IsometryFamily):

@@ -26,6 +26,15 @@ def flip_presentation() -> dict:
     }
 
 
+def twin_presentation() -> dict:
+    """Single-vertex 2-graph with two edges of each color, where MCE(a, f) =
+    {a.f, a.g} has two paths; its squares relabel both letters."""
+    loops = [("a", 1), ("b", 1), ("f", 2), ("g", 2)]
+    squares = [(("a", "f"), ("f", "a")), (("a", "g"), ("f", "b")),
+               (("b", "f"), ("g", "a")), (("b", "g"), ("g", "b"))]
+    return _presentation(2, ["v"], [(n, c, "v", "v") for n, c in loops], squares)
+
+
 def _presentation(rank, vertices, edges, squares=()) -> dict:
     return {"rank": rank, "vertices": vertices,
             "edges": [{"name": n, "color": c, "range": r, "source": s}
@@ -190,6 +199,11 @@ def ladder2():
 @pytest.fixture(scope="session")
 def ladder3():
     return validate_presentation(ladder_presentation(3))
+
+
+@pytest.fixture(scope="session")
+def twin():
+    return validate_presentation(twin_presentation())
 
 
 @pytest.fixture(scope="session")

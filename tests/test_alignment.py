@@ -80,18 +80,6 @@ class TestMce:
                 assert vee(g, F) == F, (g.vertices, cap)
 
 
-@pytest.fixture(scope="module")
-def twin():
-    """Single-vertex 2-graph where MCE(a, f) = {a.f, a.g} has two paths."""
-    loops = [("a", 1), ("b", 1), ("f", 2), ("g", 2)]
-    squares = [(("a", "f"), ("f", "a")), (("a", "g"), ("f", "b")),
-               (("b", "f"), ("g", "a")), (("b", "g"), ("g", "b"))]
-    return validate_presentation({
-        "rank": 2, "vertices": ["v"],
-        "edges": [{"name": n, "color": c, "range": "v", "source": "v"} for n, c in loops],
-        "squares": [{"top": list(t), "bottom": list(b)} for t, b in squares]})
-
-
 def test_twin_mce_has_two_paths(twin):
     got = mce(twin, twin.edge_path("a"), twin.edge_path("f"))
     assert [p.label() for p in got] == ["a.f", "a.g"]

@@ -143,6 +143,16 @@ class TestValidation:
             ("ColorOutOfRange", f"edge 'b' has color {color} outside 1..1")]
         assert not err.value.has("DanglingEndpoint")
 
+    def test_square_on_rejected_edge_adds_no_violation(self):
+        # f is declared, so the two squares naming it are not "unknown edge"
+        # violations on top of f's own
+        pres = flip_presentation()
+        pres["edges"][2]["color"] = 0
+        with pytest.raises(ValidationError) as err:
+            validate_presentation(pres)
+        assert [(v.code, v.detail) for v in err.value.violations] == [
+            ("ColorOutOfRange", "edge 'f' has color 0 outside 1..2")]
+
     def test_duplicate_name(self):
         pres = flip_presentation()
         pres["edges"][1]["name"] = "a"
