@@ -66,10 +66,11 @@ def mce_set(g: KGraph, F: Iterable[Path]) -> list[Path]:
 
     The first member of largest total degree is the base: it is extended
     along the smallest degree complement, and since every such composite
-    extends the base, only the other members are tested.
+    extends the base, only the other members are tested.  Members with
+    different ranges have no common extension, so nothing is enumerated.
     """
     F = list(F)
-    if not F:
+    if not F or any(a.range_vertex != F[0].range_vertex for a in F):
         return []
     target = join_degrees((a.degree for a in F), g.rank)
     base = max(F, key=lambda a: a.degree.total())

@@ -2,9 +2,14 @@
 
 A handle represents a degree-indexed morphism x by its window oracle
 window(n, m) -> the finite path x(n, m).  Equality of infinite handles is
-always windowed equality at an explicit width; shifts and extensions are
-implemented window-for-window so the defining equations hold exactly on
-every requested window.
+always windowed equality at an explicit width.
+
+Boundary paths are closed under extension λx and shift σ^n x
+(Farthing-Muhly-Yeend, Semigroup Forum 71, 2005), and these are the only
+two operations applied to them.  So every handle is a root, which supplies
+its own windows (a finite path, a word stream), or the normal form
+λ·σ^s(y) of a root y, a DerivedHandle: shift and extend are arithmetic on
+the triple (λ, y, s), and a derived handle reads its windows from its root.
 
 Each handle memoises its windows under validated (n, m) keys and looks the
 memo up before validating.  Derived handles (shift and extend results) are
@@ -51,6 +56,10 @@ class WindowUnavailable(KGraphError):
 
 
 # -- extended degrees: coordinates in N ∪ {∞} --------------------------------
+#
+# A handle's degree is a plain tuple that may hold ∞.  A finite bound is a
+# Degree, which compares with it and meets it coordinatewise:
+# bound <= x.degree, bound.meet(x.degree).
 
 
 def ext_degree(coords) -> tuple:
@@ -64,28 +73,6 @@ def ext_degree(coords) -> tuple:
                 raise ValueError(f"negative coordinate {c}")
             out.append(c)
     return tuple(out)
-
-
-def ext_le(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def ext_add(a, d: Degree) -> tuple:
-    return tuple(x + y for x, y in zip(a, d))
-
-
-def ext_sub(a, d: Degree) -> tuple:
-    if not ext_le(d, a):
-        raise DegreeExceeded(f"{tuple(d)} exceeds {a}")
-    return tuple(x - y if x != INF else INF for x, y in zip(a, d))
-
-
-def ext_meet(a, b) -> Degree:
-    """Coordinatewise minimum, finite whenever one argument is finite."""
-    m = tuple(min(x, y) for x, y in zip(a, b))
-    if any(c == INF for c in m):
-        raise KGraphError("meet of two infinite coordinates is not a finite degree")
-    return Degree(m)
 
 
 class BoundaryPathHandle:
@@ -110,7 +97,7 @@ class BoundaryPathHandle:
         if got is None:
             if not n <= m:
                 raise DegreeExceeded(f"window needs n <= m, got {tuple(n)}, {tuple(m)}")
-            if not ext_le(m, self.degree):
+            if not m <= self.degree:
                 raise DegreeExceeded(f"window {tuple(m)} exceeds degree {self.degree}")
             got = self._memo[n, m] = self._window(n, m)
         return got
@@ -123,7 +110,7 @@ class BoundaryPathHandle:
 
     def fingerprint(self, width) -> tuple:
         """Identity key at the given window width."""
-        w = ext_meet(self.degree, ext_degree(width))
+        w = Degree(width).meet(self.degree)
         head = self.window(Degree.zero(self.graph.rank), w)
         return (self.degree, self.range_vertex, head.word)
 
@@ -168,53 +155,60 @@ class WordStreamHandle(BoundaryPathHandle):
         return Path(self.graph, v, v, tuple(letters[n[0]:m[0]]), m - n)
 
 
-class ShiftHandle(BoundaryPathHandle):
-    def __init__(self, inner: BoundaryPathHandle, by: Degree):
-        super().__init__(inner.graph, ext_sub(inner.degree, by),
-                         inner.vertex_at(by), f"{inner.name}>>{tuple(by)}")
-        self.inner = inner
+class DerivedHandle(BoundaryPathHandle):
+    """The handle λ·σ^s(y) of a root y, which is never itself derived.
+
+    Its degree is d(λ) + d(y) - s and its range r(λ).  It is named λ*y>>s,
+    with the λ* part only for a non-vertex prefix and >>s only for s != 0.
+    """
+
+    def __init__(self, prefix: Path, root: BoundaryPathHandle, by: Degree):
+        name = f"{root.name}>>{tuple(by)}" if any(by) else root.name
+        if not prefix.is_vertex():
+            name = f"{prefix.label()}*{name}"
+        degree = (c + d - b for c, d, b in zip(root.degree, prefix.degree, by))
+        super().__init__(root.graph, degree, prefix.range_vertex, name)
+        self.prefix = prefix
+        self.root = root
         self.by = by
 
     def _window(self, n: Degree, m: Degree) -> Path:
-        return self.inner.window(self.by + n, self.by + m)
+        lam, s = self.prefix, self.by
+        if lam.is_vertex():
+            return self.root.window(s + n, s + m)
+        reach = m.join(lam.degree)
+        return segment(compose(lam, self.root.window(s, s + reach - lam.degree)), n, m)
 
 
-class ExtensionHandle(BoundaryPathHandle):
-    def __init__(self, prefix: Path, inner: BoundaryPathHandle):
-        super().__init__(prefix.graph, ext_add(inner.degree, prefix.degree),
-                         prefix.range_vertex, f"{prefix.label()}*{inner.name}")
-        self.prefix = prefix
-        self.inner = inner
-
-    def _window(self, n: Degree, m: Degree) -> Path:
-        d_lam = self.prefix.degree
-        reach = m.join(d_lam)
-        xi = compose(self.prefix, self.inner.window(Degree.zero(len(d_lam)),
-                                                    reach - d_lam))
-        return segment(xi, n, m)
+def normal_form(x: BoundaryPathHandle) -> tuple[Path, BoundaryPathHandle, Degree]:
+    """(λ, y, s) with x = λ·σ^s(y) and y a root."""
+    if isinstance(x, DerivedHandle):
+        return x.prefix, x.root, x.by
+    return x.graph.vertex_path(x.range_vertex), x, Degree.zero(x.graph.rank)
 
 
 def shift(x: BoundaryPathHandle, n) -> BoundaryPathHandle:
-    """The handle of σ^n(x); windows satisfy σ^n(x)(p, q) = x(n+p, n+q)."""
+    """The handle of σ^n(x); windows satisfy σ^n(x)(p, q) = x(n+p, n+q).
+
+    With x = λ·σ^s(y) and m = n ∨ d(λ), σ^n(x) = x(n, m)·σ^(s+m-d(λ))(y).
+    """
     n = Degree(n)
-    if not ext_le(n, x.degree):
+    if not n <= x.degree:
         raise DegreeExceeded(f"shift {tuple(n)} exceeds degree {x.degree}")
-    if n == Degree.zero(x.graph.rank):
+    if not any(n):
         return x
-    if isinstance(x, ShiftHandle):
-        return ShiftHandle(x.inner, x.by + n)
-    if isinstance(x, ExtensionHandle):
-        # a shift splits cleanly when it stays inside or absorbs the prefix
-        if n <= x.prefix.degree:
-            rest = segment(x.prefix, n, x.prefix.degree)
-            return extend(rest, x.inner) if rest.word else x.inner
-        if x.prefix.degree <= n:
-            return shift(x.inner, n - x.prefix.degree)
-    return ShiftHandle(x, n)
+    lam, y, s = normal_form(x)
+    m = n.join(lam.degree)
+    prefix = x.window(n, m)
+    by = s + m - lam.degree
+    if prefix.is_vertex() and not any(by):
+        return y
+    return DerivedHandle(prefix, y, by)
 
 
 def extend(lam: Path, x: BoundaryPathHandle) -> BoundaryPathHandle:
-    """The handle of λx with (λx)(0, d(λ)) = λ and σ^{d(λ)}(λx) = x."""
+    """The handle of λx with (λx)(0, d(λ)) = λ and σ^{d(λ)}(λx) = x; with
+    x = μ·σ^s(y) it is (λμ)·σ^s(y)."""
     if lam.graph is not x.graph:
         raise NotComposable("prefix lives in a different graph")
     if lam.source_vertex != x.range_vertex:
@@ -222,9 +216,8 @@ def extend(lam: Path, x: BoundaryPathHandle) -> BoundaryPathHandle:
             f"s({lam.label()}) = {lam.source_vertex} != r(x) = {x.range_vertex}")
     if lam.is_vertex():
         return x
-    if isinstance(x, ExtensionHandle):
-        return ExtensionHandle(compose(lam, x.prefix), x.inner)
-    return ExtensionHandle(lam, x)
+    mu, y, s = normal_form(x)
+    return DerivedHandle(compose(lam, mu), y, s)
 
 
 # -- suppliers ----------------------------------------------------------------
@@ -340,12 +333,13 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
     (σ^s y)(n, n + d) = y(s + n, s + n + d), with d(σ^s y) = d(y) - s, makes
     position n of σ^s(y) the same test as position s + n of y: the same
     vertex, the same segments, the same degree bound and the same
-    unavailable windows.  So a ShiftHandle(y, s) reads its outcomes from
-    y's at s + n, and the shifts of one seed share them.  The FE sets of
-    each vertex are enumerated once.
+    unavailable windows.  So a handle in the normal form σ^s(y), a vertex
+    prefix on a root y, reads its outcomes from y's at s + n, and the shifts
+    of one seed share them; a handle with a non-vertex prefix tests its own
+    positions.  The FE sets of each vertex are enumerated once.
     """
     fe_cap = Degree(fe_cap)
-    width = ext_degree(Degree(window))
+    width = Degree(window)
     fe_cache: dict[str, list[list[Path]]] = {}
     # base handle -> absolute position -> (status, labels); keyed by the
     # handle itself, which the dict keeps alive for the call
@@ -365,7 +359,7 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
             blocked = False
             for e in E:
                 target = p + e.degree
-                if not ext_le(target, y.degree):
+                if not target <= y.degree:
                     continue
                 try:
                     if y.window(p, target) == e:
@@ -382,13 +376,12 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
         return ("pass", None)
 
     def verdict(x: BoundaryPathHandle) -> BoundaryVerdict:
-        if isinstance(x, ShiftHandle):
-            y, s = x.inner, x.by
-        else:
+        lam, y, s = normal_form(x)
+        if not lam.is_vertex():
             y, s = x, Degree.zero(x.graph.rank)
         seen = outcomes.setdefault(y, {})
         unknown_witness = None
-        for n in degrees_up_to(ext_meet(x.degree, width)):
+        for n in degrees_up_to(width.meet(x.degree)):
             p = s + n
             got = seen.get(p)
             if got is None:
@@ -415,8 +408,8 @@ def aperiodicity_window_check(x: BoundaryPathHandle, shift_bound, window
     scan order.
     """
     shift_bound = Degree(shift_bound)
-    width = ext_degree(Degree(window))
-    shifts = [n for n in degrees_up_to(shift_bound) if ext_le(n, x.degree)]
+    width = Degree(window)
+    shifts = [n for n in degrees_up_to(shift_bound) if n <= x.degree]
     handles = {n: shift(x, n) for n in shifts}
     fingerprints: dict[Degree, tuple] = {}
 

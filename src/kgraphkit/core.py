@@ -414,6 +414,8 @@ def paths_of_degree(g: KGraph, n, range_vertex: Optional[str] = None,
     n = Degree(n)
     if n.rank != g.rank:
         raise KGraphError(f"degree rank {n.rank} != graph rank {g.rank}")
+    if source_vertex is not None and source_vertex not in g.vertices:
+        raise KGraphError(f"unknown vertex {source_vertex!r}")
     out: list[Path] = []
     for v in (range_vertex,) if range_vertex is not None else g.vertices:
         paths = g._paths.get((n, v))

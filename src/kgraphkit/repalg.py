@@ -44,10 +44,6 @@ from .aperiodicity import separate_family
 from .boundary import (
     BoundaryPathHandle,
     aperiodicity_window_check,
-    ext_degree,
-    ext_le,
-    ext_meet,
-    ext_sub,
     extend,
     shift,
 )
@@ -534,13 +530,14 @@ class FockFamily(IsometryFamily):
 
 class BoundaryFamily(IsometryFamily):
     def __init__(self, graph: KGraph, handles: Sequence[BoundaryPathHandle],
-                 window: Degree, fingerprints: dict):
+                 window: Degree):
         basis = Basis([f"x{i:03d}" for i in range(len(handles))])
         super().__init__(graph, basis)
         self._ranges = np.array([x.range_vertex for x in handles])
         self.window = window
         self.handles = tuple(handles)
-        self._fp_index = dict(fingerprints)  # fingerprint -> basis index, or tail_id's id
+        # fingerprint -> basis index, or tail_id's id
+        self._fp_index = {x.fingerprint(window): i for i, x in enumerate(self.handles)}
         # per-handle facts of the diagonal-formula checks, each built once
         self.check_labels = [f"{label}({x.describe()})"
                              for label, x in zip(basis.labels, self.handles)]
@@ -556,7 +553,7 @@ class BoundaryFamily(IsometryFamily):
         got = self._prefixes.get(d)
         if got is None:
             zero = Degree.zero(self.graph.rank)
-            got = self._prefixes[d] = [x.window(zero, d) if ext_le(d, x.degree) else None
+            got = self._prefixes[d] = [x.window(zero, d) if d <= x.degree else None
                                        for x in self.handles]
         return got
 
@@ -598,10 +595,10 @@ class BoundaryFamily(IsometryFamily):
         ok = np.ones(n, dtype=bool)  # x_i with every t_lam x_i defined
         for lam in paths_up_to_degree(self.graph, budget):
             ok &= (self.generator(lam) >= 0) | (self._ranges != lam.source_vertex)
-        ok, bound = ok.tolist(), ext_degree(budget)
+        ok = ok.tolist()
         safe = [j for j, x in enumerate(self.handles)
                 if all(i < n and ok[i] for i in (self.tail_id(j, m) for m in
-                                                 degrees_up_to(ext_meet(x.degree, bound))))]
+                                                 degrees_up_to(budget.meet(x.degree))))]
         if not safe:
             raise CapTooSmall(
                 f"no safe basis vectors at budget {tuple(budget)}; "
@@ -635,8 +632,8 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
     if not seeds:
         raise EmptySeedSet("no boundary-path handles supplied")
 
-    screen = ext_degree(gen_cap + gen_cap)
-    kept = [x for x in seeds if aperiodicity_window_check(x, ext_meet(x.degree, screen), window)]
+    screen = gen_cap + gen_cap
+    kept = [x for x in seeds if aperiodicity_window_check(x, screen.meet(x.degree), window)]
     if not kept:
         raise EmptySeedSet(
             "every seed failed the windowed aperiodicity screen; "
@@ -654,7 +651,7 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
     expanded = set()  # fingerprints of the shifts extended so far
     exts = [lam for lam in paths_up_to_degree(g, gen_cap) if not lam.is_vertex()]
     for x in kept:
-        for m in degrees_up_to(ext_meet(x.degree, ext_degree(gen_cap))):
+        for m in degrees_up_to(gen_cap.meet(x.degree)):
             base = shift(x, m)
             fp = base.fingerprint(window)
             first.setdefault(fp, base)
@@ -665,26 +662,31 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
                 first.setdefault(y.fingerprint(window), y)
 
     # a fingerprint is (degree, range vertex, head word): the basis order
-    ordered = sorted(first)
-    handles = [first[fp] for fp in ordered]
-    fingerprints = {fp: i for i, fp in enumerate(ordered)}
-    return BoundaryFamily(g, handles, window, fingerprints)
+    return BoundaryFamily(g, [first[fp] for fp in sorted(first)], window)
 
 
 # -- TCK / CK verification ----------------------------------------------------
 
 
 def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
-    """Exact checks of the three defining relations on safe columns."""
+    """Exact checks of the three defining relations on safe columns; each
+    adjoint t_lam* is taken once per call."""
     g = fam.graph
     cap = Degree(cap)
     checks = []
 
     t = fam.generator
+    adjoints: dict[Path, np.ndarray] = {}
+
+    def t_star(lam: Path) -> np.ndarray:
+        if lam not in adjoints:
+            adjoints[lam] = inverse_map(t(lam))
+        return adjoints[lam]
+
     verts = [g.vertex_path(v) for v in g.vertices]
     for v in verts:
         tv = t(v)
-        ok = (np.array_equal(tv, inverse_map(tv))
+        ok = (np.array_equal(tv, t_star(v))
               and np.array_equal(compose_maps(tv, tv), tv))
         checks.append(CheckResult(f"TCK1:{v.label()} projection",
                                   "pass" if ok else "fail"))
@@ -710,9 +712,9 @@ def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
             for lam in mce(g, mu, nu):
                 alpha = segment(lam, mu.degree, lam.degree)
                 beta = segment(lam, nu.degree, lam.degree)
-                rhs.append(compose_maps(t(alpha), inverse_map(t(beta))))
+                rhs.append(compose_maps(t(alpha), t_star(beta)))
             checks.append(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", fam.basis,
-                                      [compose_maps(inverse_map(t(mu)), t(nu))], rhs,
+                                      [compose_maps(t_star(mu), t(nu))], rhs,
                                       fam.safe_columns(mu.degree.join(nu.degree))))
     return checks
 
@@ -969,13 +971,11 @@ def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path) -> list[Ch
     safe[bfam.safe_columns(mu.degree.join(nu.degree))] = True
     safe = safe.tolist()
     mu_prefixes, nu_prefixes = bfam.prefixes(mu.degree), bfam.prefixes(nu.degree)
-    for j, (label, x) in enumerate(zip(bfam.check_labels, bfam.handles)):
+    for j, label in enumerate(bfam.check_labels):
         if not (mu_prefixes[j] == mu and nu_prefixes[j] == nu):
             expected = 0
-        elif ext_sub(x.degree, mu.degree) != ext_sub(x.degree, nu.degree):
-            expected = 0  # the shifted handles differ in degree; no window needed
         elif bfam.tail_id(j, mu.degree) != bfam.tail_id(j, nu.degree):
-            expected = 0  # the fingerprint also carries the range vertex
+            expected = 0  # the fingerprint carries the degree and range vertex
         elif mu == nu:
             expected = 1
         else:

@@ -1,9 +1,10 @@
 """Brute-force referees that only the test suite calls, each checking a fast
 routine by direct enumeration: vee E and finite exhaustive sets as defined by
-Raeburn-Sims-Yeend, JFA 2004, and the boundary condition of Sims, Indiana
-Univ. Math. J. 2006, tested position by position on each handle.  The
-referees the package itself needs stay in kgraphkit.alignment (its docstring
-says why).
+Raeburn-Sims-Yeend, JFA 2004, the boundary condition of Sims, Indiana
+Univ. Math. J. 2006, tested position by position on each handle, and shifts
+and extensions of boundary handles by the nested rule, where a result may
+wrap another derived handle.  The referees the package itself needs stay in
+kgraphkit.alignment (its docstring says why).
 
 No assert statement here: pytest rewrites the asserts of test modules only,
 not of the helpers they import, so an assert here would vanish under -O.
@@ -23,15 +24,21 @@ from kgraphkit.alignment import (
     mce_set,
 )
 from kgraphkit.boundary import (
+    INF,
     BoundaryPathHandle,
     BoundaryVerdict,
     WindowUnavailable,
-    ext_degree,
-    ext_le,
-    ext_meet,
     finite_boundary_paths,
 )
-from kgraphkit.core import Degree, KGraph, Path, degrees_up_to, paths_up_to_degree
+from kgraphkit.core import (
+    Degree,
+    KGraph,
+    Path,
+    compose,
+    degrees_up_to,
+    paths_up_to_degree,
+    segment,
+)
 from kgraphkit.repalg import BoundaryFamily, build_boundary_family
 
 
@@ -79,9 +86,9 @@ def boundary_verdict_per_handle(x: BoundaryPathHandle, window, fe_cap) -> Bounda
     """Oracle: check_boundary_condition of the one handle x, scanning every
     position of x through x's own windows, with no outcome shared."""
     fe_cap = Degree(fe_cap)
-    width = ext_degree(Degree(window))
+    width = Degree(window)
     unknown_witness = None
-    for n in degrees_up_to(ext_meet(x.degree, width)):
+    for n in degrees_up_to(width.meet(x.degree)):
         try:
             v = x.vertex_at(n)
         except WindowUnavailable:
@@ -92,7 +99,7 @@ def boundary_verdict_per_handle(x: BoundaryPathHandle, window, fe_cap) -> Bounda
             blocked = False
             for e in E:
                 target = n + e.degree
-                if not ext_le(target, x.degree):
+                if not target <= x.degree:
                     continue
                 try:
                     if x.window(n, target) == e:
@@ -109,6 +116,65 @@ def boundary_verdict_per_handle(x: BoundaryPathHandle, window, fe_cap) -> Bounda
     if unknown_witness is not None:
         return BoundaryVerdict("unknown", unknown_witness)
     return BoundaryVerdict("pass")
+
+
+class NestedShift(BoundaryPathHandle):
+    """Referee for σ^k(inner): reads inner(k + n, k + m)."""
+
+    def __init__(self, inner: BoundaryPathHandle, by: Degree):
+        degree = tuple(c if c == INF else c - b for c, b in zip(inner.degree, by))
+        super().__init__(inner.graph, degree, inner.vertex_at(by), f"{inner.name}>>{tuple(by)}")
+        self.inner = inner
+        self.by = by
+
+    def _window(self, n: Degree, m: Degree) -> Path:
+        return self.inner.window(self.by + n, self.by + m)
+
+
+class NestedExtension(BoundaryPathHandle):
+    """Referee for λ·inner: cuts compose(λ, inner(0, (m ∨ d) - d)) to (n, m),
+    with d = d(λ)."""
+
+    def __init__(self, prefix: Path, inner: BoundaryPathHandle):
+        degree = tuple(c + d for c, d in zip(inner.degree, prefix.degree))
+        super().__init__(prefix.graph, degree, prefix.range_vertex,
+                         f"{prefix.label()}*{inner.name}")
+        self.prefix = prefix
+        self.inner = inner
+
+    def _window(self, n: Degree, m: Degree) -> Path:
+        d = self.prefix.degree
+        reach = m.join(d)
+        return segment(compose(self.prefix, self.inner.window(Degree.zero(len(d)), reach - d)),
+                       n, m)
+
+
+def nested_shift(x: BoundaryPathHandle, n) -> BoundaryPathHandle:
+    """Oracle: σ^n(x) by the nested rule.  A shift of a shift adds up, and a
+    shift of an extension λ·y splits when n and d(λ) are comparable;
+    otherwise the result wraps x."""
+    n = Degree(n)
+    if not any(n):
+        return x
+    if isinstance(x, NestedShift):
+        return NestedShift(x.inner, x.by + n)
+    if isinstance(x, NestedExtension):
+        if n <= x.prefix.degree:
+            rest = segment(x.prefix, n, x.prefix.degree)
+            return nested_extend(rest, x.inner) if rest.word else x.inner
+        if x.prefix.degree <= n:
+            return nested_shift(x.inner, n - x.prefix.degree)
+    return NestedShift(x, n)
+
+
+def nested_extend(lam: Path, x: BoundaryPathHandle) -> BoundaryPathHandle:
+    """Oracle: λx by the nested rule; an extension of an extension composes
+    the prefixes."""
+    if lam.is_vertex():
+        return x
+    if isinstance(x, NestedExtension):
+        return NestedExtension(compose(lam, x.prefix), x.inner)
+    return NestedExtension(lam, x)
 
 
 def boundary_family_from_graph(g: KGraph) -> BoundaryFamily:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgraphkit import Degree, make_bouquet, paths_up_to_degree, validate_presentation
+from kgraphkit import Degree, alignment, make_bouquet, paths_up_to_degree, validate_presentation
 from kgraphkit.alignment import (
     CapTooLargeForBudget,
     EmptyEError,
@@ -52,6 +52,24 @@ class TestMce:
     def test_different_ranges_empty(self, c3):
         assert mce(c3, c3.edge_path("e0"), c3.edge_path("e1")) == []
 
+    def test_different_ranges_enumerate_nothing(self, omega22, monkeypatch):
+        calls = []
+        real = alignment.paths_of_degree
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(alignment, "paths_of_degree", counted)
+        mu = omega22.edge_path("e1_0_0")
+        nu = omega22.edge_path("e2_1_0")
+        assert mu.range_vertex != nu.range_vertex
+        assert mce(omega22, mu, nu) == []
+        assert mce_set(omega22, [omega22.vertex_path("v0_0"), mu, nu]) == []
+        assert calls == []
+        assert mce(omega22, mu, omega22.edge_path("e2_0_0")) != []
+        assert calls != []
+
     def test_mce_set_singleton(self, bouquet2):
         lam = bouquet2.path(["a", "b"])
         assert mce_set(bouquet2, [lam]) == [lam]
@@ -93,8 +111,9 @@ def _pair_cap(g):
     return cap
 
 
-@pytest.mark.parametrize("name", ["c3", "bouquet2", "flip", "omega22"])
+@pytest.mark.parametrize("name", ["c3", "bouquet2", "flip", "omega22", "omega222"])
 def test_mce_matches_brute_force(corpus, name):
+    # every pair below the gen-cap, ranges equal or not (omega222: (2, 2, 2))
     g = corpus[name]
     paths = paths_up_to_degree(g, _pair_cap(g))
     for mu in paths:

@@ -6,12 +6,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraphkit import Degree, compose
 from kgraphkit.boundary import (
     INF,
     BoundaryPathHandle,
     DegreeExceeded,
+    DerivedHandle,
     GraphHasCycles,
     NoFixedPoint,
     WordStreamHandle,
@@ -19,12 +22,15 @@ from kgraphkit.boundary import (
     check_boundary_condition,
     extend,
     finite_boundary_paths,
+    normal_form,
     periodic_path,
     shift,
     substitution_path,
     thue_morse_path,
 )
-from kgraphkit.core import _omega_vertex
+from kgraphkit.core import _omega_vertex, degrees_up_to, paths_up_to_degree
+
+from oracles import nested_extend, nested_shift
 
 
 def tm_word(handle, n):
@@ -166,19 +172,27 @@ class FlipStreamHandle(BoundaryPathHandle):
         return self.graph.path(word)
 
 
+def flip_stream(flip, bouquet2):
+    tm = thue_morse_path(bouquet2)
+    return FlipStreamHandle(flip, lambda n: tm.window((0,), (n,)).word)
+
+
 class TestRankTwoUserHandle:
     @pytest.fixture()
     def stream(self, flip, bouquet2):
-        tm = thue_morse_path(bouquet2)
-        letters = lambda n: [c for c in tm.window((0,), (n,)).word]
-        return FlipStreamHandle(flip, letters)
+        return flip_stream(flip, bouquet2)
 
     def test_nested_shift_of_extension(self, flip, stream):
-        # shift degree (0,1) is incomparable with the prefix degree (1,0),
-        # so this goes through the generic nested window computation
-        y = shift(extend(flip.edge_path("a"), stream), (0, 1))
+        # shift degree (0,1) is incomparable with the prefix degree (1,0):
+        # σ^(0,1)(a·y) = x((0,1), (1,1))·σ^(0,1)(y), a new prefix and so a
+        # new name, where the nested rule keeps the extension inside the shift
+        x = extend(flip.edge_path("a"), stream)
+        y = shift(x, (0, 1))
         got = y.window((0, 0), (2, 1))
         assert got.word == ("b", "b", "f")
+        assert normal_form(y) == (flip.edge_path("b"), stream, Degree((0, 1)))
+        assert y.name == "b*flipstream>>(0, 1)"
+        assert nested_shift(x, (0, 1)).name == "a*flipstream>>(0, 1)"
 
     def test_window_consistency_probes(self, stream):
         rng = random.Random(9182)
@@ -202,6 +216,51 @@ class TestRankTwoUserHandle:
 
     def test_boundary_condition_window(self, stream):
         assert check_boundary_condition([stream], (2, 2), (1, 1))[0]
+
+
+# name -> (graph, roots, cap of the shifts, extension prefixes and windows)
+NORMAL_FORM_INPUTS = {
+    "thue-morse": ("bouquet2", lambda g, b2: [thue_morse_path(g)], (3,)),
+    "flip-stream": ("flip", lambda g, b2: [flip_stream(g, b2)], (2, 2)),
+    "omega22-finite": ("omega22", lambda g, b2: finite_boundary_paths(g), (2, 2)),
+}
+
+
+def windows(x, cap) -> dict:
+    """x(n, m) for every n <= m <= cap ∧ d(x)."""
+    return {(n, m): x.window(n, m) for m in degrees_up_to(Degree(cap).meet(x.degree))
+            for n in degrees_up_to(m)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", list(NORMAL_FORM_INPUTS))
+def test_normal_form_matches_nested_rule(request, bouquet2, data, name):
+    """A random chain of shifts and extensions, applied in the normal form
+    and by the nested rule of tests/oracles.py: the same windows, degree,
+    range and fingerprint at every step, a root that is never derived, and
+    the same name while every shift is comparable with the current prefix."""
+    graph, roots, cap = NORMAL_FORM_INPUTS[name]
+    g = request.getfixturevalue(graph)
+    prefixes = paths_up_to_degree(g, cap)
+    new = old = data.draw(st.sampled_from(roots(g, bouquet2)))
+    comparable = True
+    for _ in range(data.draw(st.integers(1, 5))):
+        lam = normal_form(new)[0]
+        if data.draw(st.booleans()):
+            n = data.draw(st.sampled_from(degrees_up_to(Degree(cap).meet(new.degree))))
+            comparable &= n <= lam.degree or lam.degree <= n
+            new, old = shift(new, n), nested_shift(old, n)
+        else:
+            mu = data.draw(st.sampled_from(
+                [p for p in prefixes if p.source_vertex == new.range_vertex]))
+            new, old = extend(mu, new), nested_extend(mu, old)
+        assert not isinstance(normal_form(new)[1], DerivedHandle)
+        assert (new.degree, new.range_vertex) == (old.degree, old.range_vertex)
+        assert windows(new, cap) == windows(old, cap)
+        assert new.fingerprint(cap) == old.fingerprint(cap)
+        if comparable:
+            assert new.name == old.name
 
 
 class TestFiniteBoundary:

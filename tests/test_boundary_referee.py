@@ -2,9 +2,9 @@
 
 ``BoundaryFamily`` builds t_e for each edge by one extension per handle and
 every longer t_lam by composing edge generators along lam's word.  The
-referee is the direct construction: t_lam x_j = x_i where i is the basis
-index of the windowed handle lam·x_j, one ``handle_index(extend(lam, x))``
-per handle with range s(lam), undefined where lam·x_j has no basis index.
+referee is the direct construction: t_lam x_j = x_i where x_i is the basis
+handle with the fingerprint of lam·x_j, extending each handle with range
+s(lam) by lam itself, undefined where lam·x_j has no basis index.
 Composition could only lose vectors at the rim, where an intermediate
 extension falls outside the closure; these families show none.
 
@@ -13,9 +13,10 @@ referee fingerprints every shift σ^m(x) and extension lam·σ^m(x) of each
 handle.  The basis is built with one extension pass per distinct shift; its
 referee extends every shift of every seed.
 
-``check_boundary_condition`` tests each position of a seed once and reads a
-shift's verdict from the seed's positions; its referee scans every position
-of each handle through the handle's own windows.
+``check_boundary_condition`` tests each position of a root once and reads the
+verdict of a shift σ^s(y), a handle in normal form with a vertex prefix,
+from the positions of its root y; its referee scans every position of each
+handle through the handle's own windows.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from kgraphkit.boundary import (
     WordStreamHandle,
     aperiodicity_window_check,
     check_boundary_condition,
-    ext_degree,
-    ext_meet,
     extend,
     finite_boundary_paths,
     periodic_path,
@@ -59,7 +58,7 @@ def boundary_generator_reference(bfam, lam):
 def neighbourhood(x, bound, exts):
     """Each shift σ^m(x) with m <= bound, followed by its extensions λσ^m(x)
     by the non-vertex paths λ of exts, in that order."""
-    for m in degrees_up_to(ext_meet(x.degree, ext_degree(bound))):
+    for m in degrees_up_to(bound.meet(x.degree)):
         base = shift(x, m)
         yield base
         for lam in exts:
@@ -81,9 +80,9 @@ def basis_reference(g, seeds, window, gen_cap):
     """(fingerprints in basis order, check labels) of the closure that puts
     every handle of every kept seed's neighbourhood in first."""
     window, gen_cap = Degree(window), Degree(gen_cap)
-    screen = ext_degree(gen_cap + gen_cap)
+    screen = gen_cap + gen_cap
     kept = [x for x in seeds
-            if aperiodicity_window_check(x, ext_meet(x.degree, screen), window)]
+            if aperiodicity_window_check(x, screen.meet(x.degree), window)]
     exts = paths_up_to_degree(g, gen_cap)
     first = {}
     for x in kept:
@@ -202,7 +201,7 @@ def test_tail_ids_name_basis_indices(bouquet2):
 
 
 def all_shifts(x):
-    bound = ext_meet(x.degree, ext_degree((3,) * len(x.degree)))
+    bound = Degree((3,) * len(x.degree)).meet(x.degree)
     return [shift(x, m) for m in degrees_up_to(bound)]
 
 
@@ -216,7 +215,7 @@ def verdicts_matching_referee(handles, window, fe_cap):
 def test_boundary_condition_of_stream_shifts_matches_referee(bouquet2):
     tm = thue_morse_path(bouquet2)
     handles = [shift(tm, (j,)) for j in range(64)]
-    assert all(x.inner is tm for x in handles[1:])
+    assert all(x.root is tm for x in handles[1:])
     assert all(verdicts_matching_referee(handles, (512,), (1,)))
     periodic = [shift(periodic_path(bouquet2, list(w)), (j,)) for w in ("a", "ab", "abb")
                 for j in range(5)]
@@ -238,7 +237,7 @@ def test_boundary_condition_of_finite_shifts_matches_referee(request, graph):
     # a shift reads other positions of its seed, so some shift's verdict
     # differs from its seed's
     of = {x: (v.status, v.witness) for x, v in zip(handles, verdicts)}
-    assert any(of[y] != of[y.inner] for y in handles if y not in seeds)
+    assert any(of[y] != of[y.root] for y in handles if y not in seeds)
     verdicts_matching_referee(handles[::-1], md, md)
 
 

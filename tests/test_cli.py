@@ -82,6 +82,14 @@ class TestQueries:
         assert code == 0
         assert payload["results"] == ["a.a", "a.b", "b.a", "b.b"]
 
+    @pytest.mark.parametrize("endpoint", ["--range", "--source"])
+    def test_paths_unknown_endpoint_exits_2(self, capsys, graph_files, endpoint):
+        assert main(["paths", graph_files["omega22"], "--degree", "1,0",
+                     endpoint, "zzz"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown vertex 'zzz'\n"
+
     def test_mce(self, capsys, graph_files):
         code, payload, _ = run(capsys, ["mce", graph_files["omega22"],
                                         "e1_0_0", "e2_0_0"])

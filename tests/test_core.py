@@ -263,6 +263,13 @@ class TestEnumeration:
                         range_vertex=_omega_vertex(p), source_vertex=_omega_vertex(q))
                     assert len(got) == 1
 
+    def test_unknown_endpoint_vertex_rejected(self, omega22):
+        # an undeclared source is an error like an undeclared range, not an
+        # empty filter
+        for endpoint in ("range_vertex", "source_vertex"):
+            with pytest.raises(KGraphError, match="unknown vertex 'zzz'"):
+                paths_of_degree(omega22, (1, 0), **{endpoint: "zzz"})
+
     def test_cycle_walks(self, c3):
         got = paths_of_degree(c3, (2,), range_vertex="v0")
         assert [p.word for p in got] == [("e0", "e1")]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import gc
 
 from kgraphkit import Degree, paths_up_to_degree
-from kgraphkit.boundary import BoundaryPathHandle, ext_le, shift, thue_morse_path
+from kgraphkit.boundary import BoundaryPathHandle, shift, thue_morse_path
 from kgraphkit.repalg import (
     build_boundary_family,
     compose_maps,
@@ -34,8 +34,8 @@ def diag_reference(bfam, mu, nu) -> list[tuple]:
     out = []
     for j, x in enumerate(bfam.handles):
         label = f"{bfam.basis.labels[j]}({x.describe()})"
-        mu_prefix = ext_le(mu.degree, x.degree) and x.window(zero, mu.degree) == mu
-        nu_prefix = ext_le(nu.degree, x.degree) and x.window(zero, nu.degree) == nu
+        mu_prefix = mu.degree <= x.degree and x.window(zero, mu.degree) == mu
+        nu_prefix = nu.degree <= x.degree and x.window(zero, nu.degree) == nu
         if not (mu_prefix and nu_prefix):
             expected = 0
         else:

@@ -291,6 +291,27 @@ class TestVerifyTckCk:
         report = verify_tck(fock_b2_n4, cap=(2,))
         assert all(c.ok for c in report), [c.to_jsonable() for c in report if not c.ok]
 
+    @pytest.mark.parametrize("graph, fock_cap, cap", [("bouquet2", (4,), (2,)),
+                                                      ("omega22", (2, 2), (1, 1))],
+                             ids=["bouquet2", "omega22"])
+    def test_tck_takes_each_adjoint_once(self, request, monkeypatch, graph, fock_cap, cap):
+        fam = build_fock_family(request.getfixturevalue(graph), fock_cap)
+        used, inverted = set(), []
+        generator, inverse_map = fam.generator, repalg.inverse_map
+
+        def recorded_generator(lam):
+            used.add(lam)
+            return generator(lam)
+
+        def counted_inverse_map(t):
+            inverted.append(t)
+            return inverse_map(t)
+
+        monkeypatch.setattr(fam, "generator", recorded_generator)
+        monkeypatch.setattr(repalg, "inverse_map", counted_inverse_map)
+        assert all(c.ok for c in verify_tck(fam, cap))
+        assert 0 < len(inverted) <= len(used)
+
     def test_fock_ck_fails_at_vacuum(self, fock_b2_n4):
         report = verify_ck(fock_b2_n4, (1,))
         bad = [c for c in report if not c.ok]
@@ -359,8 +380,7 @@ class TestBoundaryBasis:
 
         handles = [periodic_path(bouquet2, "aaab", name="x1"),
                    periodic_path(bouquet2, "a", name="x2")]
-        fam = BoundaryFamily(bouquet2, handles, (4,),
-                             {x.fingerprint((4,)): i for i, x in enumerate(handles)})
+        fam = BoundaryFamily(bouquet2, handles, (4,))
         # both images under t_b have window b.a.a.a, which no handle has
         assert np.all(fam.generator(bouquet2.edge_path("b")) == -1)
         with pytest.raises(WindowCollision, match=r"t_a sends x1 and x2 to one handle"):
@@ -752,8 +772,7 @@ class TestExpSquare:
                     self.fixed = dom[k]
                 return dom, img
 
-        fam = Tampered(bouquet2, boundary_tm.handles, boundary_tm.window,
-                       boundary_tm._fp_index)
+        fam = Tampered(bouquet2, boundary_tm.handles, boundary_tm.window)
         check = verify_exp_square(fam, FormalElement(
             bouquet2, {(a_path, bouquet2.vertex_path("v")): 1}))
         label = fam.basis.labels[fam.fixed]
