@@ -402,29 +402,17 @@ def aperiodicity_window_check(x: BoundaryPathHandle, shift_bound, window
                               ) -> BoundaryVerdict:
     """Pairwise-distinguish all shifts of x below the bound at window width.
 
-    Shifts of different extended degree or range are distinct outright; the
-    rest are compared on their common initial window, each shift's
-    fingerprint taken once.  A collision returns the first colliding pair in
-    scan order.
+    Each shift's fingerprint is taken once; it leads with the extended
+    degree and the range vertex, so shifts differing in either never match.
+    A collision returns the first shift m with a later equal fingerprint,
+    paired with the first such later n: the first colliding pair in the
+    pairwise scan order.
     """
     shift_bound = Degree(shift_bound)
     width = Degree(window)
     shifts = [n for n in degrees_up_to(shift_bound) if n <= x.degree]
-    handles = {n: shift(x, n) for n in shifts}
-    fingerprints: dict[Degree, tuple] = {}
-
-    def fingerprint(n: Degree) -> tuple:
-        if n not in fingerprints:
-            fingerprints[n] = handles[n].fingerprint(width)
-        return fingerprints[n]
-
-    for i, m in enumerate(shifts):
-        for n in shifts[i + 1:]:
-            a, b = handles[m], handles[n]
-            if a.degree != b.degree:
-                continue
-            if a.range_vertex != b.range_vertex:
-                continue
-            if fingerprint(m) == fingerprint(n):
-                return BoundaryVerdict("fail", (m, n))
+    fingerprints = [shift(x, n).fingerprint(width) for n in shifts]
+    for i, fp in enumerate(fingerprints):
+        if fp in fingerprints[i + 1:]:
+            return BoundaryVerdict("fail", (shifts[i], shifts[fingerprints.index(fp, i + 1)]))
     return BoundaryVerdict("pass")

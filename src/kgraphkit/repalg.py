@@ -344,6 +344,7 @@ class IsometryFamily:
         self.basis = basis
         self._gens: dict[Path, np.ndarray] = {}  # index arrays j -> i or -1
         self._qs: dict[Path, np.ndarray] = {}  # range masks
+        self._adjoints: dict[Path, np.ndarray] = {}  # inverse maps
         self._safe: dict[tuple, np.ndarray] = {}
         self._closure: dict[tuple, Degree] = {}  # sorted F -> degree of _closure(F)
 
@@ -392,6 +393,10 @@ class IsometryFamily:
     def q(self, lam: Path) -> np.ndarray:
         """q_lam = t_lam t_lam* as a read-only mask."""
         return self._memo(self._qs, lam, lambda: range_mask(self.generator(lam)))
+
+    def adjoint(self, lam: Path) -> np.ndarray:
+        """t_lam* as a read-only index array: the inverse map of t_lam."""
+        return self._memo(self._adjoints, lam, lambda: inverse_map(self.generator(lam)))
 
     def safe_columns(self, budget) -> np.ndarray:
         """Sorted indices of the basis vectors safe at the budget."""
@@ -670,18 +675,13 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
 
 def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
     """Exact checks of the three defining relations on safe columns; each
-    adjoint t_lam* is taken once per call."""
+    adjoint t_lam* is read from the family, which takes it once per path."""
     g = fam.graph
     cap = Degree(cap)
     checks = []
 
     t = fam.generator
-    adjoints: dict[Path, np.ndarray] = {}
-
-    def t_star(lam: Path) -> np.ndarray:
-        if lam not in adjoints:
-            adjoints[lam] = inverse_map(t(lam))
-        return adjoints[lam]
+    t_star = fam.adjoint
 
     verts = [g.vertex_path(v) for v in g.vertices]
     for v in verts:
@@ -965,7 +965,7 @@ def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path) -> list[Ch
     """
     prefix = f"diag[{mu.label()},{nu.label()}]"
     checks = []
-    matrix = compose_maps(bfam.generator(mu), inverse_map(bfam.generator(nu)))
+    matrix = compose_maps(bfam.generator(mu), bfam.adjoint(nu))
     on_diagonal = (matrix == np.arange(len(matrix))).tolist()
     safe = np.zeros(len(matrix), dtype=bool)
     safe[bfam.safe_columns(mu.degree.join(nu.degree))] = True
@@ -1000,7 +1000,6 @@ class SeparatingSystem:
     B_exhaustive: dict  # Path -> bool
     tau_v: dict  # vertex -> Path
     phi: dict  # Path -> mask
-    required_cap: Degree
 
 
 def _closure(g: KGraph, F: Sequence[Path]) -> list[Path]:
@@ -1076,13 +1075,11 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
         tau_v[v] = tau
 
     phi: dict = {}
-    required = M
     for lam in F:
         if lam not in reach:
             phi[lam] = _q_piece(fam, lam, vee_F_bar)
             continue
         witness_path = compose(reach[lam], tau_v[reach[lam].source_vertex])
-        required = required.join(witness_path.degree)
         phi[lam] = fam.q(witness_path)
 
     # mutual orthogonality and domination by q_lam, on safe columns
@@ -1096,7 +1093,7 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
             raise SeparationSearchExhausted(
                 tau_depth, f"phi_{lam.label()} is not dominated by q_{lam.label()}")
 
-    return SeparatingSystem(F, {lam: lam not in reach for lam in F}, tau_v, phi, required)
+    return SeparatingSystem(F, {lam: lam not in reach for lam in F}, tau_v, phi)
 
 
 def verify_phi2(fam: IsometryFamily, system: SeparatingSystem, mu: Path,
@@ -1104,34 +1101,28 @@ def verify_phi2(fam: IsometryFamily, system: SeparatingSystem, mu: Path,
     """Compression of a spanning element by phi_lam follows the case split:
     phi_lam itself when mu = nu extends to lam, zero otherwise."""
     phi = _as_map(system.phi[lam])
-    middle = compose_maps(fam.generator(mu), inverse_map(fam.generator(nu)))
+    middle = compose_maps(fam.generator(mu), fam.adjoint(nu))
     expected = [phi] if mu == nu and extends(lam, mu) else []
     return _compare_on(f"phi2:{lam.label()}|{mu.label()},{nu.label()}", fam.basis,
                        [compose_maps(phi, compose_maps(middle, phi))], expected,
                        fam.safe_columns(mu.degree.join(nu.degree)))
 
 
-def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict,
-                  system: Optional[SeparatingSystem] = None) -> CheckResult:
+def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict) -> CheckResult:
     """Diagonal coefficients never beat the full element in norm.
 
     The exact diagonal norm lhs passes when it is at most the lower end of
     the element's norm bracket plus CLAIM1_TOL, fails only above the upper
     end plus it, and is inconclusive in between, with the reason in the detail.
     The cap must contain the vee closure of F and its completions, so the
-    sector-attaining diagonal entries live inside the truncation; when a
-    separating system is supplied, its full degree requirement is enforced
-    instead.
+    sector-attaining diagonal entries live inside the truncation.
     """
     g = fam.graph
     F = sorted(set(F), key=Path.sort_key)
-    if system is not None:
-        needed = system.required_cap
-    else:
-        needed = fam._closure.get(tuple(F))
-        if needed is None:
-            needed = fam._closure[tuple(F)] = join_degrees(
-                (w.degree for w in _closure(g, F)), g.rank)
+    needed = fam._closure.get(tuple(F))
+    if needed is None:
+        needed = fam._closure[tuple(F)] = join_degrees(
+            (w.degree for w in _closure(g, F)), g.rank)
     if fam.cap is not None and not needed <= fam.cap:
         raise CapTooSmall(
             f"cap {tuple(fam.cap)} cannot hold the closure degree {tuple(needed)}")

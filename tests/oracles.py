@@ -1,9 +1,10 @@
 """Brute-force referees that only the test suite calls, each checking a fast
 routine by direct enumeration: vee E and finite exhaustive sets as defined by
 Raeburn-Sims-Yeend, JFA 2004, the boundary condition of Sims, Indiana
-Univ. Math. J. 2006, tested position by position on each handle, and shifts
-and extensions of boundary handles by the nested rule, where a result may
-wrap another derived handle.  The referees the package itself needs stay in
+Univ. Math. J. 2006, tested position by position on each handle, windowed
+aperiodicity by comparing every pair of shifts, and shifts and extensions
+of boundary handles by the nested rule, where a result may wrap another
+derived handle.  The referees the package itself needs stay in
 kgraphkit.alignment (its docstring says why).
 
 No assert statement here: pytest rewrites the asserts of test modules only,
@@ -29,6 +30,7 @@ from kgraphkit.boundary import (
     BoundaryVerdict,
     WindowUnavailable,
     finite_boundary_paths,
+    shift,
 )
 from kgraphkit.core import (
     Degree,
@@ -115,6 +117,24 @@ def boundary_verdict_per_handle(x: BoundaryPathHandle, window, fe_cap) -> Bounda
             return BoundaryVerdict("fail", (n, [e.label() for e in E]))
     if unknown_witness is not None:
         return BoundaryVerdict("unknown", unknown_witness)
+    return BoundaryVerdict("pass")
+
+
+def aperiodicity_window_pairwise(x: BoundaryPathHandle, shift_bound, window
+                                 ) -> BoundaryVerdict:
+    """Oracle: aperiodicity_window_check by the pairwise scan.  Each pair of
+    shifts m before n with equal extended degree and range vertex is compared
+    on its fingerprints; the first equal pair is the collision."""
+    width = Degree(window)
+    shifts = [n for n in degrees_up_to(Degree(shift_bound)) if n <= x.degree]
+    handles = {n: shift(x, n) for n in shifts}
+    for i, m in enumerate(shifts):
+        for n in shifts[i + 1:]:
+            a, b = handles[m], handles[n]
+            if a.degree != b.degree or a.range_vertex != b.range_vertex:
+                continue
+            if a.fingerprint(width) == b.fingerprint(width):
+                return BoundaryVerdict("fail", (m, n))
     return BoundaryVerdict("pass")
 
 

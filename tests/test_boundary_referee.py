@@ -13,6 +13,10 @@ referee fingerprints every shift σ^m(x) and extension lam·σ^m(x) of each
 handle.  The basis is built with one extension pass per distinct shift; its
 referee extends every shift of every seed.
 
+``aperiodicity_window_check`` takes each shift's fingerprint once and names
+the first shift with a later equal one; its referee compares every pair of
+shifts of equal degree and range vertex in scan order.
+
 ``check_boundary_condition`` tests each position of a root once and reads the
 verdict of a shift σ^s(y), a handle in normal form with a vertex prefix,
 from the positions of its root y; its referee scans every position of each
@@ -42,7 +46,11 @@ from kgraphkit.boundary import (
 from kgraphkit.core import Degree, degrees_up_to, paths_up_to_degree
 from kgraphkit.repalg import CapTooSmall, build_boundary_family
 
-from oracles import boundary_family_from_graph, boundary_verdict_per_handle
+from oracles import (
+    aperiodicity_window_pairwise,
+    boundary_family_from_graph,
+    boundary_verdict_per_handle,
+)
 
 
 def boundary_generator_reference(bfam, lam):
@@ -254,3 +262,37 @@ def test_boundary_condition_of_truncated_stream_matches_referee(bouquet2, fe_cap
     first, blocked = (9, None) if fe_cap == (0,) else (8, ["a", "b"])
     assert [(v.status, v.witness) for v in verdicts] == [
         ("unknown", ((first - j,), blocked)) for j in range(9)]
+
+
+def window_check_matching_referee(x, shift_bound, window):
+    got = aperiodicity_window_check(x, shift_bound, window)
+    want = aperiodicity_window_pairwise(x, shift_bound, window)
+    assert (got.status, got.witness) == (want.status, want.witness)
+    return got
+
+
+def test_window_check_of_streams_matches_referee(bouquet2):
+    tm = thue_morse_path(bouquet2)
+    statuses = {window_check_matching_referee(x, (8,), (w,)).status
+                for x in (tm, shift(tm, (3,))) for w in (0, 1, 2, 3, 4, 8, 64)}
+    assert statuses == {"pass", "fail"}
+    for word in ("a", "ab", "abb", "abbab", "abba"):
+        x = periodic_path(bouquet2, list(word))
+        for w in (1, 2, 5, 16):
+            assert window_check_matching_referee(x, (6,), (w,)).status == "fail"
+
+
+def test_window_check_names_the_first_colliding_shift(bouquet2):
+    # abba at window 1 reads a, b, b, a: the pair (1, 2) is complete first in
+    # n order, but the scan's first collision is (0, 3)
+    x = periodic_path(bouquet2, list("abba"))
+    verdict = window_check_matching_referee(x, (3,), (1,))
+    assert tuple(map(tuple, verdict.witness)) == ((0,), (3,))
+
+
+@pytest.mark.parametrize("window", [(0, 0), (1, 1), (2, 2)])
+def test_window_check_of_finite_handles_matches_referee(omega22, window):
+    handles = finite_boundary_paths(omega22)
+    handles += [y for x in handles for y in all_shifts(x)]
+    verdicts = [window_check_matching_referee(x, (2, 2), window) for x in handles]
+    assert {v.status for v in verdicts} == {"pass"}

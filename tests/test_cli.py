@@ -229,6 +229,15 @@ class TestRepVerify:
         assert calls == {"boolean_rep": 1, "build_separating_system": 1,
                          "build_fock_family": 1}
 
+        # claim1 alone reads no separating system
+        calls.update(boolean_rep=0, build_separating_system=0, build_fock_family=0)
+        code, payload, _ = run(capsys, ["rep-verify", graph_files["bouquet2"],
+                                        "--suite", "claim1", "--cap", "6",
+                                        "--gen-cap", "1", "--suite-size", "2"])
+        assert code == 0, payload
+        assert calls == {"boolean_rep": 0, "build_separating_system": 0,
+                         "build_fock_family": 1}
+
         # a boundary family builds the Fock family only for the suite that compares the two
         for suite, builds in (("tck", 0), ("couniversal", 1)):
             calls["build_fock_family"] = 0
@@ -268,6 +277,67 @@ class TestRepVerify:
         assert code == 3
         (check,) = payload["results"]
         assert check["status"] == "inconclusive" and "reason" in check["detail"]
+
+    @pytest.mark.parametrize("graph, cap, gen_cap", [("bouquet2", "4", "2"),
+                                                     ("omega22", "1,1", "1,1")],
+                             ids=["bouquet2", "omega22"])
+    def test_claim1_needs_only_the_closure_degree(self, capsys, graph_files,
+                                                  graph, cap, gen_cap):
+        # the cap holds the closure degree of F but not the separating
+        # system's witness degrees, which phi2 alone needs
+        argv = ["rep-verify", graph_files[graph], "--cap", cap, "--gen-cap", gen_cap]
+        assert main([*argv, "--suite", "claim1", "--suite-size", "2"]) == 0
+        captured = capsys.readouterr()
+        assert [c["status"] for c in json.loads(captured.out)["results"]] == ["pass", "pass"]
+        assert captured.err == "kgraphkit rep-verify: pass=2\n"
+        assert main([*argv, "--suite", "phi2"]) == 2
+        assert "exceeds basis cap" in capsys.readouterr().err
+
+    def test_claim1_cap_below_closure_degree_exits_2(self, capsys, graph_files):
+        assert main(["rep-verify", graph_files["bouquet2"], "--cap", "3", "--gen-cap", "2",
+                     "--suite", "claim1", "--suite-size", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cap (3,) cannot hold the closure degree (4,)\n"
+
+    @pytest.mark.parametrize("suite, witness", [
+        ("lem1", "q_a q_a.a != sum over MCE; first difference ('a.a', 'a.a', 0, 1)"),
+        ("lem3", "q_a q_a.a != sum over MCE; first difference ('a.a', 'a.a', 0, 1)"),
+        ("claim1", "q_a is not the sum of its Q pieces")])
+    def test_broken_product_rule_fails_the_suite(self, capsys, graph_files, monkeypatch,
+                                                 suite, witness):
+        # q_a loses the vector a.a: a failed check, exit 1, not malformed input
+        real = repalg.IsometryFamily.q
+
+        def tampered(fam, lam):
+            mask = real(fam, lam)
+            if lam.label() == "a":
+                mask = mask.copy()
+                mask[fam.basis.labels.index("a.a")] = False
+            return mask
+
+        monkeypatch.setattr(repalg.IsometryFamily, "q", tampered)
+        assert main(["rep-verify", graph_files["bouquet2"], "--cap", "8", "--gen-cap", "2",
+                     "--suite", suite]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["results"] == [
+            {"id": suite, "status": "fail", "witness": witness}]
+        assert captured.err == "kgraphkit rep-verify: fail=1\n"
+
+    def test_each_adjoint_inverted_once_per_run(self, capsys, graph_files, monkeypatch):
+        # tck, diag and phi2 all read adjoints t_nu*, each taken once per path
+        used, inverted = set(), []
+        real_generator, real_inverse = repalg.IsometryFamily.generator, repalg.inverse_map
+        monkeypatch.setattr(repalg.IsometryFamily, "generator",
+                            lambda fam, lam: used.add(lam) or real_generator(fam, lam))
+        monkeypatch.setattr(repalg, "inverse_map",
+                            lambda t: inverted.append(t) or real_inverse(t))
+        code, payload, _ = run(capsys, ["rep-verify", graph_files["omega22"],
+                                        "--family", "boundary", "--cap", "2,2",
+                                        "--gen-cap", "1,1", "--window", "2,2",
+                                        "--suite", "tck,diag,phi2"])
+        assert code == 0, payload
+        assert 0 < len(inverted) <= len(used)
 
     def test_unknown_suite(self, capsys, graph_files):
         code, _, _ = run(capsys, ["rep-verify", graph_files["bouquet2"],

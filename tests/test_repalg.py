@@ -104,6 +104,13 @@ class TestOperatorMatrix:
         t = fock_b2_n4.generator(bouquet2.path(["a", "b"]))
         assert np.array_equal(inverse_map(inverse_map(t)), t)
 
+    def test_adjoint_is_the_inverse_map_taken_once(self, bouquet2):
+        fam = build_fock_family(bouquet2, (4,))
+        ab = bouquet2.path(["a", "b"])
+        t_star = fam.adjoint(ab)
+        assert np.array_equal(t_star, inverse_map(fam.generator(ab)))
+        assert fam.adjoint(ab) is t_star and not t_star.flags.writeable
+
     def test_norm_of_zero(self, fock_b2_n4, bouquet2):
         assert operator_norm(fock_b2_n4.evaluate(element(bouquet2, [])))["value"] == 0.0
 
