@@ -306,7 +306,7 @@ def thue_morse_path(g: KGraph) -> BoundaryPathHandle:
 
 class BoundaryVerdict:
     def __init__(self, status: str, witness=None):
-        self.status = status  # "pass" | "fail" | "unknown"
+        self.status = status  # "pass" | "fail"
         self.witness = witness
 
     def __bool__(self) -> bool:
@@ -319,80 +319,58 @@ class BoundaryVerdict:
 def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_cap
                              ) -> list[BoundaryVerdict]:
     """Windowed boundary-path test against every minimal FE set below fe_cap,
-    one verdict per handle; the handles share one graph.
+    one pass or fail verdict per handle; the handles share one graph.
 
     For each handle x, each position n in the window and each minimal finite
     exhaustive set at the vertex there, some tail segment of x must lie in
-    the set.  A handle that cannot produce a needed window yields an unknown
-    verdict rather than a fail.  The witness is the first failing n with the
-    labels of its first unmet set; otherwise the first unknown n with the
-    labels of its first blocked set, or None when the vertex at n itself is
-    unavailable.
+    the set.  The witness of a fail is the first failing n with the labels
+    of its first unmet set.  A window the handle cannot supply raises
+    WindowUnavailable.
 
     Each position is tested once per call.  The shift identity
     (σ^s y)(n, n + d) = y(s + n, s + n + d), with d(σ^s y) = d(y) - s, makes
     position n of σ^s(y) the same test as position s + n of y: the same
-    vertex, the same segments, the same degree bound and the same
-    unavailable windows.  So a handle in the normal form σ^s(y), a vertex
-    prefix on a root y, reads its outcomes from y's at s + n, and the shifts
-    of one seed share them; a handle with a non-vertex prefix tests its own
-    positions.  The FE sets of each vertex are enumerated once.
+    vertex, the same segments and the same degree bound.  So a handle in the
+    normal form σ^s(y), a vertex prefix on a root y, reads its outcomes from
+    y's at s + n, and the shifts of one seed share them; a handle with a
+    non-vertex prefix tests its own positions.  The FE sets of each vertex
+    are enumerated once.
     """
     fe_cap = Degree(fe_cap)
     width = Degree(window)
     fe_cache: dict[str, list[list[Path]]] = {}
-    # base handle -> absolute position -> (status, labels); keyed by the
-    # handle itself, which the dict keeps alive for the call
-    outcomes: dict[BoundaryPathHandle, dict[Degree, tuple]] = {}
+    # base handle -> absolute position -> labels of the first unmet set, ()
+    # when every set is met; keyed by the handle itself, which the dict keeps
+    # alive for the call
+    outcomes: dict[BoundaryPathHandle, dict[Degree, Sequence[str]]] = {}
 
-    def outcome(y: BoundaryPathHandle, p: Degree) -> tuple:
-        """(status, labels) of position p of y: the first unmet set fails
-        it, else the first blocked set leaves it unknown."""
-        try:
-            v = y.vertex_at(p)
-        except WindowUnavailable:
-            return ("unknown", None)
+    def unmet(y: BoundaryPathHandle, p: Degree) -> Sequence[str]:
+        """Labels of the first FE set at position p of y that no tail segment
+        of y meets, () when there is none."""
+        v = y.vertex_at(p)
         if v not in fe_cache:
             fe_cache[v] = enumerate_fe(y.graph, v, fe_cap)
-        first_blocked = None
         for E in fe_cache[v]:
-            blocked = False
             for e in E:
                 target = p + e.degree
-                if not target <= y.degree:
-                    continue
-                try:
-                    if y.window(p, target) == e:
-                        break
-                except WindowUnavailable:
-                    blocked = True
+                if target <= y.degree and y.window(p, target) == e:
+                    break
             else:
-                if not blocked:
-                    return ("fail", [e.label() for e in E])
-                if first_blocked is None:
-                    first_blocked = E
-        if first_blocked is not None:
-            return ("unknown", [e.label() for e in first_blocked])
-        return ("pass", None)
+                return [e.label() for e in E]
+        return ()
 
     def verdict(x: BoundaryPathHandle) -> BoundaryVerdict:
         lam, y, s = normal_form(x)
         if not lam.is_vertex():
             y, s = x, Degree.zero(x.graph.rank)
         seen = outcomes.setdefault(y, {})
-        unknown_witness = None
         for n in degrees_up_to(width.meet(x.degree)):
             p = s + n
-            got = seen.get(p)
-            if got is None:
-                got = seen[p] = outcome(y, p)
-            status, labels = got
-            if status == "fail":
+            labels = seen.get(p)
+            if labels is None:
+                labels = seen[p] = unmet(y, p)
+            if labels:
                 return BoundaryVerdict("fail", (n, labels))
-            if status == "unknown" and unknown_witness is None:
-                unknown_witness = (n, labels)
-        if unknown_witness is not None:
-            return BoundaryVerdict("unknown", unknown_witness)
         return BoundaryVerdict("pass")
 
     return [verdict(x) for x in handles]

@@ -186,7 +186,7 @@ def emit(config: dict, results, status_counts: dict) -> None:
 def exit_code(status_counts: dict) -> int:
     if status_counts.get("fail", 0) or status_counts.get("heuristic-fail", 0):
         return EXIT_CHECK_FAILED
-    if status_counts.get("inconclusive", 0) or status_counts.get("unknown", 0):
+    if status_counts.get("inconclusive", 0):
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
@@ -421,7 +421,7 @@ def cmd_rep_verify(args):
                     checks.append(couniversal_norm_check(get_fock(), b, a))
         except repalg.SeparationSearchExhausted as exc:
             checks.append(repalg.CheckResult(suite, "inconclusive", witness=str(exc)))
-        except repalg.BooleanRelationFailure as exc:  # a product rule failed to hold
+        except repalg.BooleanRelationFailure as exc:  # a relation the suite assumes failed
             checks.append(repalg.CheckResult(suite, "fail", witness=str(exc)))
     return [c.to_jsonable() for c in checks], [c.status for c in checks]
 

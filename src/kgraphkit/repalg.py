@@ -729,7 +729,7 @@ def verify_ck(fam: IsometryFamily, cap) -> list[CheckResult]:
         # t_v AND-NOT every q_lam
         tv = fam.generator(g.vertex_path(v))
         if np.any((tv >= 0) & (tv != np.arange(len(tv)))):
-            raise KGraphError(f"t_{v} is not a diagonal projection")
+            raise BooleanRelationFailure(f"t_{v} is not a diagonal projection")
         for E in enumerate_fe(g, v, cap):
             gap = tv >= 0
             for lam in E:
@@ -848,7 +848,7 @@ def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> list[CheckResult]:
     F = _require_mce_closed(g, F)
     for lam in F:
         if not fam.q(lam).any():
-            raise KGraphError(f"q_{lam.label()} vanishes; hypothesis violated")
+            raise BooleanRelationFailure(f"q_{lam.label()} vanishes; hypothesis violated")
 
     checks = []
     for alpha in F:
@@ -1074,13 +1074,14 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
                 tau_depth, f"no single extension separates the completions at {v}")
         tau_v[v] = tau
 
-    phi: dict = {}
-    for lam in F:
-        if lam not in reach:
-            phi[lam] = _q_piece(fam, lam, vee_F_bar)
-            continue
-        witness_path = compose(reach[lam], tau_v[reach[lam].source_vertex])
-        phi[lam] = fam.q(witness_path)
+    # phi reads q of the closure and of each witness path lam·alpha·tau
+    witness = {lam: compose(r, tau_v[r.source_vertex]) for lam, r in reach.items()}
+    needed = join_degrees([M, *(w.degree for w in witness.values())], g.rank)
+    if fam.cap is not None and not needed <= fam.cap:
+        raise CapTooSmall(f"cap {tuple(fam.cap)} cannot hold the separating "
+                          f"system's degree {tuple(needed)}")
+    phi = {lam: fam.q(witness[lam]) if lam in witness else _q_piece(fam, lam, vee_F_bar)
+           for lam in F}
 
     # mutual orthogonality and domination by q_lam, on safe columns
     cols = fam.safe_columns(Degree.zero(g.rank))

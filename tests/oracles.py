@@ -28,7 +28,6 @@ from kgraphkit.boundary import (
     INF,
     BoundaryPathHandle,
     BoundaryVerdict,
-    WindowUnavailable,
     finite_boundary_paths,
     shift,
 )
@@ -89,34 +88,16 @@ def boundary_verdict_per_handle(x: BoundaryPathHandle, window, fe_cap) -> Bounda
     position of x through x's own windows, with no outcome shared."""
     fe_cap = Degree(fe_cap)
     width = Degree(window)
-    unknown_witness = None
     for n in degrees_up_to(width.meet(x.degree)):
-        try:
-            v = x.vertex_at(n)
-        except WindowUnavailable:
-            unknown_witness = unknown_witness or (n, None)
-            continue
-        for E in enumerate_fe(x.graph, v, fe_cap):
+        for E in enumerate_fe(x.graph, x.vertex_at(n), fe_cap):
             hit = False
-            blocked = False
             for e in E:
                 target = n + e.degree
-                if not target <= x.degree:
-                    continue
-                try:
-                    if x.window(n, target) == e:
-                        hit = True
-                        break
-                except WindowUnavailable:
-                    blocked = True
-            if hit:
-                continue
-            if blocked:
-                unknown_witness = unknown_witness or (n, [e.label() for e in E])
-                continue
-            return BoundaryVerdict("fail", (n, [e.label() for e in E]))
-    if unknown_witness is not None:
-        return BoundaryVerdict("unknown", unknown_witness)
+                if target <= x.degree and x.window(n, target) == e:
+                    hit = True
+                    break
+            if not hit:
+                return BoundaryVerdict("fail", (n, [e.label() for e in E]))
     return BoundaryVerdict("pass")
 
 

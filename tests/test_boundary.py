@@ -17,6 +17,7 @@ from kgraphkit.boundary import (
     DerivedHandle,
     GraphHasCycles,
     NoFixedPoint,
+    WindowUnavailable,
     WordStreamHandle,
     aperiodicity_window_check,
     check_boundary_condition,
@@ -302,11 +303,14 @@ class TestBoundaryCondition:
         assert Degree(n) <= Degree((1, 0))
         assert E  # the unmet finite exhaustive set is reported
 
-    def test_truncated_user_handle_unknown(self, bouquet2):
+    def test_truncated_user_handle_raises(self, bouquet2):
+        # a window the handle cannot supply is never read as a pass or a fail
         letters = list("abbabaab")
         x = WordStreamHandle(bouquet2, lambda n: letters, "trunc")
-        [verdict] = check_boundary_condition([x], (10,), (1,))
-        assert verdict.status == "unknown"
+        for fe_cap in ((0,), (1,)):
+            with pytest.raises(WindowUnavailable,
+                               match=r"^trunc has only 8 letters, window needs 9$"):
+                check_boundary_condition([x], (10,), fe_cap)
 
 
 class TestWindowedAperiodicity:

@@ -34,6 +34,7 @@ from kgraphkit import make_omega
 from kgraphkit.boundary import (
     BoundaryPathHandle,
     FinitePathHandle,
+    WindowUnavailable,
     WordStreamHandle,
     aperiodicity_window_check,
     check_boundary_condition,
@@ -217,6 +218,7 @@ def verdicts_matching_referee(handles, window, fe_cap):
     got = check_boundary_condition(handles, window, fe_cap)
     want = [boundary_verdict_per_handle(x, window, fe_cap) for x in handles]
     assert [(v.status, v.witness) for v in got] == [(v.status, v.witness) for v in want]
+    assert {v.status for v in got} <= {"pass", "fail"}
     return got
 
 
@@ -250,18 +252,20 @@ def test_boundary_condition_of_finite_shifts_matches_referee(request, graph):
 
 
 @pytest.mark.parametrize("fe_cap", [(0,), (1,)])
-def test_boundary_condition_of_truncated_stream_matches_referee(bouquet2, fe_cap):
+def test_boundary_condition_of_truncated_stream_raises(bouquet2, fe_cap):
     """Eight letters: the vertex at position 8 is available, its one-letter
     windows are not, and the vertex at 9 is not.  At cap 0 only the vertex
-    set is tested, so the first unknown position is the vertex's; at cap 1
-    it is the blocked set {a, b} one position earlier."""
+    set is tested, so the vertex at 9 is the first window missing; at cap 1
+    it is the set {a, b} one position earlier.  Both need letter 9, and
+    every shift reads it from the root, so each handle raises alike."""
     letters = list("abbabaab")
     x = WordStreamHandle(bouquet2, lambda n: letters, "trunc")
-    handles = [shift(x, (j,)) for j in range(9)]
-    verdicts = verdicts_matching_referee(handles, (10,), fe_cap)
-    first, blocked = (9, None) if fe_cap == (0,) else (8, ["a", "b"])
-    assert [(v.status, v.witness) for v in verdicts] == [
-        ("unknown", ((first - j,), blocked)) for j in range(9)]
+    missing = r"^trunc has only 8 letters, window needs 9$"
+    for y in [shift(x, (j,)) for j in range(9)]:
+        with pytest.raises(WindowUnavailable, match=missing):
+            check_boundary_condition([y], (10,), fe_cap)
+        with pytest.raises(WindowUnavailable, match=missing):
+            boundary_verdict_per_handle(y, (10,), fe_cap)
 
 
 def window_check_matching_referee(x, shift_bound, window):

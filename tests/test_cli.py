@@ -278,11 +278,12 @@ class TestRepVerify:
         (check,) = payload["results"]
         assert check["status"] == "inconclusive" and "reason" in check["detail"]
 
-    @pytest.mark.parametrize("graph, cap, gen_cap", [("bouquet2", "4", "2"),
-                                                     ("omega22", "1,1", "1,1")],
-                             ids=["bouquet2", "omega22"])
+    @pytest.mark.parametrize("graph, cap, gen_cap, error", [
+        ("bouquet2", "4", "2", "cap (4,) cannot hold the separating system's degree (7,)"),
+        ("omega22", "1,1", "1,1", "cap (1, 1) cannot hold the separating system's degree (2, 2)")],
+        ids=["bouquet2", "omega22"])
     def test_claim1_needs_only_the_closure_degree(self, capsys, graph_files,
-                                                  graph, cap, gen_cap):
+                                                  graph, cap, gen_cap, error):
         # the cap holds the closure degree of F but not the separating
         # system's witness degrees, which phi2 alone needs
         argv = ["rep-verify", graph_files[graph], "--cap", cap, "--gen-cap", gen_cap]
@@ -291,7 +292,17 @@ class TestRepVerify:
         assert [c["status"] for c in json.loads(captured.out)["results"]] == ["pass", "pass"]
         assert captured.err == "kgraphkit rep-verify: pass=2\n"
         assert main([*argv, "--suite", "phi2"]) == 2
-        assert "exceeds basis cap" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
+    def test_phi2_runs_at_the_separating_system_degree(self, capsys, graph_files):
+        # bouquet2 at gen-cap 2: the witness paths reach degree (7,)
+        assert main(["rep-verify", graph_files["bouquet2"], "--cap", "7", "--gen-cap", "2",
+                     "--suite", "phi2"]) == 0
+        captured = capsys.readouterr()
+        assert {c["status"] for c in json.loads(captured.out)["results"]} == {"pass"}
+        assert captured.err == "kgraphkit rep-verify: pass=343\n"
 
     def test_claim1_cap_below_closure_degree_exits_2(self, capsys, graph_files):
         assert main(["rep-verify", graph_files["bouquet2"], "--cap", "3", "--gen-cap", "2",
@@ -322,6 +333,40 @@ class TestRepVerify:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["results"] == [
             {"id": suite, "status": "fail", "witness": witness}]
+        assert captured.err == "kgraphkit rep-verify: fail=1\n"
+
+    def test_non_diagonal_vertex_projection_fails_ck(self, capsys, graph_files, monkeypatch):
+        # t_v swaps two basis vectors: ck reports one fail result, exit 1, and
+        # the TCK results before it stay in the report
+        real = repalg.IsometryFamily.generator
+
+        def tampered(fam, lam):
+            t = real(fam, lam)
+            if lam.is_vertex():
+                t = t.copy()
+                t[[0, 1]] = t[[1, 0]]
+            return t
+
+        monkeypatch.setattr(repalg.IsometryFamily, "generator", tampered)
+        assert main(["rep-verify", graph_files["bouquet2"], "--cap", "4",
+                     "--suite", "tck,ck"]) == 1
+        captured = capsys.readouterr()
+        results = json.loads(captured.out)["results"]
+        assert all(r["id"].startswith("TCK") for r in results[:-1])
+        assert results[-1] == {"id": "ck", "status": "fail",
+                               "witness": "t_v is not a diagonal projection"}
+        assert captured.err == "kgraphkit rep-verify: fail=10, pass=6\n"
+
+    def test_vanishing_projection_fails_lem3(self, capsys, graph_files, monkeypatch):
+        # q_a.b is zero: Lemma 3's hypothesis fails, a failed check, not malformed input
+        real = repalg.IsometryFamily.q
+        monkeypatch.setattr(repalg.IsometryFamily, "q", lambda fam, lam: (
+            real(fam, lam) & (lam.label() != "a.b")))
+        assert main(["rep-verify", graph_files["bouquet2"], "--cap", "4", "--gen-cap", "2",
+                     "--suite", "lem3"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["results"] == [
+            {"id": "lem3", "status": "fail", "witness": "q_a.b vanishes; hypothesis violated"}]
         assert captured.err == "kgraphkit rep-verify: fail=1\n"
 
     def test_each_adjoint_inverted_once_per_run(self, capsys, graph_files, monkeypatch):
