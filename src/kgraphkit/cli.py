@@ -245,6 +245,8 @@ def cmd_exhaustive(args):
 def cmd_fe(args):
     g = load_graph(args.graph)
     cap = parse_degree(args.cap, g.rank)
+    if args.budget < 1:
+        raise ParseError(f"--budget must be at least 1, got {args.budget}")
     sets = enumerate_fe(g, args.vertex, cap, budget=args.budget)
     return [[p.label() for p in E] for E in sets], ["pass"]
 
@@ -394,9 +396,9 @@ def cmd_rep_verify(args):
             elif suite == "lem3":
                 checks += lem3_check(checked_rep(), F)
             elif suite == "phi2":
-                system = build_separating_system(fam, F)
-                checks += [verify_phi2(fam, system, mu, nu, lam)
-                           for lam in system.F for mu in system.F for nu in system.F]
+                phi = build_separating_system(fam, F)
+                checks += [verify_phi2(fam, phi, mu, nu, lam)
+                           for lam in phi for mu in phi for nu in phi]
             elif suite == "claim1":
                 for _ in range(args.suite_size):
                     table = _random_table(F, rng, integer=False)

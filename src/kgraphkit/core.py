@@ -275,7 +275,10 @@ class KGraph:
         text = text.strip()
         if text in self.vertices:
             return self.vertex_path(text)
-        return self.path([part for part in text.split(".") if part])
+        names = text.split(".")
+        if "" in names:
+            raise ParseError(f"malformed path {text!r}: empty edge name")
+        return self.path(names)
 
     # -- normal form machinery -------------------------------------------
 

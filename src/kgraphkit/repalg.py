@@ -81,7 +81,6 @@ class SeparationSearchExhausted(KGraphError):
     """
 
     def __init__(self, depth, detail: str):
-        self.depth = depth
         super().__init__(f"{detail} (depth {tuple(depth)})")
 
 
@@ -783,16 +782,14 @@ def _q_piece(fam: IsometryFamily, lam: Path, pool: Sequence[Path]) -> np.ndarray
 
 
 def _require_mce_closed(g: KGraph, F: Sequence[Path]) -> list[Path]:
-    """F sorted and deduplicated, once every MCE of two members lies in it."""
-    F = sorted(set(F), key=Path.sort_key)
+    """F sorted and deduplicated, once vee F adds nothing to it: the same as
+    pairwise MCE closure, as vee folds MCE(G ∪ {rho}) = ⋃_{lam in MCE(G)} MCE(lam, rho)."""
     members = set(F)
-    for mu in F:
-        for nu in F:
-            for gamma in mce(g, mu, nu):
-                if gamma not in members:
-                    raise NotMceClosed(
-                        f"MCE({mu.label()},{nu.label()}) contains {gamma.label()} outside F")
-    return F
+    closed = vee(g, members)
+    outside = [w for w in closed if w not in members]
+    if outside:
+        raise NotMceClosed(f"{outside[0].label()} lies in vee F but not in F")
+    return closed
 
 
 def _lem3_witness(g: KGraph, lam: Path, pool: Sequence[Path]
@@ -806,14 +803,9 @@ def _lem3_witness(g: KGraph, lam: Path, pool: Sequence[Path]
     return B, is_exhaustive(g, lam.source_vertex, B).witness
 
 
-@dataclass
-class QDecomposition:
-    vee_F: list[Path]
-    Q: dict  # Path -> mask
-
-
-def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> QDecomposition:
-    """Mutually orthogonal pieces Q_lam refining the projections over vee F.
+def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> dict:
+    """Mutually orthogonal pieces Q_lam refining the projections over vee F,
+    as a dict lam -> mask in vee order.
 
     Q_lam multiplies q_lam by (q_lam - q_lam·alpha) over all proper
     extensions inside vee F; orthogonality and the reconstruction of each
@@ -838,7 +830,7 @@ def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> QDecomposition:
         if first_difference_on(fam.basis, [fam.q(mu)], pieces, cols) is not None:
             raise BooleanRelationFailure(
                 f"q_{mu.label()} is not the sum of its Q pieces")
-    return QDecomposition(vee_F, Q)
+    return Q
 
 
 def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> list[CheckResult]:
@@ -880,10 +872,10 @@ def diagonal_norm(fam: IsometryFamily, coeffs: dict) -> float:
         F.add(g.vertex_path(lam.source_vertex))
     if not F:
         return 0.0
-    dec = q_decomposition(fam, sorted(F, key=Path.sort_key))
+    Q = q_decomposition(fam, sorted(F, key=Path.sort_key))
     best = 0.0
-    for alpha in dec.vee_F:
-        if not dec.Q[alpha].any():
+    for alpha, piece in Q.items():
+        if not piece.any():
             continue
         total = 0
         for lam, c in support.items():
@@ -994,14 +986,6 @@ def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path) -> list[Ch
 # -- separating systems and the norm inequality --------------------------------
 
 
-@dataclass
-class SeparatingSystem:
-    F: list[Path]
-    B_exhaustive: dict  # Path -> bool
-    tau_v: dict  # vertex -> Path
-    phi: dict  # Path -> mask
-
-
 def _closure(g: KGraph, F: Sequence[Path]) -> list[Path]:
     """vee(F ∪ F′), where F′ holds the completions λβ′ and λδ′ of every
     λ ∈ MCE(μ, ν), μ, ν ∈ F, through each ξ = ββ′ = δδ′ ∈ MCE(β, δ) of the
@@ -1020,15 +1004,16 @@ def _closure(g: KGraph, F: Sequence[Path]) -> list[Path]:
     return vee(g, out)
 
 
-def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
-                            tau_depth=None) -> SeparatingSystem:
-    """Mutually orthogonal compressions phi_lam straddling the diagonal.
+def build_separating_system(fam: IsometryFamily, F: Sequence[Path]) -> dict:
+    """Mutually orthogonal compressions phi_lam straddling the diagonal, as a
+    dict lam -> mask in sorted F order.
 
     For each lam whose extension set inside the closure fails to be
     exhaustive, a path alpha avoiding that set is grown until every color
     either reaches the closure's maximal degree or dies at a source, and a
-    single tau separating all completions is found; phi_lam is the final
-    projection of lam·alpha·tau.  Where the extension set is exhaustive,
+    single tau of degree at most M + (1,...,1), M the closure's degree,
+    separating all completions is found; phi_lam is the final projection of
+    lam·alpha·tau.  Where the extension set is exhaustive,
     phi_lam is the Q piece itself.  Every choice is re-verified before the
     system is returned.
     """
@@ -1036,7 +1021,7 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
     F = _require_mce_closed(g, F)
     vee_F_bar = _closure(g, F)
     M = join_degrees((w.degree for w in vee_F_bar), g.rank)
-    tau_depth = M + Degree((1,) * g.rank) if tau_depth is None else Degree(tau_depth)
+    depth = M + Degree((1,) * g.rank)
 
     reach: dict = {}  # lam -> lam·alpha, for each lam with a non-exhaustive extension set
     for lam in F:
@@ -1055,27 +1040,27 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
         for mu_b in B:
             if mce(g, mu_b, alpha):
                 raise SeparationSearchExhausted(
-                    tau_depth, f"alpha for {lam.label()} meets its extension set")
+                    depth, f"alpha for {lam.label()} meets its extension set")
         r = reach[lam] = compose(lam, alpha)
         for w in vee_F_bar:
             if mce(g, r, w) and not extends(r, w):
                 raise SeparationSearchExhausted(
-                    tau_depth, f"alpha for {lam.label()} is not long enough past {w.label()}")
+                    depth, f"alpha for {lam.label()} is not long enough past {w.label()}")
 
     G = sorted({segment(r, w.degree, r.degree) for r in reach.values()
                 for w in vee_F_bar if extends(r, w)}, key=Path.sort_key)
 
-    tau_v: dict = {}
+    taus: dict = {}  # vertex -> tau
     for v in sorted({eps.source_vertex for eps in G}):
         Gv = [eps for eps in G if eps.source_vertex == v]
-        tau = separate_family(g, Gv, tau_depth)
+        tau = separate_family(g, Gv, depth)
         if tau is None:
             raise SeparationSearchExhausted(
-                tau_depth, f"no single extension separates the completions at {v}")
-        tau_v[v] = tau
+                depth, f"no single extension separates the completions at {v}")
+        taus[v] = tau
 
     # phi reads q of the closure and of each witness path lam·alpha·tau
-    witness = {lam: compose(r, tau_v[r.source_vertex]) for lam, r in reach.items()}
+    witness = {lam: compose(r, taus[r.source_vertex]) for lam, r in reach.items()}
     needed = join_degrees([M, *(w.degree for w in witness.values())], g.rank)
     if fam.cap is not None and not needed <= fam.cap:
         raise CapTooSmall(f"cap {tuple(fam.cap)} cannot hold the separating "
@@ -1088,24 +1073,24 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path],
     for a, b in itertools.combinations(F, 2):
         if np.any((phi[a] & phi[b])[cols]):
             raise SeparationSearchExhausted(
-                tau_depth, f"phi_{a.label()} and phi_{b.label()} overlap")
+                depth, f"phi_{a.label()} and phi_{b.label()} overlap")
     for lam in F:
         if np.any((phi[lam] & ~fam.q(lam))[cols]):
             raise SeparationSearchExhausted(
-                tau_depth, f"phi_{lam.label()} is not dominated by q_{lam.label()}")
+                depth, f"phi_{lam.label()} is not dominated by q_{lam.label()}")
 
-    return SeparatingSystem(F, {lam: lam not in reach for lam in F}, tau_v, phi)
+    return phi
 
 
-def verify_phi2(fam: IsometryFamily, system: SeparatingSystem, mu: Path,
-                nu: Path, lam: Path) -> CheckResult:
-    """Compression of a spanning element by phi_lam follows the case split:
-    phi_lam itself when mu = nu extends to lam, zero otherwise."""
-    phi = _as_map(system.phi[lam])
+def verify_phi2(fam: IsometryFamily, phi: dict, mu: Path, nu: Path, lam: Path) -> CheckResult:
+    """Compression of a spanning element by phi_lam, phi the separating
+    system's masks, follows the case split: phi_lam itself when mu = nu
+    extends to lam, zero otherwise."""
+    phi_lam = _as_map(phi[lam])
     middle = compose_maps(fam.generator(mu), fam.adjoint(nu))
-    expected = [phi] if mu == nu and extends(lam, mu) else []
+    expected = [phi_lam] if mu == nu and extends(lam, mu) else []
     return _compare_on(f"phi2:{lam.label()}|{mu.label()},{nu.label()}", fam.basis,
-                       [compose_maps(phi, compose_maps(middle, phi))], expected,
+                       [compose_maps(phi_lam, compose_maps(middle, phi_lam))], expected,
                        fam.safe_columns(mu.degree.join(nu.degree)))
 
 
@@ -1115,18 +1100,19 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict) -> CheckR
     The exact diagonal norm lhs passes when it is at most the lower end of
     the element's norm bracket plus CLAIM1_TOL, fails only above the upper
     end plus it, and is inconclusive in between, with the reason in the detail.
-    The cap must contain the vee closure of F and its completions, so the
-    sector-attaining diagonal entries live inside the truncation.
+    A truncated basis's cap must contain the vee closure of F and its
+    completions, so the sector-attaining diagonal entries live inside it.
     """
     g = fam.graph
     F = sorted(set(F), key=Path.sort_key)
-    needed = fam._closure.get(tuple(F))
-    if needed is None:
-        needed = fam._closure[tuple(F)] = join_degrees(
-            (w.degree for w in _closure(g, F)), g.rank)
-    if fam.cap is not None and not needed <= fam.cap:
-        raise CapTooSmall(
-            f"cap {tuple(fam.cap)} cannot hold the closure degree {tuple(needed)}")
+    if fam.cap is not None:
+        needed = fam._closure.get(tuple(F))
+        if needed is None:
+            needed = fam._closure[tuple(F)] = join_degrees(
+                (w.degree for w in _closure(g, F)), g.rank)
+        if not needed <= fam.cap:
+            raise CapTooSmall(
+                f"cap {tuple(fam.cap)} cannot hold the closure degree {tuple(needed)}")
 
     diag = {mu: table.get((mu, mu), 0) for mu in F}
     lhs = diagonal_norm(fam, diag)

@@ -1,11 +1,12 @@
 """Brute-force referees that only the test suite calls, each checking a fast
-routine by direct enumeration: vee E and finite exhaustive sets as defined by
-Raeburn-Sims-Yeend, JFA 2004, the boundary condition of Sims, Indiana
-Univ. Math. J. 2006, tested position by position on each handle, windowed
-aperiodicity by comparing every pair of shifts, and shifts and extensions
-of boundary handles by the nested rule, where a result may wrap another
-derived handle.  The referees the package itself needs stay in
-kgraphkit.alignment (its docstring says why).
+routine by direct enumeration: vee E, MCE closure of a path set tested pair
+by pair, and finite exhaustive sets as defined by Raeburn-Sims-Yeend, JFA
+2004, the boundary condition of Sims, Indiana Univ. Math. J. 2006, tested
+position by position on each handle, windowed aperiodicity by comparing
+every pair of shifts, and shifts and extensions of boundary handles by the
+nested rule, where a result may wrap another derived handle.  The referees
+the package itself needs stay in kgraphkit.alignment (its docstring says
+why).
 
 No assert statement here: pytest rewrites the asserts of test modules only,
 not of the helpers they import, so an assert here would vanish under -O.
@@ -22,6 +23,7 @@ from kgraphkit.alignment import (
     CapTooLargeForBudget,
     enumerate_fe,
     is_exhaustive_brute,
+    mce,
     mce_set,
 )
 from kgraphkit.boundary import (
@@ -40,7 +42,7 @@ from kgraphkit.core import (
     paths_up_to_degree,
     segment,
 )
-from kgraphkit.repalg import BoundaryFamily, build_boundary_family
+from kgraphkit.repalg import BoundaryFamily, NotMceClosed, build_boundary_family
 
 
 def vee_brute(g: KGraph, F: Iterable[Path]) -> list[Path]:
@@ -51,6 +53,20 @@ def vee_brute(g: KGraph, F: Iterable[Path]) -> list[Path]:
         for G in itertools.combinations(F, size):
             seen.update(mce_set(g, list(G)))
     return sorted(seen, key=Path.sort_key)
+
+
+def mce_closed_pairwise(g: KGraph, F: Iterable[Path]) -> list[Path]:
+    """Oracle: F sorted and deduplicated, once every MCE of two members lies
+    in it; else NotMceClosed."""
+    F = sorted(set(F), key=Path.sort_key)
+    members = set(F)
+    for mu in F:
+        for nu in F:
+            for gamma in mce(g, mu, nu):
+                if gamma not in members:
+                    raise NotMceClosed(
+                        f"MCE({mu.label()},{nu.label()}) contains {gamma.label()} outside F")
+    return F
 
 
 def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000

@@ -22,7 +22,7 @@ from kgraphkit import (
     segment,
     validate_presentation,
 )
-from kgraphkit.alignment import is_exhaustive, is_exhaustive_brute, mce, mce_brute
+from kgraphkit.alignment import is_exhaustive, is_exhaustive_brute, mce, mce_brute, vee
 from kgraphkit.aperiodicity import aperiodicity_report
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.repalg import (
@@ -182,8 +182,8 @@ def test_criterion_6_lem1_lem3(fock_b2_n4, bouquet2):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         aa, ab = bouquet2.path(["a", "a"]), bouquet2.path(["a", "b"])
         for F in ([v, a, b], [v, a], [v, a, b, aa, ab]):
-            dec = q_decomposition(q, F)  # orthogonality and eq1 asserted inside
-            assert dec.vee_F
+            Q = q_decomposition(q, F)  # orthogonality and eq1 asserted inside
+            assert list(Q) == vee(bouquet2, F)
             report = lem3_check(q, F)
             assert all(c.ok for c in report), [c.to_jsonable() for c in report if not c.ok]
         report = lem3_check(q, [v, a])
@@ -213,11 +213,11 @@ def fock_b2_n8(bouquet2):
 
 def test_criterion_8_phi2_case_analysis(fock_b2_n8, f_seven):
     with criterion(8, "phi2 case split over all 343 triples", 30.0):
-        system = build_separating_system(fock_b2_n8, f_seven)
+        phi = build_separating_system(fock_b2_n8, f_seven)
         for lam in f_seven:
             for mu in f_seven:
                 for nu in f_seven:
-                    check = verify_phi2(fock_b2_n8, system, mu, nu, lam)
+                    check = verify_phi2(fock_b2_n8, phi, mu, nu, lam)
                     assert check.ok, check.to_jsonable()
 
 

@@ -398,21 +398,26 @@ class TestRepVerify:
         assert captured.err == "error: generator degree (3,) exceeds basis cap (2,)\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (["--suite", ","], "--suite names no suite"),
-        (["--suite", "claim1", "--suite-size", "0"], "--suite-size must be at least 1, got 0"),
-        (["--suite", "claim1", "--suite-size", "-1"], "--suite-size must be at least 1, got -1"),
-        (["--suite", "tck,bogus"], "unknown suite 'bogus'"),
-        (["--suite", "tck,ck,tck"], "suite 'tck' is named twice"),
-        (["--suite", "claim1, claim1"], "suite 'claim1' is named twice"),
+        (["rep-verify", "--suite", ","], "--suite names no suite"),
+        (["rep-verify", "--suite", "claim1", "--suite-size", "0"],
+         "--suite-size must be at least 1, got 0"),
+        (["rep-verify", "--suite", "claim1", "--suite-size", "-1"],
+         "--suite-size must be at least 1, got -1"),
+        (["rep-verify", "--suite", "tck,bogus"], "unknown suite 'bogus'"),
+        (["rep-verify", "--suite", "tck,ck,tck"], "suite 'tck' is named twice"),
+        (["rep-verify", "--suite", "claim1, claim1"], "suite 'claim1' is named twice"),
+        (["fe", "v", "--cap", "2", "--budget", "-3"], "--budget must be at least 1, got -3"),
     ], ids=["no-suite", "size-0", "size-negative", "unknown-after-known", "suite-twice",
-            "suite-twice-spaced"])
+            "suite-twice-spaced", "fe-budget-negative"])
     def test_nothing_to_check_exits_2_before_building(self, capsys, graph_files,
                                                       monkeypatch, argv, message):
         def refuse(*args, **kwargs):
-            raise AssertionError("a family was built")
+            raise AssertionError("a family was built or a search run")
 
         monkeypatch.setattr(cli, "build_fock_family", refuse)
-        assert main(["rep-verify", graph_files["bouquet2"], *argv]) == 2
+        monkeypatch.setattr(cli, "enumerate_fe", refuse)
+        command, *options = argv
+        assert main([command, graph_files["bouquet2"], *options]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
@@ -429,7 +434,7 @@ def _write(path, data) -> str:
     "edges-object", "squares-string", "top-list", "top-int", "top-string", "edge-int",
     "square-int", "rank-float", "rank-bool", "rank-string", "rank-integral-float",
     "color-float", "vertex-int", "edge-name-null", "endpoint-int", "square-entry-int",
-    "square-side-string"])
+    "square-side-string", "path-empty-edge", "path-trailing-dot", "path-only-dot"])
 def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, case):
     b2 = graph_files["bouquet2"]
 
@@ -486,6 +491,10 @@ def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, ca
         "square-side-string": ["validate", _write(tmp_path / "sq.kg", {
             "rank": 1, "vertices": ["v"], "squares": [{"top": "aa", "bottom": ["a", "a"]}],
             "edges": [{"name": "a", "color": 1, "range": "v", "source": "v"}]})],
+        # an empty edge name is not dropped
+        "path-empty-edge": ["vee", b2, "a..b"],
+        "path-trailing-dot": ["mce", b2, "a.", "b"],
+        "path-only-dot": ["mce", b2, ".", "b"],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -496,6 +505,9 @@ def test_malformed_input_exits_2_with_one_line(capsys, graph_files, tmp_path, ca
         assert "must be an integer, got" in err, err
     if case in ("vertex-int", "edge-name-null", "endpoint-int", "square-entry-int"):
         assert "must be a string, got" in err, err
+    if case.startswith("path-"):
+        text = next(a for a in argv[2:] if "." in a)
+        assert err == f"error: malformed path {text!r}: empty edge name\n", err
 
 
 @pytest.mark.parametrize("shifts", [2.9, True, 0, -2, "3"])

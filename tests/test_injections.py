@@ -155,6 +155,6 @@ def test_zero_one_checks_use_no_sparse_products(bouquet2, monkeypatch):
     assert [c.id for c in verify_ck(fam, (1,)) if not c.ok] == ["CK:v:{a,b}"]
     q_decomposition(boolean_rep(fam, cap=(1,)), F_closed)
     assert all(c.ok for c in lem3_check(fam, F_closed))
-    system = build_separating_system(fam, F_closed)
-    assert all(verify_phi2(fam, system, mu, nu, lam).ok
-               for lam in system.F for mu in system.F for nu in system.F)
+    phi = build_separating_system(fam, F_closed)
+    assert all(verify_phi2(fam, phi, mu, nu, lam).ok
+               for lam in phi for mu in phi for nu in phi)

@@ -431,18 +431,18 @@ class TestQDecomposition:
         fam = build_fock_family(bouquet2, (2,))
         q = boolean_rep(fam, cap=(1,))
         F = [bouquet2.vertex_path("v"), bouquet2.edge_path("a"), bouquet2.edge_path("b")]
-        dec = q_decomposition(q, F)
+        Q = q_decomposition(q, F)
         v_idx = path_index(fam, "v")
-        Qv = dec.Q[bouquet2.vertex_path("v")]
+        Qv = Q[bouquet2.vertex_path("v")]
         assert np.flatnonzero(Qv).tolist() == [v_idx]
-        assert np.array_equal(dec.Q[bouquet2.edge_path("a")], q.q(bouquet2.edge_path("a")))
-        total = Qv.astype(int) + dec.Q[bouquet2.edge_path("a")] + dec.Q[bouquet2.edge_path("b")]
+        assert np.array_equal(Q[bouquet2.edge_path("a")], q.q(bouquet2.edge_path("a")))
+        total = Qv.astype(int) + Q[bouquet2.edge_path("a")] + Q[bouquet2.edge_path("b")]
         assert np.array_equal(total, q.q(bouquet2.vertex_path("v")).astype(int))
 
     def test_singleton_vertex(self, fock_b2_n4, bouquet2):
         q = boolean_rep(fock_b2_n4, cap=(1,))
-        dec = q_decomposition(q, [bouquet2.vertex_path("v")])
-        assert np.array_equal(dec.Q[bouquet2.vertex_path("v")], q.q(bouquet2.vertex_path("v")))
+        Q = q_decomposition(q, [bouquet2.vertex_path("v")])
+        assert np.array_equal(Q[bouquet2.vertex_path("v")], q.q(bouquet2.vertex_path("v")))
 
     def test_source_closure_enforced(self, fock_b2_n4, bouquet2):
         q = boolean_rep(fock_b2_n4, cap=(1,))
@@ -454,8 +454,8 @@ class TestQDecomposition:
         F = [omega22.vertex_path("v0_0"), omega22.vertex_path("v1_0"),
              omega22.vertex_path("v0_1"),
              omega22.edge_path("e1_0_0"), omega22.edge_path("e2_0_0")]
-        dec = q_decomposition(q, F)
-        assert not dec.Q[omega22.vertex_path("v0_0")].any()
+        Q = q_decomposition(q, F)
+        assert not Q[omega22.vertex_path("v0_0")].any()
 
 
 class TestLem3:
@@ -580,42 +580,45 @@ def b2_system(fock_b2_n8, bouquet2):
 
 class TestSeparatingSystem:
     def test_builds_with_dominated_phis(self, b2_system, fock_b2_n8, bouquet2):
-        sys = b2_system
         q_a = fock_b2_n8.q(bouquet2.edge_path("a"))
-        phi_a = sys.phi[bouquet2.edge_path("a")]
+        phi_a = b2_system[bouquet2.edge_path("a")]
         assert np.array_equal(q_a & phi_a, phi_a)
         assert phi_a.any()
 
     def test_phi_mutually_orthogonal(self, b2_system):
-        phis = list(b2_system.phi.values())
+        phis = list(b2_system.values())
         for i in range(len(phis)):
             for j in range(i + 1, len(phis)):
                 assert not np.any(phis[i] & phis[j])
 
     def test_two_loop_f(self, fock_b2_n8, bouquet2):
-        sys = build_separating_system(
+        phi = build_separating_system(
             fock_b2_n8, [bouquet2.edge_path("a"), bouquet2.edge_path("b")])
-        assert set(sys.phi) == {bouquet2.edge_path("a"), bouquet2.edge_path("b")}
+        assert set(phi) == {bouquet2.edge_path("a"), bouquet2.edge_path("b")}
 
     def test_omega_system(self, omega22):
         fam = build_fock_family(omega22, (2, 2))
         F = [omega22.vertex_path("v0_0"), omega22.edge_path("e1_0_0")]
-        sys = build_separating_system(fam, F)
-        assert sys.phi and all(m.any() for m in sys.phi.values())
+        phi = build_separating_system(fam, F)
+        assert phi and all(m.any() for m in phi.values())
 
-    def test_depth_budget_exhausts_search(self, fock_b2_n8, bouquet2):
+    def test_depth_budget_exhausts_search(self, fock_b2_n8, bouquet2, monkeypatch):
+        # no tau within the depth budget separates the completions
         F = [bouquet2.vertex_path("v")] + [bouquet2.path(list(w)) for w in
                                            ("a", "b", "aa", "ab", "ba", "bb")]
-        with pytest.raises(SeparationSearchExhausted):
-            build_separating_system(fock_b2_n8, F, tau_depth=(0,))
+        monkeypatch.setattr(repalg, "separate_family", lambda *args: None)
+        with pytest.raises(SeparationSearchExhausted, match="no single extension separates"):
+            build_separating_system(fock_b2_n8, F)
 
     def test_periodic_cycle_takes_q_branch(self, c3):
         # the cycle's extension sets are all exhaustive, so the construction
         # legitimately needs no separating extension here
         fam = build_fock_family(c3, (8,))
         F = [c3.vertex_path("v0"), c3.path(["e0", "e1", "e2"])]
-        sys = build_separating_system(fam, F)
-        assert all(sys.B_exhaustive[lam] for lam in F)
+        closure = repalg._closure(c3, F)
+        assert all(repalg._lem3_witness(c3, lam, closure)[1] is None for lam in F)
+        phi = build_separating_system(fam, F)
+        assert all(np.array_equal(phi[lam], repalg._q_piece(fam, lam, closure)) for lam in F)
 
     def test_mce_closure_enforced(self, omega22):
         fam = build_fock_family(omega22, (2, 2))
@@ -625,9 +628,9 @@ class TestSeparatingSystem:
 
     def test_singleton_vertex_f(self, fock_b2_n8, bouquet2):
         v = bouquet2.vertex_path("v")
-        sys = build_separating_system(fock_b2_n8, [v])
-        assert np.array_equal(sys.phi[v], fock_b2_n8.q(v))
-        assert all(tau.is_vertex() for tau in sys.tau_v.values())
+        # phi_v = q_{v·tau} equals q_v only when the separating tau is the vertex
+        phi = build_separating_system(fock_b2_n8, [v])
+        assert np.array_equal(phi[v], fock_b2_n8.q(v))
 
 
 @pytest.mark.parametrize("graph, f_cap, cap, exhaustive", [
@@ -635,9 +638,10 @@ class TestSeparatingSystem:
     ("flip", (1, 1), (4, 4), (6, 4))], ids=["bouquet2", "omega22", "flip"])
 def test_lem3_witness_matches_brute_exhaustiveness(request, graph, f_cap, cap, exhaustive):
     # the separating system reads λ's tails in the closure, lem3 in F itself;
-    # both must call them exhaustive exactly when the brute referee does; the
-    # pinned counts keep both kinds of λ in play (flip's closure tails are all
-    # exhaustive, its tails in F are not)
+    # both must call them exhaustive exactly when the brute referee does, and
+    # the system takes the Q piece where they are; the pinned counts keep both
+    # kinds of λ in play (flip's closure tails are all exhaustive, its tails in
+    # F are not)
     g = request.getfixturevalue(graph)
     F = paths_up_to_degree(g, f_cap)
     fam = build_fock_family(g, cap)
@@ -648,11 +652,14 @@ def test_lem3_witness_matches_brute_exhaustiveness(request, graph, f_cap, cap, e
         return bool(tails) and is_exhaustive_brute(g, lam.source_vertex, tails).exhaustive
 
     closure = repalg._closure(g, F)
-    system = build_separating_system(fam, F)
-    assert system.B_exhaustive == {lam: brute(lam, closure) for lam in F}
+    in_closure = {lam: repalg._lem3_witness(g, lam, closure)[1] is None for lam in F}
+    assert in_closure == {lam: brute(lam, closure) for lam in F}
+    phi = build_separating_system(fam, F)
+    assert all(np.array_equal(phi[lam], repalg._q_piece(fam, lam, closure))
+               for lam in F if in_closure[lam])
     claims = {c.id: "claim" in c.detail for c in lem3_check(fam, F)}
     assert claims == {f"lem3:{lam.label()}": brute(lam, F) for lam in F}
-    assert (sum(system.B_exhaustive.values()), sum(claims.values())) == exhaustive
+    assert (sum(in_closure.values()), sum(claims.values())) == exhaustive
     assert len(F) > exhaustive[1]
 
 
@@ -693,6 +700,15 @@ class TestClaim1:
         assert len(calls) == 1
         assert verify_claim1(build_fock_family(bouquet2, (2,)), [a, b], {(a, a): 1}).ok
         assert len(calls) == 2
+
+    def test_no_closure_without_a_cap(self, boundary_omega, omega22, monkeypatch):
+        # a boundary family has no cap, so the closure-degree rule never applies
+        calls = []
+        monkeypatch.setattr(repalg, "_closure", lambda g, F: calls.append(F))
+        F = paths_up_to_degree(omega22, (1, 1))
+        table = {(mu, nu): 1 for mu in F for nu in F if mu.source_vertex == nu.source_vertex}
+        assert verify_claim1(boundary_omega, F, table).ok
+        assert calls == []
 
     def test_cap_guard(self, bouquet2):
         small = build_fock_family(bouquet2, (1,))
