@@ -2,7 +2,8 @@
 
 A handle represents a degree-indexed morphism x by its window oracle
 window(n, m) -> the finite path x(n, m).  Equality of infinite handles is
-always windowed equality at an explicit width.
+always windowed equality at an explicit width, which applies to infinite
+coordinates only: finite coordinates are always compared in full.
 
 Boundary paths are closed under extension λx and shift σ^n x
 (Farthing-Muhly-Yeend, Semigroup Forum 71, 2005), and these are the only
@@ -109,9 +110,12 @@ class BoundaryPathHandle:
         return self.window(n, n).range_vertex
 
     def fingerprint(self, width) -> tuple:
-        """Identity key at the given window width."""
-        w = Degree(width).meet(self.degree)
-        head = self.window(Degree.zero(self.graph.rank), w)
+        """Identity key at the given window width: the extended degree, the
+        range vertex and the word of x(0, m), where m is the width in each
+        infinite coordinate and the full degree in each finite one, so finite
+        handles are compared exactly."""
+        m = Degree(w if d == INF else d for w, d in zip(Degree(width), self.degree))
+        head = self.window(Degree.zero(self.graph.rank), m)
         return (self.degree, self.range_vertex, head.word)
 
     def describe(self) -> str:
@@ -230,8 +234,8 @@ def finite_boundary_paths(g: KGraph) -> list[BoundaryPathHandle]:
         raise GraphHasCycles("boundary enumeration needs a finite path category")
     cap = g.max_path_degree()
     handles = [FinitePathHandle(lam) for lam in paths_up_to_degree(g, cap)]
-    return [x for x, verdict in zip(handles, check_boundary_condition(handles, cap, cap))
-            if verdict]
+    return [x for x, witness in zip(handles, check_boundary_condition(handles, cap, cap))
+            if witness is None]
 
 
 def substitution_path(g: KGraph, rules: dict, seed: str, name: Optional[str] = None
@@ -304,28 +308,16 @@ def thue_morse_path(g: KGraph) -> BoundaryPathHandle:
 # -- checks -------------------------------------------------------------------
 
 
-class BoundaryVerdict:
-    def __init__(self, status: str, witness=None):
-        self.status = status  # "pass" | "fail"
-        self.witness = witness
-
-    def __bool__(self) -> bool:
-        return self.status == "pass"
-
-    def __repr__(self) -> str:
-        return f"BoundaryVerdict({self.status}, witness={self.witness})"
-
-
 def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_cap
-                             ) -> list[BoundaryVerdict]:
+                             ) -> list[Optional[tuple[Degree, Sequence[str]]]]:
     """Windowed boundary-path test against every minimal FE set below fe_cap,
-    one pass or fail verdict per handle; the handles share one graph.
+    one entry per handle; the handles share one graph.
 
     For each handle x, each position n in the window and each minimal finite
     exhaustive set at the vertex there, some tail segment of x must lie in
-    the set.  The witness of a fail is the first failing n with the labels
-    of its first unmet set.  A window the handle cannot supply raises
-    WindowUnavailable.
+    the set.  A handle that passes gets None; one that fails gets its
+    witness (n, labels): the first failing n with the labels of its first
+    unmet set.  A window the handle cannot supply raises WindowUnavailable.
 
     Each position is tested once per call.  The shift identity
     (σ^s y)(n, n + d) = y(s + n, s + n + d), with d(σ^s y) = d(y) - s, makes
@@ -359,7 +351,7 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
                 return [e.label() for e in E]
         return ()
 
-    def verdict(x: BoundaryPathHandle) -> BoundaryVerdict:
+    def witness(x: BoundaryPathHandle) -> Optional[tuple[Degree, Sequence[str]]]:
         lam, y, s = normal_form(x)
         if not lam.is_vertex():
             y, s = x, Degree.zero(x.graph.rank)
@@ -370,21 +362,21 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
             if labels is None:
                 labels = seen[p] = unmet(y, p)
             if labels:
-                return BoundaryVerdict("fail", (n, labels))
-        return BoundaryVerdict("pass")
+                return n, labels
+        return None
 
-    return [verdict(x) for x in handles]
+    return [witness(x) for x in handles]
 
 
 def aperiodicity_window_check(x: BoundaryPathHandle, shift_bound, window
-                              ) -> BoundaryVerdict:
-    """Pairwise-distinguish all shifts of x below the bound at window width.
+                              ) -> Optional[tuple[Degree, Degree]]:
+    """Pairwise-distinguish all shifts of x below the bound at window width:
+    None when they are, else the first colliding pair (m, n).
 
     Each shift's fingerprint is taken once; it leads with the extended
     degree and the range vertex, so shifts differing in either never match.
-    A collision returns the first shift m with a later equal fingerprint,
-    paired with the first such later n: the first colliding pair in the
-    pairwise scan order.
+    The pair is the first shift m with a later equal fingerprint and the
+    first such later n: the first colliding pair in the pairwise scan order.
     """
     shift_bound = Degree(shift_bound)
     width = Degree(window)
@@ -392,5 +384,5 @@ def aperiodicity_window_check(x: BoundaryPathHandle, shift_bound, window
     fingerprints = [shift(x, n).fingerprint(width) for n in shifts]
     for i, fp in enumerate(fingerprints):
         if fp in fingerprints[i + 1:]:
-            return BoundaryVerdict("fail", (shifts[i], shifts[fingerprints.index(fp, i + 1)]))
-    return BoundaryVerdict("pass")
+            return shifts[i], shifts[fingerprints.index(fp, i + 1)]
+    return None

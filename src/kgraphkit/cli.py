@@ -329,14 +329,13 @@ def cmd_boundary_check(args):
     results, statuses = [], []
     for x, cond in zip(handles, check_boundary_condition(handles, window, fe_cap)):
         aper = aperiodicity_window_check(x, shift_bound, window)
-        statuses += [cond.status, aper.status]
-        results.append({
-            "handle": x.describe(),
-            "boundary_condition": {"status": cond.status,
-                                   "witness": str(cond.witness) if cond.witness else None},
-            "windowed_aperiodicity": {"status": aper.status,
-                                      "witness": str(aper.witness) if aper.witness else None},
-        })
+        entry = {"handle": x.describe()}
+        for key, witness in (("boundary_condition", cond), ("windowed_aperiodicity", aper)):
+            status = "pass" if witness is None else "fail"
+            statuses.append(status)
+            entry[key] = {"status": status,
+                          "witness": None if witness is None else str(witness)}
+        results.append(entry)
     return results, statuses
 
 
@@ -483,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundary-check", help="boundary condition and windowed shifts")
     p.add_argument("graph")
-    p.add_argument("--window", default="8")
+    p.add_argument("--window", default="8", help="width in infinite coordinates")
     p.add_argument("--fe-cap", default="1")
     p.add_argument("--shift-bound", default="4")
     p.add_argument("--seeds", help="JSON file of substitution/periodic handles")
@@ -495,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", default="4", help="path-space basis degree cap")
     p.add_argument("--gen-cap", default="1", help="generator degree for the checks")
     p.add_argument("--fe-cap", default="1")
-    p.add_argument("--window", default="64")
+    p.add_argument("--window", default="64", help="width in infinite coordinates")
     p.add_argument("--seeds")
     p.add_argument("--suite", default="tck,ck")
     p.add_argument("--suite-size", type=int, default=10)

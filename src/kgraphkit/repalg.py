@@ -637,7 +637,8 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
         raise EmptySeedSet("no boundary-path handles supplied")
 
     screen = gen_cap + gen_cap
-    kept = [x for x in seeds if aperiodicity_window_check(x, screen.meet(x.degree), window)]
+    kept = [x for x in seeds
+            if aperiodicity_window_check(x, screen.meet(x.degree), window) is None]
     if not kept:
         raise EmptySeedSet(
             "every seed failed the windowed aperiodicity screen; "
@@ -987,20 +988,20 @@ def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path) -> list[Ch
 
 
 def _closure(g: KGraph, F: Sequence[Path]) -> list[Path]:
-    """vee(F ∪ F′), where F′ holds the completions λβ′ and λδ′ of every
-    λ ∈ MCE(μ, ν), μ, ν ∈ F, through each ξ = ββ′ = δδ′ ∈ MCE(β, δ) of the
-    tails λ = μβ = νδ."""
+    """vee(F ∪ F′), where F′ holds the completions λβ′ = μξ and λδ′ = νξ of
+    every λ ∈ MCE(μ, ν), μ, ν ∈ F, through each ξ = ββ′ = δδ′ ∈ MCE(β, δ)
+    of the tails λ = μβ = νδ.  Each unordered pair with a common range is
+    walked once: swapping μ and ν swaps β and δ, and μ = ν adds only μ."""
     out: set[Path] = set(F)
-    for mu in F:
-        for nu in F:
-            for lam in mce(g, mu, nu):
-                beta = segment(lam, mu.degree, lam.degree)
-                delta = segment(lam, nu.degree, lam.degree)
-                for xi in mce(g, beta, delta):
-                    beta_p = segment(xi, beta.degree, xi.degree)
-                    delta_p = segment(xi, delta.degree, xi.degree)
-                    out.add(compose(lam, beta_p))
-                    out.add(compose(lam, delta_p))
+    for mu, nu in itertools.combinations(F, 2):
+        if mu.range_vertex != nu.range_vertex:
+            continue
+        for lam in mce(g, mu, nu):
+            beta = segment(lam, mu.degree, lam.degree)
+            delta = segment(lam, nu.degree, lam.degree)
+            for xi in mce(g, beta, delta):
+                out.add(compose(mu, xi))
+                out.add(compose(nu, xi))
     return vee(g, out)
 
 

@@ -1,6 +1,7 @@
 """Brute-force referees that only the test suite calls, each checking a fast
 routine by direct enumeration: vee E, MCE closure of a path set tested pair
-by pair, and finite exhaustive sets as defined by Raeburn-Sims-Yeend, JFA
+by pair, the completion closure of the Lemma 3 chain over every ordered
+pair, and finite exhaustive sets as defined by Raeburn-Sims-Yeend, JFA
 2004, the boundary condition of Sims, Indiana Univ. Math. J. 2006, tested
 position by position on each handle, windowed aperiodicity by comparing
 every pair of shifts, and shifts and extensions of boundary handles by the
@@ -25,11 +26,11 @@ from kgraphkit.alignment import (
     is_exhaustive_brute,
     mce,
     mce_set,
+    vee,
 )
 from kgraphkit.boundary import (
     INF,
     BoundaryPathHandle,
-    BoundaryVerdict,
     finite_boundary_paths,
     shift,
 )
@@ -69,6 +70,23 @@ def mce_closed_pairwise(g: KGraph, F: Iterable[Path]) -> list[Path]:
     return F
 
 
+def closure_all_pairs(g: KGraph, F: Iterable[Path]) -> list[Path]:
+    """Oracle: repalg._closure by every ordered pair (μ, ν) of F, each
+    completion λβ′ and λδ′ composed from λ ∈ MCE(μ, ν) and the tails of
+    ξ ∈ MCE(β, δ), where λ = μβ = νδ and ξ = ββ′ = δδ′."""
+    F = list(F)
+    out: set[Path] = set(F)
+    for mu in F:
+        for nu in F:
+            for lam in mce(g, mu, nu):
+                beta = segment(lam, mu.degree, lam.degree)
+                delta = segment(lam, nu.degree, lam.degree)
+                for xi in mce(g, beta, delta):
+                    out.add(compose(lam, segment(xi, beta.degree, xi.degree)))
+                    out.add(compose(lam, segment(xi, delta.degree, xi.degree)))
+    return vee(g, out)
+
+
 def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000
                        ) -> list[list[Path]]:
     """Oracle: every subset of the universe by size, tested with is_exhaustive_brute."""
@@ -99,9 +117,10 @@ def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000
     return out
 
 
-def boundary_verdict_per_handle(x: BoundaryPathHandle, window, fe_cap) -> BoundaryVerdict:
+def boundary_witness_per_handle(x: BoundaryPathHandle, window, fe_cap):
     """Oracle: check_boundary_condition of the one handle x, scanning every
-    position of x through x's own windows, with no outcome shared."""
+    position of x through x's own windows, with no outcome shared: None, or
+    the first failing position with the labels of its first unmet set."""
     fe_cap = Degree(fe_cap)
     width = Degree(window)
     for n in degrees_up_to(width.meet(x.degree)):
@@ -113,15 +132,15 @@ def boundary_verdict_per_handle(x: BoundaryPathHandle, window, fe_cap) -> Bounda
                     hit = True
                     break
             if not hit:
-                return BoundaryVerdict("fail", (n, [e.label() for e in E]))
-    return BoundaryVerdict("pass")
+                return n, [e.label() for e in E]
+    return None
 
 
-def aperiodicity_window_pairwise(x: BoundaryPathHandle, shift_bound, window
-                                 ) -> BoundaryVerdict:
+def aperiodicity_window_pairwise(x: BoundaryPathHandle, shift_bound, window):
     """Oracle: aperiodicity_window_check by the pairwise scan.  Each pair of
     shifts m before n with equal extended degree and range vertex is compared
-    on its fingerprints; the first equal pair is the collision."""
+    on its fingerprints; the first equal pair (m, n) is the collision, None
+    when there is none."""
     width = Degree(window)
     shifts = [n for n in degrees_up_to(Degree(shift_bound)) if n <= x.degree]
     handles = {n: shift(x, n) for n in shifts}
@@ -131,8 +150,8 @@ def aperiodicity_window_pairwise(x: BoundaryPathHandle, shift_bound, window
             if a.degree != b.degree or a.range_vertex != b.range_vertex:
                 continue
             if a.fingerprint(width) == b.fingerprint(width):
-                return BoundaryVerdict("fail", (m, n))
-    return BoundaryVerdict("pass")
+                return m, n
+    return None
 
 
 class NestedShift(BoundaryPathHandle):

@@ -173,6 +173,29 @@ class TestBoundaryCheck:
         assert code == 2
 
 
+class TestFiniteHandlesAreExact:
+    """u <-a- w <-c- z1 and w <-d- z2: the boundary paths a.c and a.d share
+    their first edge, so only a comparison in full keeps them apart at window 1."""
+
+    def test_fork_report_does_not_depend_on_window(self, capsys, tmp_path):
+        fork = {"rank": 1, "vertices": ["u", "w", "z1", "z2"],
+                "edges": [{"name": n, "color": 1, "range": r, "source": src}
+                          for n, r, src in (("a", "u", "w"), ("c", "w", "z1"),
+                                            ("d", "w", "z2"))]}
+        path = tmp_path / "fork.kg"
+        path.write_text(json.dumps(fork), encoding="utf-8")
+        reports = []
+        for window in ("1", "2", "64"):
+            code, payload, _ = run(capsys, ["rep-verify", str(path), "--family", "boundary",
+                                            "--window", window,
+                                            "--suite", "tck,ck,diag,exp,lem1,lem3"])
+            assert code == 0
+            assert payload["config"].pop("window") == window
+            reports.append(payload)
+        assert reports[0] == reports[1] == reports[2]
+        assert [c["status"] for c in reports[0]["results"]] == ["pass"] * 137
+
+
 class TestRepVerify:
     def test_omega_boundary_tck_ck(self, capsys, graph_files):
         code, payload, _ = run(capsys, ["rep-verify", graph_files["omega22"],

@@ -60,6 +60,11 @@ RUNS = {
     # PeriodicEvidence: every tau candidate is tried and none separates
     "aperiodic-c3": (["aperiodic", "c3.kg", "--pair-bound", "3", "--tau-bound", "3"], 1),
     "boundary-check-bouquet2": (["boundary-check", "bouquet2.kg", "--seeds", "tm.json"], 0),
+    # the two shifts of (ab)^inf meet the boundary condition and fail windowed
+    # aperiodicity, shifts 0 and 2 agreeing; Thue-Morse passes both
+    "boundary-check-bouquet2-periodic": (["boundary-check", "bouquet2.kg", "--seeds",
+                                          "periodic.json", "--window", "8",
+                                          "--shift-bound", "2"], 1),
     "rep-verify-boundary-bouquet2": (["rep-verify", "bouquet2.kg", "--family", "boundary",
                                       "--seeds", "tm.json", "--suite", "tck,ck,diag"], 0),
     "rep-verify-fock-bouquet2": (["rep-verify", "bouquet2.kg", "--cap", "4",
@@ -82,6 +87,9 @@ def write_inputs(directory: Path) -> None:
                         "edges": [{"name": "a", "color": 1, "range": "v", "source": "w"}]},
         "tm.json": {"handles": [{"kind": "substitution", "seed": "a", "shifts": 4,
                                  "rules": {"a": "ab", "b": "ba"}}]},
+        "periodic.json": {"handles": [{"kind": "periodic", "word": "ab", "shifts": 2},
+                                      {"kind": "substitution", "seed": "a",
+                                       "rules": {"a": "ab", "b": "ba"}}]},
     }
     for name, data in files.items():
         (directory / name).write_text(json.dumps(data), encoding="utf-8")

@@ -9,8 +9,8 @@ import pytest
 
 
 from conftest import OperatorMatrix, as_matrix, as_referee, referee_evaluate, weak_lower_end
-from oracles import boundary_family_from_graph, matrix_unit_span_rank
-from kgraphkit import repalg
+from oracles import boundary_family_from_graph, closure_all_pairs, matrix_unit_span_rank
+from kgraphkit import alignment, repalg
 from kgraphkit.alignment import extends, is_exhaustive_brute
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.core import paths_up_to_degree, segment
@@ -370,6 +370,18 @@ class TestBoundaryBasis:
             build_boundary_family(bouquet2, [periodic_path(bouquet2, ["a"])],
                                   (64,), (1,))
 
+    def test_seed_screen_keeps_only_aperiodic_seeds(self, bouquet2):
+        # the two shifts of (ab)^inf fail the screen and Thue-Morse passes it,
+        # so the family is the one built from Thue-Morse alone
+        from kgraphkit.boundary import normal_form, periodic_path
+
+        tm = thue_morse_path(bouquet2)
+        ab = periodic_path(bouquet2, ["a", "b"])
+        fam = build_boundary_family(bouquet2, [ab, shift(ab, (1,)), tm], (64,), (1,))
+        assert {normal_form(x)[1] for x in fam.handles} == {tm}
+        alone = build_boundary_family(bouquet2, [tm], (64,), (1,))
+        assert [x.name for x in fam.handles] == [x.name for x in alone.handles]
+
     def test_empty_seeds(self, bouquet2):
         with pytest.raises(EmptySeedSet):
             build_boundary_family(bouquet2, [], (64,), (1,))
@@ -661,6 +673,26 @@ def test_lem3_witness_matches_brute_exhaustiveness(request, graph, f_cap, cap, e
     assert claims == {f"lem3:{lam.label()}": brute(lam, F) for lam in F}
     assert (sum(in_closure.values()), sum(claims.values())) == exhaustive
     assert len(F) > exhaustive[1]
+
+
+@pytest.mark.parametrize("graph, f_cap", [
+    ("bouquet2", (2,)), ("bouquet2", (3,)), ("flip", (2, 2)), ("twin", (1, 1)),
+    ("omega22", (2, 2)), ("omega222", (1, 1, 1)), ("omega222", (2, 2, 2))])
+def test_closure_matches_all_pairs_referee(request, graph, f_cap):
+    g = request.getfixturevalue(graph)
+    F = paths_up_to_degree(g, f_cap)
+    assert repalg._closure(g, F) == closure_all_pairs(g, F)
+
+
+def test_closure_walks_each_common_range_pair_once(omega222, monkeypatch):
+    # every ordered pair of the 216 paths, cross-range ones included, made
+    # 51,234 mce_set calls; the unordered common-range pairs and the final vee
+    # make 4,362
+    calls = []
+    real = alignment.mce_set
+    monkeypatch.setattr(alignment, "mce_set", lambda g, F: calls.append(1) or real(g, F))
+    repalg._closure(omega222, paths_up_to_degree(omega222, (2, 2, 2)))
+    assert len(calls) <= 5_000
 
 
 class TestPhi2:
