@@ -4,9 +4,9 @@ The fast MCE versions extend one participant along degree complements and
 filter by the prefix condition, vee is built from pairwise MCEs, and
 is_exhaustive and enumerate_fe share one finite test set (_test_degree).
 Each has a brute-force referee, which the test suite keeps wired to it.
-mce_brute stays here because aperiodicity re-checks every separation with it
-at run time; mce_set_brute and is_exhaustive_brute stay while the benchmark's
-record script imports them from here; the rest live in tests/oracles.py.
+mce_set_brute and is_exhaustive_brute stay here while the benchmark's record
+script imports them from here; the rest, mce_brute among them, live in
+tests/oracles.py.  No other module of the package calls a referee.
 """
 
 from __future__ import annotations
@@ -50,15 +50,6 @@ def extends(lam: Path, mu: Path) -> bool:
 def mce(g: KGraph, mu: Path, nu: Path) -> list[Path]:
     """Common extensions of degree exactly d(mu) v d(nu), sorted by word."""
     return mce_set(g, (mu, nu))
-
-
-def mce_brute(g: KGraph, mu: Path, nu: Path) -> list[Path]:
-    """Oracle: scan every path of the joined degree for the prefix conditions."""
-    target = mu.degree.join(nu.degree)
-    out = [lam for lam in paths_of_degree(g, target, range_vertex=mu.range_vertex)
-           if extends(lam, mu) and extends(lam, nu)]
-    out.sort(key=Path.sort_key)
-    return out
 
 
 def mce_set(g: KGraph, F: Iterable[Path]) -> list[Path]:
@@ -118,7 +109,6 @@ def vee(g: KGraph, F: Iterable[Path]) -> list[Path]:
 class ExhaustiveVerdict:
     exhaustive: bool
     witness: Optional[Path]
-    test_degree: Degree
     test_set_size: int
 
     def __bool__(self) -> bool:
@@ -173,8 +163,8 @@ def is_exhaustive(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdict:
     test = _test_set(g, v, C)
     for mu in test:
         if not any(extends(mu, lam) for lam in E):
-            return ExhaustiveVerdict(False, mu, C, len(test))
-    return ExhaustiveVerdict(True, None, C, len(test))
+            return ExhaustiveVerdict(False, mu, len(test))
+    return ExhaustiveVerdict(True, None, len(test))
 
 
 def is_exhaustive_brute(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdict:
@@ -193,9 +183,9 @@ def is_exhaustive_brute(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdi
     count = 0
     for mu in paths_up_to_degree(g, cap, range_vertex=v):
         count += 1
-        if not any(mce_brute(g, mu, lam) for lam in E):
-            return ExhaustiveVerdict(False, mu, D, count)
-    return ExhaustiveVerdict(True, None, D, count)
+        if not any(mce_set_brute(g, [mu, lam]) for lam in E):
+            return ExhaustiveVerdict(False, mu, count)
+    return ExhaustiveVerdict(True, None, count)
 
 
 def enumerate_fe(g: KGraph, v: str, cap, budget: int = 100_000) -> list[list[Path]]:

@@ -1,14 +1,14 @@
-"""Bounded search for separating extensions and aperiodicity reporting.
+"""Bounded search for separating extensions over source-sharing pairs.
 
 A pair of distinct paths with a common source is separated by an extension
 τ when μτ and ντ admit no common extension.  Both existence and absence of
-such a τ are semi-decidable in general, so reports distinguish evidence
-from certificates; only graphs with finitely many paths are ever certified.
+such a τ are semi-decidable in general, so the search returns what it found
+below its bounds; only on graphs with finitely many paths do the bounds cover
+the whole category.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -21,7 +21,7 @@ from .core import (
     paths_of_degree,
     paths_up_to_degree,
 )
-from .alignment import mce, mce_brute
+from .alignment import mce
 
 
 class SourceMismatch(KGraphError):
@@ -30,16 +30,6 @@ class SourceMismatch(KGraphError):
 
 class MixedSources(KGraphError):
     pass
-
-
-class OracleMismatch(KGraphError):
-    """The brute-force MCE oracle contradicts a separation found by mce."""
-
-
-APERIODIC_EVIDENCE = "AperiodicEvidence"
-APERIODIC_CERTIFIED = "AperiodicCertified"
-PERIODIC_EVIDENCE = "PeriodicEvidence"
-INCONCLUSIVE = "Inconclusive"
 
 
 def _tau_candidates(g: KGraph, v: str, depth: Degree) -> Iterator[Path]:
@@ -51,21 +41,9 @@ def _tau_candidates(g: KGraph, v: str, depth: Degree) -> Iterator[Path]:
         yield from paths_of_degree(g, n, range_vertex=v)
 
 
-def _confirm_separated(g: KGraph, mu: Path, nu: Path, tau: Path) -> None:
-    """Re-verify MCE(μτ, ντ) = ∅ with the oracle; raises, so -O keeps it."""
-    if mce_brute(g, compose(mu, tau), compose(nu, tau)):
-        raise OracleMismatch(
-            f"mce separates {mu.label()}, {nu.label()} by {tau.label()}, "
-            "but the brute-force oracle finds a common extension")
-
-
 def find_separating_extension(g: KGraph, mu: Path, nu: Path, depth
                               ) -> Optional[Path]:
-    """Shortest τ from s(μ) with MCE(μτ, ντ) empty, or None below the depth.
-
-    Every hit is re-verified against the brute-force MCE oracle before it is
-    returned.
-    """
+    """Shortest τ from s(μ) with MCE(μτ, ντ) empty, or None below the depth."""
     if mu.source_vertex != nu.source_vertex:
         raise SourceMismatch(
             f"s({mu.label()}) = {mu.source_vertex} != s({nu.label()}) = {nu.source_vertex}")
@@ -87,64 +65,22 @@ def separate_family(g: KGraph, H: Sequence[Path], depth) -> Optional[Path]:
     depth = Degree(depth)
     for tau in _tau_candidates(g, v, depth):
         if all(not mce(g, compose(mu, tau), compose(nu, tau)) for mu, nu in pairs):
-            for mu, nu in pairs:
-                _confirm_separated(g, mu, nu, tau)
             return tau
     return None
 
 
-@dataclass(frozen=True)
-class PairOutcome:
-    mu: Path
-    nu: Path
-    tau: Optional[Path]
+def aperiodicity_report(g: KGraph, pair_bound, tau_bound
+                        ) -> tuple[Degree, Degree, list[tuple[Path, Path, Optional[Path]]]]:
+    """Try to separate every source-sharing pair below the pair bound.
 
-    @property
-    def separated(self) -> bool:
-        return self.tau is not None
-
-
-@dataclass(frozen=True)
-class AperiodicityReport:
-    status: str
-    pair_bound: Degree
-    tau_bound: Degree
-    certified_universe: bool
-    outcomes: tuple[PairOutcome, ...]
-    witness: Optional[tuple[Path, Path]] = None
-
-    def to_jsonable(self) -> dict:
-        data = {
-            "status": self.status,
-            "pair_bound": list(self.pair_bound),
-            "tau_bound": list(self.tau_bound),
-            "certified_universe": self.certified_universe,
-            "pairs": [
-                {
-                    "mu": o.mu.label(),
-                    "nu": o.nu.label(),
-                    "separated": o.separated,
-                    "tau": o.tau.label() if o.tau is not None else None,
-                }
-                for o in self.outcomes
-            ],
-        }
-        if self.witness is not None:
-            data["witness"] = [self.witness[0].label(), self.witness[1].label()]
-        return data
-
-
-def aperiodicity_report(g: KGraph, pair_bound, tau_bound) -> AperiodicityReport:
-    """Scan all source-sharing pairs below the bound and try to separate each.
-
-    On graphs with finitely many paths both bounds are raised to cover the
-    whole category, which is the only situation where the universal
-    quantifier is exhausted and a certificate can be issued.
+    Returns the two bounds as searched and one (μ, ν, τ or None) per pair,
+    grouped by source vertex, with ν before μ in path order.  On graphs with
+    finitely many paths both bounds are raised to cover the whole category,
+    the only situation where the universal quantifier is exhausted.
     """
     pair_bound = Degree(pair_bound)
     tau_bound = Degree(tau_bound)
-    finite = g.has_finite_path_category()
-    if finite:
+    if g.has_finite_path_category():
         pair_bound = pair_bound.join(g.max_path_degree())
         tau_bound = tau_bound.join(g.max_path_degree())
 
@@ -153,24 +89,6 @@ def aperiodicity_report(g: KGraph, pair_bound, tau_bound) -> AperiodicityReport:
     for p in paths_up_to_degree(g, pair_bound):
         pools[p.source_vertex].append(p)
 
-    outcomes: list[PairOutcome] = []
-    witness: Optional[tuple[Path, Path]] = None
-    for pool in pools.values():
-        for a in range(len(pool)):
-            for b in range(a):
-                mu, nu = pool[a], pool[b]
-                tau = find_separating_extension(g, mu, nu, tau_bound)
-                outcomes.append(PairOutcome(mu, nu, tau))
-                if tau is None and witness is None:
-                    witness = (mu, nu)
-
-    if witness is not None:
-        status = PERIODIC_EVIDENCE
-    elif finite:
-        status = APERIODIC_CERTIFIED
-    elif outcomes:
-        status = APERIODIC_EVIDENCE
-    else:
-        status = INCONCLUSIVE
-    return AperiodicityReport(status, pair_bound, tau_bound, finite,
-                              tuple(outcomes), witness)
+    pairs = [(pool[a], pool[b], find_separating_extension(g, pool[a], pool[b], tau_bound))
+             for pool in pools.values() for a in range(len(pool)) for b in range(a)]
+    return pair_bound, tau_bound, pairs

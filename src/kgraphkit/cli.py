@@ -38,7 +38,7 @@ from .core import (
     validate_presentation,
 )
 from .alignment import enumerate_fe, is_exhaustive, mce, vee
-from .aperiodicity import INCONCLUSIVE, PERIODIC_EVIDENCE, aperiodicity_report
+from .aperiodicity import aperiodicity_report
 from .boundary import (
     BoundaryPathHandle,
     aperiodicity_window_check,
@@ -253,15 +253,26 @@ def cmd_fe(args):
 
 def cmd_aperiodic(args):
     g = load_graph(args.graph)
-    P = parse_degree(args.pair_bound, g.rank)
-    D = parse_degree(args.tau_bound, g.rank)
-    report = aperiodicity_report(g, P, D)
-    status = "pass"
-    if report.status == PERIODIC_EVIDENCE:
-        status = "fail"
-    elif report.status == INCONCLUSIVE:
-        status = "inconclusive"
-    return report.to_jsonable(), [status]
+    P, D, pairs = aperiodicity_report(g, parse_degree(args.pair_bound, g.rank),
+                                      parse_degree(args.tau_bound, g.rank))
+    certified = g.has_finite_path_category()  # the bounds then cover every path
+    witness = next(([mu.label(), nu.label()] for mu, nu, tau in pairs if tau is None), None)
+    if witness is not None:
+        status, verdict = "PeriodicEvidence", "fail"
+    elif certified:
+        status, verdict = "AperiodicCertified", "pass"
+    elif pairs:
+        status, verdict = "AperiodicEvidence", "pass"
+    else:
+        status, verdict = "Inconclusive", "inconclusive"
+    results = {"status": status, "pair_bound": list(P), "tau_bound": list(D),
+               "certified_universe": certified,
+               "pairs": [{"mu": mu.label(), "nu": nu.label(), "separated": tau is not None,
+                          "tau": tau.label() if tau is not None else None}
+                         for mu, nu, tau in pairs]}
+    if witness is not None:
+        results["witness"] = witness
+    return results, [verdict]
 
 
 def _word(value, where: str) -> list:  # a seed file's word or rule image

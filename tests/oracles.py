@@ -1,13 +1,13 @@
 """Brute-force referees that only the test suite calls, each checking a fast
-routine by direct enumeration: vee E, MCE closure of a path set tested pair
-by pair, the completion closure of the Lemma 3 chain over every ordered
-pair, and finite exhaustive sets as defined by Raeburn-Sims-Yeend, JFA
-2004, the boundary condition of Sims, Indiana Univ. Math. J. 2006, tested
-position by position on each handle, windowed aperiodicity by comparing
-every pair of shifts, and shifts and extensions of boundary handles by the
-nested rule, where a result may wrap another derived handle.  The referees
-the package itself needs stay in kgraphkit.alignment (its docstring says
-why).
+routine by direct enumeration: MCE of two paths, vee E, MCE closure of a
+path set tested pair by pair, the completion closure of the Lemma 3 chain
+over every ordered pair, and finite exhaustive sets as defined by
+Raeburn-Sims-Yeend, JFA 2004, the boundary condition of Sims, Indiana Univ.
+Math. J. 2006, tested position by position on each handle, windowed
+aperiodicity by comparing every pair of shifts, and shifts and extensions of
+boundary handles by the nested rule, where a result may wrap another derived
+handle.  mce_set_brute and is_exhaustive_brute stay in kgraphkit.alignment,
+since the benchmark's record script imports them from there.
 
 No assert statement here: pytest rewrites the asserts of test modules only,
 not of the helpers they import, so an assert here would vanish under -O.
@@ -23,6 +23,7 @@ import numpy as np
 from kgraphkit.alignment import (
     CapTooLargeForBudget,
     enumerate_fe,
+    extends,
     is_exhaustive_brute,
     mce,
     mce_set,
@@ -40,10 +41,20 @@ from kgraphkit.core import (
     Path,
     compose,
     degrees_up_to,
+    paths_of_degree,
     paths_up_to_degree,
     segment,
 )
 from kgraphkit.repalg import BoundaryFamily, NotMceClosed, build_boundary_family
+
+
+def mce_brute(g: KGraph, mu: Path, nu: Path) -> list[Path]:
+    """Oracle: scan every path of the joined degree for the prefix conditions."""
+    target = mu.degree.join(nu.degree)
+    out = [lam for lam in paths_of_degree(g, target, range_vertex=mu.range_vertex)
+           if extends(lam, mu) and extends(lam, nu)]
+    out.sort(key=Path.sort_key)
+    return out
 
 
 def vee_brute(g: KGraph, F: Iterable[Path]) -> list[Path]:

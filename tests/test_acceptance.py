@@ -22,7 +22,7 @@ from kgraphkit import (
     segment,
     validate_presentation,
 )
-from kgraphkit.alignment import is_exhaustive, is_exhaustive_brute, mce, mce_brute, vee
+from kgraphkit.alignment import is_exhaustive, is_exhaustive_brute, mce, vee
 from kgraphkit.aperiodicity import aperiodicity_report
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.repalg import (
@@ -44,7 +44,7 @@ from kgraphkit.repalg import (
 )
 
 from conftest import as_referee, flip_presentation, referee_evaluate
-from oracles import boundary_family_from_graph, matrix_unit_span_rank
+from oracles import boundary_family_from_graph, matrix_unit_span_rank, mce_brute
 
 CLAIM1_SEED = 20110
 EXP_SEED = 30117
@@ -156,23 +156,20 @@ def test_criterion_4_exhaustivity_soundness(corpus):
 
 def test_criterion_5_aperiodicity_outcomes(corpus, c3, flip, omega22):
     with criterion(5, "certified omega, periodic cycle and flip", 30.0):
-        assert aperiodicity_report(omega22, (1, 1), (1, 1)).status == "AperiodicCertified"
+        # certified: the bounds cover every path of omega22 and every pair separates
+        assert omega22.has_finite_path_category()
+        _, _, pairs = aperiodicity_report(omega22, (1, 1), (1, 1))
+        assert all(tau is not None for _, _, tau in pairs)
 
-        rep_c3 = aperiodicity_report(c3, (3,), (6,))
-        assert rep_c3.status == "PeriodicEvidence"
-        assert rep_c3.witness[0] == c3.path(["e0", "e1", "e2"])
-        assert rep_c3.witness[1] == c3.vertex_path("v0")
-
-        rep_flip = aperiodicity_report(flip, (0, 2), (2, 2))
-        assert rep_flip.status == "PeriodicEvidence"
-        assert rep_flip.witness[0] == flip.path(["f", "f"])
-        assert rep_flip.witness[1] == flip.vertex_path("v")
-
-        for report, g in ((rep_c3, c3), (rep_flip, flip)):
-            for outcome in report.outcomes:
-                if outcome.tau is not None:
-                    assert mce_brute(g, compose(outcome.mu, outcome.tau),
-                                     compose(outcome.nu, outcome.tau)) == []
+        # periodic evidence: the first unseparated pair is the witness
+        for g, P, D, witness in (
+                (c3, (3,), (6,), (c3.path(["e0", "e1", "e2"]), c3.vertex_path("v0"))),
+                (flip, (0, 2), (2, 2), (flip.path(["f", "f"]), flip.vertex_path("v")))):
+            _, _, pairs = aperiodicity_report(g, P, D)
+            assert next((mu, nu) for mu, nu, tau in pairs if tau is None) == witness
+            for mu, nu, tau in pairs:
+                if tau is not None:
+                    assert mce_brute(g, compose(mu, tau), compose(nu, tau)) == []
 
 
 def test_criterion_6_lem1_lem3(fock_b2_n4, bouquet2):

@@ -20,7 +20,6 @@ from kgraphkit.alignment import (
     is_exhaustive,
     is_exhaustive_brute,
     mce,
-    mce_brute,
     mce_set,
     mce_set_brute,
     vee,
@@ -29,7 +28,7 @@ from kgraphkit.core import Path, _omega_vertex
 from kgraphkit.repalg import NotMceClosed, _require_mce_closed
 
 from conftest import nlc_presentation
-from oracles import enumerate_fe_brute, mce_closed_pairwise, vee_brute
+from oracles import enumerate_fe_brute, mce_brute, mce_closed_pairwise, vee_brute
 
 
 class TestMce:

@@ -1,27 +1,19 @@
-"""Separating-extension search and report statuses on the corpus."""
+"""Separating-extension search and the pairs it reports on the corpus."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import pytest
 
-from kgraphkit import aperiodicity, compose, core
-from kgraphkit.alignment import mce_brute
+from kgraphkit import aperiodicity, compose, core, paths_up_to_degree
 from kgraphkit.aperiodicity import (
-    APERIODIC_CERTIFIED,
-    PERIODIC_EVIDENCE,
     MixedSources,
-    OracleMismatch,
     SourceMismatch,
     aperiodicity_report,
     find_separating_extension,
     separate_family,
 )
+
+from oracles import mce_brute
 
 
 class TestFindSeparatingExtension:
@@ -101,75 +93,78 @@ class TestSeparateFamily:
             separate_family(c3, [c3.edge_path("e0"), c3.edge_path("e1")], (2,))
 
 
+def unseparated(pairs):
+    return [(mu, nu) for mu, nu, tau in pairs if tau is None]
+
+
 class TestReport:
     def test_omega_certified(self, omega22):
-        report = aperiodicity_report(omega22, (1, 1), (1, 1))
-        assert report.status == APERIODIC_CERTIFIED
-        assert report.certified_universe
-        assert all(o.separated for o in report.outcomes)
+        P, D, pairs = aperiodicity_report(omega22, (1, 1), (1, 1))
+        assert P == D == omega22.max_path_degree()
+        assert pairs and unseparated(pairs) == []
 
     def test_cycle_periodic(self, c3):
-        report = aperiodicity_report(c3, (3,), (6,))
-        assert report.status == PERIODIC_EVIDENCE
-        mu, nu = report.witness
-        assert mu == c3.path(["e0", "e1", "e2"])
-        assert nu == c3.vertex_path("v0")
+        _, _, pairs = aperiodicity_report(c3, (3,), (6,))
+        assert unseparated(pairs)[0] == (c3.path(["e0", "e1", "e2"]), c3.vertex_path("v0"))
 
     def test_flip_periodic_ff(self, flip):
-        report = aperiodicity_report(flip, (0, 2), (2, 2))
-        assert report.status == PERIODIC_EVIDENCE
-        mu, nu = report.witness
-        assert mu == flip.path(["f", "f"])
-        assert nu == flip.vertex_path("v")
+        _, _, pairs = aperiodicity_report(flip, (0, 2), (2, 2))
+        assert unseparated(pairs)[0] == (flip.path(["f", "f"]), flip.vertex_path("v"))
 
     def test_bouquet_evidence(self, bouquet2):
-        report = aperiodicity_report(bouquet2, (2,), (3,))
-        assert report.status == "AperiodicEvidence"
-        assert all(o.separated for o in report.outcomes)
+        P, D, pairs = aperiodicity_report(bouquet2, (2,), (3,))
+        assert (P, D) == ((2,), (3,))
+        assert len(pairs) == 21 and unseparated(pairs) == []
 
     def test_report_reproducible(self, c3):
-        r1 = aperiodicity_report(c3, (3,), (6,))
-        r2 = aperiodicity_report(c3, (3,), (6,))
-        assert r1.to_jsonable() == r2.to_jsonable()
-
-    def test_periodic_never_certified(self, c3, flip):
-        for g, P, D in [(c3, (3,), (6,)), (flip, (0, 2), (2, 2))]:
-            report = aperiodicity_report(g, P, D)
-            assert report.status != APERIODIC_CERTIFIED
+        assert aperiodicity_report(c3, (3,), (6,)) == aperiodicity_report(c3, (3,), (6,))
 
 
-class TestOracleRecheck:
-    """Every separating tau is re-verified by the brute-force MCE oracle."""
+REFEREE_BOUNDS = {
+    "c3": ((3,), (3,)),
+    "bouquet2": ((3,), (3,)),
+    "flip": ((1, 2), (2, 2)),
+    "twin": ((1, 1), (2, 2)),
+    "omega22": ((1, 1), (1, 1)),
+    "omega222": ((1, 1, 1), (1, 1, 1)),
+    "nlc": ((1, 1), (1, 1)),
+    "ladder2": ((1, 1), (1, 1)),
+    "ladder3": ((1, 1), (1, 1)),
+}
 
-    @pytest.mark.parametrize("search", ["pair", "family"])
-    def test_disagreeing_oracle_raises(self, bouquet2, monkeypatch, search):
-        monkeypatch.setattr(aperiodicity, "mce_brute", lambda g, mu, nu: [mu])
-        a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
-        with pytest.raises(OracleMismatch):
-            if search == "pair":
-                find_separating_extension(bouquet2, a, b, (2,))
-            else:
-                separate_family(bouquet2, [a, b], (2,))
 
-    def test_recheck_survives_optimize_flag(self):
-        script = textwrap.dedent("""
-            import sys
-            from kgraphkit import aperiodicity, make_bouquet
-            g = make_bouquet(2)
-            aperiodicity.mce_brute = lambda g, mu, nu: [mu]
-            try:
-                aperiodicity.find_separating_extension(
-                    g, g.edge_path("a"), g.edge_path("b"), (2,))
-            except aperiodicity.OracleMismatch:
-                print("raised", sys.flags.optimize)
-            else:
-                print("returned", sys.flags.optimize)
-        """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["raised", "1"]
+def referee_disagreements(g, pair_bound, tau_bound) -> list:
+    """The triples of aperiodicity_report that mce_brute contradicts: a τ that
+    is past the τ bound or leaves MCE(μτ, ντ) nonempty, and for a pair reported
+    unseparated, each τ′ up to the τ bound with MCE(μτ′, ντ′) empty."""
+    _, D, pairs = aperiodicity_report(g, pair_bound, tau_bound)
+    out = []
+    for mu, nu, tau in pairs:
+        if tau is not None:
+            if not tau.degree <= D or mce_brute(g, compose(mu, tau), compose(nu, tau)):
+                out.append((mu.label(), nu.label(), tau.label()))
+        else:
+            out += [(mu.label(), nu.label(), t.label())
+                    for t in paths_up_to_degree(g, D, range_vertex=mu.source_vertex)
+                    if not mce_brute(g, compose(mu, t), compose(nu, t))]
+    return out
+
+
+class TestReferee:
+    """mce_brute referees each τ the search finds and each pair it leaves."""
+
+    @pytest.mark.parametrize("name", sorted(REFEREE_BOUNDS))
+    def test_search_agrees_with_brute_force(self, request, name):
+        g = request.getfixturevalue(name)
+        assert referee_disagreements(g, *REFEREE_BOUNDS[name]) == []
+
+    @pytest.mark.parametrize("name", ["c3", "flip", "twin"])
+    def test_absence_direction_runs(self, request, name):
+        _, _, pairs = aperiodicity_report(request.getfixturevalue(name), *REFEREE_BOUNDS[name])
+        assert unseparated(pairs)
+
+    @pytest.mark.parametrize("fake", [lambda g, mu, nu: [], lambda g, mu, nu: [mu]],
+                             ids=["never-meets", "always-meets"])
+    def test_wrong_mce_is_caught(self, bouquet2, monkeypatch, fake):
+        monkeypatch.setattr(aperiodicity, "mce", fake)
+        assert referee_disagreements(bouquet2, *REFEREE_BOUNDS["bouquet2"])

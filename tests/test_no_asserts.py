@@ -1,7 +1,9 @@
 """Library code holds no assert statement, because python -O strips them.
 
 The same holds for tests/oracles.py: pytest rewrites the asserts of test
-modules only, so an assert in a helper they import would vanish too.
+modules only, so an assert in a helper they import would vanish too.  And
+the package runs no brute-force referee: those stay in the test suite, apart
+from the two in alignment that the benchmark's record script imports.
 """
 
 from __future__ import annotations
@@ -22,3 +24,17 @@ def test_no_assert_statements_in_package():
         hits += [f"{module.name}:{node.lineno}"
                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert hits == [], "checks that vanish under python -O: " + ", ".join(hits)
+
+
+def test_only_alignment_refers_to_a_referee():
+    hits = []
+    for module in sorted(SRC.rglob("*.py")):
+        if module.name == "alignment.py":
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        for node in ast.walk(tree):
+            for field in ("id", "attr", "name", "asname", "arg"):
+                name = getattr(node, field, None)
+                if isinstance(name, str) and (name.endswith("_brute") or name == "OracleMismatch"):
+                    hits.append(f"{module.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert hits == [], "brute-force referees outside alignment: " + ", ".join(hits)
