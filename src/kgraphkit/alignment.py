@@ -42,7 +42,7 @@ class NotLocallyConvex(KGraphError):
 
 def extends(lam: Path, mu: Path) -> bool:
     """True when lam = mu.mu' for some mu', i.e. mu is an initial segment."""
-    if not mu.degree <= lam.degree or lam.range_vertex != mu.range_vertex:
+    if lam.range_vertex != mu.range_vertex or not mu.degree <= lam.degree:
         return False
     return lam.graph._split(lam.word, lam.degree, mu.degree)[0] == mu.word
 

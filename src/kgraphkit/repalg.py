@@ -20,6 +20,7 @@ the exp-square and the co-universality check read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -265,28 +266,29 @@ def _as_map(term: np.ndarray) -> np.ndarray:
     return np.where(term, np.arange(len(term)), -1) if term.dtype == bool else term
 
 
-def _rows_hit(terms: Sequence[np.ndarray], cols: np.ndarray, depth: int) -> np.ndarray:
-    """The rows a sum of partial injections or masks hits in each column, one
-    per term and -1 for none, padded to depth terms and sorted down each column."""
-    rows = np.full((depth, len(cols)), -1, dtype=np.intp)
-    for r, t in enumerate(terms):
-        rows[r] = _as_map(t)[cols]
-    rows.sort(axis=0)
-    return rows
-
-
-def first_difference_on(basis: Basis, lhs: Sequence[np.ndarray],
-                        rhs: Sequence[np.ndarray], cols: np.ndarray):
-    """First (row, col), in (row, col) order, where two sums of partial
-    injections or masks differ on the given columns, with both values; or None."""
-    depth = max(len(lhs), len(rhs), 1)
-    sides = [_rows_hit(terms, cols, depth) for terms in (lhs, rhs)]
-    if np.array_equal(*sides):
+def first_difference_on(basis: Basis, lhs: np.ndarray, rhs: Sequence[np.ndarray],
+                        cols: np.ndarray):
+    """First (row, col), in (row, col) order, where a partial injection or mask
+    and a sum of them differ on the given columns, with both values; or None.
+    They agree where the top row rhs hits (-1 for none) is lhs's row and, with
+    two or more terms, no column is hit twice."""
+    want = _as_map(lhs)[cols]
+    hits = [_as_map(t)[cols] for t in rhs]
+    if np.all(functools.reduce(np.maximum, hits, -1) == want) and (
+            len(hits) < 2 or np.all(sum(h >= 0 for h in hits) <= 1)):
         return None
-    a, b = (Counter((r, c) for r, c in zip(side.ravel().tolist(), np.tile(cols, depth).tolist())
-                    if r >= 0) for side in sides)
+    a, b = (Counter((r, c) for t in side for r, c in zip(t.tolist(), cols.tolist()) if r >= 0)
+            for side in ([want], hits))
     i, j = min(k for k in a.keys() | b.keys() if a[k] != b[k])
     return (basis.labels[i], basis.labels[j], a[(i, j)], b[(i, j)])
+
+
+def _first_overlap(masks: dict, cols: np.ndarray) -> Optional[tuple]:
+    """The first two keys whose masks share the first column, of cols, that
+    more than one mask covers; None when the masks are orthogonal there."""
+    count = sum((m[cols] for m in masks.values()), np.zeros(len(cols), dtype=np.intp))
+    over = cols[count > 1]
+    return tuple(k for k, m in masks.items() if m[over[0]])[:2] if len(over) else None
 
 
 # -- reports ------------------------------------------------------------------
@@ -312,7 +314,7 @@ class CheckResult:
         return data
 
 
-def _compare_on(cid: str, basis: Basis, lhs: Sequence[np.ndarray],
+def _compare_on(cid: str, basis: Basis, lhs: np.ndarray,
                 rhs: Sequence[np.ndarray], cols) -> CheckResult:
     """Exact comparison on the given columns; a failure names the first difference."""
     diff = first_difference_on(basis, lhs, rhs, cols)
@@ -696,33 +698,37 @@ def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
                                   "pass" if zero else "fail"))
 
     paths = paths_up_to_degree(g, cap)
+    at = {v: [p for p in paths if p.range_vertex == v] for v in g.vertices}
     for lam in paths:
-        for mu in paths:
-            if lam.source_vertex != mu.range_vertex or not lam.degree + mu.degree <= cap:
+        for mu in at[lam.source_vertex]:
+            if not lam.degree + mu.degree <= cap:
                 continue
             checks.append(_compare_on(f"TCK2:{lam.label()}·{mu.label()}", fam.basis,
-                                      [compose_maps(t(lam), t(mu))], [t(compose(lam, mu))],
+                                      compose_maps(t(lam), t(mu)), [t(compose(lam, mu))],
                                       fam.safe_columns(lam.degree + mu.degree)))
 
     for mu in paths:
-        for nu in paths:
-            if mu.range_vertex != nu.range_vertex:
-                continue
+        for nu in at[mu.range_vertex]:
             rhs = []
             for lam in mce(g, mu, nu):
                 alpha = segment(lam, mu.degree, lam.degree)
                 beta = segment(lam, nu.degree, lam.degree)
                 rhs.append(compose_maps(t(alpha), t_star(beta)))
             checks.append(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", fam.basis,
-                                      [compose_maps(t_star(mu), t(nu))], rhs,
+                                      compose_maps(t_star(mu), t(nu)), rhs,
                                       fam.safe_columns(mu.degree.join(nu.degree))))
     return checks
 
 
 def verify_ck(fam: IsometryFamily, cap) -> list[CheckResult]:
-    """Gap-projection products over every minimal FE set below the cap."""
+    """Gap-projection products over every minimal FE set below the cap.  A
+    truncated basis's cap must hold the FE sets' degree, checked first."""
     g = fam.graph
     cap = Degree(cap)
+    fe = {v: enumerate_fe(g, v, cap) for v in g.vertices}
+    needed = join_degrees((lam.degree for sets in fe.values() for E in sets for lam in E), g.rank)
+    if fam.cap is not None and not needed <= fam.cap:
+        raise CapTooSmall(f"cap {tuple(fam.cap)} cannot hold the FE sets' degree {tuple(needed)}")
     checks = []
     for v in g.vertices:
         # t_v times each gap (t_v - q_lam) is diagonal once t_v is: the mask of
@@ -730,7 +736,7 @@ def verify_ck(fam: IsometryFamily, cap) -> list[CheckResult]:
         tv = fam.generator(g.vertex_path(v))
         if np.any((tv >= 0) & (tv != np.arange(len(tv)))):
             raise BooleanRelationFailure(f"t_{v} is not a diagonal projection")
-        for E in enumerate_fe(g, v, cap):
+        for E in fe[v]:
             gap = tv >= 0
             for lam in E:
                 gap &= ~fam.q(lam)
@@ -750,21 +756,25 @@ def boolean_rep(fam: IsometryFamily, cap) -> IsometryFamily:
     representation, and return the family.
 
     The product rule q_mu q_nu = sum over MCE(mu, nu) of q_gamma is checked
-    exactly on safe columns for every pair of paths below the cap.
+    exactly on safe columns for the pairs below the cap with a common range
+    and the pairs of vertices.  That covers r(mu) != r(nu), where MCE is empty:
+    on the safe columns of d(mu) v d(nu), within those of d(mu), the pair
+    (r(mu), mu) gives q_mu <= q_r(mu), and the vertex pair q_r(mu) q_r(nu) = 0.
     """
     g = fam.graph
     paths = paths_up_to_degree(g, cap)
-    for mu in paths:
-        for nu in paths:
-            if mu.sort_key() > nu.sort_key():
-                continue
-            diff = first_difference_on(
-                fam.basis, [fam.q(mu) & fam.q(nu)], [fam.q(gamma) for gamma in mce(g, mu, nu)],
-                fam.safe_columns(mu.degree.join(nu.degree)))
-            if diff is not None:
-                raise BooleanRelationFailure(
-                    f"q_{mu.label()} q_{nu.label()} != sum over MCE; "
-                    f"first difference {diff}")
+    at = {v: [p for p in paths if p.range_vertex == v] for v in g.vertices}
+    pairs = [(mu, nu) for mu in paths for nu in at[mu.range_vertex]
+             if mu.sort_key() <= nu.sort_key()]
+    pairs += itertools.combinations([g.vertex_path(v) for v in g.vertices], 2)
+    for mu, nu in pairs:
+        diff = first_difference_on(
+            fam.basis, fam.q(mu) & fam.q(nu), [fam.q(gamma) for gamma in mce(g, mu, nu)],
+            fam.safe_columns(mu.degree.join(nu.degree)))
+        if diff is not None:
+            raise BooleanRelationFailure(
+                f"q_{mu.label()} q_{nu.label()} != sum over MCE; "
+                f"first difference {diff}")
     return fam
 
 
@@ -822,13 +832,13 @@ def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> dict:
     Q = {lam: _q_piece(fam, lam, vee_F) for lam in vee_F}
 
     cols = fam.safe_columns(join_degrees((w.degree for w in vee_F), g.rank))
-    for a, b in itertools.combinations(vee_F, 2):
-        if np.any((Q[a] & Q[b])[cols]):
-            raise BooleanRelationFailure(
-                f"Q_{a.label()} and Q_{b.label()} are not orthogonal")
+    overlap = _first_overlap(Q, cols)
+    if overlap is not None:
+        a, b = overlap
+        raise BooleanRelationFailure(f"Q_{a.label()} and Q_{b.label()} are not orthogonal")
     for mu in vee_F:
         pieces = [Q[mu]] + [Q[w] for w in _extensions_in(mu, vee_F)]
-        if first_difference_on(fam.basis, [fam.q(mu)], pieces, cols) is not None:
+        if first_difference_on(fam.basis, fam.q(mu), pieces, cols) is not None:
             raise BooleanRelationFailure(
                 f"q_{mu.label()} is not the sum of its Q pieces")
     return Q
@@ -868,22 +878,12 @@ def diagonal_norm(fam: IsometryFamily, coeffs: dict) -> float:
     """
     g = fam.graph
     support = {lam: c for lam, c in coeffs.items() if c != 0}
-    F = set(support)
-    for lam in list(F):
-        F.add(g.vertex_path(lam.source_vertex))
-    if not F:
+    if not support:
         return 0.0
+    F = set(support) | {g.vertex_path(lam.source_vertex) for lam in support}
     Q = q_decomposition(fam, sorted(F, key=Path.sort_key))
-    best = 0.0
-    for alpha, piece in Q.items():
-        if not piece.any():
-            continue
-        total = 0
-        for lam, c in support.items():
-            if extends(alpha, lam):
-                total += c
-        best = max(best, abs(total))
-    return float(best)
+    return float(max((abs(sum(c for lam, c in support.items() if extends(alpha, lam)))
+                      for alpha, piece in Q.items() if piece.any()), default=0.0))
 
 
 # -- formal elements and the exp-square ---------------------------------------
@@ -1071,10 +1071,10 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path]) -> dict:
 
     # mutual orthogonality and domination by q_lam, on safe columns
     cols = fam.safe_columns(Degree.zero(g.rank))
-    for a, b in itertools.combinations(F, 2):
-        if np.any((phi[a] & phi[b])[cols]):
-            raise SeparationSearchExhausted(
-                depth, f"phi_{a.label()} and phi_{b.label()} overlap")
+    overlap = _first_overlap(phi, cols)
+    if overlap is not None:
+        a, b = overlap
+        raise SeparationSearchExhausted(depth, f"phi_{a.label()} and phi_{b.label()} overlap")
     for lam in F:
         if np.any((phi[lam] & ~fam.q(lam))[cols]):
             raise SeparationSearchExhausted(
@@ -1091,7 +1091,7 @@ def verify_phi2(fam: IsometryFamily, phi: dict, mu: Path, nu: Path, lam: Path) -
     middle = compose_maps(fam.generator(mu), fam.adjoint(nu))
     expected = [phi_lam] if mu == nu and extends(lam, mu) else []
     return _compare_on(f"phi2:{lam.label()}|{mu.label()},{nu.label()}", fam.basis,
-                       [compose_maps(phi_lam, compose_maps(middle, phi_lam))], expected,
+                       compose_maps(phi_lam, compose_maps(middle, phi_lam)), expected,
                        fam.safe_columns(mu.degree.join(nu.degree)))
 
 

@@ -1,6 +1,7 @@
 """Brute-force referees that only the test suite calls, each checking a fast
 routine by direct enumeration: MCE of two paths, vee E, MCE closure of a
-path set tested pair by pair, the completion closure of the Lemma 3 chain
+path set tested pair by pair, the boolean product rule and the orthogonality
+of masks tested on every pair, the completion closure of the Lemma 3 chain
 over every ordered pair, and finite exhaustive sets as defined by
 Raeburn-Sims-Yeend, JFA 2004, the boundary condition of Sims, Indiana Univ.
 Math. J. 2006, tested position by position on each handle, windowed
@@ -96,6 +97,33 @@ def closure_all_pairs(g: KGraph, F: Iterable[Path]) -> list[Path]:
                     out.add(compose(lam, segment(xi, beta.degree, xi.degree)))
                     out.add(compose(lam, segment(xi, delta.degree, xi.degree)))
     return vee(g, out)
+
+
+def boolean_rep_all_pairs(fam, cap):
+    """Oracle: the first pair (μ, ν), μ before ν in sort order, of all paths
+    below the cap, whatever their ranges, where q_μ q_ν differs from the sum
+    of q_γ over MCE(μ, ν) on the safe columns of d(μ) ∨ d(ν); or None.
+    Each side is read as a column count of masks."""
+    g = fam.graph
+    paths = paths_up_to_degree(g, cap)
+    for mu in paths:
+        for nu in paths:
+            if mu.sort_key() > nu.sort_key():
+                continue
+            cols = fam.safe_columns(mu.degree.join(nu.degree))
+            total = np.zeros(len(cols), dtype=int)
+            for gamma in mce(g, mu, nu):
+                total += fam.q(gamma)[cols]
+            if not np.array_equal(total, (fam.q(mu) & fam.q(nu))[cols]):
+                return mu, nu
+    return None
+
+
+def overlapping_pairs(masks: dict, cols) -> list:
+    """Oracle: every pair (a, b) of keys, a before b, whose masks share one
+    of the columns."""
+    return [(a, b) for a, b in itertools.combinations(masks, 2)
+            if np.any((masks[a] & masks[b])[cols])]
 
 
 def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000

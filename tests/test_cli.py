@@ -334,6 +334,19 @@ class TestRepVerify:
         assert captured.out == ""
         assert captured.err == "error: cap (3,) cannot hold the closure degree (4,)\n"
 
+    def test_ck_cap_below_fe_degree_exits_2(self, capsys, graph_files, monkeypatch):
+        # the FE sets at fe-cap 3 reach degree (3,); no generator of that
+        # degree is asked for, and no projection is read before the refusal
+        def refuse(*args, **kwargs):
+            raise AssertionError("a projection was read")
+
+        monkeypatch.setattr(repalg.IsometryFamily, "q", refuse)
+        assert main(["rep-verify", graph_files["bouquet2"], "--cap", "2", "--gen-cap", "1",
+                     "--fe-cap", "3", "--suite", "ck"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cap (2,) cannot hold the FE sets' degree (3,)\n"
+
     @pytest.mark.parametrize("suite, witness", [
         ("lem1", "q_a q_a.a != sum over MCE; first difference ('a.a', 'a.a', 0, 1)"),
         ("lem3", "q_a q_a.a != sum over MCE; first difference ('a.a', 'a.a', 0, 1)"),

@@ -75,16 +75,19 @@ class TestReferee:
         check_against_referee(basis, a, b)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.integers(0, 4).flatmap(injection_sets), st.data())
+    @given(st.integers(1, 5).flatmap(injection_sets), st.data())
     def test_first_difference_order_and_values(self, data, draw):
-        basis, terms = data
+        """One term against a sum of them, on drawn columns: the rest of the
+        drawn terms, or the one term cut into pieces, so that both agreement
+        and each kind of difference are drawn."""
+        basis, (lhs, *rhs) = data
         n = len(basis)
-        split = draw.draw(st.integers(0, len(terms)))
         cols = np.array(sorted(draw.draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
-        masks = draw.draw(st.booleans())
-        if masks:  # sums of diagonal 0/1 projections
-            terms = [range_mask(t) for t in terms]
-        lhs, rhs = terms[:split], terms[split:]
+        if draw.draw(st.booleans()):  # lhs cut into pieces, each column to one piece or none
+            where = draw.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+            rhs = [np.where(np.array(where) == k, lhs, -1) for k in range(3)]
+        if draw.draw(st.booleans()):  # sums of diagonal 0/1 projections
+            lhs, rhs = range_mask(lhs), [range_mask(t) for t in rhs]
 
         def restricted_sum(side):
             total = OperatorMatrix.sum(basis, [as_matrix(basis, t) for t in side])
@@ -92,12 +95,12 @@ class TestReferee:
                                           if k[1] in set(cols.tolist())})
 
         assert (first_difference_on(basis, lhs, rhs, cols)
-                == restricted_sum(lhs).first_difference(restricted_sum(rhs)))
+                == restricted_sum([lhs]).first_difference(restricted_sum(rhs)))
 
     def test_overlap_reports_value_two(self):
         basis = Basis(["e0", "e1"])
         t = np.array([1, -1], dtype=np.intp)
-        assert first_difference_on(basis, [t], [t, t], np.arange(2)) == ("e1", "e0", 1, 2)
+        assert first_difference_on(basis, t, [t, t], np.arange(2)) == ("e1", "e0", 1, 2)
 
 
 def boundary_tm_family(bouquet2):

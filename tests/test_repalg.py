@@ -3,15 +3,24 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 from conftest import OperatorMatrix, as_matrix, as_referee, referee_evaluate, weak_lower_end
-from oracles import boundary_family_from_graph, closure_all_pairs, matrix_unit_span_rank
+from oracles import (
+    boolean_rep_all_pairs,
+    boundary_family_from_graph,
+    closure_all_pairs,
+    matrix_unit_span_rank,
+    overlapping_pairs,
+)
 from kgraphkit import alignment, repalg
-from kgraphkit.alignment import extends, is_exhaustive_brute
+from kgraphkit.alignment import extends, is_exhaustive_brute, vee
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.core import paths_up_to_degree, segment
 from kgraphkit.repalg import (
@@ -436,6 +445,125 @@ class TestBooleanRep:
             boolean_rep(fam, cap=(1,))
         with pytest.raises(BooleanRelationFailure):
             q_decomposition(fam, [bouquet2.vertex_path("v"), a, b])
+
+
+def _with_column(fam, lam, j):
+    """Give q_lam the basis vector j as well, in the family's memo."""
+    mask = fam.q(lam).copy()
+    mask[j] = True
+    fam._qs[lam] = mask
+
+
+def pair_rule_family(name, corpus, boundary_omega, boundary_tm):
+    """(family, cap, whether the product rule breaks) for each case."""
+    g = corpus["omega22"]
+    if name == "tamper-range":
+        # q_a gains a basis vector of another range, safe at d(a)
+        fam = build_fock_family(g, (2, 2))
+        a = g.edge_path("e1_0_0")
+        cols = fam.safe_columns(a.degree)
+        _with_column(fam, a, cols[fam._ranges[cols] != a.range_vertex][0])
+        return fam, (1, 1), True
+    if name == "tamper-vertices":
+        # q_v gains a basis vector of range w: only the pair (v, w) sees it
+        fam = build_fock_family(g, (2, 2))
+        v, w = (g.vertex_path(x) for x in g.vertices[:2])
+        _with_column(fam, v, np.flatnonzero(fam.q(w))[0])
+        return fam, (1, 1), True
+    if name == "tamper-product":
+        b2 = corpus["bouquet2"]
+        fam = build_fock_family(b2, (3,))
+        a, b = b2.edge_path("a"), b2.edge_path("b")
+        _with_column(fam, a, np.flatnonzero(fam.q(b))[0])  # q_a q_b != 0
+        return fam, (1,), True
+    if name == "omega22-boundary":
+        return boundary_omega, (1, 1), False
+    if name == "tm-boundary":
+        return boundary_tm, (2,), False
+    caps = {"bouquet2": ((4,), (2,)), "flip": ((2, 2), (1, 1)), "omega22": ((2, 2), (1, 1)),
+            "omega222": ((2, 2, 2), (2, 2, 2))}
+    cap, gen_cap = caps[name]
+    return build_fock_family(corpus[name], cap), gen_cap, False
+
+
+class TestPairRules:
+    """boolean_rep tests same-range pairs and vertex pairs only, and the
+    overlap checks count columns; the all-pairs loops referee both."""
+
+    @pytest.mark.parametrize("name", [
+        "bouquet2", "flip", "omega22", "omega222", "omega22-boundary", "tm-boundary",
+        "tamper-range", "tamper-vertices", "tamper-product"])
+    def test_boolean_rep_raises_with_all_pairs_referee(self, corpus, boundary_omega,
+                                                       boundary_tm, name):
+        fam, cap, broken = pair_rule_family(name, corpus, boundary_omega, boundary_tm)
+        try:
+            boolean_rep(fam, cap)
+            raised = False
+        except BooleanRelationFailure:
+            raised = True
+        assert raised == broken
+        assert (boolean_rep_all_pairs(fam, cap) is not None) == broken
+
+    def test_boolean_rep_tests_common_range_and_vertex_pairs(self, omega222, monkeypatch):
+        # 1,480 pairs with a common range and 351 pairs of the 27 vertices;
+        # all 23,436 pairs of the 216 paths would be tested otherwise
+        calls = []
+        real = repalg.first_difference_on
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(repalg, "first_difference_on", counted)
+        fam = build_fock_family(omega222, (2, 2, 2))
+        boolean_rep(fam, (2, 2, 2))
+        assert len(calls) <= 1_480 + 351
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6),
+        st.sets(st.integers(0, n - 1)))))
+    def test_first_overlap_matches_pairwise_referee(self, data):
+        rows, cols = data
+        masks = {f"m{i}": np.array(r, dtype=bool) for i, r in enumerate(rows)}
+        cols = np.array(sorted(cols), dtype=np.intp)
+        pairs = overlapping_pairs(masks, cols)
+        got = repalg._first_overlap(masks, cols)
+        if not pairs:
+            assert got is None
+            return
+        # the first two members covering the first column any pair shares
+        first = min(j for a, b in pairs for j in cols.tolist() if masks[a][j] and masks[b][j])
+        assert got in pairs
+        assert got == tuple(k for k, m in masks.items() if m[first])[:2]
+
+    @pytest.mark.parametrize("build", ["Q", "phi"])
+    def test_overlap_names_two_members_sharing_a_column(self, bouquet2, monkeypatch, build):
+        # every piece left as its whole q_lam: Q_v = q_v holds Q_a, and
+        # phi_v = q_v holds phi_a; the check names two overlapping members
+        seen = {}
+        real = repalg._first_overlap
+
+        def spy(masks, cols):
+            seen.update(masks=masks, cols=cols)
+            return real(masks, cols)
+
+        monkeypatch.setattr(repalg, "_q_piece", lambda fam, lam, pool: fam.q(lam))
+        monkeypatch.setattr(repalg, "_first_overlap", spy)
+        fam = build_fock_family(bouquet2, (7,))
+        F = vee(bouquet2, paths_up_to_degree(bouquet2, (1,)))
+        if build == "Q":
+            with pytest.raises(BooleanRelationFailure) as err:
+                q_decomposition(fam, F)
+            pattern = r"Q_(\S+) and Q_(\S+) are not orthogonal"
+        else:
+            with pytest.raises(SeparationSearchExhausted) as err:
+                build_separating_system(fam, F)
+            pattern = r"phi_(\S+) and phi_(\S+) overlap"
+        named = re.fullmatch(pattern + r".*", str(err.value)).groups()
+        by_label = {lam.label(): lam for lam in seen["masks"]}
+        pairs = overlapping_pairs(seen["masks"], seen["cols"])
+        assert pairs and tuple(by_label[x] for x in named) in pairs
 
 
 class TestQDecomposition:
