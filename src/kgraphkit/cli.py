@@ -283,26 +283,35 @@ def _word(value, where: str) -> list:  # a seed file's word or rule image
 
 def load_seed_handles(g: KGraph, path: str) -> list[BoundaryPathHandle]:
     decl = _read_json(path)
-    _keys(decl, f"{path}:")
+    unknown = _keys(decl, f"{path}:") - {"handles"}
+    if unknown:
+        raise ParseError(f"{path}: unknown top-level keys: {sorted(unknown)}")
     records = decl.get("handles", [])
     if not isinstance(records, list):
         raise ParseError(f"{path}: handles must be a list, got {type(records).__name__}")
     handles: list[BoundaryPathHandle] = []
     for i, rec in enumerate(records):
         where = f"{path}: handle {i}"
-        _keys(rec, f"{where}:")
+        keys = _keys(rec, f"{where}:")
         kind, name = rec.get("kind"), rec.get("name")
         if name is not None and not isinstance(name, str):
             raise ParseError(f"{where}: name must be a string, got {name!r}")
+        if kind == "substitution":
+            fields = {"rules", "seed"}
+        elif kind == "periodic":
+            fields = {"word"}
+        else:
+            raise ParseError(f"{where}: unknown handle kind {kind!r}")
+        unknown = keys - fields - {"kind", "name", "shifts"}
+        if unknown:
+            raise ParseError(f"{where}: unknown keys: {sorted(unknown)}")
         try:
             if kind == "substitution":
                 _keys(rec["rules"], f"{where}: rules")
                 rules = {k: _word(v, f"{where}: rule {k!r}") for k, v in rec["rules"].items()}
                 base = substitution_path(g, rules, rec["seed"], name=name)
-            elif kind == "periodic":
-                base = periodic_path(g, _word(rec["word"], f"{where}: word"), name=name)
             else:
-                raise ParseError(f"{where}: unknown handle kind {kind!r}")
+                base = periodic_path(g, _word(rec["word"], f"{where}: word"), name=name)
         except KeyError as exc:
             raise ParseError(f"{where}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -291,6 +291,13 @@ def _first_overlap(masks: dict, cols: np.ndarray) -> Optional[tuple]:
     return tuple(k for k, m in masks.items() if m[over[0]])[:2] if len(over) else None
 
 
+def _without(fam: IsometryFamily, mask: np.ndarray, paths: Sequence[Path]) -> np.ndarray:
+    """mask AND-NOT q_w for each w in paths: a Q piece or a CK gap product."""
+    for w in paths:
+        mask = mask & ~fam.q(w)
+    return mask
+
+
 # -- reports ------------------------------------------------------------------
 
 
@@ -737,9 +744,7 @@ def verify_ck(fam: IsometryFamily, cap) -> list[CheckResult]:
         if np.any((tv >= 0) & (tv != np.arange(len(tv)))):
             raise BooleanRelationFailure(f"t_{v} is not a diagonal projection")
         for E in fe[v]:
-            gap = tv >= 0
-            for lam in E:
-                gap &= ~fam.q(lam)
+            gap = _without(fam, tv >= 0, E)
             cols = fam.safe_columns(join_degrees((lam.degree for lam in E), g.rank))
             hit = cols[gap[cols]]
             label = "{" + ",".join(p.label() for p in E) + "}"
@@ -778,18 +783,15 @@ def boolean_rep(fam: IsometryFamily, cap) -> IsometryFamily:
     return fam
 
 
-def _extensions_in(lam: Path, pool: Sequence[Path]) -> list[Path]:
-    """Members of the pool of the form lam·alpha with alpha nonzero degree."""
-    return [w for w in pool if w != lam and extends(w, lam)]
-
-
-def _q_piece(fam: IsometryFamily, lam: Path, pool: Sequence[Path]) -> np.ndarray:
-    """Q_lam = q_lam times (q_lam - q_w) over the proper extensions w of lam in
-    the pool: the mask q_lam AND-NOT every q_w."""
-    acc = fam.q(lam)
-    for w in _extensions_in(lam, pool):
-        acc = acc & ~fam.q(w)
-    return acc
+def _extensions(pool: Sequence[Path]) -> dict:
+    """lam -> the members lam·alpha of the pool with d(alpha) nonzero, for each
+    lam in the pool, each list in pool order.  The pool is grouped by range
+    vertex once, so only members with a common range reach extends."""
+    at: dict = {}
+    for w in pool:
+        at.setdefault(w.range_vertex, []).append(w)
+    return {lam: [w for w in at[lam.range_vertex] if w != lam and extends(w, lam)]
+            for lam in pool}
 
 
 def _require_mce_closed(g: KGraph, F: Sequence[Path]) -> list[Path]:
@@ -803,12 +805,11 @@ def _require_mce_closed(g: KGraph, F: Sequence[Path]) -> list[Path]:
     return closed
 
 
-def _lem3_witness(g: KGraph, lam: Path, pool: Sequence[Path]
-                  ) -> tuple[list[Path], Optional[Path]]:
-    """λ's extension tails B = {α : λα in the pool, d(α) nonzero} and Lemma 3's
-    witness: a path from s(λ) meeting no member of B (the vertex when B is
-    empty), or None when B is exhaustive."""
-    B = [segment(w, lam.degree, w.degree) for w in _extensions_in(lam, pool)]
+def _lem3_witness(g: KGraph, lam: Path, ext: dict) -> tuple[list[Path], Optional[Path]]:
+    """λ's extension tails B = {α : λα in ext[λ]}, ext a pool's _extensions,
+    and Lemma 3's witness: a path from s(λ) meeting no member of B (the
+    vertex when B is empty), or None when B is exhaustive."""
+    B = [segment(w, lam.degree, w.degree) for w in ext[lam]]
     if not B:
         return B, g.vertex_path(lam.source_vertex)
     return B, is_exhaustive(g, lam.source_vertex, B).witness
@@ -829,7 +830,8 @@ def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> dict:
             raise SourceClosureViolation(
                 f"{lam.label()} is in F but its source {lam.source_vertex} is not")
     vee_F = vee(g, F)
-    Q = {lam: _q_piece(fam, lam, vee_F) for lam in vee_F}
+    ext = _extensions(vee_F)
+    Q = {lam: _without(fam, fam.q(lam), ext[lam]) for lam in vee_F}
 
     cols = fam.safe_columns(join_degrees((w.degree for w in vee_F), g.rank))
     overlap = _first_overlap(Q, cols)
@@ -837,7 +839,7 @@ def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> dict:
         a, b = overlap
         raise BooleanRelationFailure(f"Q_{a.label()} and Q_{b.label()} are not orthogonal")
     for mu in vee_F:
-        pieces = [Q[mu]] + [Q[w] for w in _extensions_in(mu, vee_F)]
+        pieces = [Q[mu]] + [Q[w] for w in ext[mu]]
         if first_difference_on(fam.basis, fam.q(mu), pieces, cols) is not None:
             raise BooleanRelationFailure(
                 f"q_{mu.label()} is not the sum of its Q pieces")
@@ -853,15 +855,15 @@ def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> list[CheckResult]:
         if not fam.q(lam).any():
             raise BooleanRelationFailure(f"q_{lam.label()} vanishes; hypothesis violated")
 
-    checks = []
+    checks, ext = [], _extensions(F)
     for alpha in F:
-        tau = _lem3_witness(g, alpha, F)[1]
+        tau = _lem3_witness(g, alpha, ext)[1]
         if tau is None:
             checks.append(CheckResult(f"lem3:{alpha.label()}", "pass",
                                       detail={"claim": "none (extension set exhaustive)"}))
             continue
         q_ext = fam.q(compose(alpha, tau))
-        ok = q_ext.any() and not np.any(q_ext & ~_q_piece(fam, alpha, F))
+        ok = q_ext.any() and not np.any(q_ext & ~_without(fam, fam.q(alpha), ext[alpha]))
         witness = fam.basis.labels[np.argmax(q_ext)] if ok else None
         checks.append(CheckResult(
             f"lem3:{alpha.label()}", "pass" if ok else "fail", witness=witness,
@@ -1021,12 +1023,14 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path]) -> dict:
     g = fam.graph
     F = _require_mce_closed(g, F)
     vee_F_bar = _closure(g, F)
+    ext = _extensions(vee_F_bar)
     M = join_degrees((w.degree for w in vee_F_bar), g.rank)
     depth = M + Degree((1,) * g.rank)
 
     reach: dict = {}  # lam -> lam·alpha, for each lam with a non-exhaustive extension set
+    tails: set = set()  # r(d(w), d(r)) for each such r and each w in the closure r meets
     for lam in F:
-        B, alpha = _lem3_witness(g, lam, vee_F_bar)
+        B, alpha = _lem3_witness(g, lam, ext)
         if alpha is None:
             continue
         # grow until every deficient color reaches M or hits a source
@@ -1044,12 +1048,13 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path]) -> dict:
                     depth, f"alpha for {lam.label()} meets its extension set")
         r = reach[lam] = compose(lam, alpha)
         for w in vee_F_bar:
-            if mce(g, r, w) and not extends(r, w):
-                raise SeparationSearchExhausted(
-                    depth, f"alpha for {lam.label()} is not long enough past {w.label()}")
+            if mce(g, r, w):  # r meets w, so alpha is long enough only if r extends w
+                if not extends(r, w):
+                    raise SeparationSearchExhausted(
+                        depth, f"alpha for {lam.label()} is not long enough past {w.label()}")
+                tails.add(segment(r, w.degree, r.degree))
 
-    G = sorted({segment(r, w.degree, r.degree) for r in reach.values()
-                for w in vee_F_bar if extends(r, w)}, key=Path.sort_key)
+    G = sorted(tails, key=Path.sort_key)
 
     taus: dict = {}  # vertex -> tau
     for v in sorted({eps.source_vertex for eps in G}):
@@ -1066,7 +1071,7 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path]) -> dict:
     if fam.cap is not None and not needed <= fam.cap:
         raise CapTooSmall(f"cap {tuple(fam.cap)} cannot hold the separating "
                           f"system's degree {tuple(needed)}")
-    phi = {lam: fam.q(witness[lam]) if lam in witness else _q_piece(fam, lam, vee_F_bar)
+    phi = {lam: fam.q(witness[lam]) if lam in witness else _without(fam, fam.q(lam), ext[lam])
            for lam in F}
 
     # mutual orthogonality and domination by q_lam, on safe columns

@@ -1,8 +1,9 @@
 """Brute-force referees that only the test suite calls, each checking a fast
 routine by direct enumeration: MCE of two paths, vee E, MCE closure of a
 path set tested pair by pair, the boolean product rule and the orthogonality
-of masks tested on every pair, the completion closure of the Lemma 3 chain
-over every ordered pair, and finite exhaustive sets as defined by
+of masks tested on every pair, the extensions of each member of a pool by a
+scan of the whole pool, the completion closure of the Lemma 3 chain over
+every ordered pair, and finite exhaustive sets as defined by
 Raeburn-Sims-Yeend, JFA 2004, the boundary condition of Sims, Indiana Univ.
 Math. J. 2006, tested position by position on each handle, windowed
 aperiodicity by comparing every pair of shifts, and shifts and extensions of
@@ -124,6 +125,12 @@ def overlapping_pairs(masks: dict, cols) -> list:
     of the columns."""
     return [(a, b) for a, b in itertools.combinations(masks, 2)
             if np.any((masks[a] & masks[b])[cols])]
+
+
+def extensions_by_scan(pool) -> dict:
+    """Oracle: repalg._extensions by scanning the whole pool for each λ, every
+    range included: λ -> the members w != λ that extend λ, in pool order."""
+    return {lam: [w for w in pool if w != lam and extends(w, lam)] for lam in pool}
 
 
 def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000

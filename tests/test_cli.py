@@ -615,8 +615,14 @@ _TM = {"kind": "substitution", "seed": "a", "rules": {"a": "ab", "b": "ba"}}
     ("bouquet2", {"handles": [dict(_TM, rules={"a": "ba", "b": "ab"})]},
      "handle 0: rule 'a' -> ba has no growing fixed point at 'a'"),
     ("flip", {"handles": [_TM]}, "handle 0: substitutions need a single-vertex 1-graph"),
+    # keys outside each kind's own: a typo must not fall back to a default
+    ("bouquet2", {"handles": [dict(_TM, shift=4)]}, "handle 0: unknown keys: ['shift']"),
+    ("bouquet2", {"handles": [_TM, {"kind": "periodic", "word": "a", "seed": "a"}]},
+     "handle 1: unknown keys: ['seed']"),
+    ("bouquet2", {"handles": [_TM], "extra": 1}, "unknown top-level keys: ['extra']"),
 ], ids=["top-list", "handles-object", "record-int", "rules-list", "seed-missing", "kind-unknown",
-        "periodic-unknown-edge", "no-fixed-point", "not-single-vertex"])
+        "periodic-unknown-edge", "no-fixed-point", "not-single-vertex", "handle-key-typo",
+        "periodic-key", "top-level-key"])
 def test_seed_file_errors_name_the_handle(capsys, graph_files, tmp_path, graph, decl, message):
     path = _write(tmp_path / "seeds.json", decl)
     assert main(["boundary-check", graph_files[graph], "--seeds", path]) == 2

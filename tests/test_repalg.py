@@ -16,6 +16,7 @@ from oracles import (
     boolean_rep_all_pairs,
     boundary_family_from_graph,
     closure_all_pairs,
+    extensions_by_scan,
     matrix_unit_span_rank,
     overlapping_pairs,
 )
@@ -548,7 +549,7 @@ class TestPairRules:
             seen.update(masks=masks, cols=cols)
             return real(masks, cols)
 
-        monkeypatch.setattr(repalg, "_q_piece", lambda fam, lam, pool: fam.q(lam))
+        monkeypatch.setattr(repalg, "_without", lambda fam, mask, paths: mask)
         monkeypatch.setattr(repalg, "_first_overlap", spy)
         fam = build_fock_family(bouquet2, (7,))
         F = vee(bouquet2, paths_up_to_degree(bouquet2, (1,)))
@@ -564,6 +565,67 @@ class TestPairRules:
         by_label = {lam.label(): lam for lam in seen["masks"]}
         pairs = overlapping_pairs(seen["masks"], seen["cols"])
         assert pairs and tuple(by_label[x] for x in named) in pairs
+
+
+def _range_spy(monkeypatch) -> list:
+    """Route every extends call, in alignment and repalg, through a spy; the
+    returned list gets True for each call whose two paths share a range."""
+    calls = []
+    real = alignment.extends
+
+    def spy(lam, mu):
+        calls.append(lam.range_vertex == mu.range_vertex)
+        return real(lam, mu)
+
+    monkeypatch.setattr(alignment, "extends", spy)
+    monkeypatch.setattr(repalg, "extends", spy)
+    return calls
+
+
+class TestExtensions:
+    """Each pool's extension table, built from its same-range members, is the
+    whole-pool scan of every member's extensions, lists and order included."""
+
+    @pytest.mark.parametrize("graph, cap, closed", [
+        ("bouquet2", (3,), False), ("flip", (2, 2), False), ("omega22", (2, 2), False),
+        ("omega222", (2, 2, 2), False), ("bouquet2", (2,), True), ("flip", (1, 1), True),
+        ("omega22", (1, 1), True), ("omega222", (1, 1, 1), True)],
+        ids=["bouquet2", "flip", "omega22", "omega222", "bouquet2-closure", "flip-closure",
+             "omega22-closure", "omega222-closure"])
+    def test_table_matches_whole_pool_scan(self, request, graph, cap, closed):
+        g = request.getfixturevalue(graph)
+        pool = paths_up_to_degree(g, cap)
+        if closed:
+            pool = repalg._closure(g, pool)
+        got = repalg._extensions(pool)
+        assert list(got.items()) == list(extensions_by_scan(pool).items())
+        assert list(got) == pool and any(got.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), min_size=36, max_size=36))
+    def test_sub_pools_match_whole_pool_scan(self, omega22, keep):
+        # 36 paths on 9 range vertices; each sub-pool keeps the pool order
+        pool = [p for p, k in zip(paths_up_to_degree(omega22, (2, 2)), keep) if k]
+        got = repalg._extensions(pool)
+        assert list(got.items()) == list(extensions_by_scan(pool).items())
+
+    def test_lem1_lem3_call_extends_on_same_range_pairs_only(self, omega222, monkeypatch):
+        # the rep-verify lem1,lem3 run on omega222 at (2,2,2): a scan of the
+        # whole pool per member made 150,030 extends calls, 137,352 of them on
+        # pairs with different ranges; the by-range tables make 9,961
+        calls = _range_spy(monkeypatch)
+        fam = boolean_rep(build_fock_family(omega222, (2, 2, 2)), (2, 2, 2))
+        F = paths_up_to_degree(omega222, (2, 2, 2))
+        q_decomposition(fam, F)
+        assert all(c.ok for c in lem3_check(fam, F))
+        assert len(calls) <= 12_000 and all(calls)
+
+    def test_separating_system_calls_extends_on_same_range_pairs_only(self, omega22,
+                                                                       monkeypatch):
+        calls = _range_spy(monkeypatch)
+        build_separating_system(build_fock_family(omega22, (2, 2)),
+                                paths_up_to_degree(omega22, (1, 1)))
+        assert calls and all(calls)
 
 
 class TestQDecomposition:
@@ -755,10 +817,11 @@ class TestSeparatingSystem:
         # legitimately needs no separating extension here
         fam = build_fock_family(c3, (8,))
         F = [c3.vertex_path("v0"), c3.path(["e0", "e1", "e2"])]
-        closure = repalg._closure(c3, F)
-        assert all(repalg._lem3_witness(c3, lam, closure)[1] is None for lam in F)
+        ext = repalg._extensions(repalg._closure(c3, F))
+        assert all(repalg._lem3_witness(c3, lam, ext)[1] is None for lam in F)
         phi = build_separating_system(fam, F)
-        assert all(np.array_equal(phi[lam], repalg._q_piece(fam, lam, closure)) for lam in F)
+        assert all(np.array_equal(phi[lam], repalg._without(fam, fam.q(lam), ext[lam]))
+                   for lam in F)
 
     def test_mce_closure_enforced(self, omega22):
         fam = build_fock_family(omega22, (2, 2))
@@ -792,10 +855,11 @@ def test_lem3_witness_matches_brute_exhaustiveness(request, graph, f_cap, cap, e
         return bool(tails) and is_exhaustive_brute(g, lam.source_vertex, tails).exhaustive
 
     closure = repalg._closure(g, F)
-    in_closure = {lam: repalg._lem3_witness(g, lam, closure)[1] is None for lam in F}
+    ext = repalg._extensions(closure)
+    in_closure = {lam: repalg._lem3_witness(g, lam, ext)[1] is None for lam in F}
     assert in_closure == {lam: brute(lam, closure) for lam in F}
     phi = build_separating_system(fam, F)
-    assert all(np.array_equal(phi[lam], repalg._q_piece(fam, lam, closure))
+    assert all(np.array_equal(phi[lam], repalg._without(fam, fam.q(lam), ext[lam]))
                for lam in F if in_closure[lam])
     claims = {c.id: "claim" in c.detail for c in lem3_check(fam, F)}
     assert claims == {f"lem3:{lam.label()}": brute(lam, F) for lam in F}
