@@ -153,6 +153,8 @@ def is_exhaustive(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdict:
     the brute-force oracle below stays in the test suite as a permanent
     guard on this reduction.
     """
+    if v not in g.vertices:
+        raise KGraphError(f"unknown vertex {v!r}")
     E = list(E)
     if not E:
         raise EmptyEError(f"empty candidate set at {v!r} is not exhaustive")

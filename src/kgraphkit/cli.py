@@ -399,9 +399,9 @@ def cmd_rep_verify(args):
     fam = get_fock() if args.family == "fock" else get_boundary()
 
     # MCEs of paths below gen_cap lie below it, so F is MCE-closed and holds
-    # the source vertex of each member
+    # the source vertex of each member: F is its own pool
     F = paths_up_to_degree(g, gen_cap)
-    checked_rep = functools.cache(lambda: boolean_rep(fam, cap=gen_cap))
+    decomposed = functools.cache(lambda: q_decomposition(boolean_rep(fam, cap=gen_cap), F))
     checks: list[repalg.CheckResult] = []
     for suite in suites:
         try:
@@ -410,10 +410,10 @@ def cmd_rep_verify(args):
             elif suite == "ck":
                 checks += verify_ck(fam, fe_cap)
             elif suite == "lem1":
-                q_decomposition(checked_rep(), F)
+                decomposed()
                 checks.append(repalg.CheckResult("lem1", "pass"))
             elif suite == "lem3":
-                checks += lem3_check(checked_rep(), F)
+                checks += lem3_check(fam, decomposed())
             elif suite == "phi2":
                 phi = build_separating_system(fam, F)
                 checks += [verify_phi2(fam, phi, mu, nu, lam)

@@ -66,14 +66,6 @@ class BooleanRelationFailure(KGraphError):
     pass
 
 
-class SourceClosureViolation(KGraphError):
-    pass
-
-
-class NotMceClosed(KGraphError):
-    pass
-
-
 class SeparationSearchExhausted(KGraphError):
     """Raised when no separating data was found within the depth budget.
 
@@ -794,21 +786,18 @@ def _extensions(pool: Sequence[Path]) -> dict:
             for lam in pool}
 
 
-def _require_mce_closed(g: KGraph, F: Sequence[Path]) -> list[Path]:
-    """F sorted and deduplicated, once vee F adds nothing to it: the same as
-    pairwise MCE closure, as vee folds MCE(G ∪ {rho}) = ⋃_{lam in MCE(G)} MCE(lam, rho)."""
-    members = set(F)
-    closed = vee(g, members)
-    outside = [w for w in closed if w not in members]
-    if outside:
-        raise NotMceClosed(f"{outside[0].label()} lies in vee F but not in F")
-    return closed
+def _pool(g: KGraph, F: Sequence[Path]) -> list[Path]:
+    """The pool of Q pieces: F closed under MCE and sources, vee F and the
+    source vertex of each member.  The vertices keep it MCE-closed, as
+    MCE(lam, v) is {lam} when r(lam) = v and empty otherwise."""
+    closed = vee(g, F)
+    return sorted({*closed, *(g.vertex_path(w.source_vertex) for w in closed)}, key=Path.sort_key)
 
 
 def _lem3_witness(g: KGraph, lam: Path, ext: dict) -> tuple[list[Path], Optional[Path]]:
-    """λ's extension tails B = {α : λα in ext[λ]}, ext a pool's _extensions,
-    and Lemma 3's witness: a path from s(λ) meeting no member of B (the
-    vertex when B is empty), or None when B is exhaustive."""
+    """λ's extension tails B = {α : λα in ext[λ]}, ext the _extensions of F's
+    pool or closure, and Lemma 3's witness: a path from s(λ) meeting no member
+    of B (the vertex when B is empty), or None when B is exhaustive."""
     B = [segment(w, lam.degree, w.degree) for w in ext[lam]]
     if not B:
         return B, g.vertex_path(lam.source_vertex)
@@ -816,29 +805,24 @@ def _lem3_witness(g: KGraph, lam: Path, ext: dict) -> tuple[list[Path], Optional
 
 
 def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> dict:
-    """Mutually orthogonal pieces Q_lam refining the projections over vee F,
-    as a dict lam -> mask in vee order.
+    """Mutually orthogonal pieces Q_lam refining the projections over the pool
+    of F (_pool), as a dict lam -> mask in pool order.
 
     Q_lam multiplies q_lam by (q_lam - q_lam·alpha) over all proper
-    extensions inside vee F; orthogonality and the reconstruction of each
+    extensions inside the pool; orthogonality and the reconstruction of each
     q_mu as the sum of the Q's over its extensions are asserted exactly.
     """
     g = fam.graph
-    F = sorted(set(F), key=Path.sort_key)
-    for lam in F:
-        if g.vertex_path(lam.source_vertex) not in F:
-            raise SourceClosureViolation(
-                f"{lam.label()} is in F but its source {lam.source_vertex} is not")
-    vee_F = vee(g, F)
-    ext = _extensions(vee_F)
-    Q = {lam: _without(fam, fam.q(lam), ext[lam]) for lam in vee_F}
+    pool = _pool(g, F)
+    ext = _extensions(pool)
+    Q = {lam: _without(fam, fam.q(lam), ext[lam]) for lam in pool}
 
-    cols = fam.safe_columns(join_degrees((w.degree for w in vee_F), g.rank))
+    cols = fam.safe_columns(join_degrees((w.degree for w in pool), g.rank))
     overlap = _first_overlap(Q, cols)
     if overlap is not None:
         a, b = overlap
         raise BooleanRelationFailure(f"Q_{a.label()} and Q_{b.label()} are not orthogonal")
-    for mu in vee_F:
+    for mu in pool:
         pieces = [Q[mu]] + [Q[w] for w in ext[mu]]
         if first_difference_on(fam.basis, fam.q(mu), pieces, cols) is not None:
             raise BooleanRelationFailure(
@@ -846,24 +830,28 @@ def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> dict:
     return Q
 
 
-def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> list[CheckResult]:
-    """Nonvanishing of Q_alpha whenever the extension set below alpha in F
-    fails to be exhaustive, witnessed by a projection it dominates."""
+def lem3_check(fam: IsometryFamily, Q: dict) -> list[CheckResult]:
+    """Nonvanishing of Q_alpha, Q q_decomposition's dict over a pool, whenever
+    alpha's extension set in the pool fails to be exhaustive, witnessed by a
+    projection it dominates.  Where boolean_rep passed on the pool, as in
+    rep-verify, q_decomposition's tests cannot fail: at a column j safe at the
+    pool's degree, so at each pair's, the product rule makes the members w with
+    q_w(j) = 1 the pool's prefixes of one lam_j, so Q_lam(j) = 1 iff lam = lam_j."""
     g = fam.graph
-    F = _require_mce_closed(g, F)
-    for lam in F:
+    pool = list(Q)
+    for lam in pool:
         if not fam.q(lam).any():
             raise BooleanRelationFailure(f"q_{lam.label()} vanishes; hypothesis violated")
 
-    checks, ext = [], _extensions(F)
-    for alpha in F:
+    checks, ext = [], _extensions(pool)
+    for alpha in pool:
         tau = _lem3_witness(g, alpha, ext)[1]
         if tau is None:
             checks.append(CheckResult(f"lem3:{alpha.label()}", "pass",
                                       detail={"claim": "none (extension set exhaustive)"}))
             continue
         q_ext = fam.q(compose(alpha, tau))
-        ok = q_ext.any() and not np.any(q_ext & ~_without(fam, fam.q(alpha), ext[alpha]))
+        ok = q_ext.any() and not np.any(q_ext & ~Q[alpha])
         witness = fam.basis.labels[np.argmax(q_ext)] if ok else None
         checks.append(CheckResult(
             f"lem3:{alpha.label()}", "pass" if ok else "fail", witness=witness,
@@ -874,16 +862,11 @@ def lem3_check(fam: IsometryFamily, F: Sequence[Path]) -> list[CheckResult]:
 def diagonal_norm(fam: IsometryFamily, coeffs: dict) -> float:
     """Exact norm of a diagonal combination sum c_lam q_lam.
 
-    The combination is constant on each nonzero piece Q_alpha of the vee
-    closure of the support, so the norm is the largest sector total in
-    absolute value.
+    The combination is constant on each nonzero piece Q_alpha over the pool
+    of the support, so the norm is the largest sector total in absolute value.
     """
-    g = fam.graph
     support = {lam: c for lam, c in coeffs.items() if c != 0}
-    if not support:
-        return 0.0
-    F = set(support) | {g.vertex_path(lam.source_vertex) for lam in support}
-    Q = q_decomposition(fam, sorted(F, key=Path.sort_key))
+    Q = q_decomposition(fam, list(support))
     return float(max((abs(sum(c for lam, c in support.items() if extends(alpha, lam)))
                       for alpha, piece in Q.items() if piece.any()), default=0.0))
 
@@ -1009,7 +992,7 @@ def _closure(g: KGraph, F: Sequence[Path]) -> list[Path]:
 
 def build_separating_system(fam: IsometryFamily, F: Sequence[Path]) -> dict:
     """Mutually orthogonal compressions phi_lam straddling the diagonal, as a
-    dict lam -> mask in sorted F order.
+    dict lam -> mask over the pool of F (_pool), in pool order.
 
     For each lam whose extension set inside the closure fails to be
     exhaustive, a path alpha avoiding that set is grown until every color
@@ -1021,7 +1004,7 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path]) -> dict:
     system is returned.
     """
     g = fam.graph
-    F = _require_mce_closed(g, F)
+    F = _pool(g, F)
     vee_F_bar = _closure(g, F)
     ext = _extensions(vee_F_bar)
     M = join_degrees((w.degree for w in vee_F_bar), g.rank)

@@ -40,6 +40,7 @@ from kgraphkit.boundary import (
 from kgraphkit.core import (
     Degree,
     KGraph,
+    KGraphError,
     Path,
     compose,
     degrees_up_to,
@@ -47,7 +48,11 @@ from kgraphkit.core import (
     paths_up_to_degree,
     segment,
 )
-from kgraphkit.repalg import BoundaryFamily, NotMceClosed, build_boundary_family
+from kgraphkit.repalg import BoundaryFamily, build_boundary_family
+
+
+class NotMceClosed(KGraphError):
+    """Raised by mce_closed_pairwise on a set missing an MCE of two members."""
 
 
 def mce_brute(g: KGraph, mu: Path, nu: Path) -> list[Path]:

@@ -181,9 +181,9 @@ def test_criterion_6_lem1_lem3(fock_b2_n4, bouquet2):
         for F in ([v, a, b], [v, a], [v, a, b, aa, ab]):
             Q = q_decomposition(q, F)  # orthogonality and eq1 asserted inside
             assert list(Q) == vee(bouquet2, F)
-            report = lem3_check(q, F)
+            report = lem3_check(q, Q)
             assert all(c.ok for c in report), [c.to_jsonable() for c in report if not c.ok]
-        report = lem3_check(q, [v, a])
+        report = lem3_check(q, q_decomposition(q, [v, a]))
         by_id = {c.id: c for c in report}
         assert by_id["lem3:v"].witness == "b"
 

@@ -25,10 +25,9 @@ from kgraphkit.alignment import (
     vee,
 )
 from kgraphkit.core import Path, _omega_vertex
-from kgraphkit.repalg import NotMceClosed, _require_mce_closed
 
 from conftest import nlc_presentation
-from oracles import enumerate_fe_brute, mce_brute, mce_closed_pairwise, vee_brute
+from oracles import NotMceClosed, enumerate_fe_brute, mce_brute, mce_closed_pairwise, vee_brute
 
 
 class TestMce:
@@ -157,34 +156,36 @@ def test_vee_matches_subset_oracle(data, corpus, twin, name):
     assert vee(g, F) == vee_brute(g, F), [p.label() for p in F]
 
 
-def _closed_or_raises(check, g, F):
+def _closed_pairwise(g, F):
     try:
-        return check(g, F)
+        mce_closed_pairwise(g, F)
     except NotMceClosed:
-        return NotMceClosed
+        return False
+    return True
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("name", ["bouquet2", "flip", "omega22", "twin"])
 def test_mce_closed_matches_pairwise_referee(data, corpus, twin, name):
-    # the pool spans every range vertex, so F may hold cross-range pairs; half
-    # the draws are vee-closed, then given at most one more path, so that both
-    # outcomes occur
+    # F is MCE-closed exactly when vee F adds nothing to it.  The pool spans
+    # every range vertex, so F may hold cross-range pairs; half the draws are
+    # vee-closed, then given at most one more path, so that both outcomes occur
     g = twin if name == "twin" else corpus[name]
     pool = paths_up_to_degree(g, _pair_cap(g))
     F = data.draw(st.lists(st.sampled_from(pool), max_size=7))
     if data.draw(st.booleans()):
         F = vee(g, F) + data.draw(st.lists(st.sampled_from(pool), max_size=1))
-    assert (_closed_or_raises(_require_mce_closed, g, F)
-            == _closed_or_raises(mce_closed_pairwise, g, F)), [p.label() for p in F]
+    assert ((vee(g, F) == sorted(set(F), key=Path.sort_key))
+            == _closed_pairwise(g, F)), [p.label() for p in F]
 
 
 def test_mce_closed_check_names_the_first_path_outside(omega22):
     F = [omega22.edge_path("e1_0_0"), omega22.edge_path("e2_0_0")]
     (gamma,) = mce(omega22, *F)
-    with pytest.raises(NotMceClosed, match=f"^{gamma.label()} lies in vee F but not in F$"):
-        _require_mce_closed(omega22, F)
+    assert [w for w in vee(omega22, F) if w not in F] == [gamma]
+    with pytest.raises(NotMceClosed, match=f"contains {gamma.label()} outside F$"):
+        mce_closed_pairwise(omega22, F)
 
 
 def test_mce_closed_check_is_one_vee(omega222, monkeypatch):
@@ -199,7 +200,7 @@ def test_mce_closed_check_is_one_vee(omega222, monkeypatch):
 
     monkeypatch.setattr(alignment, "mce_set", counted)
     F = paths_up_to_degree(omega222, (2, 2, 2))
-    assert _require_mce_closed(omega222, F) == sorted(F, key=Path.sort_key)
+    assert vee(omega222, F) == sorted(F, key=Path.sort_key)
     assert len(F) == 216 and 0 < calls <= 2_000
 
 

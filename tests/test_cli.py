@@ -90,6 +90,13 @@ class TestQueries:
         assert captured.out == ""
         assert captured.err == "error: unknown vertex 'zzz'\n"
 
+    def test_exhaustive_unknown_vertex_exits_2(self, capsys, graph_files):
+        # the vertex is refused before any member is checked against it
+        assert main(["exhaustive", graph_files["bouquet2"], "zzz", "a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown vertex 'zzz'\n"
+
     def test_mce(self, capsys, graph_files):
         code, payload, _ = run(capsys, ["mce", graph_files["omega22"],
                                         "e1_0_0", "e2_0_0"])

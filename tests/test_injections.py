@@ -156,8 +156,8 @@ def test_zero_one_checks_use_no_sparse_products(bouquet2, monkeypatch):
     F_closed = vee(bouquet2, F_small)
     assert all(c.ok for c in verify_tck(fam, cap=(2,)))
     assert [c.id for c in verify_ck(fam, (1,)) if not c.ok] == ["CK:v:{a,b}"]
-    q_decomposition(boolean_rep(fam, cap=(1,)), F_closed)
-    assert all(c.ok for c in lem3_check(fam, F_closed))
+    Q = q_decomposition(boolean_rep(fam, cap=(1,)), F_closed)
+    assert all(c.ok for c in lem3_check(fam, Q))
     phi = build_separating_system(fam, F_closed)
     assert all(verify_phi2(fam, phi, mu, nu, lam).ok
                for lam in phi for mu in phi for nu in phi)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -20,10 +21,11 @@ from oracles import (
     matrix_unit_span_rank,
     overlapping_pairs,
 )
-from kgraphkit import alignment, repalg
+from kgraphkit import alignment, kgraph_to_dict, repalg
 from kgraphkit.alignment import extends, is_exhaustive_brute, vee
 from kgraphkit.boundary import shift, thue_morse_path
-from kgraphkit.core import paths_up_to_degree, segment
+from kgraphkit.cli import main
+from kgraphkit.core import Path, paths_up_to_degree, segment
 from kgraphkit.repalg import (
     BooleanRelationFailure,
     BoundaryFamily,
@@ -31,9 +33,7 @@ from kgraphkit.repalg import (
     EmptySeedSet,
     FormalElement,
     NonConvergence,
-    NotMceClosed,
     SeparationSearchExhausted,
-    SourceClosureViolation,
     WindowCollision,
     boolean_rep,
     build_boundary_family,
@@ -616,8 +616,7 @@ class TestExtensions:
         calls = _range_spy(monkeypatch)
         fam = boolean_rep(build_fock_family(omega222, (2, 2, 2)), (2, 2, 2))
         F = paths_up_to_degree(omega222, (2, 2, 2))
-        q_decomposition(fam, F)
-        assert all(c.ok for c in lem3_check(fam, F))
+        assert all(c.ok for c in lem3_check(fam, q_decomposition(fam, F)))
         assert len(calls) <= 12_000 and all(calls)
 
     def test_separating_system_calls_extends_on_same_range_pairs_only(self, omega22,
@@ -626,6 +625,55 @@ class TestExtensions:
         build_separating_system(build_fock_family(omega22, (2, 2)),
                                 paths_up_to_degree(omega22, (1, 1)))
         assert calls and all(calls)
+
+
+class TestPool:
+    @pytest.mark.parametrize("graph, cap", [
+        ("c3", (4,)), ("bouquet2", (3,)), ("flip", (2, 2)), ("twin", (1, 1)),
+        ("omega22", (2, 2)), ("omega222", (2, 2, 2))],
+        ids=["c3", "bouquet2", "flip", "twin", "omega22", "omega222"])
+    def test_paths_up_to_a_degree_are_their_own_pool(self, request, graph, cap):
+        # rep-verify's F: MCEs of paths below a degree lie below it, and each
+        # path's source vertex is among them
+        g = request.getfixturevalue(graph)
+        F = paths_up_to_degree(g, cap)
+        assert repalg._pool(g, F) == sorted(F, key=Path.sort_key)
+
+    def test_lem1_lem3_close_f_once(self, omega222, capsys, tmp_path, monkeypatch):
+        # rep-verify lem1,lem3 on omega222 at (2,2,2): lem3 reads lem1's
+        # decomposition, so F's pool takes one vee; closing it again for lem3
+        # made 2 vee calls and 5,499 mce_set calls
+        vees, mces = [], []
+        real_vee, real_mce_set = repalg.vee, alignment.mce_set
+        monkeypatch.setattr(repalg, "vee", lambda g, F: vees.append(1) or real_vee(g, F))
+        monkeypatch.setattr(alignment, "mce_set",
+                            lambda g, F: mces.append(1) or real_mce_set(g, F))
+        path = tmp_path / "omega222.kg"
+        path.write_text(json.dumps(kgraph_to_dict(omega222)), encoding="utf-8")
+        assert main(["rep-verify", str(path), "--cap", "2,2,2", "--gen-cap", "2,2,2",
+                     "--suite", "lem1,lem3"]) == 0
+        assert capsys.readouterr().err == "kgraphkit rep-verify: pass=217\n"
+        assert len(vees) == 1 and len(mces) <= 4_000
+
+
+# F lacks its members' sources and, on omega22, the MCE of its two edges and
+# that MCE's source v1_1; the chain closes F to its pool, the given labels
+OPEN_F = pytest.mark.parametrize("graph, words, pool", [
+    ("bouquet2", ["a"], ["v", "a"]),
+    ("omega22", ["e1_0_0", "e2_0_0"],
+     ["v0_1", "v1_0", "v1_1", "e2_0_0", "e1_0_0", "e1_0_0.e2_1_0"])],
+    ids=["bouquet2", "omega22"])
+
+
+def _open_f(request, graph, words, pool):
+    """A boolean Fock family large enough for the separating system, the open
+    F of the given edges, and its pool, checked against the given labels."""
+    g = request.getfixturevalue(graph)
+    fam = boolean_rep(build_fock_family(g, (8,) if g.rank == 1 else (2, 2)), cap=(1,) * g.rank)
+    F = [g.edge_path(w) for w in words]
+    closed = repalg._pool(g, F)
+    assert [w.label() for w in closed] == pool
+    return fam, F, closed
 
 
 class TestQDecomposition:
@@ -646,10 +694,12 @@ class TestQDecomposition:
         Q = q_decomposition(q, [bouquet2.vertex_path("v")])
         assert np.array_equal(Q[bouquet2.vertex_path("v")], q.q(bouquet2.vertex_path("v")))
 
-    def test_source_closure_enforced(self, fock_b2_n4, bouquet2):
-        q = boolean_rep(fock_b2_n4, cap=(1,))
-        with pytest.raises(SourceClosureViolation):
-            q_decomposition(q, [bouquet2.edge_path("a")])
+    @OPEN_F
+    def test_open_f_decomposes_as_its_pool(self, request, graph, words, pool):
+        fam, F, closed = _open_f(request, graph, words, pool)
+        Q = q_decomposition(fam, F)
+        assert list(Q) == closed
+        assert all(np.array_equal(Q[w], m) for w, m in q_decomposition(fam, closed).items())
 
     def test_omega_boundary_vertex_vanishes(self, boundary_omega, omega22):
         q = boolean_rep(boundary_omega, cap=(1, 1))
@@ -663,7 +713,8 @@ class TestQDecomposition:
 class TestLem3:
     def test_nonexhaustive_branch(self, fock_b2_n4, bouquet2):
         q = boolean_rep(fock_b2_n4, cap=(1,))
-        report = lem3_check(q, [bouquet2.vertex_path("v"), bouquet2.edge_path("a")])
+        F = [bouquet2.vertex_path("v"), bouquet2.edge_path("a")]
+        report = lem3_check(q, q_decomposition(q, F))
         by_id = {c.id: c for c in report}
         assert by_id["lem3:v"].ok and by_id["lem3:v"].witness == "b"
         assert by_id["lem3:a"].ok
@@ -671,15 +722,17 @@ class TestLem3:
     def test_exhaustive_branch_makes_no_claim(self, fock_b2_n4, bouquet2):
         q = boolean_rep(fock_b2_n4, cap=(1,))
         F = [bouquet2.vertex_path("v"), bouquet2.edge_path("a"), bouquet2.edge_path("b")]
-        report = lem3_check(q, F)
+        report = lem3_check(q, q_decomposition(q, F))
         by_id = {c.id: c for c in report}
         assert "none" in by_id["lem3:v"].detail["claim"]
 
-    def test_mce_closure_enforced(self, omega22):
-        fam = build_fock_family(omega22, (2, 2))
-        q = boolean_rep(fam, cap=(1, 1))
-        with pytest.raises(NotMceClosed):
-            lem3_check(q, [omega22.edge_path("e1_0_0"), omega22.edge_path("e2_0_0")])
+    @OPEN_F
+    def test_open_f_checks_as_its_pool(self, request, graph, words, pool):
+        fam, F, closed = _open_f(request, graph, words, pool)
+        report = lem3_check(fam, q_decomposition(fam, F))
+        assert report == lem3_check(fam, q_decomposition(fam, closed))
+        assert [c.id for c in report] == [f"lem3:{label}" for label in pool]
+        assert all(c.ok for c in report)
 
 
 class TestDiagonalNorm:
@@ -794,9 +847,11 @@ class TestSeparatingSystem:
                 assert not np.any(phis[i] & phis[j])
 
     def test_two_loop_f(self, fock_b2_n8, bouquet2):
+        # the pool adds the loops' source vertex
         phi = build_separating_system(
             fock_b2_n8, [bouquet2.edge_path("a"), bouquet2.edge_path("b")])
-        assert set(phi) == {bouquet2.edge_path("a"), bouquet2.edge_path("b")}
+        assert set(phi) == {bouquet2.vertex_path("v"), bouquet2.edge_path("a"),
+                            bouquet2.edge_path("b")}
 
     def test_omega_system(self, omega22):
         fam = build_fock_family(omega22, (2, 2))
@@ -823,11 +878,13 @@ class TestSeparatingSystem:
         assert all(np.array_equal(phi[lam], repalg._without(fam, fam.q(lam), ext[lam]))
                    for lam in F)
 
-    def test_mce_closure_enforced(self, omega22):
-        fam = build_fock_family(omega22, (2, 2))
-        with pytest.raises(NotMceClosed):
-            build_separating_system(
-                fam, [omega22.edge_path("e1_0_0"), omega22.edge_path("e2_0_0")])
+    @OPEN_F
+    def test_open_f_separates_as_its_pool(self, request, graph, words, pool):
+        fam, F, closed = _open_f(request, graph, words, pool)
+        phi = build_separating_system(fam, F)
+        assert list(phi) == closed
+        assert all(np.array_equal(phi[w], m)
+                   for w, m in build_separating_system(fam, closed).items())
 
     def test_singleton_vertex_f(self, fock_b2_n8, bouquet2):
         v = bouquet2.vertex_path("v")
@@ -861,7 +918,7 @@ def test_lem3_witness_matches_brute_exhaustiveness(request, graph, f_cap, cap, e
     phi = build_separating_system(fam, F)
     assert all(np.array_equal(phi[lam], repalg._without(fam, fam.q(lam), ext[lam]))
                for lam in F if in_closure[lam])
-    claims = {c.id: "claim" in c.detail for c in lem3_check(fam, F)}
+    claims = {c.id: "claim" in c.detail for c in lem3_check(fam, q_decomposition(fam, F))}
     assert claims == {f"lem3:{lam.label()}": brute(lam, F) for lam in F}
     assert (sum(in_closure.values()), sum(claims.values())) == exhaustive
     assert len(F) > exhaustive[1]
