@@ -1,8 +1,13 @@
 """Minimal common extensions, the vee closure, and exhaustive sets.
 
-The fast MCE versions extend one participant along degree complements and
-filter by the prefix condition, vee is built from pairwise MCEs, and
-is_exhaustive and enumerate_fe share one finite test set (_test_degree).
+MCEs come two ways.  mce_table is the batch route: one sweep over the paths
+below a cap gives MCE(μ, ν) with the tails of every member for all pairs
+below it, memoised on the graph per cap; verify_tck and boolean_rep read it.
+The pairwise mce and mce_set serve single pairs and sets (the mce command,
+vee, the Lemma 3 chain) and referee the sweep in the tests: they extend one
+participant along degree complements and filter by the prefix condition.
+vee is built from pairwise MCEs, and is_exhaustive and enumerate_fe share
+one finite test set (_test_degree).
 Each has a brute-force referee, which the test suite keeps wired to it.
 mce_set_brute and is_exhaustive_brute stay here while the benchmark's record
 script imports them from here; the rest, mce_brute among them, live in
@@ -11,6 +16,7 @@ tests/oracles.py.  No other module of the package calls a referee.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -48,8 +54,61 @@ def extends(lam: Path, mu: Path) -> bool:
 
 
 def mce(g: KGraph, mu: Path, nu: Path) -> list[Path]:
-    """Common extensions of degree exactly d(mu) v d(nu), sorted by word."""
+    """Common extensions of degree exactly d(mu) v d(nu), sorted by word.
+
+    One pair at a time; mce_table gives every pair below a cap in one sweep.
+    """
     return mce_set(g, (mu, nu))
+
+
+def mce_table(g: KGraph, cap) -> dict[tuple[Path, Path], list[tuple[Path, Path, Path]]]:
+    """(μ, ν) -> [(λ, α, β) for λ in MCE(μ, ν)] for the paths μ, ν of degree
+    <= cap, where λ = μα = νβ; the lists are in mce's word order, and a pair
+    with no common extension has no key.
+
+    A member λ of MCE(μ, ν) has degree d(μ) ∨ d(ν) <= cap and μ = λ(0, d(μ)),
+    so λ lies in MCE(λ(0, a), λ(0, b)) for exactly the a, b <= d(λ) with
+    a ∨ b = d(λ): in each color a_i = d_i or b_i = d_i.  One sweep over the
+    paths below the cap splits each λ once at every a <= d(λ) and files it
+    under each such pair.  Paths come in (degree, range, word) order and each
+    key's members share degree and range, so each list is in word order.
+    The table is built once per graph and cap and shared by its readers,
+    which never change it.
+    """
+    cap = Degree(cap)
+    table = g._mce_tables.get(cap)
+    if table is None:
+        table = g._mce_tables[cap] = _mce_sweep(g, cap)
+    return table
+
+
+def _mce_sweep(g: KGraph, cap: Degree) -> dict:
+    table: dict = {}
+    joins: dict = {}  # d -> the pairs (a, b) with a ∨ b = d, as plain tuples
+    for lam in paths_up_to_degree(g, cap):
+        d = lam.degree
+        pairs = joins.get(d)
+        if pairs is None:
+            per_color = [[(c, x) for x in range(c + 1)] + [(x, c) for x in range(c)] for c in d]
+            pairs = joins[d] = [tuple(zip(*ab)) for ab in itertools.product(*per_color)]
+        cuts = {a: _cut(g, lam, a) for a in degrees_up_to(d)}
+        for a, b in pairs:
+            (mu, alpha), (nu, beta) = cuts[a], cuts[b]
+            table.setdefault((mu, nu), []).append((lam, alpha, beta))
+    return table
+
+
+def _cut(g: KGraph, lam: Path, a: Degree) -> tuple[Path, Path]:
+    """(λ(0, a), λ(a, d(λ))) from one split of λ's word."""
+    d = lam.degree
+    if not any(a):
+        return g.vertex_path(lam.range_vertex), lam
+    if a == d:
+        return lam, g.vertex_path(lam.source_vertex)
+    front, rest = g._split(lam.word, d, a)
+    mid = g.edges[front[-1]].source_vertex
+    return (Path(g, lam.range_vertex, mid, front, a),
+            Path(g, mid, lam.source_vertex, rest, d - a))
 
 
 def mce_set(g: KGraph, F: Iterable[Path]) -> list[Path]:

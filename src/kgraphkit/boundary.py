@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -326,7 +327,8 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
     normal form σ^s(y), a vertex prefix on a root y, reads its outcomes from
     y's at s + n, and the shifts of one seed share them; a handle with a
     non-vertex prefix tests its own positions.  The FE sets of each vertex
-    are enumerated once.
+    are enumerated once.  Positions are keyed as plain tuples, so a Degree
+    is built once per position tested, not once per handle and position.
     """
     fe_cap = Degree(fe_cap)
     width = Degree(window)
@@ -334,7 +336,7 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
     # base handle -> absolute position -> labels of the first unmet set, ()
     # when every set is met; keyed by the handle itself, which the dict keeps
     # alive for the call
-    outcomes: dict[BoundaryPathHandle, dict[Degree, Sequence[str]]] = {}
+    outcomes: dict[BoundaryPathHandle, dict[tuple, Sequence[str]]] = {}
 
     def unmet(y: BoundaryPathHandle, p: Degree) -> Sequence[str]:
         """Labels of the first FE set at position p of y that no tail segment
@@ -357,10 +359,10 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
             y, s = x, Degree.zero(x.graph.rank)
         seen = outcomes.setdefault(y, {})
         for n in degrees_up_to(width.meet(x.degree)):
-            p = s + n
+            p = tuple(map(operator.add, s, n))
             labels = seen.get(p)
             if labels is None:
-                labels = seen[p] = unmet(y, p)
+                labels = seen[p] = unmet(y, Degree(p))
             if labels:
                 return n, labels
         return None

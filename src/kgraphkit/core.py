@@ -206,10 +206,12 @@ class KGraph:
     Instances are built through validate_presentation or the generators
     below, never directly.
 
-    The _paths memo of paths_of_degree makes a graph that has enumerated
-    paths a reference cycle (graph -> memo -> Path.graph), freed only by the
-    cycle collector.  It stays: the memo holds only the paths that path
-    combinatorics asked for (a FockFamily lays its basis out from degree
+    Two memos hold paths: _paths, filled by paths_of_degree, and
+    _mce_tables, the MCE table of alignment.mce_table per cap, which
+    verify_tck and boolean_rep share within a run.  They make a graph that
+    has enumerated paths a reference cycle (graph -> memo -> Path.graph),
+    freed only by the cycle collector.  They stay: the memos hold only what
+    path combinatorics asked for (a FockFamily lays its basis out from degree
     blocks and enumerates none), a graph lives for a whole CLI run, and
     breaking the cycle would put a weak reference on every Path.
     """
@@ -237,6 +239,8 @@ class KGraph:
             if i != e.color and (i, e.range_vertex) in self._by_color_range)
         # (degree, range vertex) -> its paths, filled by paths_of_degree
         self._paths: dict[tuple[Degree, str], tuple[Path, ...]] = {}
+        # cap -> (μ, ν) -> [(λ, α, β)], filled by alignment.mce_table
+        self._mce_tables: dict[Degree, dict] = {}
 
     # -- basic accessors -------------------------------------------------
 

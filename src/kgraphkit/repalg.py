@@ -40,7 +40,7 @@ from .core import (
     paths_up_to_degree,
     segment,
 )
-from .alignment import enumerate_fe, extends, is_exhaustive, mce, vee
+from .alignment import enumerate_fe, extends, is_exhaustive, mce, mce_table, vee
 from .aperiodicity import separate_family
 from .boundary import (
     BoundaryPathHandle,
@@ -347,6 +347,7 @@ class IsometryFamily:
         self._adjoints: dict[Path, np.ndarray] = {}  # inverse maps
         self._safe: dict[tuple, np.ndarray] = {}
         self._closure: dict[tuple, Degree] = {}  # sorted F -> degree of _closure(F)
+        self._decompositions: dict[tuple, dict] = {}  # sorted support -> its Q pieces
 
     # subclass hooks: (domain, image) indices of t_e for an edge e, and safe columns
     def _edge_generator(self, e: Path) -> tuple[Sequence[int], Sequence[int]]:
@@ -676,7 +677,9 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
 
 def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
     """Exact checks of the three defining relations on safe columns; each
-    adjoint t_lam* is read from the family, which takes it once per path."""
+    adjoint t_lam* is read from the family, which takes it once per path.
+    TCK3's right-hand side, the sum of t_alpha t_beta* over
+    (alpha, beta) in Λ^min(mu, nu), is read from the graph's mce_table."""
     g = fam.graph
     cap = Degree(cap)
     checks = []
@@ -706,13 +709,11 @@ def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
                                       compose_maps(t(lam), t(mu)), [t(compose(lam, mu))],
                                       fam.safe_columns(lam.degree + mu.degree)))
 
+    table = mce_table(g, cap)
     for mu in paths:
         for nu in at[mu.range_vertex]:
-            rhs = []
-            for lam in mce(g, mu, nu):
-                alpha = segment(lam, mu.degree, lam.degree)
-                beta = segment(lam, nu.degree, lam.degree)
-                rhs.append(compose_maps(t(alpha), t_star(beta)))
+            rhs = [compose_maps(t(alpha), t_star(beta))
+                   for _, alpha, beta in table.get((mu, nu), ())]
             checks.append(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", fam.basis,
                                       compose_maps(t_star(mu), t(nu)), rhs,
                                       fam.safe_columns(mu.degree.join(nu.degree))))
@@ -757,6 +758,7 @@ def boolean_rep(fam: IsometryFamily, cap) -> IsometryFamily:
     and the pairs of vertices.  That covers r(mu) != r(nu), where MCE is empty:
     on the safe columns of d(mu) v d(nu), within those of d(mu), the pair
     (r(mu), mu) gives q_mu <= q_r(mu), and the vertex pair q_r(mu) q_r(nu) = 0.
+    Each MCE is read from the graph's mce_table, which verify_tck shares.
     """
     g = fam.graph
     paths = paths_up_to_degree(g, cap)
@@ -764,9 +766,11 @@ def boolean_rep(fam: IsometryFamily, cap) -> IsometryFamily:
     pairs = [(mu, nu) for mu in paths for nu in at[mu.range_vertex]
              if mu.sort_key() <= nu.sort_key()]
     pairs += itertools.combinations([g.vertex_path(v) for v in g.vertices], 2)
+    table = mce_table(g, cap)
     for mu, nu in pairs:
         diff = first_difference_on(
-            fam.basis, fam.q(mu) & fam.q(nu), [fam.q(gamma) for gamma in mce(g, mu, nu)],
+            fam.basis, fam.q(mu) & fam.q(nu),
+            [fam.q(lam) for lam, _, _ in table.get((mu, nu), ())],
             fam.safe_columns(mu.degree.join(nu.degree)))
         if diff is not None:
             raise BooleanRelationFailure(
@@ -864,9 +868,13 @@ def diagonal_norm(fam: IsometryFamily, coeffs: dict) -> float:
 
     The combination is constant on each nonzero piece Q_alpha over the pool
     of the support, so the norm is the largest sector total in absolute value.
+    The pieces are taken once per family and sorted support.
     """
     support = {lam: c for lam, c in coeffs.items() if c != 0}
-    Q = q_decomposition(fam, list(support))
+    key = tuple(sorted(support, key=Path.sort_key))
+    Q = fam._decompositions.get(key)
+    if Q is None:
+        Q = fam._decompositions[key] = q_decomposition(fam, key)
     return float(max((abs(sum(c for lam, c in support.items() if extends(alpha, lam)))
                       for alpha, piece in Q.items() if piece.any()), default=0.0))
 

@@ -22,9 +22,10 @@ from kgraphkit.alignment import (
     mce,
     mce_set,
     mce_set_brute,
+    mce_table,
     vee,
 )
-from kgraphkit.core import Path, _omega_vertex
+from kgraphkit.core import Path, _omega_vertex, segment
 
 from conftest import nlc_presentation
 from oracles import NotMceClosed, enumerate_fe_brute, mce_brute, mce_closed_pairwise, vee_brute
@@ -118,6 +119,46 @@ def test_mce_matches_brute_force(corpus, name):
     for mu in paths:
         for nu in paths:
             assert mce(g, mu, nu) == mce_brute(g, mu, nu), (mu.label(), nu.label())
+
+
+def _exact(p: Path) -> tuple:
+    """Everything a Path carries: Path equality reads the range and word only."""
+    return p.range_vertex, p.word, p.source_vertex, type(p.degree), tuple(p.degree)
+
+
+def _mce_table_by_pairs(g, cap) -> dict:
+    """The sweep's referee: pairwise mce on every ordered pair of paths below
+    the cap, each member's tails taken by segment."""
+    paths = paths_up_to_degree(g, cap)
+    return {(_exact(mu), _exact(nu)): [(_exact(lam), _exact(segment(lam, mu.degree, lam.degree)),
+                                        _exact(segment(lam, nu.degree, lam.degree)))
+                                       for lam in got]
+            for mu in paths for nu in paths if (got := mce(g, mu, nu))}
+
+
+def _exact_table(table) -> dict:
+    return {(_exact(mu), _exact(nu)): [tuple(map(_exact, row)) for row in rows]
+            for (mu, nu), rows in table.items()}
+
+
+@pytest.mark.parametrize("name, cap", [
+    ("bouquet2", (4,)), ("c3", (4,)), ("flip", (2, 2)), ("omega22", (2, 2)),
+    ("omega222", (2, 2, 2)), ("nlc", (2, 2)), ("ladder3", (2, 3))],
+    ids=["bouquet2", "c3", "flip", "omega22", "omega222", "nlc", "ladder3"])
+def test_mce_table_matches_pairwise_mce(request, name, cap):
+    # every ordered pair below the cap, ranges equal or not: the members in
+    # mce's order, and the tails' words, endpoints and degrees as segment's
+    g = request.getfixturevalue(name)
+    table = mce_table(g, cap)
+    assert table is mce_table(g, Degree(cap))
+    assert _exact_table(table) == _mce_table_by_pairs(g, cap)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cap=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_mce_table_matches_pairwise_mce_on_flip(cap, flip):
+    # flip's squares swap a and b past f, so the tails are reordered words
+    assert _exact_table(mce_table(flip, cap)) == _mce_table_by_pairs(flip, cap)
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgraphkit import Degree, compose
+from kgraphkit import Degree, compose, kgraph_to_dict
 from kgraphkit.boundary import (
     INF,
     BoundaryPathHandle,
@@ -29,6 +30,7 @@ from kgraphkit.boundary import (
     substitution_path,
     thue_morse_path,
 )
+from kgraphkit.cli import main
 from kgraphkit.core import _omega_vertex, degrees_up_to, paths_up_to_degree
 
 from oracles import nested_extend, nested_shift
@@ -302,6 +304,25 @@ class TestBoundaryCondition:
         n, E = witness
         assert Degree(n) <= Degree((1, 0))
         assert E  # the unmet finite exhaustive set is reported
+
+    def test_positions_are_not_rebuilt_per_handle(self, bouquet2, tmp_path, capsys,
+                                                  monkeypatch):
+        # boundary-check on the 64 Thue-Morse shifts at window 512: 576
+        # distinct positions.  A Degree per (handle, position) for the memo
+        # key s + n made 37,005 Degree.__add__ calls, 32,832 of them that sum;
+        # the rest come from windows, FE tests and shifts
+        calls = []
+        real = Degree.__add__
+        monkeypatch.setattr(Degree, "__add__", lambda a, b: calls.append(1) or real(a, b))
+        graph, seeds = tmp_path / "bouquet2.kg", tmp_path / "tm64.json"
+        graph.write_text(json.dumps(kgraph_to_dict(bouquet2)), encoding="utf-8")
+        seeds.write_text(json.dumps({"handles": [{"kind": "substitution", "seed": "a",
+                                                  "rules": {"a": "ab", "b": "ba"},
+                                                  "shifts": 64}]}), encoding="utf-8")
+        assert main(["boundary-check", str(graph), "--seeds", str(seeds), "--window", "512",
+                     "--fe-cap", "1", "--shift-bound", "8"]) == 0
+        assert capsys.readouterr().err == "kgraphkit boundary-check: pass=128\n"
+        assert len(calls) <= 5_000
 
     def test_truncated_user_handle_raises(self, bouquet2):
         # a window the handle cannot supply is never read as a pass or a fail

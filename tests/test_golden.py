@@ -70,6 +70,10 @@ RUNS = {
     "rep-verify-fock-bouquet2": (["rep-verify", "bouquet2.kg", "--cap", "4",
                                   "--gen-cap", "1", "--seeds", "tm.json", "--window", "32",
                                   "--suite", EXACT_SUITES, "--suite-size", "2"], 1),
+    # flip's squares swap a and b past f, so _split reorders the tails that
+    # TCK3 reads: the Toeplitz family fails its 5 CK gap checks by design
+    "rep-verify-fock-flip": (["rep-verify", "flip.kg", "--cap", "3,3", "--gen-cap", "2,2",
+                              "--fe-cap", "1,1", "--suite", "tck,ck,lem1,lem3"], 1),
     "rep-verify-boundary-omega22": (["rep-verify", "omega22.kg", "--family", "boundary",
                                      "--cap", "2,2", "--gen-cap", "1,1", "--fe-cap", "1,1",
                                      "--window", "2,2", "--suite", EXACT_SUITES,

@@ -21,7 +21,7 @@ from oracles import (
     matrix_unit_span_rank,
     overlapping_pairs,
 )
-from kgraphkit import alignment, kgraph_to_dict, repalg
+from kgraphkit import Degree, alignment, cli, kgraph_to_dict, repalg
 from kgraphkit.alignment import extends, is_exhaustive_brute, vee
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.cli import main
@@ -627,6 +627,45 @@ class TestExtensions:
         assert calls and all(calls)
 
 
+class TestMceSweep:
+    def test_tck_and_product_rule_read_one_sweep(self, omega222, tmp_path, capsys,
+                                                 monkeypatch):
+        # rep-verify tck,lem1 on omega222 at (2,2,2): verify_tck and boolean_rep
+        # read every MCE and its tails from one mce_table sweep; one mce call
+        # per pair and two segment calls per member made 4,575 mce_set and
+        # 5,488 segment calls there.  Each call is tagged with the stage it is
+        # made in; lem1's vee makes its own, outside both stages
+        stage, sweeps, calls = [None], [], []
+
+        def staged(name, real):
+            def run(*args, **kwargs):
+                stage[0] = name
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    stage[0] = None
+            return run
+
+        monkeypatch.setattr(cli, "verify_tck", staged("verify_tck", cli.verify_tck))
+        monkeypatch.setattr(cli, "boolean_rep", staged("boolean_rep", cli.boolean_rep))
+        real_sweep, real_mce_set, real_segment = (
+            alignment._mce_sweep, alignment.mce_set, repalg.segment)
+        monkeypatch.setattr(alignment, "_mce_sweep",
+                            lambda g, cap: sweeps.append(cap) or real_sweep(g, cap))
+        monkeypatch.setattr(alignment, "mce_set",
+                            lambda g, F: calls.append(("mce_set", stage[0])) or real_mce_set(g, F))
+        monkeypatch.setattr(repalg, "segment",
+                            lambda *a: calls.append(("segment", stage[0])) or real_segment(*a))
+        path = tmp_path / "omega222.kg"
+        path.write_text(json.dumps(kgraph_to_dict(omega222)), encoding="utf-8")
+        assert main(["rep-verify", str(path), "--cap", "2,2,2", "--gen-cap", "2,2,2",
+                     "--suite", "tck,lem1"]) == 0
+        assert capsys.readouterr().err == "kgraphkit rep-verify: pass=4123\n"
+        assert sweeps == [Degree((2, 2, 2))]
+        assert [c for c in calls if c[1] is not None] == []
+        assert ("mce_set", None) in calls  # the spies see lem1's vee
+
+
 class TestPool:
     @pytest.mark.parametrize("graph, cap", [
         ("c3", (4,)), ("bouquet2", (3,)), ("flip", (2, 2)), ("twin", (1, 1)),
@@ -981,6 +1020,21 @@ class TestClaim1:
         assert len(calls) == 1
         assert verify_claim1(build_fock_family(bouquet2, (2,)), [a, b], {(a, a): 1}).ok
         assert len(calls) == 2
+
+    def test_decomposition_memoized_per_family(self, omega22, tmp_path, capsys, monkeypatch):
+        # rep-verify claim1 on omega22 at gen-cap (1,1), four tables: every
+        # non-integer table's support is all of F, so F's pool is decomposed
+        # once; one decomposition per table made 4 q_decomposition calls
+        calls = []
+        real = repalg.q_decomposition
+        monkeypatch.setattr(repalg, "q_decomposition",
+                            lambda fam, F: calls.append(F) or real(fam, F))
+        path = tmp_path / "omega22.kg"
+        path.write_text(json.dumps(kgraph_to_dict(omega22)), encoding="utf-8")
+        assert main(["rep-verify", str(path), "--cap", "2,2", "--gen-cap", "1,1",
+                     "--suite", "claim1", "--suite-size", "4"]) == 0
+        assert capsys.readouterr().err == "kgraphkit rep-verify: pass=4\n"
+        assert len(calls) == 1
 
     def test_no_closure_without_a_cap(self, boundary_omega, omega22, monkeypatch):
         # a boundary family has no cap, so the closure-degree rule never applies
