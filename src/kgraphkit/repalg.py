@@ -109,6 +109,12 @@ CLAIM1_TOL = 1e-8  # absolute tolerance of verify_claim1's comparison
 COUNIVERSAL_TOL = 0.05  # absolute tolerance of couniversal_norm_check's comparison
 
 
+def gamma(k: int) -> float:
+    """γ_k = k·u/(1 - k·u), the relative error bound of k roundings (Higham)."""
+    u = 2.0 ** -53  # the unit roundoff of float64
+    return k * u / (1 - k * u)
+
+
 def operator_norm(m: SparseSum) -> dict:
     """Largest singular value: an estimate "value" and a bracket "lower" <=
     ‖M‖ <= "upper", with the "method", Lanczos "steps" and the rounding
@@ -131,11 +137,6 @@ def operator_norm(m: SparseSum) -> dict:
     def bracket(value, lower, upper, method, steps, allowance) -> dict:
         return {"value": value, "method": method, "steps": steps, "lower": lower,
                 "upper": upper, "allowance": allowance}
-
-    def gamma(k: int) -> float:
-        """γ_k = k·u/(1 - k·u), the relative error bound of k roundings."""
-        u = 2.0 ** -53  # the unit roundoff of float64
-        return k * u / (1 - k * u)
 
     def fsum_squares(x: np.ndarray) -> float:
         """‖x‖², each square rounded once and the sum rounded once: within γ_2."""
@@ -1091,12 +1092,49 @@ def verify_phi2(fam: IsometryFamily, phi: dict, mu: Path, nu: Path, lam: Path) -
                        fam.safe_columns(mu.degree.join(nu.degree)))
 
 
+def diagonal_lower_end(m: SparseSum, element: FormalElement) -> Optional[dict]:
+    """A proven lower end of ‖M‖ from the largest diagonal entry of
+    M = evaluate(element): the "column" of that entry j, the "lower" end
+    |fl(M_jj)| minus the rounding "allowance", and "method" "diagonal".
+    None when M has no diagonal entry.
+
+    |M_jj| = |⟨M e_j, e_j⟩| <= ‖M‖, since compressing to the diagonal is
+    contractive.  Every generator is a partial injection, so each of the T
+    terms of the element adds its coefficient a to an entry at most once,
+    whatever the family, even where a term t_mu t_nu* with mu != nu meets
+    the diagonal.  evaluate converts each a to complex (u|a|) and bincount
+    adds the real and the imaginary parts in term order, a recursive sum of
+    at most T terms (γ_{T-1}), so |fl(M_jj) - M_jj| <= γ_T·Σ|a| by Minkowski's
+    inequality on the two parts.  The modulus d = fl(|fl(M_jj)|) is a hypot,
+    within γ_2 of the exact one, and s = fsum of the hypots |a| has
+    Σ|a| <= (1 + γ_4)·s.  So ‖M‖ >= d - γ_2·d - γ_{T+4}·s, and two extra
+    roundings folded into each γ cover the allowance's own arithmetic.
+    """
+    on = m.rows == m.cols
+    if not on.any():
+        return None
+    moduli = np.abs(m.vals[on])
+    k = int(np.argmax(moduli))
+    d = float(moduli[k])
+    s = math.fsum(abs(a) for a in element.coeffs.values())
+    allowance = gamma(4) * d + gamma(len(element) + 6) * s
+    return {"method": "diagonal", "column": m.basis.labels[m.rows[on][k]],
+            "lower": max(0.0, float(np.nextafter(d - allowance, -np.inf))),
+            "allowance": allowance}
+
+
 def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict) -> CheckResult:
     """Diagonal coefficients never beat the full element in norm.
 
-    The exact diagonal norm lhs passes when it is at most the lower end of
-    the element's norm bracket plus CLAIM1_TOL, fails only above the upper
-    end plus it, and is inconclusive in between, with the reason in the detail.
+    The exact diagonal norm lhs passes when it is at most a proven lower end
+    of the element's norm plus CLAIM1_TOL.  The first lower end is the
+    largest diagonal entry of the evaluated element less its rounding
+    allowance (diagonal_lower_end): a pass there has detail lhs, method
+    "diagonal", column, lower and allowance, and takes no norm.  Only when
+    that end cannot decide does operator_norm bracket the norm by Lanczos:
+    lhs passes at most its lower end plus the tolerance, fails only above
+    its upper end plus it, and is inconclusive in between, with the reason;
+    that detail has lhs, rhs, method, steps, lower, upper and allowance.
     A truncated basis's cap must contain the vee closure of F and its
     completions, so the sector-attaining diagonal entries live inside it.
     """
@@ -1115,15 +1153,21 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict) -> CheckR
     lhs = diagonal_norm(fam, diag)
     element = FormalElement(g, {(mu, nu): table[(mu, nu)]
                                 for mu in F for nu in F if table.get((mu, nu), 0)})
-    norm = operator_norm(fam.evaluate(element))
-    detail = {"lhs": lhs, "rhs": norm.pop("value"), **norm}
-    lower, upper, tol = norm["lower"], norm["upper"], CLAIM1_TOL
+    m = fam.evaluate(element)
+    tol = CLAIM1_TOL
+    end = diagonal_lower_end(m, element)
+    if end is None or lhs > end["lower"] + tol:  # the diagonal cannot decide
+        norm = operator_norm(m)
+        end = {"rhs": norm.pop("value"), **norm}
+    detail = {"lhs": lhs, **end}
+    lower = detail["lower"]
     if lhs <= lower + tol:
         return CheckResult("claim1", "pass", detail=detail)
+    upper = detail["upper"]
     if lhs > upper + tol:
         return CheckResult("claim1", "fail", witness=f"lhs={lhs!r} upper={upper!r}",
                            detail=detail)
-    detail["reason"] = (f"lhs lies inside the {norm['method']} norm bracket "
+    detail["reason"] = (f"lhs lies inside the {detail['method']} norm bracket "
                         f"[{lower!r}, {upper!r}] widened by tol {tol!r}")
     return CheckResult("claim1", "inconclusive", detail=detail)
 

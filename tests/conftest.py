@@ -155,10 +155,17 @@ def referee_evaluate(fam, element):
 
 
 def weak_lower_end(monkeypatch):
-    """Make operator_norm report 0 as its lower end, as a Ritz vector far from
-    the top singular vector would; the upper end stays the proven one."""
-    real = repalg.operator_norm
-    monkeypatch.setattr(repalg, "operator_norm", lambda m: {**real(m), "lower": 0.0})
+    """Make both lower ends of claim1 report 0: the diagonal end, as an element
+    with a small diagonal would, and operator_norm's, as a Ritz vector far
+    from the top singular vector would; the upper end stays the proven one."""
+    real_norm, real_diagonal = repalg.operator_norm, repalg.diagonal_lower_end
+
+    def weak_diagonal(m, element):
+        end = real_diagonal(m, element)
+        return end and {**end, "lower": 0.0}
+
+    monkeypatch.setattr(repalg, "operator_norm", lambda m: {**real_norm(m), "lower": 0.0})
+    monkeypatch.setattr(repalg, "diagonal_lower_end", weak_diagonal)
 
 
 @pytest.fixture(scope="session")

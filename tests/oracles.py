@@ -3,7 +3,8 @@ routine by direct enumeration: MCE of two paths, vee E, MCE closure of a
 path set tested pair by pair, the boolean product rule and the orthogonality
 of masks tested on every pair, the extensions of each member of a pool by a
 scan of the whole pool, the completion closure of the Lemma 3 chain over
-every ordered pair, and finite exhaustive sets as defined by
+every ordered pair, the spectral norm of an evaluated element from its
+dense matrix, and finite exhaustive sets as defined by
 Raeburn-Sims-Yeend, JFA 2004, the boundary condition of Sims, Indiana Univ.
 Math. J. 2006, tested position by position on each handle, windowed
 aperiodicity by comparing every pair of shifts, and shifts and extensions of
@@ -48,7 +49,7 @@ from kgraphkit.core import (
     paths_up_to_degree,
     segment,
 )
-from kgraphkit.repalg import BoundaryFamily, build_boundary_family
+from kgraphkit.repalg import BoundaryFamily, SparseSum, build_boundary_family
 
 
 class NotMceClosed(KGraphError):
@@ -262,6 +263,14 @@ def nested_extend(lam: Path, x: BoundaryPathHandle) -> BoundaryPathHandle:
     if isinstance(x, NestedExtension):
         return NestedExtension(compose(lam, x.prefix), x.inner)
     return NestedExtension(lam, x)
+
+
+def dense_norm(m: SparseSum) -> float:
+    """‖M‖ as the largest singular value of the dense matrix of m."""
+    n = len(m.basis)
+    dense = np.zeros((n, n), dtype=complex)
+    dense[m.rows, m.cols] = m.vals
+    return float(np.linalg.norm(dense, 2))
 
 
 def boundary_family_from_graph(g: KGraph) -> BoundaryFamily:

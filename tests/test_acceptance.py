@@ -19,6 +19,7 @@ from kgraphkit import (
     degrees_up_to,
     kgraph_to_dict,
     paths_up_to_degree,
+    repalg,
     segment,
     validate_presentation,
 )
@@ -227,18 +228,25 @@ def _claim1_tables(bouquet2, f_seven):
     return tables
 
 
-def test_criterion_9_claim1_inequality(fock_b2_n6, bouquet2, f_seven):
+def test_criterion_9_claim1_inequality(fock_b2_n6, bouquet2, f_seven, monkeypatch):
     with criterion(9, "diagonal norm below element norm, 100 tables", 60.0):
         boolean_rep(fock_b2_n6, cap=(1,))
+        # every table is decided by one diagonal entry: no Lanczos norm is taken
+        norms = []
+        real = repalg.operator_norm
+        monkeypatch.setattr(repalg, "operator_norm", lambda m: norms.append(m) or real(m))
         for table in _claim1_tables(bouquet2, f_seven):
             check = verify_claim1(fock_b2_n6, f_seven, table)
             assert check.ok, check.to_jsonable()
+            assert check.detail["method"] == "diagonal"
+        assert norms == []
 
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         ones = {(mu, nu): 1 for mu in (a, b) for nu in (a, b)}
         check = verify_claim1(fock_b2_n6, [a, b], ones)
         assert abs(check.detail["lhs"] - 1.0) < 1e-9
-        assert abs(check.detail["rhs"] - 2.0) < 1e-9
+        rhs = operator_norm(fock_b2_n6.evaluate(FormalElement(bouquet2, ones)))["value"]
+        assert abs(rhs - 2.0) < 1e-9
 
 
 def test_criterion_10_expectation_laws(fock_b2_n6, boundary_tm, bouquet2,

@@ -308,6 +308,20 @@ class TestRepVerify:
         (check,) = payload["results"]
         assert check["status"] == "inconclusive" and "reason" in check["detail"]
 
+    def test_claim1_benchmark_table_takes_no_norm(self, capsys, graph_files, monkeypatch):
+        # the benchmark's claim1 table passes on one diagonal entry, so the
+        # Lanczos norm is never taken
+        norms = []
+        real = repalg.operator_norm
+        monkeypatch.setattr(repalg, "operator_norm", lambda m: norms.append(m) or real(m))
+        assert main(["rep-verify", graph_files["bouquet2"], "--cap", "9", "--gen-cap", "1",
+                     "--suite", "claim1", "--suite-size", "1", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "kgraphkit rep-verify: pass=1\n"
+        (check,) = json.loads(captured.out)["results"]
+        assert check["detail"]["method"] == "diagonal"
+        assert norms == []
+
     @pytest.mark.parametrize("graph, cap, gen_cap, error", [
         ("bouquet2", "4", "2", "cap (4,) cannot hold the separating system's degree (7,)"),
         ("omega22", "1,1", "1,1", "cap (1, 1) cannot hold the separating system's degree (2, 2)")],

@@ -17,13 +17,14 @@ from oracles import (
     boolean_rep_all_pairs,
     boundary_family_from_graph,
     closure_all_pairs,
+    dense_norm,
     extensions_by_scan,
     matrix_unit_span_rank,
     overlapping_pairs,
 )
 from kgraphkit import Degree, alignment, cli, kgraph_to_dict, repalg
 from kgraphkit.alignment import extends, is_exhaustive_brute, vee
-from kgraphkit.boundary import shift, thue_morse_path
+from kgraphkit.boundary import periodic_path, shift, thue_morse_path
 from kgraphkit.cli import main
 from kgraphkit.core import Path, paths_up_to_degree, segment
 from kgraphkit.repalg import (
@@ -41,6 +42,7 @@ from kgraphkit.repalg import (
     build_separating_system,
     compose_maps,
     couniversal_norm_check,
+    diagonal_lower_end,
     diagonal_norm,
     inverse_map,
     lem3_check,
@@ -1000,14 +1002,16 @@ class TestClaim1:
         check = verify_claim1(fock_b2_n6, [a, b], table)
         assert check.ok
         assert abs(check.detail["lhs"] - 1.0) < 1e-9
-        assert abs(check.detail["rhs"] - 2.0) < 1e-9
+        rhs = operator_norm(fock_b2_n6.evaluate(FormalElement(bouquet2, table)))["value"]
+        assert abs(rhs - 2.0) < 1e-9
 
     def test_diagonal_table_equality(self, fock_b2_n6, bouquet2):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         table = {(a, a): 1, (b, b): -1j}
         check = verify_claim1(fock_b2_n6, [a, b], table)
         assert check.ok
-        assert abs(check.detail["lhs"] - check.detail["rhs"]) < 1e-9
+        rhs = operator_norm(fock_b2_n6.evaluate(FormalElement(bouquet2, table)))["value"]
+        assert abs(check.detail["lhs"] - rhs) < 1e-9
 
     def test_closure_degree_memoized_per_family(self, bouquet2, monkeypatch):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
@@ -1059,16 +1063,28 @@ class TestClaim1Bracket:
         for F, table in diagonal_tables(bouquet2, [3, *range(8)]):
             check = verify_claim1(fock_b2_n9, F, table)
             assert check.status == "pass", check.to_jsonable()
-            d = check.detail
-            assert d["method"] == "lanczos" and d["steps"] > 0
-            assert d["lower"] <= d["lhs"] <= d["upper"]
-            assert abs(d["lhs"] - d["rhs"]) < 1e-12
+            lhs = check.detail["lhs"]
+            norm = operator_norm(fock_b2_n9.evaluate(FormalElement(bouquet2, table)))
+            assert norm["method"] == "lanczos" and norm["steps"] > 0
+            assert norm["lower"] <= lhs <= norm["upper"]
+            assert abs(lhs - norm["value"]) < 1e-12
 
     def test_detail_keys(self, fock_b2_n9, bouquet2):
         (F, table), = diagonal_tables(bouquet2, [3])
         detail = verify_claim1(fock_b2_n9, F, table).detail
-        assert set(detail) == {"lhs", "rhs", "method", "steps", "lower", "upper", "allowance"}
+        assert set(detail) == {"lhs", "method", "column", "lower", "allowance"}
+        assert detail["method"] == "diagonal" and detail["column"] in fock_b2_n9.basis.labels
         assert 0 < detail["allowance"] < 1e-12
+        norm = operator_norm(fock_b2_n9.evaluate(FormalElement(bouquet2, table)))
+        assert set(norm) == {"value", "method", "steps", "lower", "upper", "allowance"}
+        assert 0 < norm["allowance"] < 1e-12
+        # t_a t_b* has no diagonal entry, so only the Lanczos bracket decides
+        a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
+        check = verify_claim1(fock_b2_n9, [a, b], {(a, b): 1})
+        assert check.status == "pass"
+        assert set(check.detail) == {"lhs", "rhs", "method", "steps", "lower", "upper",
+                                     "allowance"}
+        assert check.detail["method"] == "lanczos"
 
     def test_lhs_inside_bracket_is_inconclusive(self, fock_b2_n9, bouquet2, monkeypatch):
         weak_lower_end(monkeypatch)
@@ -1083,6 +1099,7 @@ class TestClaim1Bracket:
         assert "inside the lanczos norm bracket" in d["reason"]
 
     def test_fails_only_above_upper_end(self, fock_b2_n6, bouquet2, monkeypatch):
+        weak_lower_end(monkeypatch)
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         monkeypatch.setattr(repalg, "operator_norm", lambda m: {
             "value": 0.5, "method": "lanczos", "steps": 0, "lower": 0.5, "upper": 0.5,
@@ -1090,6 +1107,83 @@ class TestClaim1Bracket:
         check = verify_claim1(fock_b2_n6, [a, b], {(a, a): 1})
         assert check.status == "fail"
         assert check.witness == "lhs=1.0 upper=0.5"
+
+
+@pytest.fixture(scope="module")
+def claim1_families(bouquet2, omega22, fock_b2_n4, boundary_omega):
+    """(family, F) for the Fock bouquet2 family at cap 4, the Fock omega22
+    family at (2,2), the omega22 boundary family, and a bouquet2 family on
+    the periodic handles a^∞, b^∞, (ab)^∞ and (ba)^∞, where t_a e_x = e_x
+    for x = a^∞, so off-diagonal terms such as t_a t_aa* meet the diagonal."""
+    periodic = BoundaryFamily(bouquet2, [periodic_path(bouquet2, w)
+                                         for w in ("a", "b", "ab", "ba")], (8,))
+    return {"fock-bouquet2": (fock_b2_n4, paths_up_to_degree(bouquet2, (2,))),
+            "fock-omega22": (build_fock_family(omega22, (2, 2)),
+                             paths_up_to_degree(omega22, (1, 1))),
+            "boundary-omega22": (boundary_omega, paths_up_to_degree(omega22, (1, 1))),
+            "periodic-bouquet2": (periodic, paths_up_to_degree(bouquet2, (2,)))}
+
+
+def claim1_referee_tables(fam, F, seeds):
+    """Random complex tables on F, in turn on all pairs, on the diagonal pairs
+    only, on the off-diagonal pairs only, and Gaussian integers that cancel."""
+    g = fam.graph
+    for seed in seeds:
+        rng = random.Random(seed)
+        kind = seed % 4
+        table = random_table(g, F, rng, gaussian=kind == 3)
+        if kind == 1:
+            table = {(mu, nu): a for (mu, nu), a in table.items() if mu == nu}
+        elif kind == 2:
+            table = {(mu, nu): a for (mu, nu), a in table.items() if mu != nu}
+        yield table
+
+
+class TestClaim1DiagonalEnd:
+    FAMILY_NAMES = ["fock-bouquet2", "fock-omega22", "boundary-omega22", "periodic-bouquet2"]
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_never_above_the_dense_norm(self, claim1_families, name):
+        fam, F = claim1_families[name]
+        decided = crossing = 0
+        for table in claim1_referee_tables(fam, F, range(50)):
+            a = FormalElement(fam.graph, table)
+            m = fam.evaluate(a)
+            end = diagonal_lower_end(m, a)
+            if end is None:
+                assert not (m.rows == m.cols).any()
+                continue
+            decided += 1
+            crossing += all(mu != nu for mu, nu in table)
+            top = max(abs(v) for v in m.vals[m.rows == m.cols].tolist())
+            assert end["lower"] <= dense_norm(m), (table, end)
+            assert 0 < end["allowance"] < 1e-12
+            assert 0 < top - end["lower"] <= 2 * end["allowance"]
+            j = m.basis.labels.index(end["column"])
+            assert abs(m.vals[(m.rows == j) & (m.cols == j)][0]) == top
+        assert decided >= 25
+        assert (crossing > 0) == (name == "periodic-bouquet2")
+
+    def test_allowance_covers_the_rounding_of_the_sum(self, claim1_families, bouquet2):
+        # the three terms act only at a^∞, so M = 3·E_00 exactly, but the
+        # sum 1e16 + 3 - 1e16 in term order rounds to 4
+        fam, _ = claim1_families["periodic-bouquet2"]
+        a, aa, aaa = (bouquet2.path(list(w)) for w in ("a", "aa", "aaa"))
+        element = FormalElement(bouquet2, {(a, aa): 1e16, (aa, a): 3.0, (aa, aaa): -1e16})
+        m = fam.evaluate(element)
+        assert (m.rows.tolist(), m.cols.tolist(), m.vals.tolist()) == ([0], [0], [4])
+        end = diagonal_lower_end(m, element)
+        assert end["column"] == fam.basis.labels[0] and end["lower"] <= 3.0
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_lhs_above_the_true_norm_never_passes(self, claim1_families, name, monkeypatch):
+        fam, F = claim1_families[name]
+        for table in claim1_referee_tables(fam, F, range(8)):
+            true = dense_norm(fam.evaluate(FormalElement(fam.graph, table)))
+            monkeypatch.setattr(repalg, "diagonal_norm", lambda fam, c, lhs=true + 1e-6: lhs)
+            check = verify_claim1(fam, F, table)
+            assert check.status in ("fail", "inconclusive"), check.to_jsonable()
+            assert check.detail["method"] == "lanczos"
 
 
 class TestExpSquare:
