@@ -6,8 +6,8 @@ below it, memoised on the graph per cap; verify_tck and boolean_rep read it.
 The pairwise mce and mce_set serve single pairs and sets (the mce command,
 vee, the Lemma 3 chain) and referee the sweep in the tests: they extend one
 participant along degree complements and filter by the prefix condition.
-vee is built from pairwise MCEs, and is_exhaustive and enumerate_fe share
-one finite test set (_test_degree).
+vee is built from pairwise MCEs and skips a path it already holds, and
+is_exhaustive and enumerate_fe share one finite test set (_test_degree).
 Each has a brute-force referee, which the test suite keeps wired to it.
 mce_set_brute and is_exhaustive_brute stay here while the benchmark's record
 script imports them from here; the rest, mce_brute among them, live in
@@ -152,10 +152,15 @@ def vee(g: KGraph, F: Iterable[Path]) -> list[Path]:
     vee(S ∪ {rho}) = vee(S) ∪ {rho} ∪ ⋃_{lam in vee(S)} MCE(lam, rho), which
     follows from MCE(G ∪ {rho}) = ⋃_{lam in MCE(G)} MCE(lam, rho).  That is
     one pairwise MCE per (path of F, path already closed) with a common range,
-    instead of one MCE(G) per subset.
+    instead of one MCE(G) per subset.  A rho already in vee(S) is skipped, as
+    vee(S) is MCE-closed: MCE(lam1, lam2) ⊆ MCE(G1 ∪ G2) for lam_i ∈ MCE(G_i).
+    So in a down-set a path of degree nonzero in two colors, an MCE of two
+    earlier prefixes, costs no MCE.
     """
     closed: set[Path] = set()
     for rho in sorted(set(F), key=Path.sort_key):
+        if rho in closed:
+            continue
         new = {rho}
         for lam in closed:
             if lam.range_vertex == rho.range_vertex:

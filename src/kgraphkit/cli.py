@@ -419,9 +419,8 @@ def cmd_rep_verify(args):
                 checks += [verify_phi2(fam, phi, mu, nu, lam)
                            for lam in phi for mu in phi for nu in phi]
             elif suite == "claim1":
-                for _ in range(args.suite_size):
-                    table = _random_table(F, rng, integer=False)
-                    checks.append(verify_claim1(fam, F, table))
+                checks += verify_claim1(fam, F, [_random_table(F, rng, integer=False)
+                                                 for _ in range(args.suite_size)])
             elif suite == "exp":
                 b = get_boundary()
                 for _ in range(args.suite_size):

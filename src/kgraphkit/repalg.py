@@ -15,7 +15,7 @@ q_lam is the range mask, products of projections are AND and q_lam - q_w is
 AND-NOT.  Sums of injections are compared entry by entry, overlaps counted.
 A linear combination sum a t_mu t_nu* is evaluated by IsometryFamily.evaluate
 into a SparseSum, its merged (rows, cols, vals) entry arrays, which the norm,
-the exp-square and the co-universality check read.
+claim1 (‖E(a)‖ included), the exp-square and the co-universality check read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -347,8 +347,6 @@ class IsometryFamily:
         self._qs: dict[Path, np.ndarray] = {}  # range masks
         self._adjoints: dict[Path, np.ndarray] = {}  # inverse maps
         self._safe: dict[tuple, np.ndarray] = {}
-        self._closure: dict[tuple, Degree] = {}  # sorted F -> degree of _closure(F)
-        self._decompositions: dict[tuple, dict] = {}  # sorted support -> its Q pieces
 
     # subclass hooks: (domain, image) indices of t_e for an edge e, and safe columns
     def _edge_generator(self, e: Path) -> tuple[Sequence[int], Sequence[int]]:
@@ -864,22 +862,6 @@ def lem3_check(fam: IsometryFamily, Q: dict) -> list[CheckResult]:
     return checks
 
 
-def diagonal_norm(fam: IsometryFamily, coeffs: dict) -> float:
-    """Exact norm of a diagonal combination sum c_lam q_lam.
-
-    The combination is constant on each nonzero piece Q_alpha over the pool
-    of the support, so the norm is the largest sector total in absolute value.
-    The pieces are taken once per family and sorted support.
-    """
-    support = {lam: c for lam, c in coeffs.items() if c != 0}
-    key = tuple(sorted(support, key=Path.sort_key))
-    Q = fam._decompositions.get(key)
-    if Q is None:
-        Q = fam._decompositions[key] = q_decomposition(fam, key)
-    return float(max((abs(sum(c for lam, c in support.items() if extends(alpha, lam)))
-                      for alpha, piece in Q.items() if piece.any()), default=0.0))
-
-
 # -- formal elements and the exp-square ---------------------------------------
 
 
@@ -1092,11 +1074,21 @@ def verify_phi2(fam: IsometryFamily, phi: dict, mu: Path, nu: Path, lam: Path) -
                        fam.safe_columns(mu.degree.join(nu.degree)))
 
 
-def diagonal_lower_end(m: SparseSum, element: FormalElement) -> Optional[dict]:
+def diagonal_norm(fam: IsometryFamily, element: FormalElement) -> float:
+    """‖E(a)‖ for a = element, E the compression to the diagonal: E(a)
+    evaluates to sum c_lam q_lam, a diagonal matrix, so this is the largest
+    modulus of an entry of evaluate(a.diagonal()), 0.0 when it has none.
+    Python's abs keeps it bit-equal to the Q-piece sector formula
+    (tests/oracles.py); np.abs differs in the last bit on some entries."""
+    return max((abs(v) for v in fam.evaluate(element.diagonal()).vals.tolist()), default=0.0)
+
+
+def diagonal_lower_end(m: SparseSum, element: FormalElement) -> dict:
     """A proven lower end of ‖M‖ from the largest diagonal entry of
     M = evaluate(element): the "column" of that entry j, the "lower" end
     |fl(M_jj)| minus the rounding "allowance", and "method" "diagonal".
-    None when M has no diagonal entry.
+    When M has no diagonal entry the end is the trivial one, column None
+    and lower and allowance 0.0.
 
     |M_jj| = |⟨M e_j, e_j⟩| <= ‖M‖, since compressing to the diagonal is
     contractive.  Every generator is a partial injection, so each of the T
@@ -1112,7 +1104,7 @@ def diagonal_lower_end(m: SparseSum, element: FormalElement) -> Optional[dict]:
     """
     on = m.rows == m.cols
     if not on.any():
-        return None
+        return {"method": "diagonal", "column": None, "lower": 0.0, "allowance": 0.0}
     moduli = np.abs(m.vals[on])
     k = int(np.argmax(moduli))
     d = float(moduli[k])
@@ -1123,53 +1115,55 @@ def diagonal_lower_end(m: SparseSum, element: FormalElement) -> Optional[dict]:
             "allowance": allowance}
 
 
-def verify_claim1(fam: IsometryFamily, F: Sequence[Path], table: dict) -> CheckResult:
-    """Diagonal coefficients never beat the full element in norm.
+def verify_claim1(fam: IsometryFamily, F: Sequence[Path],
+                  tables: Iterable[dict]) -> list[CheckResult]:
+    """Claim 1, ‖E(a)‖ <= ‖a‖, for the element a of each table on F.
 
-    The exact diagonal norm lhs passes when it is at most a proven lower end
-    of the element's norm plus CLAIM1_TOL.  The first lower end is the
-    largest diagonal entry of the evaluated element less its rounding
+    One result per table.  lhs = ‖E(a)‖ (diagonal_norm) passes when it is at
+    most a proven lower end of ‖a‖ plus CLAIM1_TOL.  The first lower end is
+    the largest diagonal entry of the evaluated element less its rounding
     allowance (diagonal_lower_end): a pass there has detail lhs, method
     "diagonal", column, lower and allowance, and takes no norm.  Only when
     that end cannot decide does operator_norm bracket the norm by Lanczos:
     lhs passes at most its lower end plus the tolerance, fails only above
     its upper end plus it, and is inconclusive in between, with the reason;
     that detail has lhs, rhs, method, steps, lower, upper and allowance.
-    A truncated basis's cap must contain the vee closure of F and its
-    completions, so the sector-attaining diagonal entries live inside it.
+    A truncated basis's cap must hold the closure degree of F (the vee
+    closure of F and its completions), checked once before any table is
+    read; it holds the join D of F's degrees, and E(a) at a path x is E(a)
+    at x(0, d(x) ∧ D), so lhs is ‖E(a)‖ on the whole path space.
     """
     g = fam.graph
     F = sorted(set(F), key=Path.sort_key)
     if fam.cap is not None:
-        needed = fam._closure.get(tuple(F))
-        if needed is None:
-            needed = fam._closure[tuple(F)] = join_degrees(
-                (w.degree for w in _closure(g, F)), g.rank)
+        needed = join_degrees((w.degree for w in _closure(g, F)), g.rank)
         if not needed <= fam.cap:
             raise CapTooSmall(
                 f"cap {tuple(fam.cap)} cannot hold the closure degree {tuple(needed)}")
 
-    diag = {mu: table.get((mu, mu), 0) for mu in F}
-    lhs = diagonal_norm(fam, diag)
-    element = FormalElement(g, {(mu, nu): table[(mu, nu)]
-                                for mu in F for nu in F if table.get((mu, nu), 0)})
-    m = fam.evaluate(element)
     tol = CLAIM1_TOL
-    end = diagonal_lower_end(m, element)
-    if end is None or lhs > end["lower"] + tol:  # the diagonal cannot decide
-        norm = operator_norm(m)
-        end = {"rhs": norm.pop("value"), **norm}
-    detail = {"lhs": lhs, **end}
-    lower = detail["lower"]
-    if lhs <= lower + tol:
-        return CheckResult("claim1", "pass", detail=detail)
-    upper = detail["upper"]
-    if lhs > upper + tol:
-        return CheckResult("claim1", "fail", witness=f"lhs={lhs!r} upper={upper!r}",
-                           detail=detail)
-    detail["reason"] = (f"lhs lies inside the {detail['method']} norm bracket "
-                        f"[{lower!r}, {upper!r}] widened by tol {tol!r}")
-    return CheckResult("claim1", "inconclusive", detail=detail)
+    checks = []
+    for table in tables:
+        element = FormalElement(g, {(mu, nu): table[(mu, nu)]
+                                    for mu in F for nu in F if table.get((mu, nu), 0)})
+        lhs = diagonal_norm(fam, element)
+        m = fam.evaluate(element)
+        end = diagonal_lower_end(m, element)
+        if lhs > end["lower"] + tol:  # the diagonal cannot decide
+            norm = operator_norm(m)
+            end = {"rhs": norm.pop("value"), **norm}
+        detail = {"lhs": lhs, **end}
+        lower, upper = detail["lower"], detail.get("upper")
+        if lhs <= lower + tol:
+            status, witness = "pass", None
+        elif lhs > upper + tol:
+            status, witness = "fail", f"lhs={lhs!r} upper={upper!r}"
+        else:
+            status, witness = "inconclusive", None
+            detail["reason"] = (f"lhs lies inside the {detail['method']} norm bracket "
+                                f"[{lower!r}, {upper!r}] widened by tol {tol!r}")
+        checks.append(CheckResult("claim1", status, witness=witness, detail=detail))
+    return checks
 
 
 def couniversal_norm_check(fock: IsometryFamily, boundary: IsometryFamily,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,16 @@ def _presentation(rank, vertices, edges, squares=()) -> dict:
             "edges": [{"name": n, "color": c, "range": r, "source": s}
                       for n, c, r, s in edges],
             "squares": [{"top": list(t), "bottom": list(b)} for t, b in squares]}
+
+
+def bouquet2_cubed_presentation() -> dict:
+    """bouquet2³, the product of three 2-loop bouquets: one vertex, loops
+    a_i, b_i of color i, and a commuting square x_i y_j = y_j x_i for each
+    pair of loops of colors i < j."""
+    loops = [(f"{x}{c}", c) for c in (1, 2, 3) for x in "ab"]
+    squares = [((x, y), (y, x)) for (x, i), (y, j) in itertools.combinations(loops, 2)
+               if i < j]
+    return _presentation(3, ["v"], [(n, c, "v", "v") for n, c in loops], squares)
 
 
 def nlc_presentation(loop: bool = False) -> dict:
@@ -160,12 +172,9 @@ def weak_lower_end(monkeypatch):
     from the top singular vector would; the upper end stays the proven one."""
     real_norm, real_diagonal = repalg.operator_norm, repalg.diagonal_lower_end
 
-    def weak_diagonal(m, element):
-        end = real_diagonal(m, element)
-        return end and {**end, "lower": 0.0}
-
     monkeypatch.setattr(repalg, "operator_norm", lambda m: {**real_norm(m), "lower": 0.0})
-    monkeypatch.setattr(repalg, "diagonal_lower_end", weak_diagonal)
+    monkeypatch.setattr(repalg, "diagonal_lower_end",
+                        lambda m, element: {**real_diagonal(m, element), "lower": 0.0})
 
 
 @pytest.fixture(scope="session")
@@ -191,6 +200,11 @@ def omega22():
 @pytest.fixture(scope="session")
 def omega222():
     return make_omega(3, (2, 2, 2))
+
+
+@pytest.fixture(scope="session")
+def bouquet2_cubed():
+    return validate_presentation(bouquet2_cubed_presentation())
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,8 @@ path set tested pair by pair, the boolean product rule and the orthogonality
 of masks tested on every pair, the extensions of each member of a pool by a
 scan of the whole pool, the completion closure of the Lemma 3 chain over
 every ordered pair, the spectral norm of an evaluated element from its
-dense matrix, and finite exhaustive sets as defined by
+dense matrix, the norm of a diagonal combination from its Q-piece sectors,
+and finite exhaustive sets as defined by
 Raeburn-Sims-Yeend, JFA 2004, the boundary condition of Sims, Indiana Univ.
 Math. J. 2006, tested position by position on each handle, windowed
 aperiodicity by comparing every pair of shifts, and shifts and extensions of
@@ -49,7 +50,7 @@ from kgraphkit.core import (
     paths_up_to_degree,
     segment,
 )
-from kgraphkit.repalg import BoundaryFamily, SparseSum, build_boundary_family
+from kgraphkit.repalg import BoundaryFamily, SparseSum, build_boundary_family, q_decomposition
 
 
 class NotMceClosed(KGraphError):
@@ -271,6 +272,18 @@ def dense_norm(m: SparseSum) -> float:
     dense = np.zeros((n, n), dtype=complex)
     dense[m.rows, m.cols] = m.vals
     return float(np.linalg.norm(dense, 2))
+
+
+def diagonal_norm_by_sectors(fam, coeffs: dict) -> float:
+    """Oracle: ‖sum c_lam q_lam‖ from the Q pieces over the pool of the
+    support.  The combination is constant on each nonzero piece Q_alpha,
+    where it is the sector total of the c_lam with alpha extending lam, so
+    the norm is the largest total in absolute value.  Each total is summed
+    in the order of coeffs."""
+    support = {lam: c for lam, c in coeffs.items() if c != 0}
+    Q = q_decomposition(fam, sorted(support, key=Path.sort_key))
+    return float(max((abs(sum(c for lam, c in support.items() if extends(alpha, lam)))
+                      for alpha, piece in Q.items() if piece.any()), default=0.0))
 
 
 def boundary_family_from_graph(g: KGraph) -> BoundaryFamily:

@@ -235,15 +235,16 @@ def test_criterion_9_claim1_inequality(fock_b2_n6, bouquet2, f_seven, monkeypatc
         norms = []
         real = repalg.operator_norm
         monkeypatch.setattr(repalg, "operator_norm", lambda m: norms.append(m) or real(m))
-        for table in _claim1_tables(bouquet2, f_seven):
-            check = verify_claim1(fock_b2_n6, f_seven, table)
+        checks = verify_claim1(fock_b2_n6, f_seven, _claim1_tables(bouquet2, f_seven))
+        assert len(checks) == 100
+        for check in checks:
             assert check.ok, check.to_jsonable()
             assert check.detail["method"] == "diagonal"
         assert norms == []
 
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         ones = {(mu, nu): 1 for mu in (a, b) for nu in (a, b)}
-        check = verify_claim1(fock_b2_n6, [a, b], ones)
+        check, = verify_claim1(fock_b2_n6, [a, b], [ones])
         assert abs(check.detail["lhs"] - 1.0) < 1e-9
         rhs = operator_norm(fock_b2_n6.evaluate(FormalElement(bouquet2, ones)))["value"]
         assert abs(rhs - 2.0) < 1e-9

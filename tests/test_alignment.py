@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgraphkit import Degree, alignment, make_bouquet, paths_up_to_degree, validate_presentation
+from kgraphkit import (
+    Degree,
+    alignment,
+    degrees_up_to,
+    make_bouquet,
+    paths_up_to_degree,
+    validate_presentation,
+)
 from kgraphkit.alignment import (
     CapTooLargeForBudget,
     EmptyEError,
@@ -229,20 +236,58 @@ def test_mce_closed_check_names_the_first_path_outside(omega22):
         mce_closed_pairwise(omega22, F)
 
 
+def _counted_mce_set(monkeypatch) -> list:
+    """Count every alignment.mce_set call, vee's pairwise MCEs among them."""
+    calls = []
+    real = alignment.mce_set
+    monkeypatch.setattr(alignment, "mce_set", lambda g, F: calls.append(1) or real(g, F))
+    return calls
+
+
 def test_mce_closed_check_is_one_vee(omega222, monkeypatch):
     # omega222's 216 paths up to (2, 2, 2) took 46,656 pairwise MCEs
-    calls = 0
-    real = alignment.mce_set
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(alignment, "mce_set", counted)
+    calls = _counted_mce_set(monkeypatch)
     F = paths_up_to_degree(omega222, (2, 2, 2))
     assert vee(omega222, F) == sorted(F, key=Path.sort_key)
-    assert len(F) == 216 and 0 < calls <= 2_000
+    assert len(F) == 216 and 0 < len(calls) <= 2_000
+
+
+def test_vee_of_a_rank3_down_set_skips_its_mces(bouquet2_cubed, monkeypatch):
+    # bouquet2³'s 343 paths up to (2, 2, 2): every path of degree nonzero in
+    # two colors is an MCE of two earlier prefixes, already closed when its
+    # turn comes.  Folding it in anyway took 109,905 mce_set calls
+    calls = _counted_mce_set(monkeypatch)
+    F = paths_up_to_degree(bouquet2_cubed, (2, 2, 2))
+    assert vee(bouquet2_cubed, F) == sorted(F, key=Path.sort_key)
+    assert len(F) == 343 and 0 < len(calls) <= 2_000
+
+
+def test_vee_skips_a_path_it_holds(bouquet2_cubed, monkeypatch):
+    # a1.a2 = MCE(a1, a2) is closed before its turn: one MCE, not four
+    calls = _counted_mce_set(monkeypatch)
+    a1, a2 = bouquet2_cubed.edge_path("a1"), bouquet2_cubed.edge_path("a2")
+    (a1a2,) = mce_brute(bouquet2_cubed, a1, a2)
+    assert vee(bouquet2_cubed, [a1a2, a2, a1]) == [a2, a1, a1a2]
+    assert len(calls) == 1
+
+
+def test_vee_matches_subset_oracle_on_rank3_sets(bouquet2_cubed):
+    # 200 seeded sets below (1, 1, 2): up to 5 prefixes of one path, whose
+    # MCEs are prefixes of it too, and up to 2 other paths.  In many sets a
+    # member is an MCE of earlier ones, so the skip fires and is refereed
+    g = bouquet2_cubed
+    pool = paths_up_to_degree(g, (1, 1, 2))
+    skipped = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        lam = rng.choice(pool)
+        prefixes = [segment(lam, Degree.zero(3), a) for a in degrees_up_to(lam.degree)]
+        F = (rng.sample(prefixes, min(len(prefixes), rng.randint(1, 5)))
+             + rng.sample(pool, rng.randint(0, 2)))
+        assert vee(g, F) == vee_brute(g, F), seed
+        ordered = sorted(set(F), key=Path.sort_key)
+        skipped += any(rho in vee(g, ordered[:i]) for i, rho in enumerate(ordered))
+    assert skipped >= 40
 
 
 class TestExhaustive:

@@ -203,6 +203,20 @@ class TestFiniteHandlesAreExact:
         assert [c["status"] for c in reports[0]["results"]] == ["pass"] * 137
 
 
+def _q_a_without_aa():
+    """IsometryFamily.q with the vector a.a dropped from q_a."""
+    real = repalg.IsometryFamily.q
+
+    def tampered(fam, lam):
+        mask = real(fam, lam)
+        if lam.label() == "a":
+            mask = mask.copy()
+            mask[fam.basis.labels.index("a.a")] = False
+        return mask
+
+    return tampered
+
+
 class TestRepVerify:
     def test_omega_boundary_tck_ck(self, capsys, graph_files):
         code, payload, _ = run(capsys, ["rep-verify", graph_files["omega22"],
@@ -370,27 +384,29 @@ class TestRepVerify:
 
     @pytest.mark.parametrize("suite, witness", [
         ("lem1", "q_a q_a.a != sum over MCE; first difference ('a.a', 'a.a', 0, 1)"),
-        ("lem3", "q_a q_a.a != sum over MCE; first difference ('a.a', 'a.a', 0, 1)"),
-        ("claim1", "q_a is not the sum of its Q pieces")])
+        ("lem3", "q_a q_a.a != sum over MCE; first difference ('a.a', 'a.a', 0, 1)")])
     def test_broken_product_rule_fails_the_suite(self, capsys, graph_files, monkeypatch,
                                                  suite, witness):
         # q_a loses the vector a.a: a failed check, exit 1, not malformed input
-        real = repalg.IsometryFamily.q
-
-        def tampered(fam, lam):
-            mask = real(fam, lam)
-            if lam.label() == "a":
-                mask = mask.copy()
-                mask[fam.basis.labels.index("a.a")] = False
-            return mask
-
-        monkeypatch.setattr(repalg.IsometryFamily, "q", tampered)
+        monkeypatch.setattr(repalg.IsometryFamily, "q", _q_a_without_aa())
         assert main(["rep-verify", graph_files["bouquet2"], "--cap", "8", "--gen-cap", "2",
                      "--suite", suite]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["results"] == [
             {"id": suite, "status": "fail", "witness": witness}]
         assert captured.err == "kgraphkit rep-verify: fail=1\n"
+
+    def test_claim1_ignores_a_tampered_projection(self, capsys, graph_files, monkeypatch):
+        # claim1 reads ‖E(a)‖ off the evaluated diagonal, not off q_lam: the
+        # same q_a as above leaves its report byte for byte as it was
+        args = ["rep-verify", graph_files["bouquet2"], "--cap", "8", "--gen-cap", "2",
+                "--suite", "claim1", "--suite-size", "3"]
+        assert main(args) == 0
+        want = capsys.readouterr()
+        monkeypatch.setattr(repalg.IsometryFamily, "q", _q_a_without_aa())
+        assert main(args) == 0
+        assert capsys.readouterr() == want
+        assert want.err == "kgraphkit rep-verify: pass=3\n"
 
     def test_non_diagonal_vertex_projection_fails_ck(self, capsys, graph_files, monkeypatch):
         # t_v swaps two basis vectors: ck reports one fail result, exit 1, and

@@ -18,6 +18,7 @@ from oracles import (
     boundary_family_from_graph,
     closure_all_pairs,
     dense_norm,
+    diagonal_norm_by_sectors,
     extensions_by_scan,
     matrix_unit_span_rank,
     overlapping_pairs,
@@ -776,34 +777,76 @@ class TestLem3:
         assert all(c.ok for c in report)
 
 
+def _diagonal(g, coeffs: dict) -> FormalElement:
+    """sum c_lam t_lam t_lam*, for coeffs lam -> c_lam."""
+    return FormalElement(g, {(lam, lam): c for lam, c in coeffs.items()})
+
+
 class TestDiagonalNorm:
     def test_two_sector_example(self, fock_b2_n4, bouquet2):
-        q = boolean_rep(fock_b2_n4, cap=(1,))
         c = {bouquet2.vertex_path("v"): 1, bouquet2.edge_path("a"): -1}
-        assert diagonal_norm(q, c) == 1.0
+        assert diagonal_norm(fock_b2_n4, _diagonal(bouquet2, c)) == 1.0
 
     def test_single_projection(self, fock_b2_n4, bouquet2):
-        q = boolean_rep(fock_b2_n4, cap=(1,))
-        assert diagonal_norm(q, {bouquet2.vertex_path("v"): 1}) == 1.0
+        c = {bouquet2.vertex_path("v"): 1}
+        assert diagonal_norm(fock_b2_n4, _diagonal(bouquet2, c)) == 1.0
 
     def test_orthogonal_sectors(self, fock_b2_n4, bouquet2):
-        q = boolean_rep(fock_b2_n4, cap=(1,))
         c = {bouquet2.edge_path("a"): 1, bouquet2.edge_path("b"): 1}
-        assert diagonal_norm(q, c) == 1.0
+        assert diagonal_norm(fock_b2_n4, _diagonal(bouquet2, c)) == 1.0
 
     def test_formula_matches_numeric_norm(self, fock_b2_n4, bouquet2):
-        q = boolean_rep(fock_b2_n4, cap=(1,))
         rng = random.Random(20108)
         pool = [bouquet2.vertex_path("v"), bouquet2.edge_path("a"),
                 bouquet2.edge_path("b"), bouquet2.path(["a", "a"]),
                 bouquet2.path(["a", "b"])]
         for _ in range(20):
             c = {p: complex(rng.randint(-3, 3), rng.randint(-3, 3)) for p in pool}
-            m = fock_b2_n4.evaluate(FormalElement(bouquet2, {(p, p): k for p, k in c.items()}))
+            m = fock_b2_n4.evaluate(_diagonal(bouquet2, c))
             referee = OperatorMatrix.sum(fock_b2_n4.basis, [
-                as_matrix(fock_b2_n4.basis, q.q(p)) * k for p, k in c.items()])
+                as_matrix(fock_b2_n4.basis, fock_b2_n4.q(p)) * k for p, k in c.items()])
             assert as_referee(m) == referee
-            assert abs(diagonal_norm(q, c) - operator_norm(m)["value"]) < 1e-10
+            lhs = diagonal_norm(fock_b2_n4, _diagonal(bouquet2, c))
+            assert abs(lhs - operator_norm(m)["value"]) < 1e-10
+
+    def test_off_diagonal_terms_are_dropped(self, fock_b2_n4, bouquet2):
+        a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
+        element = FormalElement(bouquet2, {(a, a): 2, (a, b): 5, (b, a): -7})
+        assert diagonal_norm(fock_b2_n4, element) == 2.0
+        assert diagonal_norm(fock_b2_n4, FormalElement(bouquet2, {(a, b): 1})) == 0.0
+
+
+@pytest.fixture(scope="module")
+def sector_families(bouquet2, omega22, flip, c3, fock_b2_n6, boundary_omega, boundary_tm):
+    """(family, F) for the Fock families of bouquet2 at (6,), omega22 at
+    (2,2), flip at (3,3) and c3 at (6,), the omega22 boundary family and the
+    Thue-Morse boundary family; each cap holds F's closure degree."""
+    return {"fock-bouquet2": (fock_b2_n6, paths_up_to_degree(bouquet2, (2,))),
+            "fock-omega22": (build_fock_family(omega22, (2, 2)),
+                             paths_up_to_degree(omega22, (1, 1))),
+            "fock-flip": (build_fock_family(flip, (3, 3)), paths_up_to_degree(flip, (1, 1))),
+            "fock-c3": (build_fock_family(c3, (6,)), paths_up_to_degree(c3, (2,))),
+            "boundary-omega22": (boundary_omega, paths_up_to_degree(omega22, (1, 1))),
+            "boundary-thue-morse": (boundary_tm, paths_up_to_degree(bouquet2, (2,)))}
+
+
+class TestDiagonalNormReferee:
+    @pytest.mark.parametrize("name", ["fock-bouquet2", "fock-omega22", "fock-flip", "fock-c3",
+                                      "boundary-omega22", "boundary-thue-morse"])
+    def test_bit_equal_to_the_sector_formula(self, sector_families, name):
+        # 60 tables per family, over a random subset of F: Gaussian integers,
+        # which often cancel, and uniform complex floats in turn.  The sector
+        # totals are summed in sort order, the order of evaluate's terms
+        fam, F = sector_families[name]
+        g = fam.graph
+        for seed in range(60):
+            rng = random.Random(seed)
+            sub = [mu for mu in F if rng.random() < 0.6]
+            table = random_table(g, sub, rng, gaussian=seed % 2 == 0)
+            diag = {mu: table[(mu, mu)] for mu in sorted(sub, key=Path.sort_key)
+                    if (mu, mu) in table}
+            lhs = diagonal_norm(fam, FormalElement(g, table))
+            assert lhs == diagonal_norm_by_sectors(fam, diag), (name, seed)
 
 
 class TestExpectation:
@@ -999,7 +1042,7 @@ class TestClaim1:
     def test_worked_instance(self, fock_b2_n6, bouquet2):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         table = {(mu, nu): 1 for mu in (a, b) for nu in (a, b)}
-        check = verify_claim1(fock_b2_n6, [a, b], table)
+        check, = verify_claim1(fock_b2_n6, [a, b], [table])
         assert check.ok
         assert abs(check.detail["lhs"] - 1.0) < 1e-9
         rhs = operator_norm(fock_b2_n6.evaluate(FormalElement(bouquet2, table)))["value"]
@@ -1008,37 +1051,43 @@ class TestClaim1:
     def test_diagonal_table_equality(self, fock_b2_n6, bouquet2):
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         table = {(a, a): 1, (b, b): -1j}
-        check = verify_claim1(fock_b2_n6, [a, b], table)
+        check, = verify_claim1(fock_b2_n6, [a, b], [table])
         assert check.ok
         rhs = operator_norm(fock_b2_n6.evaluate(FormalElement(bouquet2, table)))["value"]
         assert abs(check.detail["lhs"] - rhs) < 1e-9
 
-    def test_closure_degree_memoized_per_family(self, bouquet2, monkeypatch):
-        a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
-        calls = []
-        real = repalg._closure
-        monkeypatch.setattr(repalg, "_closure", lambda g, F: calls.append(F) or real(g, F))
-        fam = build_fock_family(bouquet2, (2,))
-        for F in ([a, b], [b, a, a], [a, b]):
-            assert verify_claim1(fam, F, {(a, a): 1}).ok
-        assert len(calls) == 1
-        assert verify_claim1(build_fock_family(bouquet2, (2,)), [a, b], {(a, a): 1}).ok
-        assert len(calls) == 2
+    def test_one_result_per_table(self, fock_b2_n6, bouquet2):
+        F = paths_up_to_degree(bouquet2, (2,))
+        tables = [random_table(bouquet2, F, random.Random(seed), gaussian=seed % 2 == 0)
+                  for seed in range(6)]
+        checks = verify_claim1(fock_b2_n6, F, tables)
+        assert checks == [verify_claim1(fock_b2_n6, F, [t])[0] for t in tables]
+        assert [c.status for c in checks] == ["pass"] * 6
+        assert verify_claim1(fock_b2_n6, F, []) == []
 
-    def test_decomposition_memoized_per_family(self, omega22, tmp_path, capsys, monkeypatch):
-        # rep-verify claim1 on omega22 at gen-cap (1,1), four tables: every
-        # non-integer table's support is all of F, so F's pool is decomposed
-        # once; one decomposition per table made 4 q_decomposition calls
-        calls = []
-        real = repalg.q_decomposition
-        monkeypatch.setattr(repalg, "q_decomposition",
-                            lambda fam, F: calls.append(F) or real(fam, F))
+    def test_run_closes_f_once_and_reads_no_projection(self, omega22, tmp_path, capsys,
+                                                       monkeypatch):
+        # rep-verify claim1 on omega22 at gen-cap (1,1), four tables: the
+        # closure degree of F is taken once for the run, and lhs is read off
+        # the evaluated diagonal, so no projection, Q piece or vee is built
+        F = paths_up_to_degree(omega22, (1, 1))
+        closure = repalg._closure(omega22, F)
+        closures, seen = [], []
+        monkeypatch.setattr(repalg, "_closure", lambda g, F: closures.append(F) or closure)
+        real_vee, real_q, real_decomposition = repalg.vee, repalg.IsometryFamily.q, \
+            repalg.q_decomposition
+        monkeypatch.setattr(repalg, "vee", lambda g, F: seen.append("vee") or real_vee(g, F))
+        monkeypatch.setattr(alignment, "vee", lambda g, F: seen.append("vee") or real_vee(g, F))
+        monkeypatch.setattr(repalg.IsometryFamily, "q",
+                            lambda fam, lam: seen.append("q") or real_q(fam, lam))
+        monkeypatch.setattr(repalg, "q_decomposition", lambda fam, F: seen.append(
+            "q_decomposition") or real_decomposition(fam, F))
         path = tmp_path / "omega22.kg"
         path.write_text(json.dumps(kgraph_to_dict(omega22)), encoding="utf-8")
         assert main(["rep-verify", str(path), "--cap", "2,2", "--gen-cap", "1,1",
                      "--suite", "claim1", "--suite-size", "4"]) == 0
         assert capsys.readouterr().err == "kgraphkit rep-verify: pass=4\n"
-        assert len(calls) == 1
+        assert len(closures) == 1 and seen == []
 
     def test_no_closure_without_a_cap(self, boundary_omega, omega22, monkeypatch):
         # a boundary family has no cap, so the closure-degree rule never applies
@@ -1046,22 +1095,32 @@ class TestClaim1:
         monkeypatch.setattr(repalg, "_closure", lambda g, F: calls.append(F))
         F = paths_up_to_degree(omega22, (1, 1))
         table = {(mu, nu): 1 for mu in F for nu in F if mu.source_vertex == nu.source_vertex}
-        assert verify_claim1(boundary_omega, F, table).ok
+        check, = verify_claim1(boundary_omega, F, [table])
+        assert check.ok
         assert calls == []
 
     def test_cap_guard(self, bouquet2):
+        # the closure degree is checked before any table is read
         small = build_fock_family(bouquet2, (1,))
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         aa = bouquet2.path(["a", "a"])
+
+        def tables():
+            raise AssertionError("a table was read")
+            yield
+
         with pytest.raises(CapTooSmall):
-            verify_claim1(small, [a, b, aa], {(a, a): 1})
+            verify_claim1(small, [a, b, aa], tables())
 
 
 class TestClaim1Bracket:
     def test_diagonal_tables_pass_on_lanczos_bracket(self, fock_b2_n9, bouquet2):
         # seed 3 failed with power iteration: lhs - rhs = 1.02e-8 > tol
-        for F, table in diagonal_tables(bouquet2, [3, *range(8)]):
-            check = verify_claim1(fock_b2_n9, F, table)
+        pairs = list(diagonal_tables(bouquet2, [3, *range(8)]))
+        F, tables = pairs[0][0], [table for _, table in pairs]
+        checks = verify_claim1(fock_b2_n9, F, tables)
+        assert len(checks) == len(tables)
+        for table, check in zip(tables, checks):
             assert check.status == "pass", check.to_jsonable()
             lhs = check.detail["lhs"]
             norm = operator_norm(fock_b2_n9.evaluate(FormalElement(bouquet2, table)))
@@ -1069,22 +1128,26 @@ class TestClaim1Bracket:
             assert norm["lower"] <= lhs <= norm["upper"]
             assert abs(lhs - norm["value"]) < 1e-12
 
-    def test_detail_keys(self, fock_b2_n9, bouquet2):
+    def test_detail_keys(self, fock_b2_n9, bouquet2, monkeypatch):
         (F, table), = diagonal_tables(bouquet2, [3])
-        detail = verify_claim1(fock_b2_n9, F, table).detail
+        detail = verify_claim1(fock_b2_n9, F, [table])[0].detail
         assert set(detail) == {"lhs", "method", "column", "lower", "allowance"}
         assert detail["method"] == "diagonal" and detail["column"] in fock_b2_n9.basis.labels
         assert 0 < detail["allowance"] < 1e-12
         norm = operator_norm(fock_b2_n9.evaluate(FormalElement(bouquet2, table)))
         assert set(norm) == {"value", "method", "steps", "lower", "upper", "allowance"}
         assert 0 < norm["allowance"] < 1e-12
-        # t_a t_b* has no diagonal entry, so only the Lanczos bracket decides
+        # t_a t_b* has no diagonal entry: lhs is 0 and the trivial lower end 0
+        # decides it, with no norm taken
+        norms = []
+        real = repalg.operator_norm
+        monkeypatch.setattr(repalg, "operator_norm", lambda m: norms.append(m) or real(m))
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
-        check = verify_claim1(fock_b2_n9, [a, b], {(a, b): 1})
+        check, = verify_claim1(fock_b2_n9, [a, b], [{(a, b): 1}])
         assert check.status == "pass"
-        assert set(check.detail) == {"lhs", "rhs", "method", "steps", "lower", "upper",
-                                     "allowance"}
-        assert check.detail["method"] == "lanczos"
+        assert check.detail == {"lhs": 0.0, "method": "diagonal", "column": None,
+                                "lower": 0.0, "allowance": 0.0}
+        assert norms == []
 
     def test_lhs_inside_bracket_is_inconclusive(self, fock_b2_n9, bouquet2, monkeypatch):
         weak_lower_end(monkeypatch)
@@ -1092,7 +1155,7 @@ class TestClaim1Bracket:
         rng = random.Random(1)
         table = {(mu, nu): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                  for mu in F for nu in F}
-        check = verify_claim1(fock_b2_n9, F, table)
+        check, = verify_claim1(fock_b2_n9, F, [table])
         d = check.detail
         assert check.status == "inconclusive" and check.witness is None
         assert d["lower"] + 1e-8 < d["lhs"] < d["upper"]
@@ -1104,7 +1167,7 @@ class TestClaim1Bracket:
         monkeypatch.setattr(repalg, "operator_norm", lambda m: {
             "value": 0.5, "method": "lanczos", "steps": 0, "lower": 0.5, "upper": 0.5,
             "allowance": 0.0})
-        check = verify_claim1(fock_b2_n6, [a, b], {(a, a): 1})
+        check, = verify_claim1(fock_b2_n6, [a, b], [{(a, a): 1}])
         assert check.status == "fail"
         assert check.witness == "lhs=1.0 upper=0.5"
 
@@ -1150,8 +1213,10 @@ class TestClaim1DiagonalEnd:
             a = FormalElement(fam.graph, table)
             m = fam.evaluate(a)
             end = diagonal_lower_end(m, a)
-            if end is None:
+            if end["column"] is None:
                 assert not (m.rows == m.cols).any()
+                assert end == {"method": "diagonal", "column": None, "lower": 0.0,
+                               "allowance": 0.0}
                 continue
             decided += 1
             crossing += all(mu != nu for mu, nu in table)
@@ -1181,7 +1246,7 @@ class TestClaim1DiagonalEnd:
         for table in claim1_referee_tables(fam, F, range(8)):
             true = dense_norm(fam.evaluate(FormalElement(fam.graph, table)))
             monkeypatch.setattr(repalg, "diagonal_norm", lambda fam, c, lhs=true + 1e-6: lhs)
-            check = verify_claim1(fam, F, table)
+            check, = verify_claim1(fam, F, [table])
             assert check.status in ("fail", "inconclusive"), check.to_jsonable()
             assert check.detail["method"] == "lanczos"
 
