@@ -1128,18 +1128,16 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path],
     lhs passes at most its lower end plus the tolerance, fails only above
     its upper end plus it, and is inconclusive in between, with the reason;
     that detail has lhs, rhs, method, steps, lower, upper and allowance.
-    A truncated basis's cap must hold the closure degree of F (the vee
-    closure of F and its completions), checked once before any table is
-    read; it holds the join D of F's degrees, and E(a) at a path x is E(a)
-    at x(0, d(x) ∧ D), so lhs is ‖E(a)‖ on the whole path space.
+    Both sides read only F.  A truncated basis's cap must hold the join D
+    of F's degrees, checked once before any table is read: E(a) at a path x
+    is E(a) at x(0, d(x) ∧ D), so lhs is ‖E(a)‖ on the whole path space,
+    and the truncated M is a compression of a, so a lower end of ‖M‖ is
+    one of ‖a‖.
     """
     g = fam.graph
-    F = sorted(set(F), key=Path.sort_key)
-    if fam.cap is not None:
-        needed = join_degrees((w.degree for w in _closure(g, F)), g.rank)
-        if not needed <= fam.cap:
-            raise CapTooSmall(
-                f"cap {tuple(fam.cap)} cannot hold the closure degree {tuple(needed)}")
+    needed = join_degrees((w.degree for w in F), g.rank)
+    if fam.cap is not None and not needed <= fam.cap:
+        raise CapTooSmall(f"cap {tuple(fam.cap)} cannot hold F's degree {tuple(needed)}")
 
     tol = CLAIM1_TOL
     checks = []

@@ -10,7 +10,8 @@ from kgraphkit import kgraph_to_dict, make_bouquet, make_cycle, make_omega
 from kgraphkit import boundary, cli, repalg
 from kgraphkit.cli import main
 
-from conftest import flip_presentation, nlc_presentation, weak_lower_end
+from conftest import (bouquet2_cubed_presentation, flip_presentation, nlc_presentation,
+                      weak_lower_end)
 
 
 @pytest.fixture()
@@ -337,12 +338,11 @@ class TestRepVerify:
         assert norms == []
 
     @pytest.mark.parametrize("graph, cap, gen_cap, error", [
-        ("bouquet2", "4", "2", "cap (4,) cannot hold the separating system's degree (7,)"),
+        ("bouquet2", "2", "2", "cap (2,) cannot hold the separating system's degree (7,)"),
         ("omega22", "1,1", "1,1", "cap (1, 1) cannot hold the separating system's degree (2, 2)")],
         ids=["bouquet2", "omega22"])
-    def test_claim1_needs_only_the_closure_degree(self, capsys, graph_files,
-                                                  graph, cap, gen_cap, error):
-        # the cap holds the closure degree of F but not the separating
+    def test_claim1_needs_only_f_degree(self, capsys, graph_files, graph, cap, gen_cap, error):
+        # the cap holds the join of F's degrees but not the separating
         # system's witness degrees, which phi2 alone needs
         argv = ["rep-verify", graph_files[graph], "--cap", cap, "--gen-cap", gen_cap]
         assert main([*argv, "--suite", "claim1", "--suite-size", "2"]) == 0
@@ -362,12 +362,40 @@ class TestRepVerify:
         assert {c["status"] for c in json.loads(captured.out)["results"]} == {"pass"}
         assert captured.err == "kgraphkit rep-verify: pass=343\n"
 
-    def test_claim1_cap_below_closure_degree_exits_2(self, capsys, graph_files):
-        assert main(["rep-verify", graph_files["bouquet2"], "--cap", "3", "--gen-cap", "2",
+    def test_claim1_cap_below_f_degree_exits_2(self, capsys, graph_files):
+        assert main(["rep-verify", graph_files["bouquet2"], "--cap", "1", "--gen-cap", "2",
                      "--suite", "claim1", "--suite-size", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: cap (3,) cannot hold the closure degree (4,)\n"
+        assert captured.err == "error: cap (1,) cannot hold F's degree (2,)\n"
+
+    def test_claim1_results_do_not_depend_on_a_cap_holding_f(self, capsys, graph_files):
+        # F's degree is (2,): caps 2 and 3, below the degree (4,) of F's vee
+        # closure and its completions, give the bytes of caps 4 and 12
+        outs = []
+        for cap in ("2", "3", "4", "12"):
+            assert main(["rep-verify", graph_files["bouquet2"], "--cap", cap, "--gen-cap", "2",
+                         "--suite", "claim1", "--suite-size", "2", "--seed", "1"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == "kgraphkit rep-verify: pass=2\n"
+            outs.append(json.dumps(json.loads(captured.out)["results"]))
+        assert len(set(outs)) == 1
+        results = json.loads(outs[0])
+        assert [c["detail"]["method"] for c in results] == ["diagonal", "diagonal"]
+        assert [c["detail"]["column"] for c in results] == ["a.b", "b.a"]
+
+    def test_claim1_rank3_runs_at_f_degree(self, capsys, tmp_path):
+        # bouquet2³ at gen-cap (1,1,1): F's vee closure reaches (2,2,2), yet
+        # cap (1,1,1) already gives the results of cap (2,2,2)
+        path = _write(tmp_path / "bouquet2c.kg", bouquet2_cubed_presentation())
+        outs = []
+        for cap in ("1,1,1", "2,2,2"):
+            assert main(["rep-verify", path, "--cap", cap, "--gen-cap", "1,1,1",
+                         "--suite", "claim1", "--suite-size", "3", "--seed", "1"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == "kgraphkit rep-verify: pass=3\n"
+            outs.append(json.loads(captured.out)["results"])
+        assert outs[0] == outs[1]
 
     def test_ck_cap_below_fe_degree_exits_2(self, capsys, graph_files, monkeypatch):
         # the FE sets at fe-cap 3 reach degree (3,); no generator of that

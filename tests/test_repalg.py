@@ -1065,17 +1065,16 @@ class TestClaim1:
         assert [c.status for c in checks] == ["pass"] * 6
         assert verify_claim1(fock_b2_n6, F, []) == []
 
-    def test_run_closes_f_once_and_reads_no_projection(self, omega22, tmp_path, capsys,
-                                                       monkeypatch):
-        # rep-verify claim1 on omega22 at gen-cap (1,1), four tables: the
-        # closure degree of F is taken once for the run, and lhs is read off
-        # the evaluated diagonal, so no projection, Q piece or vee is built
-        F = paths_up_to_degree(omega22, (1, 1))
-        closure = repalg._closure(omega22, F)
-        closures, seen = [], []
-        monkeypatch.setattr(repalg, "_closure", lambda g, F: closures.append(F) or closure)
+    def test_run_builds_no_closure_and_reads_no_projection(self, omega22, boundary_omega,
+                                                           tmp_path, capsys, monkeypatch):
+        # rep-verify claim1 on omega22 at gen-cap (1,1), four tables, and one
+        # table on the capless boundary family: the cap is checked against
+        # F's degree and lhs is read off the evaluated diagonal, so no
+        # closure, projection, Q piece or vee is built
+        seen = []
         real_vee, real_q, real_decomposition = repalg.vee, repalg.IsometryFamily.q, \
             repalg.q_decomposition
+        monkeypatch.setattr(repalg, "_closure", lambda g, F: seen.append("_closure"))
         monkeypatch.setattr(repalg, "vee", lambda g, F: seen.append("vee") or real_vee(g, F))
         monkeypatch.setattr(alignment, "vee", lambda g, F: seen.append("vee") or real_vee(g, F))
         monkeypatch.setattr(repalg.IsometryFamily, "q",
@@ -1087,20 +1086,14 @@ class TestClaim1:
         assert main(["rep-verify", str(path), "--cap", "2,2", "--gen-cap", "1,1",
                      "--suite", "claim1", "--suite-size", "4"]) == 0
         assert capsys.readouterr().err == "kgraphkit rep-verify: pass=4\n"
-        assert len(closures) == 1 and seen == []
-
-    def test_no_closure_without_a_cap(self, boundary_omega, omega22, monkeypatch):
-        # a boundary family has no cap, so the closure-degree rule never applies
-        calls = []
-        monkeypatch.setattr(repalg, "_closure", lambda g, F: calls.append(F))
         F = paths_up_to_degree(omega22, (1, 1))
         table = {(mu, nu): 1 for mu in F for nu in F if mu.source_vertex == nu.source_vertex}
         check, = verify_claim1(boundary_omega, F, [table])
         assert check.ok
-        assert calls == []
+        assert seen == []
 
     def test_cap_guard(self, bouquet2):
-        # the closure degree is checked before any table is read
+        # F's degree (2,) is checked against the cap (1,) before any table is read
         small = build_fock_family(bouquet2, (1,))
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
         aa = bouquet2.path(["a", "a"])
