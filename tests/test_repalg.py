@@ -1065,12 +1065,9 @@ class TestClaim1:
         assert [c.status for c in checks] == ["pass"] * 6
         assert verify_claim1(fock_b2_n6, F, []) == []
 
-    def test_run_builds_no_closure_and_reads_no_projection(self, omega22, boundary_omega,
-                                                           tmp_path, capsys, monkeypatch):
-        # rep-verify claim1 on omega22 at gen-cap (1,1), four tables, and one
-        # table on the capless boundary family: the cap is checked against
-        # F's degree and lhs is read off the evaluated diagonal, so no
-        # closure, projection, Q piece or vee is built
+    @staticmethod
+    def _spy_closure_and_projections(monkeypatch):
+        # record every _closure, vee, Q piece and Q decomposition built
         seen = []
         real_vee, real_q, real_decomposition = repalg.vee, repalg.IsometryFamily.q, \
             repalg.q_decomposition
@@ -1081,11 +1078,30 @@ class TestClaim1:
                             lambda fam, lam: seen.append("q") or real_q(fam, lam))
         monkeypatch.setattr(repalg, "q_decomposition", lambda fam, F: seen.append(
             "q_decomposition") or real_decomposition(fam, F))
+        return seen
+
+    def test_run_closes_f_once_and_reads_no_projection(self, omega22, tmp_path, capsys,
+                                                       monkeypatch):
+        # rep-verify claim1 on omega22 at gen-cap (1,1), four tables: F is
+        # bounded once for the run, by one verify_claim1 call that checks the
+        # join of F's degrees against the cap before any table is read, and
+        # lhs is read off the evaluated diagonal, so no closure, projection,
+        # Q piece or vee is built
+        seen = self._spy_closure_and_projections(monkeypatch)
+        calls = []
+        real_claim1 = cli.verify_claim1
+        monkeypatch.setattr(cli, "verify_claim1", lambda fam, F, tables: calls.append(
+            len(tables)) or real_claim1(fam, F, tables))
         path = tmp_path / "omega22.kg"
         path.write_text(json.dumps(kgraph_to_dict(omega22)), encoding="utf-8")
         assert main(["rep-verify", str(path), "--cap", "2,2", "--gen-cap", "1,1",
                      "--suite", "claim1", "--suite-size", "4"]) == 0
         assert capsys.readouterr().err == "kgraphkit rep-verify: pass=4\n"
+        assert calls == [4] and seen == []
+
+    def test_no_closure_without_a_cap(self, boundary_omega, omega22, monkeypatch):
+        # a boundary family has no cap, and claim1 closes nothing on it either
+        seen = self._spy_closure_and_projections(monkeypatch)
         F = paths_up_to_degree(omega22, (1, 1))
         table = {(mu, nu): 1 for mu in F for nu in F if mu.source_vertex == nu.source_vertex}
         check, = verify_claim1(boundary_omega, F, [table])
