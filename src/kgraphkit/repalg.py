@@ -254,24 +254,37 @@ def range_mask(t: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _as_map(term: np.ndarray) -> np.ndarray:
-    """A mask read as the partial identity on it; an index array unchanged."""
-    return np.where(term, np.arange(len(term)), -1) if term.dtype == bool else term
+def compose_on(a: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(a∘b)[cols]: b read on cols, a read wherever b lands, -1 kept."""
+    img = b[cols]
+    return np.where(img < 0, -1, a[img])
+
+
+def _rows(term: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A term read on cols as the row it hits at each column, -1 for none: a
+    map's value is its row, a mask's row is the column itself."""
+    return np.where(term, cols, -1) if term.dtype == bool else term
 
 
 def first_difference_on(basis: Basis, lhs: np.ndarray, rhs: Sequence[np.ndarray],
                         cols: np.ndarray):
     """First (row, col), in (row, col) order, where a partial injection or mask
-    and a sum of them differ on the given columns, with both values; or None.
-    They agree where the top row rhs hits (-1 for none) is lhs's row and, with
-    two or more terms, no column is hit twice."""
-    want = _as_map(lhs)[cols]
-    hits = [_as_map(t)[cols] for t in rhs]
-    if np.all(functools.reduce(np.maximum, hits, -1) == want) and (
-            len(hits) < 2 or np.all(sum(h >= 0 for h in hits) <= 1)):
+    and a sum of them, all of one kind, differ on the given columns, with both
+    values; or None.  Each is already read on cols: entry k is column cols[k].
+    Maps agree where the top row rhs hits (-1 for none) is lhs's row and the
+    hits number lhs's defined entries; masks where their int sum is lhs."""
+    if len(rhs) < 2:
+        same = np.array_equal(lhs, rhs[0]) if rhs else _rows(lhs, cols).max(initial=-1) < 0
+    elif lhs.dtype == bool:
+        same = np.array_equal(np.sum(rhs, axis=0), lhs)
+    else:
+        hits = np.stack(rhs)
+        same = (np.array_equal(hits.max(axis=0), lhs)
+                and np.count_nonzero(hits >= 0) == np.count_nonzero(lhs >= 0))
+    if same:
         return None
-    a, b = (Counter((r, c) for t in side for r, c in zip(t.tolist(), cols.tolist()) if r >= 0)
-            for side in ([want], hits))
+    a, b = (Counter((r, c) for t in side for r, c in zip(_rows(t, cols).tolist(), cols.tolist())
+                    if r >= 0) for side in ([lhs], rhs))
     i, j = min(k for k in a.keys() | b.keys() if a[k] != b[k])
     return (basis.labels[i], basis.labels[j], a[(i, j)], b[(i, j)])
 
@@ -375,7 +388,7 @@ class IsometryFamily:
                 raise CapTooSmall(f"generator degree {tuple(lam.degree)} "
                                   f"exceeds basis cap {tuple(self.cap)}")
             if lam.is_vertex():
-                return _as_map(self._ranges == lam.range_vertex)
+                return np.where(self._ranges == lam.range_vertex, np.arange(len(self.basis)), -1)
             edges = [self.graph.edge_path(e) for e in lam.word]
             if len(edges) > 1:
                 t = self.generator(edges[-1])
@@ -688,34 +701,42 @@ def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
 
     verts = [g.vertex_path(v) for v in g.vertices]
     for v in verts:
-        tv = t(v)
-        ok = (np.array_equal(tv, t_star(v))
-              and np.array_equal(compose_maps(tv, tv), tv))
+        tv = t(v)  # t_v t_v = t_v exactly when t_v fixes its image
+        img = tv[tv >= 0]
+        ok = np.array_equal(tv, t_star(v)) and np.array_equal(tv[img], img)
         checks.append(CheckResult(f"TCK1:{v.label()} projection",
                                   "pass" if ok else "fail"))
     for v, w in itertools.combinations(verts, 2):
-        zero = not np.any(compose_maps(t(v), t(w)) >= 0)
+        tv, tw = t(v), t(w)
+        zero = not np.any(tv[tw[tw >= 0]] >= 0)  # t_v read at t_w's image only
         checks.append(CheckResult(f"TCK1:{v.label()}·{w.label()} orthogonal",
                                   "pass" if zero else "fail"))
 
+    # each side's generators are built before its safe columns are read, so
+    # a generator above a truncated cap is the error reported; the safe
+    # columns are looked up by degree pair
+    sum_cols = functools.cache(lambda d, e: fam.safe_columns(d + e))
+    join_cols = functools.cache(lambda d, e: fam.safe_columns(d.join(e)))
     paths = paths_up_to_degree(g, cap)
     at = {v: [p for p in paths if p.range_vertex == v] for v in g.vertices}
     for lam in paths:
         for mu in at[lam.source_vertex]:
             if not lam.degree + mu.degree <= cap:
                 continue
+            a, b, rhs = t(lam), t(mu), t(compose(lam, mu))
+            cols = sum_cols(lam.degree, mu.degree)
             checks.append(_compare_on(f"TCK2:{lam.label()}·{mu.label()}", fam.basis,
-                                      compose_maps(t(lam), t(mu)), [t(compose(lam, mu))],
-                                      fam.safe_columns(lam.degree + mu.degree)))
+                                      compose_on(a, b, cols), [rhs[cols]], cols))
 
     table = mce_table(g, cap)
     for mu in paths:
         for nu in at[mu.range_vertex]:
-            rhs = [compose_maps(t(alpha), t_star(beta))
-                   for _, alpha, beta in table.get((mu, nu), ())]
+            terms = [(t(alpha), t_star(beta)) for _, alpha, beta in table.get((mu, nu), ())]
+            a, b = t_star(mu), t(nu)
+            cols = join_cols(mu.degree, nu.degree)
             checks.append(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", fam.basis,
-                                      compose_maps(t_star(mu), t(nu)), rhs,
-                                      fam.safe_columns(mu.degree.join(nu.degree))))
+                                      compose_on(a, b, cols),
+                                      [compose_on(x, y, cols) for x, y in terms], cols))
     return checks
 
 
@@ -736,9 +757,9 @@ def verify_ck(fam: IsometryFamily, cap) -> list[CheckResult]:
         if np.any((tv >= 0) & (tv != np.arange(len(tv)))):
             raise BooleanRelationFailure(f"t_{v} is not a diagonal projection")
         for E in fe[v]:
-            gap = _without(fam, tv >= 0, E)
+            qs = [fam.q(lam) for lam in E]
             cols = fam.safe_columns(join_degrees((lam.degree for lam in E), g.rank))
-            hit = cols[gap[cols]]
+            hit = cols[(tv[cols] >= 0) & ~np.logical_or.reduce([q[cols] for q in qs])]
             label = "{" + ",".join(p.label() for p in E) + "}"
             checks.append(CheckResult(f"CK:{v}:{label}", "fail" if len(hit) else "pass",
                                       witness=fam.basis.labels[hit[0]] if len(hit) else None))
@@ -766,11 +787,13 @@ def boolean_rep(fam: IsometryFamily, cap) -> IsometryFamily:
              if mu.sort_key() <= nu.sort_key()]
     pairs += itertools.combinations([g.vertex_path(v) for v in g.vertices], 2)
     table = mce_table(g, cap)
+    join_cols = functools.cache(lambda d, e: fam.safe_columns(d.join(e)))
     for mu, nu in pairs:
-        diff = first_difference_on(
-            fam.basis, fam.q(mu) & fam.q(nu),
-            [fam.q(lam) for lam, _, _ in table.get((mu, nu), ())],
-            fam.safe_columns(mu.degree.join(nu.degree)))
+        qm, qn = fam.q(mu), fam.q(nu)
+        terms = [fam.q(lam) for lam, _, _ in table.get((mu, nu), ())]
+        cols = join_cols(mu.degree, nu.degree)
+        diff = first_difference_on(fam.basis, qm[cols] & qn[cols],
+                                   [q[cols] for q in terms], cols)
         if diff is not None:
             raise BooleanRelationFailure(
                 f"q_{mu.label()} q_{nu.label()} != sum over MCE; "
@@ -826,8 +849,8 @@ def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> dict:
         a, b = overlap
         raise BooleanRelationFailure(f"Q_{a.label()} and Q_{b.label()} are not orthogonal")
     for mu in pool:
-        pieces = [Q[mu]] + [Q[w] for w in ext[mu]]
-        if first_difference_on(fam.basis, fam.q(mu), pieces, cols) is not None:
+        pieces = [Q[mu][cols]] + [Q[w][cols] for w in ext[mu]]
+        if first_difference_on(fam.basis, fam.q(mu)[cols], pieces, cols) is not None:
             raise BooleanRelationFailure(
                 f"q_{mu.label()} is not the sum of its Q pieces")
     return Q
@@ -1066,12 +1089,16 @@ def verify_phi2(fam: IsometryFamily, phi: dict, mu: Path, nu: Path, lam: Path) -
     """Compression of a spanning element by phi_lam, phi the separating
     system's masks, follows the case split: phi_lam itself when mu = nu
     extends to lam, zero otherwise."""
-    phi_lam = _as_map(phi[lam])
-    middle = compose_maps(fam.generator(mu), fam.adjoint(nu))
-    expected = [phi_lam] if mu == nu and extends(lam, mu) else []
+    phi_lam = phi[lam]
+    t_mu, t_nu_star = fam.generator(mu), fam.adjoint(nu)
+    cols = fam.safe_columns(mu.degree.join(nu.degree))
+    start = _rows(phi_lam[cols], cols)  # phi_lam read on cols
+    rows = np.where(start < 0, -1, t_nu_star[start])
+    rows = np.where(rows < 0, -1, t_mu[rows])
+    rows = np.where((rows >= 0) & phi_lam[rows], rows, -1)
+    expected = [start] if mu == nu and extends(lam, mu) else []
     return _compare_on(f"phi2:{lam.label()}|{mu.label()},{nu.label()}", fam.basis,
-                       compose_maps(phi_lam, compose_maps(middle, phi_lam)), expected,
-                       fam.safe_columns(mu.degree.join(nu.degree)))
+                       rows, expected, cols)
 
 
 def diagonal_norm(fam: IsometryFamily, element: FormalElement) -> float:
@@ -1083,34 +1110,38 @@ def diagonal_norm(fam: IsometryFamily, element: FormalElement) -> float:
     return max((abs(v) for v in fam.evaluate(element.diagonal()).vals.tolist()), default=0.0)
 
 
-def diagonal_lower_end(m: SparseSum, element: FormalElement) -> dict:
+def diagonal_lower_end(fam: IsometryFamily, element: FormalElement) -> dict:
     """A proven lower end of ‖M‖ from the largest diagonal entry of
-    M = evaluate(element): the "column" of that entry j, the "lower" end
+    M = fam.evaluate(element): the "column" of that entry j, the "lower" end
     |fl(M_jj)| minus the rounding "allowance", and "method" "diagonal".
     When M has no diagonal entry the end is the trivial one, column None
     and lower and allowance 0.0.
 
     |M_jj| = |⟨M e_j, e_j⟩| <= ‖M‖, since compressing to the diagonal is
-    contractive.  Every generator is a partial injection, so each of the T
-    terms of the element adds its coefficient a to an entry at most once,
-    whatever the family, even where a term t_mu t_nu* with mu != nu meets
-    the diagonal.  evaluate converts each a to complex (u|a|) and bincount
-    adds the real and the imaginary parts in term order, a recursive sum of
-    at most T terms (γ_{T-1}), so |fl(M_jj) - M_jj| <= γ_T·Σ|a| by Minkowski's
-    inequality on the two parts.  The modulus d = fl(|fl(M_jj)|) is a hypot,
-    within γ_2 of the exact one, and s = fsum of the hypots |a| has
-    Σ|a| <= (1 + γ_4)·s.  So ‖M‖ >= d - γ_2·d - γ_{T+4}·s, and two extra
-    roundings folded into each γ cover the allowance's own arithmetic.
+    contractive.  Every generator is a partial injection, so a term
+    a t_mu t_nu* adds a to entry (j, j) once if t_mu* e_j = t_nu* e_j != 0
+    and not at all otherwise, whatever the family, even where mu != nu.
+    evaluate converts each a to complex (u|a|) and bincount adds the real
+    and the imaginary parts of entry (j, j) in term order, a recursive sum
+    of the T_j terms that reach it (γ_{T_j - 1}), so |fl(M_jj) - M_jj| <=
+    γ_{T_j}·Σ_j|a| by Minkowski's inequality on the two parts, Σ_j over
+    those terms.  The modulus d = fl(|fl(M_jj)|) is a hypot, within γ_2 of
+    the exact one, and s = fsum of their hypots |a| has Σ_j|a| <= (1 +
+    γ_4)·s.  So ‖M‖ >= d - γ_2·d - γ_{T_j+4}·s, and two extra roundings
+    folded into each γ cover the allowance's own arithmetic.
     """
+    m = fam.evaluate(element)
     on = m.rows == m.cols
     if not on.any():
         return {"method": "diagonal", "column": None, "lower": 0.0, "allowance": 0.0}
     moduli = np.abs(m.vals[on])
     k = int(np.argmax(moduli))
     d = float(moduli[k])
-    s = math.fsum(abs(a) for a in element.coeffs.values())
-    allowance = gamma(4) * d + gamma(len(element) + 6) * s
-    return {"method": "diagonal", "column": m.basis.labels[m.rows[on][k]],
+    j = m.rows[on][k]
+    reach = [abs(a) for (mu, nu), a in element.coeffs.items()
+             if fam.adjoint(mu)[j] == fam.adjoint(nu)[j] >= 0]
+    allowance = gamma(4) * d + gamma(len(reach) + 6) * math.fsum(reach)
+    return {"method": "diagonal", "column": m.basis.labels[j],
             "lower": max(0.0, float(np.nextafter(d - allowance, -np.inf))),
             "allowance": allowance}
 
@@ -1145,10 +1176,9 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path],
         element = FormalElement(g, {(mu, nu): table[(mu, nu)]
                                     for mu in F for nu in F if table.get((mu, nu), 0)})
         lhs = diagonal_norm(fam, element)
-        m = fam.evaluate(element)
-        end = diagonal_lower_end(m, element)
+        end = diagonal_lower_end(fam, element)
         if lhs > end["lower"] + tol:  # the diagonal cannot decide
-            norm = operator_norm(m)
+            norm = operator_norm(fam.evaluate(element))
             end = {"rhs": norm.pop("value"), **norm}
         detail = {"lhs": lhs, **end}
         lower, upper = detail["lower"], detail.get("upper")

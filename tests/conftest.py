@@ -174,7 +174,7 @@ def weak_lower_end(monkeypatch):
 
     monkeypatch.setattr(repalg, "operator_norm", lambda m: {**real_norm(m), "lower": 0.0})
     monkeypatch.setattr(repalg, "diagonal_lower_end",
-                        lambda m, element: {**real_diagonal(m, element), "lower": 0.0})
+                        lambda fam, element: {**real_diagonal(fam, element), "lower": 0.0})
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,10 @@ routine by direct enumeration: MCE of two paths, vee E, MCE closure of a
 path set tested pair by pair, the boolean product rule and the orthogonality
 of masks tested on every pair, the extensions of each member of a pool by a
 scan of the whole pool, the completion closure of the Lemma 3 chain over
-every ordered pair, the spectral norm of an evaluated element from its
-dense matrix, the norm of a diagonal combination from its Q-piece sectors,
-and finite exhaustive sets as defined by
+every ordered pair, the TCK relations from whole-basis compositions, the
+spectral norm of an evaluated element from its dense matrix, the norm of a
+diagonal combination from its Q-piece sectors, and finite exhaustive sets
+as defined by
 Raeburn-Sims-Yeend, JFA 2004, the boundary condition of Sims, Indiana Univ.
 Math. J. 2006, tested position by position on each handle, windowed
 aperiodicity by comparing every pair of shifts, and shifts and extensions of
@@ -19,7 +20,9 @@ not of the helpers they import, so an assert here would vanish under -O.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -31,6 +34,7 @@ from kgraphkit.alignment import (
     is_exhaustive_brute,
     mce,
     mce_set,
+    mce_table,
     vee,
 )
 from kgraphkit.boundary import (
@@ -50,7 +54,14 @@ from kgraphkit.core import (
     paths_up_to_degree,
     segment,
 )
-from kgraphkit.repalg import BoundaryFamily, SparseSum, build_boundary_family, q_decomposition
+from kgraphkit.repalg import (
+    BoundaryFamily,
+    SparseSum,
+    build_boundary_family,
+    compose_maps,
+    inverse_map,
+    q_decomposition,
+)
 
 
 class NotMceClosed(KGraphError):
@@ -125,6 +136,65 @@ def boolean_rep_all_pairs(fam, cap):
             if not np.array_equal(total, (fam.q(mu) & fam.q(nu))[cols]):
                 return mu, nu
     return None
+
+
+def first_difference_whole(basis, lhs, rhs, cols):
+    """Oracle: repalg.first_difference_on on whole maps or masks, each read on
+    cols here.  They agree where the top row rhs hits (-1 for none) is lhs's
+    row and, with two or more terms, no column is hit twice; a difference
+    is the first (row, col), in (row, col) order, with both values."""
+    def as_map(term):
+        return np.where(term, np.arange(len(term)), -1) if term.dtype == bool else term
+
+    want = as_map(lhs)[cols]
+    hits = [as_map(t)[cols] for t in rhs]
+    if np.all(functools.reduce(np.maximum, hits, -1) == want) and (
+            len(hits) < 2 or np.all(sum(h >= 0 for h in hits) <= 1)):
+        return None
+    a, b = (Counter((r, c) for t in side for r, c in zip(t.tolist(), cols.tolist()) if r >= 0)
+            for side in ([want], hits))
+    i, j = min(k for k in a.keys() | b.keys() if a[k] != b[k])
+    return (basis.labels[i], basis.labels[j], a[(i, j)], b[(i, j)])
+
+
+def tck_whole_maps(fam, cap) -> list[tuple]:
+    """Oracle: repalg.verify_tck as (id, status, witness) triples, each
+    product composed over the whole basis and then compared on the check's
+    safe columns by first_difference_whole; each adjoint is the inverse map
+    of the family's generator, taken here."""
+    g = fam.graph
+    cap = Degree(cap)
+    t = fam.generator
+    t_star = functools.cache(lambda p: inverse_map(t(p)))
+    out = []
+
+    def compare(cid, lhs, rhs, cols):
+        diff = first_difference_whole(fam.basis, lhs, rhs, cols)
+        out.append((cid, "pass", None) if diff is None else (cid, "fail", str(diff)))
+
+    verts = [g.vertex_path(v) for v in g.vertices]
+    for v in verts:
+        tv = t(v)
+        ok = np.array_equal(tv, t_star(v)) and np.array_equal(compose_maps(tv, tv), tv)
+        out.append((f"TCK1:{v.label()} projection", "pass" if ok else "fail", None))
+    for v, w in itertools.combinations(verts, 2):
+        zero = not np.any(compose_maps(t(v), t(w)) >= 0)
+        out.append((f"TCK1:{v.label()}·{w.label()} orthogonal", "pass" if zero else "fail", None))
+    paths = paths_up_to_degree(g, cap)
+    for lam in paths:
+        for mu in paths:
+            if mu.range_vertex == lam.source_vertex and lam.degree + mu.degree <= cap:
+                compare(f"TCK2:{lam.label()}·{mu.label()}", compose_maps(t(lam), t(mu)),
+                        [t(compose(lam, mu))], fam.safe_columns(lam.degree + mu.degree))
+    table = mce_table(g, cap)
+    for mu in paths:
+        for nu in paths:
+            if nu.range_vertex == mu.range_vertex:
+                compare(f"TCK3:{mu.label()}*{nu.label()}", compose_maps(t_star(mu), t(nu)),
+                        [compose_maps(t(alpha), t_star(beta))
+                         for _, alpha, beta in table.get((mu, nu), ())],
+                        fam.safe_columns(mu.degree.join(nu.degree)))
+    return out
 
 
 def overlapping_pairs(masks: dict, cols) -> list:

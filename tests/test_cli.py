@@ -397,6 +397,28 @@ class TestRepVerify:
             outs.append(json.loads(captured.out)["results"])
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("graph, caps", [("bouquet2", ("6", "6")),
+                                             ("bouquet2c", ("2,2,2", "2,2,2"))])
+    def test_claim1_large_tables_pass_on_the_diagonal(self, capsys, graph_files, tmp_path,
+                                                      monkeypatch, graph, caps):
+        # 16,129 and 117,649 terms: counting all of them in the rounding
+        # allowance left both tables to Lanczos; only the few terms that reach
+        # the largest diagonal entry count, and no norm is taken
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator_norm was called")
+
+        monkeypatch.setattr(repalg, "operator_norm", refuse)
+        path = (graph_files["bouquet2"] if graph == "bouquet2"
+                else _write(tmp_path / "bouquet2c.kg", bouquet2_cubed_presentation()))
+        cap, gen_cap = caps
+        assert main(["rep-verify", path, "--cap", cap, "--gen-cap", gen_cap, "--suite", "claim1",
+                     "--suite-size", "1", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "kgraphkit rep-verify: pass=1\n"
+        (check,) = json.loads(captured.out)["results"]
+        assert check["detail"]["method"] == "diagonal"
+        assert check["detail"]["lhs"] <= check["detail"]["lower"] + repalg.CLAIM1_TOL
+
     def test_ck_cap_below_fe_degree_exits_2(self, capsys, graph_files, monkeypatch):
         # the FE sets at fe-cap 3 reach degree (3,); no generator of that
         # degree is asked for, and no projection is read before the refusal

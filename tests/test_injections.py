@@ -4,6 +4,9 @@ Every 0/1 check in ``repalg`` composes index arrays and ANDs masks; here each
 of those operations is compared with the arithmetic of the dict-matrix
 referee ``conftest.OperatorMatrix`` on the same 0/1 matrices, on random
 partial injections and on every generator of small Fock and boundary families.
+verify_tck, which composes on each check's safe columns only, is compared
+with the whole-basis compositions of ``oracles.tck_whole_maps``, also on
+families with a tampered generator.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import OperatorMatrix, as_matrix
+from oracles import boundary_family_from_graph, tck_whole_maps
 from kgraphkit import repalg
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.core import Degree, paths_up_to_degree
@@ -94,7 +98,8 @@ class TestReferee:
             return OperatorMatrix(basis, {k: v for k, v in total.entries.items()
                                           if k[1] in set(cols.tolist())})
 
-        assert (first_difference_on(basis, lhs, rhs, cols)
+        # first_difference_on takes each side already read on cols
+        assert (first_difference_on(basis, lhs[cols], [t[cols] for t in rhs], cols)
                 == restricted_sum([lhs]).first_difference(restricted_sum(rhs)))
 
     def test_overlap_reports_value_two(self):
@@ -161,3 +166,131 @@ def test_zero_one_checks_use_no_sparse_products(bouquet2, monkeypatch):
     phi = build_separating_system(fam, F_closed)
     assert all(verify_phi2(fam, phi, mu, nu, lam).ok
                for lam in phi for mu in phi for nu in phi)
+
+
+def tck_case(corpus, name):
+    """(family, gen-cap) of each TCK referee case."""
+    if name == "boundary_tm":
+        return boundary_tm_family(corpus["bouquet2"]), (2,)
+    if name == "boundary_omega":
+        return boundary_family_from_graph(corpus["omega22"]), (1, 1)
+    cap, gen_cap = {"c3": ((4,), (2,)), "bouquet2": ((4,), (2,)), "flip": ((3, 3), (2, 2)),
+                    "omega22": ((2, 2), (1, 1)), "omega222": ((2, 2, 2), (1, 1, 1))}[name]
+    return build_fock_family(corpus[name], cap), gen_cap
+
+
+def tampered(fam, gen_cap, lam, entries):
+    """fam with every generator below gen_cap built and t_lam changed at the
+    given {basis index: image} entries, -1 for undefined, before any adjoint
+    or projection is taken."""
+    for p in paths_up_to_degree(fam.graph, gen_cap):
+        fam.generator(p)
+    t = fam.generator(lam).copy()
+    for j, i in entries.items():
+        assert t[j] != i
+        t[j] = i
+    t.flags.writeable = False
+    fam._gens[lam] = t
+    return fam
+
+
+def triples(checks):
+    return [(c.id, c.status, c.witness) for c in checks]
+
+
+class TestTckReferee:
+    @pytest.mark.parametrize("name", ["c3", "bouquet2", "flip", "omega22", "omega222",
+                                      "boundary_tm", "boundary_omega"])
+    def test_matches_whole_map_referee(self, corpus, name):
+        fam, gen_cap = tck_case(corpus, name)
+        got = triples(verify_tck(fam, gen_cap))
+        assert got == tck_whole_maps(fam, gen_cap)
+        assert all(status == "pass" for _, status, _ in got)
+
+    @pytest.mark.parametrize("name", ["c3", "bouquet2", "flip", "omega22", "boundary_tm"])
+    def test_tamper_on_a_safe_column_fails_with_referee_witness(self, corpus, name):
+        # t_lam, lam a longest path below the gen-cap, loses one safe column:
+        # t_lam* t_lam or a split t_mu t_nu = t_lam sees it
+        fam, gen_cap = tck_case(corpus, name)
+        lam = max(paths_up_to_degree(fam.graph, gen_cap), key=lambda p: sum(p.degree))
+        cols = fam.safe_columns(lam.degree)
+        j = int(cols[fam.generator(lam)[cols] >= 0][0])
+        fam = tampered(fam, gen_cap, lam, {j: -1})
+        got = triples(verify_tck(fam, gen_cap))
+        assert got == tck_whole_maps(fam, gen_cap)
+        failed = [(cid, witness) for cid, status, witness in got if status == "fail"]
+        assert failed and all(cid.startswith(("TCK2:", "TCK3:")) and witness
+                              for cid, witness in failed)
+
+    @pytest.mark.parametrize("edge", ["a", "b"])
+    def test_tamper_off_the_safe_columns_passes(self, corpus, edge):
+        # t_e loses a handle that is not safe at d(e), so at no budget of a
+        # check that reads t_e: every check passes, on both sides
+        fam, gen_cap = tck_case(corpus, "boundary_tm")
+        lam = fam.graph.edge_path(edge)
+        safe = fam.safe_columns(lam.degree)
+        j = next(j for j in np.flatnonzero(fam.generator(lam) >= 0).tolist() if j not in safe)
+        fam = tampered(fam, gen_cap, lam, {j: -1})
+        got = triples(verify_tck(fam, gen_cap))
+        assert got == tck_whole_maps(fam, gen_cap)
+        assert all(status == "pass" for _, status, _ in got)
+
+    @pytest.mark.parametrize("kind", ["overlap", "swap"])
+    def test_tampered_vertex_fails_tck1(self, corpus, kind):
+        # t_w also fixes a basis vector of range v, so t_v t_w != 0; or t_v
+        # swaps two basis vectors, so t_v = t_v* but t_v t_v != t_v
+        fam, gen_cap = tck_case(corpus, "omega22")
+        v, w = (fam.graph.vertex_path(x) for x in fam.graph.vertices[:2])
+        on_v = np.flatnonzero(fam.generator(v) >= 0)
+        i, j = on_v[:2].tolist()
+        if kind == "overlap":
+            fam = tampered(fam, gen_cap, w, {i: i})
+            want = f"TCK1:{v.label()}·{w.label()} orthogonal"
+        else:
+            fam = tampered(fam, gen_cap, v, {i: j, j: i})
+            want = f"TCK1:{v.label()} projection"
+        got = triples(verify_tck(fam, gen_cap))
+        assert got == tck_whole_maps(fam, gen_cap)
+        assert (want, "fail", None) in got
+        assert not [cid for cid, status, _ in got if status == "fail" and cid.startswith("TCK1")
+                    and cid != want]
+
+
+def test_zero_one_checks_compose_on_their_safe_columns(bouquet2, monkeypatch):
+    """verify_tck, boolean_rep, q_decomposition and verify_phi2 compose no
+    whole maps: each compose_on reads a safe-column set and returns one entry
+    per column of it."""
+    fam = build_fock_family(bouquet2, (7,))
+    F = vee(bouquet2, paths_up_to_degree(bouquet2, (1,)))
+
+    def run():
+        verify_tck(fam, (2,))
+        Q = q_decomposition(boolean_rep(fam, (1,)), F)
+        phi = build_separating_system(fam, F)
+        return Q, [verify_phi2(fam, phi, mu, nu, lam) for lam in phi for mu in phi for nu in phi]
+
+    run()  # builds every generator, adjoint and projection the checks read
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compose_maps was called")
+
+    safe, composed = [], []
+    real_safe, real_on = fam.safe_columns, repalg.compose_on
+
+    def safe_columns(budget):
+        safe.append(real_safe(budget))
+        return safe[-1]
+
+    def spy_on(a, b, cols):
+        composed.append((cols, real_on(a, b, cols)))
+        return composed[-1][1]
+
+    monkeypatch.setattr(repalg, "compose_maps", refuse)
+    monkeypatch.setattr(repalg, "compose_on", spy_on)
+    monkeypatch.setattr(fam, "safe_columns", safe_columns)
+    Q, phi2 = run()
+    assert all(c.ok for c in phi2) and len(Q) == len(F)
+    assert composed
+    for cols, out in composed:
+        assert any(cols is s for s in safe)
+        assert len(out) == len(cols)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 
@@ -45,6 +46,7 @@ from kgraphkit.repalg import (
     couniversal_norm_check,
     diagonal_lower_end,
     diagonal_norm,
+    gamma,
     inverse_map,
     lem3_check,
     operator_norm,
@@ -510,18 +512,20 @@ class TestPairRules:
 
     def test_boolean_rep_tests_common_range_and_vertex_pairs(self, omega222, monkeypatch):
         # 1,480 pairs with a common range and 351 pairs of the 27 vertices;
-        # all 23,436 pairs of the 216 paths would be tested otherwise
+        # all 23,436 pairs of the 216 paths would be tested otherwise.  Each
+        # passing pair makes one first_difference_on call, with every side
+        # already read on the pair's safe columns
         calls = []
         real = repalg.first_difference_on
 
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
+        def counted(basis, lhs, rhs, cols):
+            calls.append(all(len(side) == len(cols) for side in [lhs, *rhs]))
+            return real(basis, lhs, rhs, cols)
 
         monkeypatch.setattr(repalg, "first_difference_on", counted)
         fam = build_fock_family(omega222, (2, 2, 2))
         boolean_rep(fam, (2, 2, 2))
-        assert len(calls) <= 1_480 + 351
+        assert len(calls) == 1_480 + 351 and all(calls)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
@@ -1221,7 +1225,7 @@ class TestClaim1DiagonalEnd:
         for table in claim1_referee_tables(fam, F, range(50)):
             a = FormalElement(fam.graph, table)
             m = fam.evaluate(a)
-            end = diagonal_lower_end(m, a)
+            end = diagonal_lower_end(fam, a)
             if end["column"] is None:
                 assert not (m.rows == m.cols).any()
                 assert end == {"method": "diagonal", "column": None, "lower": 0.0,
@@ -1238,6 +1242,29 @@ class TestClaim1DiagonalEnd:
         assert decided >= 25
         assert (crossing > 0) == (name == "periodic-bouquet2")
 
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_allowance_counts_the_terms_reaching_the_entry(self, claim1_families, name):
+        # a term counts when its referee product t_mu t_nu* has a (j, j)
+        # entry; off-diagonal terms reach it on the periodic family
+        fam, F = claim1_families[name]
+        crossing = 0
+        for table in claim1_referee_tables(fam, F, range(12)):
+            a = FormalElement(fam.graph, table)
+            end = diagonal_lower_end(fam, a)
+            if end["column"] is None:
+                continue
+            j = fam.basis.labels.index(end["column"])
+            m = fam.evaluate(a)
+            d = float(np.abs(m.vals[(m.rows == j) & (m.cols == j)][0]))
+            reach = {(mu, nu): c for (mu, nu), c in a.coeffs.items()
+                     if (j, j) in (as_matrix(fam.basis, fam.generator(mu))
+                                   @ as_matrix(fam.basis, fam.generator(nu)).adjoint()).entries}
+            crossing += any(mu != nu for mu, nu in reach)
+            assert 0 < len(reach) < len(a) or len(a) == 1
+            assert end["allowance"] == (gamma(4) * d + gamma(len(reach) + 6)
+                                        * math.fsum(abs(c) for c in reach.values()))
+        assert (crossing > 0) == (name == "periodic-bouquet2")
+
     def test_allowance_covers_the_rounding_of_the_sum(self, claim1_families, bouquet2):
         # the three terms act only at a^∞, so M = 3·E_00 exactly, but the
         # sum 1e16 + 3 - 1e16 in term order rounds to 4
@@ -1246,7 +1273,7 @@ class TestClaim1DiagonalEnd:
         element = FormalElement(bouquet2, {(a, aa): 1e16, (aa, a): 3.0, (aa, aaa): -1e16})
         m = fam.evaluate(element)
         assert (m.rows.tolist(), m.cols.tolist(), m.vals.tolist()) == ([0], [0], [4])
-        end = diagonal_lower_end(m, element)
+        end = diagonal_lower_end(fam, element)
         assert end["column"] == fam.basis.labels[0] and end["lower"] <= 3.0
 
     @pytest.mark.parametrize("name", FAMILY_NAMES)
