@@ -33,19 +33,6 @@ from .core import (
 )
 
 
-class EmptyEError(KGraphError):
-    """An empty candidate set is never exhaustive; reported explicitly."""
-
-
-class CapTooLargeForBudget(KGraphError):
-    pass
-
-
-class NotLocallyConvex(KGraphError):
-    """No finite test set decides exhaustiveness: the graph is neither
-    locally convex nor finite."""
-
-
 def extends(lam: Path, mu: Path) -> bool:
     """True when lam = mu.mu' for some mu', i.e. mu is an initial segment."""
     if lam.range_vertex != mu.range_vertex or not mu.degree <= lam.degree:
@@ -200,13 +187,13 @@ def _test_degree(g: KGraph, D: Degree) -> Degree:
     fails: with e: u <- w of color 1, f: u <- x of color 2 and no squares,
     T(d(e)) = {e} though f meets no extension of e.  With finitely many
     paths, C = max_path_degree() makes T(C) the maximal paths, which is
-    exact; any other graph raises NotLocallyConvex.
+    exact; any other graph is refused.
     """
     if g.locally_convex:
         return D
     if g.has_finite_path_category():
         return g.max_path_degree()
-    raise NotLocallyConvex(
+    raise KGraphError(
         "exhaustiveness needs a locally convex graph or finitely many paths")
 
 
@@ -221,7 +208,7 @@ def is_exhaustive(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdict:
         raise KGraphError(f"unknown vertex {v!r}")
     E = list(E)
     if not E:
-        raise EmptyEError(f"empty candidate set at {v!r} is not exhaustive")
+        raise KGraphError(f"empty candidate set at {v!r} is not exhaustive")
     for lam in E:
         if lam.range_vertex != v:
             raise KGraphError(f"{lam.label()} does not have range {v!r}")
@@ -242,7 +229,7 @@ def is_exhaustive_brute(g: KGraph, v: str, E: Sequence[Path]) -> ExhaustiveVerdi
     """
     E = list(E)
     if not E:
-        raise EmptyEError(f"empty candidate set at {v!r} is not exhaustive")
+        raise KGraphError(f"empty candidate set at {v!r} is not exhaustive")
     D = join_degrees((lam.degree for lam in E), g.rank)
     cap = (g.max_path_degree() if g.has_finite_path_category()
            else D + Degree((1,) * g.rank))
@@ -264,7 +251,7 @@ def enumerate_fe(g: KGraph, v: str, cap, budget: int = 100_000) -> list[list[Pat
     fewest candidates left, and keep every chosen member's critical test
     paths (those only it covers) nonempty.  A minimal cover is an antichain,
     since an extension of a member covers only test paths the member does.
-    The budget bounds the search nodes; past it CapTooLargeForBudget is raised.
+    The budget bounds the search nodes; past it the search is refused.
     """
     cap = Degree(cap)
     if g.has_finite_path_category():
@@ -283,7 +270,7 @@ def enumerate_fe(g: KGraph, v: str, cap, budget: int = 100_000) -> list[list[Pat
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise CapTooLargeForBudget(
+            raise KGraphError(
                 f"examined more than {budget} search nodes at cap {tuple(cap)}")
         if not uncovered:
             out.append(sorted((universe[i] for i in crit), key=Path.sort_key))

@@ -24,14 +24,6 @@ from .core import (
 from .alignment import mce
 
 
-class SourceMismatch(KGraphError):
-    pass
-
-
-class MixedSources(KGraphError):
-    pass
-
-
 def _tau_candidates(g: KGraph, v: str, depth: Degree) -> Iterator[Path]:
     """Extensions at v ordered breadth-first in degree, lexicographic within;
     each degree is enumerated only when the search reaches it."""
@@ -44,9 +36,6 @@ def _tau_candidates(g: KGraph, v: str, depth: Degree) -> Iterator[Path]:
 def find_separating_extension(g: KGraph, mu: Path, nu: Path, depth
                               ) -> Optional[Path]:
     """Shortest τ from s(μ) with MCE(μτ, ντ) empty, or None below the depth."""
-    if mu.source_vertex != nu.source_vertex:
-        raise SourceMismatch(
-            f"s({mu.label()}) = {mu.source_vertex} != s({nu.label()}) = {nu.source_vertex}")
     return None if mu == nu else separate_family(g, [mu, nu], depth)
 
 
@@ -57,7 +46,7 @@ def separate_family(g: KGraph, H: Sequence[Path], depth) -> Optional[Path]:
         return None
     v = H[0].source_vertex
     if any(p.source_vertex != v for p in H):
-        raise MixedSources("family members must share a source vertex")
+        raise KGraphError("family members must share a source vertex")
     pairs = [(H[i], H[j]) for i in range(len(H)) for j in range(i + 1, len(H))
              if H[i] != H[j]]
     if not pairs:

@@ -29,7 +29,6 @@ from .core import (
     Degree,
     KGraph,
     KGraphError,
-    NotComposable,
     Path,
     compose,
     degrees_up_to,
@@ -39,22 +38,6 @@ from .core import (
 from .alignment import enumerate_fe
 
 INF = math.inf
-
-
-class GraphHasCycles(KGraphError):
-    pass
-
-
-class NoFixedPoint(KGraphError):
-    pass
-
-
-class DegreeExceeded(KGraphError):
-    pass
-
-
-class WindowUnavailable(KGraphError):
-    """A handle has no data for the requested window."""
 
 
 # -- extended degrees: coordinates in N ∪ {∞} --------------------------------
@@ -98,9 +81,9 @@ class BoundaryPathHandle:
         got = self._memo.get((n, m))
         if got is None:
             if not n <= m:
-                raise DegreeExceeded(f"window needs n <= m, got {tuple(n)}, {tuple(m)}")
+                raise KGraphError(f"window needs n <= m, got {tuple(n)}, {tuple(m)}")
             if not m <= self.degree:
-                raise DegreeExceeded(f"window {tuple(m)} exceeds degree {self.degree}")
+                raise KGraphError(f"window {tuple(m)} exceeds degree {self.degree}")
             got = self._memo[n, m] = self._window(n, m)
         return got
 
@@ -154,7 +137,7 @@ class WordStreamHandle(BoundaryPathHandle):
     def _window(self, n: Degree, m: Degree) -> Path:
         letters = self._prefix_of(m[0])
         if len(letters) < m[0]:
-            raise WindowUnavailable(
+            raise KGraphError(
                 f"{self.name} has only {len(letters)} letters, window needs {m[0]}")
         v = self.range_vertex
         return Path(self.graph, v, v, tuple(letters[n[0]:m[0]]), m - n)
@@ -199,7 +182,7 @@ def shift(x: BoundaryPathHandle, n) -> BoundaryPathHandle:
     """
     n = Degree(n)
     if not n <= x.degree:
-        raise DegreeExceeded(f"shift {tuple(n)} exceeds degree {x.degree}")
+        raise KGraphError(f"shift {tuple(n)} exceeds degree {x.degree}")
     if not any(n):
         return x
     lam, y, s = normal_form(x)
@@ -215,9 +198,9 @@ def extend(lam: Path, x: BoundaryPathHandle) -> BoundaryPathHandle:
     """The handle of λx with (λx)(0, d(λ)) = λ and σ^{d(λ)}(λx) = x; with
     x = μ·σ^s(y) it is (λμ)·σ^s(y)."""
     if lam.graph is not x.graph:
-        raise NotComposable("prefix lives in a different graph")
+        raise KGraphError("prefix lives in a different graph")
     if lam.source_vertex != x.range_vertex:
-        raise NotComposable(
+        raise KGraphError(
             f"s({lam.label()}) = {lam.source_vertex} != r(x) = {x.range_vertex}")
     if lam.is_vertex():
         return x
@@ -231,8 +214,6 @@ def extend(lam: Path, x: BoundaryPathHandle) -> BoundaryPathHandle:
 def finite_boundary_paths(g: KGraph) -> list[BoundaryPathHandle]:
     """The complete boundary-path set of a graph with finitely many paths:
     the paths that pass the boundary condition below the maximal degree."""
-    if not g.has_finite_path_category():
-        raise GraphHasCycles("boundary enumeration needs a finite path category")
     cap = g.max_path_degree()
     handles = [FinitePathHandle(lam) for lam in paths_up_to_degree(g, cap)]
     return [x for x, witness in zip(handles, check_boundary_condition(handles, cap, cap))
@@ -256,10 +237,10 @@ def substitution_path(g: KGraph, rules: dict, seed: str, name: Optional[str] = N
         if not image or any(c not in g.edges for c in image):
             raise KGraphError(f"rule {k!r} -> {image} uses unknown edges")
     if seed not in rules:
-        raise NoFixedPoint(f"no rule for seed {seed!r}")
+        raise KGraphError(f"no rule for seed {seed!r}")
     image = rules[seed]
     if image[0] != seed or len(image) < 2:
-        raise NoFixedPoint(
+        raise KGraphError(
             f"rule {seed!r} -> {''.join(image)} has no growing fixed point at {seed!r}")
     reachable = {seed}
     frontier = [seed]
@@ -268,7 +249,7 @@ def substitution_path(g: KGraph, rules: dict, seed: str, name: Optional[str] = N
         frontier = sorted(letters - reachable)
         reachable |= letters
     if reachable == {seed}:
-        raise NoFixedPoint(
+        raise KGraphError(
             f"substitution never leaves {seed!r}; use periodic_path for {seed!r}^inf")
 
     state = {"prefix": list(image)}
@@ -318,7 +299,7 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
     exhaustive set at the vertex there, some tail segment of x must lie in
     the set.  A handle that passes gets None; one that fails gets its
     witness (n, labels): the first failing n with the labels of its first
-    unmet set.  A window the handle cannot supply raises WindowUnavailable.
+    unmet set.  A window the handle cannot supply is refused.
 
     Each position is tested once per call.  The shift identity
     (σ^s y)(n, n + d) = y(s + n, s + n + d), with d(σ^s y) = d(y) - s, makes

@@ -18,15 +18,9 @@ from typing import Iterable, Optional, Sequence
 
 
 class KGraphError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class NotComposable(KGraphError):
-    pass
-
-
-class DegreeOutOfRange(KGraphError):
-    pass
+    """Every refusal of this package.  A subclass exists only where a caller
+    acts on its type: ParseError, ValidationError, and repalg's
+    BooleanRelationFailure and SeparationSearchExhausted."""
 
 
 class ParseError(KGraphError):
@@ -94,7 +88,7 @@ class Degree(tuple):
 
     def __sub__(self, other) -> "Degree":
         if not (other if type(other) is Degree else Degree(other)) <= self:
-            raise DegreeOutOfRange(f"{other} is not <= {tuple(self)}")
+            raise KGraphError(f"{other} is not <= {tuple(self)}")
         return self._result(other, map(operator.sub, self, other))
 
     def join(self, other) -> "Degree":
@@ -364,9 +358,9 @@ def compose(lam: Path, mu: Path) -> Path:
     """Canonical form of the composite λμ; defined when s(λ) = r(μ)."""
     g = lam.graph
     if g is not mu.graph:
-        raise NotComposable("paths live in different graphs")
+        raise KGraphError("paths live in different graphs")
     if lam.source_vertex != mu.range_vertex:
-        raise NotComposable(
+        raise KGraphError(
             f"s({lam.label()}) = {lam.source_vertex} != r({mu.label()}) = {mu.range_vertex}")
     if not lam.word:
         return mu
@@ -390,7 +384,7 @@ def segment(lam: Path, m, n) -> Path:
     n = Degree(n)
     d = lam.degree
     if not (m <= n and n <= d):
-        raise DegreeOutOfRange(
+        raise KGraphError(
             f"need m <= n <= d(λ); got m={tuple(m)}, n={tuple(n)}, d={tuple(d)}")
     if any(m):
         front, rest = g._split(lam.word, d, m)

@@ -50,18 +50,6 @@ from .boundary import (
 )
 
 
-class CapTooSmall(KGraphError):
-    pass
-
-
-class EmptySeedSet(KGraphError):
-    pass
-
-
-class WindowCollision(KGraphError):
-    pass
-
-
 class BooleanRelationFailure(KGraphError):
     pass
 
@@ -75,10 +63,6 @@ class SeparationSearchExhausted(KGraphError):
 
     def __init__(self, depth, detail: str):
         super().__init__(f"{detail} (depth {tuple(depth)})")
-
-
-class NonConvergence(KGraphError):
-    pass
 
 
 # -- sparse matrices over a named basis --------------------------------------
@@ -128,8 +112,8 @@ def operator_norm(m: SparseSum) -> dict:
     M and M* are applied as bincount matvecs on the entry arrays.  Pass 1
     keeps only the tridiagonal coefficients and stops when the top Ritz
     value's residual β_k·|s_k| is below 1e-10 of it, which also covers an
-    invariant subspace (β_k = 0); MAX_LANCZOS_STEPS steps without that raise
-    NonConvergence.
+    invariant subspace (β_k = 0); MAX_LANCZOS_STEPS steps without that are
+    refused.
     Pass 2 repeats the recurrence with the stored coefficients, so it
     rebuilds the same Lanczos vectors, and sums the Ritz vector y.  No basis
     is stored and none is reorthogonalised: the bounds hold for any y.
@@ -199,7 +183,7 @@ def operator_norm(m: SparseSum) -> dict:
             if beta * abs(s[-1]) <= settle * theta:
                 break
         if k == MAX_LANCZOS_STEPS:
-            raise NonConvergence(f"Lanczos residual did not settle in {k} steps")
+            raise KGraphError(f"Lanczos residual did not settle in {k} steps")
         q_prev, q = q, w / beta
     theta, s = ritz(k)
     y = s[0] * start
@@ -254,12 +238,6 @@ def range_mask(t: np.ndarray) -> np.ndarray:
     return mask
 
 
-def compose_on(a: np.ndarray, b: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(a∘b)[cols]: b read on cols, a read wherever b lands, -1 kept."""
-    img = b[cols]
-    return np.where(img < 0, -1, a[img])
-
-
 def _rows(term: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """A term read on cols as the row it hits at each column, -1 for none: a
     map's value is its row, a mask's row is the column itself."""
@@ -302,6 +280,14 @@ def _without(fam: IsometryFamily, mask: np.ndarray, paths: Sequence[Path]) -> np
     for w in paths:
         mask = mask & ~fam.q(w)
     return mask
+
+
+def _by_range(paths: Iterable[Path]) -> dict[str, list[Path]]:
+    """The paths grouped by range vertex, each group in the given order."""
+    at: dict[str, list[Path]] = {}
+    for p in paths:
+        at.setdefault(p.range_vertex, []).append(p)
+    return at
 
 
 # -- reports ------------------------------------------------------------------
@@ -385,7 +371,7 @@ class IsometryFamily:
         along lam's word: t_lam = t_e1 ⋯ t_en."""
         def build():
             if self.cap is not None and not lam.degree <= self.cap:
-                raise CapTooSmall(f"generator degree {tuple(lam.degree)} "
+                raise KGraphError(f"generator degree {tuple(lam.degree)} "
                                   f"exceeds basis cap {tuple(self.cap)}")
             if lam.is_vertex():
                 return np.where(self._ranges == lam.range_vertex, np.arange(len(self.basis)), -1)
@@ -410,6 +396,12 @@ class IsometryFamily:
     def adjoint(self, lam: Path) -> np.ndarray:
         """t_lam* as a read-only index array: the inverse map of t_lam."""
         return self._memo(self._adjoints, lam, lambda: inverse_map(self.generator(lam)))
+
+    def require_cap(self, degree: Degree, what: str) -> None:
+        """Refuse a degree that a truncated basis's cap cannot hold; what
+        names whose degree it is."""
+        if self.cap is not None and not degree <= self.cap:
+            raise KGraphError(f"cap {tuple(self.cap)} cannot hold {what} degree {tuple(degree)}")
 
     def safe_columns(self, budget) -> np.ndarray:
         """Sorted indices of the basis vectors safe at the budget."""
@@ -540,7 +532,7 @@ class FockFamily(IsometryFamily):
     def _safe_columns(self, budget: Degree) -> np.ndarray:
         """The basis paths beta with d(beta) <= cap - budget."""
         if not budget <= self.cap:
-            raise CapTooSmall(
+            raise KGraphError(
                 f"budget {tuple(budget)} exceeds basis cap {tuple(self.cap)}; "
                 "the safe subspace is empty")
         return np.flatnonzero(np.all(self._degrees <= np.array(self.cap - budget), axis=1))
@@ -588,8 +580,8 @@ class BoundaryFamily(IsometryFamily):
 
     def _edge_generator(self, e: Path) -> tuple[list, list]:
         """Domain and image of t_e, one extension per handle; two handles with
-        one windowed image would make t_e no partial isometry, so they raise
-        WindowCollision."""
+        one windowed image would make t_e no partial isometry, so they are
+        refused."""
         source: dict[int, int] = {}  # image -> domain
         for j in np.flatnonzero(self._ranges == e.source_vertex).tolist():
             x = self.handles[j]
@@ -597,7 +589,7 @@ class BoundaryFamily(IsometryFamily):
             if i is None:
                 continue
             if i in source:
-                raise WindowCollision(
+                raise KGraphError(
                     f"t_{e.label()} sends {self.handles[source[i]].describe()} and "
                     f"{x.describe()} to one handle at window {tuple(self.window)}")
             source[i] = j
@@ -618,7 +610,7 @@ class BoundaryFamily(IsometryFamily):
                 if all(i < n and ok[i] for i in (self.tail_id(j, m) for m in
                                                  degrees_up_to(budget.meet(x.degree))))]
         if not safe:
-            raise CapTooSmall(
+            raise KGraphError(
                 f"no safe basis vectors at budget {tuple(budget)}; "
                 "enlarge gen_cap")
         return safe
@@ -638,7 +630,7 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
     2·gen_cap, are dropped, which mirrors the degenerate case of a periodic
     graph supplying no usable basis vectors.  Handle identity inside the
     basis is windowed equality at the given width; two declared seeds
-    indistinguishable at that width are a WindowCollision.
+    indistinguishable at that width are refused.
 
     Each distinct shift σ^m(x), m <= gen_cap, is extended by every lam <=
     gen_cap once: the fingerprint of lam·y depends only on y's.  A shift equal
@@ -648,13 +640,13 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
     gen_cap = Degree(gen_cap)
     seeds = list(seeds)
     if not seeds:
-        raise EmptySeedSet("no boundary-path handles supplied")
+        raise KGraphError("no boundary-path handles supplied")
 
     screen = gen_cap + gen_cap
     kept = [x for x in seeds
             if aperiodicity_window_check(x, screen.meet(x.degree), window) is None]
     if not kept:
-        raise EmptySeedSet(
+        raise KGraphError(
             "every seed failed the windowed aperiodicity screen; "
             "the aperiodic boundary-path space is empty at this resolution")
 
@@ -662,7 +654,7 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
     for x in kept:
         fp = x.fingerprint(window)
         if fp in fps:
-            raise WindowCollision(
+            raise KGraphError(
                 f"seeds {fps[fp].name} and {x.name} agree on window {tuple(window)}")
         fps[fp] = x
 
@@ -718,7 +710,7 @@ def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
     sum_cols = functools.cache(lambda d, e: fam.safe_columns(d + e))
     join_cols = functools.cache(lambda d, e: fam.safe_columns(d.join(e)))
     paths = paths_up_to_degree(g, cap)
-    at = {v: [p for p in paths if p.range_vertex == v] for v in g.vertices}
+    at = _by_range(paths)
     for lam in paths:
         for mu in at[lam.source_vertex]:
             if not lam.degree + mu.degree <= cap:
@@ -726,7 +718,7 @@ def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
             a, b, rhs = t(lam), t(mu), t(compose(lam, mu))
             cols = sum_cols(lam.degree, mu.degree)
             checks.append(_compare_on(f"TCK2:{lam.label()}·{mu.label()}", fam.basis,
-                                      compose_on(a, b, cols), [rhs[cols]], cols))
+                                      compose_maps(a, b[cols]), [rhs[cols]], cols))
 
     table = mce_table(g, cap)
     for mu in paths:
@@ -735,8 +727,8 @@ def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
             a, b = t_star(mu), t(nu)
             cols = join_cols(mu.degree, nu.degree)
             checks.append(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", fam.basis,
-                                      compose_on(a, b, cols),
-                                      [compose_on(x, y, cols) for x, y in terms], cols))
+                                      compose_maps(a, b[cols]),
+                                      [compose_maps(x, y[cols]) for x, y in terms], cols))
     return checks
 
 
@@ -746,9 +738,8 @@ def verify_ck(fam: IsometryFamily, cap) -> list[CheckResult]:
     g = fam.graph
     cap = Degree(cap)
     fe = {v: enumerate_fe(g, v, cap) for v in g.vertices}
-    needed = join_degrees((lam.degree for sets in fe.values() for E in sets for lam in E), g.rank)
-    if fam.cap is not None and not needed <= fam.cap:
-        raise CapTooSmall(f"cap {tuple(fam.cap)} cannot hold the FE sets' degree {tuple(needed)}")
+    fam.require_cap(join_degrees((lam.degree for sets in fe.values() for E in sets for lam in E),
+                                 g.rank), "the FE sets'")
     checks = []
     for v in g.vertices:
         # t_v times each gap (t_v - q_lam) is diagonal once t_v is: the mask of
@@ -782,7 +773,7 @@ def boolean_rep(fam: IsometryFamily, cap) -> IsometryFamily:
     """
     g = fam.graph
     paths = paths_up_to_degree(g, cap)
-    at = {v: [p for p in paths if p.range_vertex == v] for v in g.vertices}
+    at = _by_range(paths)
     pairs = [(mu, nu) for mu in paths for nu in at[mu.range_vertex]
              if mu.sort_key() <= nu.sort_key()]
     pairs += itertools.combinations([g.vertex_path(v) for v in g.vertices], 2)
@@ -805,9 +796,7 @@ def _extensions(pool: Sequence[Path]) -> dict:
     """lam -> the members lam·alpha of the pool with d(alpha) nonzero, for each
     lam in the pool, each list in pool order.  The pool is grouped by range
     vertex once, so only members with a common range reach extends."""
-    at: dict = {}
-    for w in pool:
-        at.setdefault(w.range_vertex, []).append(w)
+    at = _by_range(pool)
     return {lam: [w for w in at[lam.range_vertex] if w != lam and extends(w, lam)]
             for lam in pool}
 
@@ -1064,10 +1053,8 @@ def build_separating_system(fam: IsometryFamily, F: Sequence[Path]) -> dict:
 
     # phi reads q of the closure and of each witness path lam·alpha·tau
     witness = {lam: compose(r, taus[r.source_vertex]) for lam, r in reach.items()}
-    needed = join_degrees([M, *(w.degree for w in witness.values())], g.rank)
-    if fam.cap is not None and not needed <= fam.cap:
-        raise CapTooSmall(f"cap {tuple(fam.cap)} cannot hold the separating "
-                          f"system's degree {tuple(needed)}")
+    fam.require_cap(join_degrees([M, *(w.degree for w in witness.values())], g.rank),
+                    "the separating system's")
     phi = {lam: fam.q(witness[lam]) if lam in witness else _without(fam, fam.q(lam), ext[lam])
            for lam in F}
 
@@ -1093,8 +1080,7 @@ def verify_phi2(fam: IsometryFamily, phi: dict, mu: Path, nu: Path, lam: Path) -
     t_mu, t_nu_star = fam.generator(mu), fam.adjoint(nu)
     cols = fam.safe_columns(mu.degree.join(nu.degree))
     start = _rows(phi_lam[cols], cols)  # phi_lam read on cols
-    rows = np.where(start < 0, -1, t_nu_star[start])
-    rows = np.where(rows < 0, -1, t_mu[rows])
+    rows = compose_maps(t_mu, compose_maps(t_nu_star, start))
     rows = np.where((rows >= 0) & phi_lam[rows], rows, -1)
     expected = [start] if mu == nu and extends(lam, mu) else []
     return _compare_on(f"phi2:{lam.label()}|{mu.label()},{nu.label()}", fam.basis,
@@ -1166,9 +1152,7 @@ def verify_claim1(fam: IsometryFamily, F: Sequence[Path],
     one of ‖a‖.
     """
     g = fam.graph
-    needed = join_degrees((w.degree for w in F), g.rank)
-    if fam.cap is not None and not needed <= fam.cap:
-        raise CapTooSmall(f"cap {tuple(fam.cap)} cannot hold F's degree {tuple(needed)}")
+    fam.require_cap(join_degrees((w.degree for w in F), g.rank), "F's")
 
     tol = CLAIM1_TOL
     checks = []

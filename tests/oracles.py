@@ -28,7 +28,6 @@ from typing import Iterable
 import numpy as np
 
 from kgraphkit.alignment import (
-    CapTooLargeForBudget,
     enumerate_fe,
     extends,
     is_exhaustive_brute,
@@ -229,7 +228,7 @@ def enumerate_fe_brute(g: KGraph, v: str, cap, budget: int = 100_000
             any_live = True
             checked += 1
             if checked > budget:
-                raise CapTooLargeForBudget(
+                raise KGraphError(
                     f"examined more than {budget} candidate sets at cap {tuple(cap)}")
             if is_exhaustive_brute(g, v, list(combo)):
                 found.append(cand)

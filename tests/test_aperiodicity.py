@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from kgraphkit import aperiodicity, compose, core, paths_up_to_degree
+from kgraphkit import KGraphError, aperiodicity, compose, core, paths_up_to_degree
 from kgraphkit.aperiodicity import (
-    MixedSources,
-    SourceMismatch,
     aperiodicity_report,
     find_separating_extension,
     separate_family,
@@ -35,7 +33,7 @@ class TestFindSeparatingExtension:
         assert find_separating_extension(c3, cyc, v0, (6,)) is None
 
     def test_source_mismatch(self, c3):
-        with pytest.raises(SourceMismatch):
+        with pytest.raises(KGraphError, match=r"^family members must share a source vertex$"):
             find_separating_extension(c3, c3.edge_path("e0"), c3.edge_path("e1"), (2,))
 
     def test_search_stops_at_first_hit(self, bouquet2, monkeypatch):
@@ -89,7 +87,7 @@ class TestSeparateFamily:
         assert separate_family(c3, H, (6,)) is None
 
     def test_mixed_sources_rejected(self, c3):
-        with pytest.raises(MixedSources):
+        with pytest.raises(KGraphError, match=r"^family members must share a source vertex$"):
             separate_family(c3, [c3.edge_path("e0"), c3.edge_path("e1")], (2,))
 
 

@@ -718,6 +718,67 @@ def test_seed_file_errors_name_the_handle(capsys, graph_files, tmp_path, graph, 
     assert captured.err == f"error: {path}: {message}\n"
 
 
+_SEEDS = {
+    "tm-twice": {"handles": [dict(_TM, name="s1"), dict(_TM, name="s2")]},
+    "tm": {"handles": [_TM]},
+    "a-inf": {"handles": [{"kind": "periodic", "word": "a"}]},
+    "one-letter-apart": {"handles": [{"kind": "periodic", "word": "aaab", "name": "x1"},
+                                     {"kind": "periodic", "word": "aabb", "name": "x2"}]},
+    "no-rule": {"handles": [{"kind": "substitution", "seed": "c", "rules": {"a": "ab"}}]},
+    "never-leaves": {"handles": [{"kind": "substitution", "seed": "a", "rules": {"a": "aa"}}]},
+}
+
+
+@pytest.mark.parametrize("argv, message, steps", [
+    (["fe", "bouquet2", "v", "--cap", "4", "--budget", "1"],
+     "examined more than 1 search nodes at cap (4,)", None),
+    (["exhaustive", "nlc-loop", "u", "e"],
+     "exhaustiveness needs a locally convex graph or finitely many paths", None),
+    (["fe", "nlc-loop", "u", "--cap", "1,1"],
+     "exhaustiveness needs a locally convex graph or finitely many paths", None),
+    (["rep-verify", "bouquet2", "--family", "boundary", "--seeds", "tm-twice", "--window", "16"],
+     "seeds s1 and s2 agree on window (16,)", None),
+    (["rep-verify", "bouquet2", "--family", "boundary", "--seeds", "a-inf"],
+     "every seed failed the windowed aperiodicity screen; "
+     "the aperiodic boundary-path space is empty at this resolution", None),
+    (["rep-verify", "bouquet2", "--family", "boundary", "--seeds", "one-letter-apart",
+      "--window", "3", "--suite", "tck"],
+     "t_a sends x1 and x1>>(1,) to one handle at window (3,)", None),
+    (["rep-verify", "bouquet2", "--family", "boundary", "--seeds", "tm", "--fe-cap", "3",
+      "--suite", "ck"], "no safe basis vectors at budget (2,); enlarge gen_cap", None),
+    (["rep-verify", "bouquet2", "--cap", "2", "--gen-cap", "3"],
+     "generator degree (3,) exceeds basis cap (2,)", None),
+    (["rep-verify", "bouquet2", "--cap", "1", "--fe-cap", "2", "--suite", "ck"],
+     "cap (1,) cannot hold the FE sets' degree (2,)", None),
+    (["rep-verify", "bouquet2", "--cap", "4", "--gen-cap", "2", "--suite", "phi2"],
+     "cap (4,) cannot hold the separating system's degree (7,)", None),
+    (["rep-verify", "bouquet2", "--cap", "1", "--gen-cap", "2", "--suite", "claim1"],
+     "cap (1,) cannot hold F's degree (2,)", None),
+    (["rep-verify", "bouquet2", "--family", "boundary", "--seeds", "tm", "--suite",
+      "couniversal", "--suite-size", "1"], "Lanczos residual did not settle in 1 steps", 1),
+    (["boundary-check", "bouquet2", "--seeds", "no-rule"],
+     "{no-rule}: handle 0: no rule for seed 'c'", None),
+    (["boundary-check", "bouquet2", "--seeds", "never-leaves"],
+     "{never-leaves}: handle 0: substitution never leaves 'a'; use periodic_path for 'a'^inf",
+     None),
+], ids=["fe-budget", "exhaustive-not-locally-convex", "fe-not-locally-convex", "seeds-agree",
+        "seed-screen", "generator-collision", "no-safe-columns", "generator-cap", "ck-cap",
+        "phi2-cap", "claim1-cap", "lanczos-steps", "seed-no-rule", "seed-never-leaves"])
+def test_refusal_exits_2_with_one_line(capsys, graph_files, tmp_path, monkeypatch,
+                                       argv, message, steps):
+    """Each refusal reaches the user as its message on one line, exit code 2
+    and nothing on stdout, whichever check or builder refused."""
+    files = dict(graph_files, **{"nlc-loop": _write(tmp_path / "nlc.kg",
+                                                    nlc_presentation(loop=True))})
+    files.update((name, _write(tmp_path / f"{name}.json", decl)) for name, decl in _SEEDS.items())
+    if steps is not None:
+        monkeypatch.setattr(repalg, "MAX_LANCZOS_STEPS", steps)
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(**files)}\n"
+
+
 @pytest.mark.parametrize("argv, code, line, results", [
     (["validate", "flip"], 0, "kgraphkit validate: pass=1", None),
     (["validate", "broken"], 1, "kgraphkit validate: fail=1", None),
