@@ -108,9 +108,10 @@ def encode(obj) -> str:
     ``json.JSONEncoder`` with ``indent=None`` encodes in C, and an item
     separator of ",\\n" plus padding lays out every member of one container
     at one depth.  So a container of scalars is one C call, to which only its
-    opening and closing newlines are added.  A list of non-empty flat
-    containers of one kind (the rep-verify results) is one C call too: the
-    seams between its items, such as "},\\n<padding>{", are re-indented with
+    opening and closing newlines are added.  Each maximal run of non-empty
+    flat containers of one kind in a list (the rep-verify results, between
+    the few that carry a detail dict) is one C call too: the seams between
+    its items, such as "},\\n<padding>{", are re-indented with
     ``str.replace``.  That is unambiguous, because an encoded string never
     holds a raw newline and a scalar never ends in a bracket.  Everything
     else recurses, with dict items sorted on the keys as given and each key
@@ -128,6 +129,26 @@ def encode(obj) -> str:
     def all_scalars(members) -> bool:
         """No member is a container; decided on the set of member types."""
         return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, members)))
+
+    def flat_run(items) -> Optional[str]:
+        """The brackets of the items when all are non-empty containers of
+        scalars of one kind, else None; decided on the sets of types."""
+        kinds = set(map(type, items))
+        if all(issubclass(k, dict) for k in kinds):
+            brackets, members = "{}", itertools.chain.from_iterable(map(dict.values, items))
+        elif all(issubclass(k, (list, tuple)) for k in kinds):
+            brackets, members = "[]", itertools.chain.from_iterable(items)
+        else:
+            return None
+        return brackets if all(items) and all_scalars(members) else None
+
+    def flat(item) -> Optional[str]:
+        """The brackets of a non-empty container of scalars, else None."""
+        if isinstance(item, dict):
+            return "{}" if item and all_scalars(item.values()) else None
+        if isinstance(item, (list, tuple)):
+            return "[]" if item and all_scalars(item) else None
+        return None
 
     out: list[str] = []
 
@@ -148,23 +169,20 @@ def encode(obj) -> str:
                 layout(value, depth + 1)
             out.append(pad + "}")
             return
-        kinds = set(map(type, obj))
-        if all(issubclass(k, dict) for k in kinds):
-            members = itertools.chain.from_iterable(map(dict.values, obj))
-        elif all(issubclass(k, (list, tuple)) for k in kinds):
-            members = itertools.chain.from_iterable(obj)
-        else:
-            members = None
-        if members is not None and all(obj) and all_scalars(members):
-            opening, closing = ("{", "}") if isinstance(obj[0], dict) else ("[", "]")
-            deep = "\n" + "  " * (depth + 2)
-            text = c_encode(obj, depth + 2).replace(
-                closing + "," + deep + opening, inner + closing + "," + inner + opening + deep)
-            out.extend(("[", inner, opening, deep, text[2:-2], inner, closing, pad, "]"))
-            return
-        for i, item in enumerate(obj):
+        deep = "\n" + "  " * (depth + 2)
+        whole = flat_run(obj)
+        runs = [(whole, obj)] if whole else itertools.groupby(obj, key=flat)
+        for i, (brackets, run) in enumerate(runs):
             out.append(("," if i else "[") + inner)
-            layout(item, depth + 1)
+            if brackets is None:
+                for j, item in enumerate(run):
+                    out.append("," + inner if j else "")
+                    layout(item, depth + 1)
+                continue
+            opening, closing = brackets
+            text = c_encode(list(run), depth + 2).replace(
+                closing + "," + deep + opening, inner + closing + "," + inner + opening + deep)
+            out.extend((opening, deep, text[2:-2], inner, closing))
         out.append(pad + "]")
 
     layout(obj, 0)

@@ -8,11 +8,14 @@ where no truncation artifact can reach; norms are numeric and carry a
 proven bracket, so a norm comparison can come out inconclusive but not wrong.
 
 Each generator t_lam is a 0/1 partial injection, held as an int array with
-t[j] = i when t e_j = e_i and -1 where t is undefined; each q_lam, Q piece,
-phi_lam, CK gap product and lem3 test is a diagonal 0/1 matrix, held as a
-boolean mask.  Products of generators compose arrays, adjoints invert them,
-q_lam is the range mask, products of projections are AND and q_lam - q_w is
-AND-NOT.  Sums of injections are compared entry by entry, overlaps counted.
+t[j] = i when t e_j = e_i and -1 where t is undefined, a row of the family's
+store beside its adjoint; each q_lam, Q piece, phi_lam, CK gap product and
+lem3 test is a diagonal 0/1 matrix, held as a boolean mask.  Products of
+generators compose arrays, adjoints invert them, q_lam is the adjoint's
+domain, products of projections are AND and q_lam - q_w is AND-NOT.  Sums
+of injections are compared entry by entry, overlaps counted.  The pair
+checks decide whole groups of identities that share a column set by
+gathering from the store, and explain only those that fail.
 A linear combination sum a t_mu t_nu* is evaluated by IsometryFamily.evaluate
 into a SparseSum, its merged (rows, cols, vals) entry arrays, which the norm,
 claim1 (‖E(a)‖ included), the exp-square and the co-universality check read.
@@ -23,9 +26,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
+import operator
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .core import (
     compose,
     degrees_up_to,
     join_degrees,
+    paths_of_degree,
     paths_up_to_degree,
     segment,
 )
@@ -278,7 +283,7 @@ def _first_overlap(masks: dict, cols: np.ndarray) -> Optional[tuple]:
 def _without(fam: IsometryFamily, mask: np.ndarray, paths: Sequence[Path]) -> np.ndarray:
     """mask AND-NOT q_w for each w in paths: a Q piece or a CK gap product."""
     for w in paths:
-        mask = mask & ~fam.q(w)
+        mask = mask & (fam.adjoint(w) < 0)
     return mask
 
 
@@ -313,15 +318,6 @@ class CheckResult:
         return data
 
 
-def _compare_on(cid: str, basis: Basis, lhs: np.ndarray,
-                rhs: Sequence[np.ndarray], cols) -> CheckResult:
-    """Exact comparison on the given columns; a failure names the first difference."""
-    diff = first_difference_on(basis, lhs, rhs, cols)
-    if diff is None:
-        return CheckResult(cid, "pass")
-    return CheckResult(cid, "fail", witness=str(diff))
-
-
 # -- isometry families --------------------------------------------------------
 
 
@@ -342,9 +338,13 @@ class IsometryFamily:
     def __init__(self, graph: KGraph, basis: Basis):
         self.graph = graph
         self.basis = basis
-        self._gens: dict[Path, np.ndarray] = {}  # index arrays j -> i or -1
-        self._qs: dict[Path, np.ndarray] = {}  # range masks
-        self._adjoints: dict[Path, np.ndarray] = {}  # inverse maps
+        # t_lam and t_lam* (key (lam, whether the adjoint)), each built once,
+        # as rows of one array: a -1 column, then the map, so that a row read
+        # at an undefined entry gives -1 (_read).  generator and adjoint hand
+        # out views of the rows; bulk checks read the array itself
+        self._store = np.empty((0, len(basis) + 1), dtype=np.intp)
+        self._rows: dict[tuple[Path, bool], int] = {}
+        self._views: dict[tuple[Path, bool], np.ndarray] = {}
         self._safe: dict[tuple, np.ndarray] = {}
 
     # subclass hooks: (domain, image) indices of t_e for an edge e, and safe columns
@@ -354,13 +354,32 @@ class IsometryFamily:
     def _safe_columns(self, budget: Degree) -> Sequence[int]:
         raise NotImplementedError
 
-    @staticmethod
-    def _memo(memo: dict, key, build) -> np.ndarray:
-        """build() once per key, kept read-only."""
-        got = memo.get(key)
+    def _view(self, i: int) -> np.ndarray:
+        """Row i of the store past its -1 column, read-only."""
+        view = self._store[i, 1:]
+        view.flags.writeable = False
+        return view
+
+    def _reserve(self, count: int) -> None:
+        """Room for count more rows.  A full store grows to at least twice its
+        rows, copying them once, and every view is taken again."""
+        used = len(self._rows)
+        if used + count > len(self._store):
+            store = np.empty((max(used + count, 2 * used), self._store.shape[1]), dtype=np.intp)
+            store[:used] = self._store[:used]
+            self._store = store
+            self._views = {key: self._view(i) for key, i in self._rows.items()}
+
+    def _stored(self, key: tuple[Path, bool], build) -> np.ndarray:
+        """The view of key's row, build() stored there once."""
+        got = self._views.get(key)
         if got is None:
-            got = memo[key] = build()
-            got.flags.writeable = False
+            t = build()
+            self._reserve(1)
+            i = self._rows[key] = len(self._rows)
+            self._store[i, 0] = -1
+            self._store[i, 1:] = t
+            got = self._views[key] = self._view(i)
         return got
 
     def generator(self, lam: Path) -> np.ndarray:
@@ -387,15 +406,24 @@ class IsometryFamily:
             if np.count_nonzero(range_mask(t)) != len(dom):
                 raise KGraphError(f"t_{lam.label()} is not injective")
             return t
-        return self._memo(self._gens, lam, build)
-
-    def q(self, lam: Path) -> np.ndarray:
-        """q_lam = t_lam t_lam* as a read-only mask."""
-        return self._memo(self._qs, lam, lambda: range_mask(self.generator(lam)))
+        return self._stored((lam, False), build)
 
     def adjoint(self, lam: Path) -> np.ndarray:
         """t_lam* as a read-only index array: the inverse map of t_lam."""
-        return self._memo(self._adjoints, lam, lambda: inverse_map(self.generator(lam)))
+        return self._stored((lam, True), lambda: inverse_map(self.generator(lam)))
+
+    def q(self, lam: Path) -> np.ndarray:
+        """q_lam = t_lam t_lam* as a mask: the domain of t_lam*."""
+        return self.adjoint(lam) >= 0
+
+    def rows(self, paths: Sequence[Path]) -> tuple[list[int], list[int]]:
+        """The store rows of t_lam and of t_lam* for each lam in paths; the
+        missing ones are built in order, after room is made for all at once."""
+        self._reserve(sum(key not in self._rows
+                          for lam in paths for key in ((lam, False), (lam, True))))
+        for lam in paths:
+            self.adjoint(lam)
+        return [self._rows[lam, False] for lam in paths], [self._rows[lam, True] for lam in paths]
 
     def require_cap(self, degree: Degree, what: str) -> None:
         """Refuse a degree that a truncated basis's cap cannot hold; what
@@ -406,8 +434,11 @@ class IsometryFamily:
     def safe_columns(self, budget) -> np.ndarray:
         """Sorted indices of the basis vectors safe at the budget."""
         budget = Degree(budget)
-        return self._memo(self._safe, tuple(budget),
-                          lambda: np.array(self._safe_columns(budget), dtype=np.intp))
+        got = self._safe.get(budget)
+        if got is None:
+            got = self._safe[budget] = np.array(self._safe_columns(budget), dtype=np.intp)
+            got.flags.writeable = False
+        return got
 
     def evaluate(self, element: "FormalElement") -> SparseSum:
         """Sum of a t_mu t_nu* over the sorted terms; term (mu, nu) has the
@@ -551,20 +582,20 @@ class BoundaryFamily(IsometryFamily):
         # per-handle facts of the diagonal-formula checks, each built once
         self.check_labels = [f"{label}({x.describe()})"
                              for label, x in zip(basis.labels, self.handles)]
-        self._prefixes: dict[Degree, list] = {}  # d -> [x(0, d) or None]
+        self._starts: dict[Path, np.ndarray] = {}  # lam -> mask of x(0, d(lam)) = lam
         self._tails: dict[tuple, int] = {}  # (j, d) -> id of σ^d(x_j)'s fingerprint
 
     def handle_index(self, x: BoundaryPathHandle) -> Optional[int]:
         i = self._fp_index.get(x.fingerprint(self.window), len(self.basis))
         return i if i < len(self.basis) else None
 
-    def prefixes(self, d: Degree) -> list:
-        """x(0, d) for each handle x, None where d exceeds d(x)."""
-        got = self._prefixes.get(d)
+    def starts_with(self, lam: Path) -> np.ndarray:
+        """The mask of the handles x with x(0, d(lam)) = lam, built once per path."""
+        got = self._starts.get(lam)
         if got is None:
-            zero = Degree.zero(self.graph.rank)
-            got = self._prefixes[d] = [x.window(zero, d) if d <= x.degree else None
-                                       for x in self.handles]
+            zero, d = Degree.zero(self.graph.rank), lam.degree
+            got = self._starts[lam] = np.array(
+                [d <= x.degree and x.window(zero, d) == lam for x in self.handles], dtype=bool)
         return got
 
     def tail_id(self, j: int, d: Degree) -> int:
@@ -676,16 +707,101 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
     return BoundaryFamily(g, [first[fp] for fp in sorted(first)], window)
 
 
+# -- deciding identities in bulk ----------------------------------------------
+
+
+GATHER_ENTRIES = 1 << 15  # store entries one block of checks reads at most
+
+
+def _columns(fam: IsometryFamily, budget: Degree) -> np.ndarray:
+    """The columns TCK2, TCK3, the product rule, the Q reconstruction and the
+    CK gaps are decided on, from the identity's budget: the safe columns."""
+    return fam.safe_columns(budget)
+
+
+def _read(store: np.ndarray, rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Row rows[k] of the store read at at[k], -1 where at is -1, by one take
+    from the flat store.  Every index is in range, so mode "clip" changes
+    none and lets the take write over its own index array."""
+    index = rows[:, None] * store.shape[1] + 1 + at
+    return store.reshape(-1).take(index, out=index, mode="clip")
+
+
+def _holds(lhs: np.ndarray, rhs: Sequence[np.ndarray]) -> np.ndarray:
+    """first_difference_on's agreement test for many checks at once: row k of
+    lhs and of each rhs term is check k's side read on its columns."""
+    if not rhs:
+        return ~(lhs if lhs.dtype == bool else lhs >= 0).any(axis=1)
+    if len(rhs) == 1:
+        return (lhs == rhs[0]).all(axis=1)
+    if lhs.dtype == bool:
+        return (np.sum(rhs, axis=0) == lhs).all(axis=1)
+    hits = np.stack(rhs)
+    return ((hits.max(axis=0) == lhs).all(axis=1)
+            & (np.count_nonzero(hits >= 0, axis=(0, 2)) == np.count_nonzero(lhs >= 0, axis=1)))
+
+
+def _failing(fam: IsometryFamily, groups: dict, read) -> Iterator[tuple]:
+    """Decide the checks of each group at once; yield (position, lhs, rhs,
+    cols) for each that fails, its sides read on its columns as
+    first_difference_on takes them.  groups maps (budget, ...) to checks of
+    one width that share the budget, so one column set (_columns), each a
+    tuple (position, store rows...); read(store, rows, cols) gives lhs and
+    the rhs terms of a block of them as (checks, columns) arrays (_read)."""
+    for key, group in groups.items():
+        cols = _columns(fam, key[0])
+        group = np.array(group, dtype=np.intp)
+        step = max(1, GATHER_ENTRIES // max(1, len(cols) * (group.shape[1] - 1)))
+        for block in (group[i:i + step] for i in range(0, len(group), step)):
+            lhs, rhs = read(fam._store, block[:, 1:], cols)
+            for k in np.flatnonzero(~_holds(lhs, rhs)).tolist():
+                yield int(block[k, 0]), lhs[k], [t[k] for t in rhs], cols
+
+
+def _products(store: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """t_a t_b read on cols for each pair (a, b) of store row columns."""
+    return [_read(store, rows[:, j], _read(store, rows[:, j + 1], cols))
+            for j in range(0, rows.shape[1], 2)]
+
+
+def _masks(store: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """q_lam read on cols, the domain of t_lam*, for each column of adjoint rows."""
+    return [_read(store, rows[:, k], cols) >= 0 for k in range(rows.shape[1])]
+
+
+_word = operator.attrgetter("range_vertex", "word")  # a path's key within its graph
+
+
+def _pairs(fam: IsometryFamily, cap: Degree) -> tuple:
+    """The paths below the cap; each path's position by (range vertex, word);
+    each range vertex's positions; each position's store rows of t_lam and
+    t_lam*; and MCE(μ_i, μ_j) as (λ, α, β) positions by position pair (i, j).
+    The rows are built range by range, so the first path refused is the one
+    the pair loops would meet first."""
+    g = fam.graph
+    paths = paths_up_to_degree(g, cap)
+    at = _by_range(paths)
+    fam.rows([p for ps in at.values() for p in ps])
+    index = {_word(p): i for i, p in enumerate(paths)}
+    mce = {(index[_word(mu)], index[_word(nu)]):
+           [(index[_word(lam)], index[_word(a)], index[_word(b)]) for lam, a, b in members]
+           for (mu, nu), members in mce_table(g, cap).items()}
+    at = {v: [index[_word(p)] for p in ps] for v, ps in at.items()}
+    return (paths, index, at, *fam.rows(paths), mce)
+
+
 # -- TCK / CK verification ----------------------------------------------------
 
 
 def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
-    """Exact checks of the three defining relations on safe columns; each
-    adjoint t_lam* is read from the family, which takes it once per path.
-    TCK3's right-hand side, the sum of t_alpha t_beta* over
-    (alpha, beta) in Λ^min(mu, nu), is read from the graph's mce_table."""
+    """Exact checks of the three defining relations.  TCK2 t_lam t_mu =
+    t_{lam mu}, and TCK3 t_mu* t_nu = sum of t_alpha t_beta* over (alpha,
+    beta) in Λ^min(mu, nu), read from the graph's mce_table, are decided in
+    bulk (_failing), grouped by column set, d(lam) + d(mu) or d(mu) ∨ d(nu),
+    and number of terms; only a failing pair calls first_difference_on."""
     g = fam.graph
     cap = Degree(cap)
+    paths, index, at, gen, adj, mce = _pairs(fam, cap)
     checks = []
 
     t = fam.generator
@@ -704,57 +820,74 @@ def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
         checks.append(CheckResult(f"TCK1:{v.label()}·{w.label()} orthogonal",
                                   "pass" if zero else "fail"))
 
-    # each side's generators are built before its safe columns are read, so
-    # a generator above a truncated cap is the error reported; the safe
-    # columns are looked up by degree pair
-    sum_cols = functools.cache(lambda d, e: fam.safe_columns(d + e))
-    join_cols = functools.cache(lambda d, e: fam.safe_columns(d.join(e)))
-    paths = paths_up_to_degree(g, cap)
-    at = _by_range(paths)
-    for lam in paths:
-        for mu in at[lam.source_vertex]:
-            if not lam.degree + mu.degree <= cap:
-                continue
-            a, b, rhs = t(lam), t(mu), t(compose(lam, mu))
-            cols = sum_cols(lam.degree, mu.degree)
-            checks.append(_compare_on(f"TCK2:{lam.label()}·{mu.label()}", fam.basis,
-                                      compose_maps(a, b[cols]), [rhs[cols]], cols))
+    labels = [lam.label() for lam in paths]
+    degree = [lam.degree for lam in paths]
+    room = functools.cache(lambda d, e: d + e if d + e <= cap else None)
+    join = functools.cache(Degree.join)
+    ids: list[str] = []
+    tck2: dict = defaultdict(list)  # (budget, 1) -> (position, t_lam, t_mu, t_{lam mu})
+    for i, lam in enumerate(paths):
+        for j in at[lam.source_vertex]:
+            budget = room(degree[i], degree[j])
+            if budget is not None:
+                tck2[budget, 1].append((len(ids), gen[i], gen[j],
+                                        gen[index[_word(compose(lam, paths[j]))]]))
+                ids.append(f"TCK2:{labels[i]}·{labels[j]}")
+    terms = {pair: tuple(r for _, a, b in members for r in (gen[a], adj[b]))
+             for pair, members in mce.items()}
+    tck3: dict = defaultdict(list)  # (budget, k) -> (position, t_mu*, t_nu, t_alpha, t_beta*...)
+    for i, mu in enumerate(paths):
+        for j in at[mu.range_vertex]:
+            rhs = terms.get((i, j), ())
+            tck3[join(degree[i], degree[j]), len(rhs)].append((len(ids), adj[i], gen[j]) + rhs)
+            ids.append(f"TCK3:{labels[i]}*{labels[j]}")
 
-    table = mce_table(g, cap)
-    for mu in paths:
-        for nu in at[mu.range_vertex]:
-            terms = [(t(alpha), t_star(beta)) for _, alpha, beta in table.get((mu, nu), ())]
-            a, b = t_star(mu), t(nu)
-            cols = join_cols(mu.degree, nu.degree)
-            checks.append(_compare_on(f"TCK3:{mu.label()}*{nu.label()}", fam.basis,
-                                      compose_maps(a, b[cols]),
-                                      [compose_maps(x, y[cols]) for x, y in terms], cols))
+    def tck2_sides(store, rows, cols):  # t_lam t_mu, and t_{lam mu}
+        return _products(store, rows[:, :2], cols)[0], [_read(store, rows[:, 2], cols)]
+
+    def tck3_sides(store, rows, cols):  # t_mu* t_nu, and each t_alpha t_beta*
+        return _products(store, rows[:, :2], cols)[0], _products(store, rows[:, 2:], cols)
+
+    witness = {pos: str(first_difference_on(fam.basis, lhs, rhs, cols))
+               for pos, lhs, rhs, cols in itertools.chain(_failing(fam, tck2, tck2_sides),
+                                                          _failing(fam, tck3, tck3_sides))}
+    checks += [CheckResult(cid, "fail", witness=witness[k]) if k in witness
+               else CheckResult(cid, "pass") for k, cid in enumerate(ids)]
     return checks
 
 
 def verify_ck(fam: IsometryFamily, cap) -> list[CheckResult]:
-    """Gap-projection products over every minimal FE set below the cap.  A
-    truncated basis's cap must hold the FE sets' degree, checked first."""
+    """Gap-projection products over every minimal FE set below the cap,
+    decided in bulk (_failing), grouped by column set, the join of the set's
+    degrees, and size; a failure names the first column the product hits.
+    A truncated basis's cap must hold the FE sets' degree, checked first."""
     g = fam.graph
     cap = Degree(cap)
     fe = {v: enumerate_fe(g, v, cap) for v in g.vertices}
     fam.require_cap(join_degrees((lam.degree for sets in fe.values() for E in sets for lam in E),
                                  g.rank), "the FE sets'")
-    checks = []
+    ids: list[str] = []
+    groups: dict = defaultdict(list)  # (budget, |E|) -> (position, t_v, t_lam* for lam in E)
     for v in g.vertices:
         # t_v times each gap (t_v - q_lam) is diagonal once t_v is: the mask of
         # t_v AND-NOT every q_lam
         tv = fam.generator(g.vertex_path(v))
         if np.any((tv >= 0) & (tv != np.arange(len(tv)))):
             raise BooleanRelationFailure(f"t_{v} is not a diagonal projection")
+        (row,), _ = fam.rows([g.vertex_path(v)])
         for E in fe[v]:
-            qs = [fam.q(lam) for lam in E]
-            cols = fam.safe_columns(join_degrees((lam.degree for lam in E), g.rank))
-            hit = cols[(tv[cols] >= 0) & ~np.logical_or.reduce([q[cols] for q in qs])]
-            label = "{" + ",".join(p.label() for p in E) + "}"
-            checks.append(CheckResult(f"CK:{v}:{label}", "fail" if len(hit) else "pass",
-                                      witness=fam.basis.labels[hit[0]] if len(hit) else None))
-    return checks
+            groups[join_degrees((lam.degree for lam in E), g.rank), len(E)].append(
+                (len(ids), row, *fam.rows(E)[1]))
+            ids.append(f"CK:{v}:" + "{" + ",".join(lam.label() for lam in E) + "}")
+
+    def gaps(store, rows, cols):
+        q = _masks(store, rows, cols)
+        return q[0] & ~np.logical_or.reduce(q[1:]), []
+
+    witness = {pos: fam.basis.labels[cols[np.argmax(hit)]]
+               for pos, hit, _, cols in _failing(fam, groups, gaps)}
+    return [CheckResult(cid, "fail", witness=witness[k]) if k in witness
+            else CheckResult(cid, "pass") for k, cid in enumerate(ids)]
 
 
 # -- boolean representations and decompositions -------------------------------
@@ -765,40 +898,62 @@ def boolean_rep(fam: IsometryFamily, cap) -> IsometryFamily:
     representation, and return the family.
 
     The product rule q_mu q_nu = sum over MCE(mu, nu) of q_gamma is checked
-    exactly on safe columns for the pairs below the cap with a common range
-    and the pairs of vertices.  That covers r(mu) != r(nu), where MCE is empty:
-    on the safe columns of d(mu) v d(nu), within those of d(mu), the pair
-    (r(mu), mu) gives q_mu <= q_r(mu), and the vertex pair q_r(mu) q_r(nu) = 0.
-    Each MCE is read from the graph's mce_table, which verify_tck shares.
+    exactly on the columns of d(mu) ∨ d(nu) for the pairs below the cap with
+    a common range and the pairs of vertices, decided in bulk (_failing),
+    grouped by column set and MCE size.  That covers r(mu) != r(nu), where
+    MCE is empty: on the safe columns of d(mu) v d(nu), within those of
+    d(mu), the pair (r(mu), mu) gives q_mu <= q_r(mu), and the vertex pair
+    q_r(mu) q_r(nu) = 0.  Each MCE is read from the graph's mce_table, which
+    verify_tck shares; the first failing pair is named with its first
+    difference.
     """
     g = fam.graph
-    paths = paths_up_to_degree(g, cap)
-    at = _by_range(paths)
-    pairs = [(mu, nu) for mu in paths for nu in at[mu.range_vertex]
-             if mu.sort_key() <= nu.sort_key()]
-    pairs += itertools.combinations([g.vertex_path(v) for v in g.vertices], 2)
-    table = mce_table(g, cap)
-    join_cols = functools.cache(lambda d, e: fam.safe_columns(d.join(e)))
-    for mu, nu in pairs:
-        qm, qn = fam.q(mu), fam.q(nu)
-        terms = [fam.q(lam) for lam, _, _ in table.get((mu, nu), ())]
-        cols = join_cols(mu.degree, nu.degree)
-        diff = first_difference_on(fam.basis, qm[cols] & qn[cols],
-                                   [q[cols] for q in terms], cols)
-        if diff is not None:
-            raise BooleanRelationFailure(
-                f"q_{mu.label()} q_{nu.label()} != sum over MCE; "
-                f"first difference {diff}")
+    paths, index, at, _, adj, mce = _pairs(fam, Degree(cap))
+    join = functools.cache(Degree.join)
+    pairs = [(i, j) for i, mu in enumerate(paths) for j in at[mu.range_vertex] if i <= j]
+    pairs += itertools.combinations([index[v, ()] for v in g.vertices], 2)
+    groups: dict = defaultdict(list)  # (budget, k) -> (position, t_mu*, t_nu*, t_gamma*...)
+    for pos, (i, j) in enumerate(pairs):
+        rhs = tuple(adj[lam] for lam, _, _ in mce.get((i, j), ()))
+        groups[join(paths[i].degree, paths[j].degree), len(rhs)].append(
+            (pos, adj[i], adj[j]) + rhs)
+
+    def product(store, rows, cols):
+        q = _masks(store, rows, cols)
+        return q[0] & q[1], q[2:]
+
+    failed = min(_failing(fam, groups, product), key=lambda f: f[0], default=None)
+    if failed is not None:
+        pos, lhs, rhs, cols = failed
+        mu, nu = (paths[k] for k in pairs[pos])
+        raise BooleanRelationFailure(
+            f"q_{mu.label()} q_{nu.label()} != sum over MCE; "
+            f"first difference {first_difference_on(fam.basis, lhs, rhs, cols)}")
     return fam
 
 
 def _extensions(pool: Sequence[Path]) -> dict:
     """lam -> the members lam·alpha of the pool with d(alpha) nonzero, for each
-    lam in the pool, each list in pool order.  The pool is grouped by range
-    vertex once, so only members with a common range reach extends."""
-    at = _by_range(pool)
-    return {lam: [w for w in at[lam.range_vertex] if w != lam and extends(w, lam)]
-            for lam in pool}
+    lam in the pool, each list in pool order.  When the pool is every path of
+    degree at most the join D of its degrees, as rep-verify's F is, they are
+    composed: lam·alpha for each alpha from s(lam) of degree at most D -
+    d(lam).  Otherwise the pool is grouped by range vertex once, so only
+    members with a common range reach extends."""
+    if not pool:
+        return {}
+    g = pool[0].graph
+    top = join_degrees((lam.degree for lam in pool), g.rank)
+    count = 0  # the paths of degree at most top, counted until they outnumber the pool
+    for n in degrees_up_to(top):
+        count += len(paths_of_degree(g, n))
+        if count > len(pool):
+            at = _by_range(pool)
+            return {lam: [w for w in at[lam.range_vertex] if w != lam and extends(w, lam)]
+                    for lam in pool}
+    place = {lam: i for i, lam in enumerate(pool)}
+    return {lam: sorted((compose(lam, alpha) for alpha in paths_up_to_degree(
+                g, top - lam.degree, range_vertex=lam.source_vertex) if alpha.word),
+                key=place.__getitem__) for lam in pool}
 
 
 def _pool(g: KGraph, F: Sequence[Path]) -> list[Path]:
@@ -819,48 +974,69 @@ def _lem3_witness(g: KGraph, lam: Path, ext: dict) -> tuple[list[Path], Optional
     return B, is_exhaustive(g, lam.source_vertex, B).witness
 
 
-def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> dict:
+class QPieces(dict):
+    """q_decomposition's pieces, lam -> Q_lam as a mask in pool order, with
+    the pool's extension table (_extensions), which lem3_check reads."""
+
+    extensions: dict
+
+
+def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> QPieces:
     """Mutually orthogonal pieces Q_lam refining the projections over the pool
-    of F (_pool), as a dict lam -> mask in pool order.
+    of F (_pool), in pool order.
 
     Q_lam multiplies q_lam by (q_lam - q_lam·alpha) over all proper
     extensions inside the pool; orthogonality and the reconstruction of each
-    q_mu as the sum of the Q's over its extensions are asserted exactly.
+    q_mu as the sum of the Q's over its extensions are asserted exactly, the
+    reconstruction in bulk (_failing), grouped by number of pieces.
     """
     g = fam.graph
     pool = _pool(g, F)
-    ext = _extensions(pool)
-    Q = {lam: _without(fam, fam.q(lam), ext[lam]) for lam in pool}
+    Q = QPieces()
+    Q.extensions = ext = _extensions(pool)
+    Q.update((lam, _without(fam, fam.q(lam), ext[lam])) for lam in pool)
 
-    cols = fam.safe_columns(join_degrees((w.degree for w in pool), g.rank))
+    budget = join_degrees((w.degree for w in pool), g.rank)
+    cols = _columns(fam, budget)
     overlap = _first_overlap(Q, cols)
     if overlap is not None:
         a, b = overlap
         raise BooleanRelationFailure(f"Q_{a.label()} and Q_{b.label()} are not orthogonal")
-    for mu in pool:
-        pieces = [Q[mu][cols]] + [Q[w][cols] for w in ext[mu]]
-        if first_difference_on(fam.basis, fam.q(mu)[cols], pieces, cols) is not None:
-            raise BooleanRelationFailure(
-                f"q_{mu.label()} is not the sum of its Q pieces")
+    place = {lam: i for i, lam in enumerate(pool)}
+    pieces = np.array([Q[lam][cols] for lam in pool], dtype=bool).reshape(len(pool), len(cols))
+    groups: dict = defaultdict(list)  # (budget, k) -> (position, t_mu*, Q_mu, Q_w for w in ext)
+    for i, (mu, row) in enumerate(zip(pool, fam.rows(pool)[1])):
+        groups[budget, len(ext[mu])].append((i, row, i, *(place[w] for w in ext[mu])))
+
+    def reconstruction(store, rows, cols):
+        return _masks(store, rows[:, :1], cols)[0], list(pieces[rows[:, 1:]].swapaxes(0, 1))
+
+    failed = min(_failing(fam, groups, reconstruction), key=lambda f: f[0], default=None)
+    if failed is not None:
+        pos, lhs, rhs, cols = failed
+        raise BooleanRelationFailure(
+            f"q_{pool[pos].label()} is not the sum of its Q pieces; "
+            f"first difference {first_difference_on(fam.basis, lhs, rhs, cols)}")
     return Q
 
 
-def lem3_check(fam: IsometryFamily, Q: dict) -> list[CheckResult]:
-    """Nonvanishing of Q_alpha, Q q_decomposition's dict over a pool, whenever
-    alpha's extension set in the pool fails to be exhaustive, witnessed by a
-    projection it dominates.  Where boolean_rep passed on the pool, as in
-    rep-verify, q_decomposition's tests cannot fail: at a column j safe at the
-    pool's degree, so at each pair's, the product rule makes the members w with
-    q_w(j) = 1 the pool's prefixes of one lam_j, so Q_lam(j) = 1 iff lam = lam_j."""
+def lem3_check(fam: IsometryFamily, Q: QPieces) -> list[CheckResult]:
+    """Nonvanishing of Q_alpha, Q q_decomposition's pieces over a pool,
+    whenever alpha's extension set in the pool (Q.extensions) fails to be
+    exhaustive, witnessed by a projection it dominates.  Where boolean_rep
+    passed on the pool, as in rep-verify, q_decomposition's tests cannot
+    fail: at a column j safe at the pool's degree, so at each pair's, the
+    product rule makes the members w with q_w(j) = 1 the pool's prefixes of
+    one lam_j, so Q_lam(j) = 1 iff lam = lam_j."""
     g = fam.graph
     pool = list(Q)
     for lam in pool:
         if not fam.q(lam).any():
             raise BooleanRelationFailure(f"q_{lam.label()} vanishes; hypothesis violated")
 
-    checks, ext = [], _extensions(pool)
+    checks = []
     for alpha in pool:
-        tau = _lem3_witness(g, alpha, ext)[1]
+        tau = _lem3_witness(g, alpha, Q.extensions)[1]
         if tau is None:
             checks.append(CheckResult(f"lem3:{alpha.label()}", "pass",
                                       detail={"claim": "none (extension set exhaustive)"}))
@@ -942,33 +1118,33 @@ def verify_diagonal_formula(bfam: BoundaryFamily, mu: Path, nu: Path) -> list[Ch
 
     For mu != nu the entry at x vanishes unless the two shifted handles are
     equal, which windowed comparison can only refute; an unresolvable
-    comparison is reported as inconclusive, never coerced to a pass.
+    comparison is reported as inconclusive, never coerced to a pass.  Each
+    handle is decided by masks: the handles that start with mu and with nu,
+    and only those compare tail ids.
     """
     prefix = f"diag[{mu.label()},{nu.label()}]"
-    checks = []
-    matrix = compose_maps(bfam.generator(mu), bfam.adjoint(nu))
-    on_diagonal = (matrix == np.arange(len(matrix))).tolist()
-    safe = np.zeros(len(matrix), dtype=bool)
-    safe[bfam.safe_columns(mu.degree.join(nu.degree))] = True
-    safe = safe.tolist()
-    mu_prefixes, nu_prefixes = bfam.prefixes(mu.degree), bfam.prefixes(nu.degree)
-    for j, label in enumerate(bfam.check_labels):
-        if not (mu_prefixes[j] == mu and nu_prefixes[j] == nu):
-            expected = 0
-        elif bfam.tail_id(j, mu.degree) != bfam.tail_id(j, nu.degree):
-            expected = 0  # the fingerprint carries the degree and range vertex
-        elif mu == nu:
-            expected = 1
+    n = len(bfam.basis)
+    got = (compose_maps(bfam.generator(mu), bfam.adjoint(nu)) == np.arange(n)).astype(int)
+    expected = np.zeros(n, dtype=int)
+    undecided = np.zeros(n, dtype=bool)
+    for j in np.flatnonzero(bfam.starts_with(mu) & bfam.starts_with(nu)).tolist():
+        if bfam.tail_id(j, mu.degree) != bfam.tail_id(j, nu.degree):
+            continue  # the fingerprint carries the degree and range vertex
+        if mu == nu:
+            expected[j] = 1
         else:
-            checks.append(CheckResult(f"{prefix}@{label}", "inconclusive",
-                                      witness=label))
-            continue
-        got = int(on_diagonal[j])
-        if safe[j] and got != expected:
-            checks.append(CheckResult(f"{prefix}@{label}", "fail",
-                                      witness=f"{label}: matrix {got} vs window {expected}"))
-            continue
-        checks.append(CheckResult(f"{prefix}@{label}", "pass"))
+            undecided[j] = True
+    wrong = np.zeros(n, dtype=bool)
+    cols = bfam.safe_columns(mu.degree.join(nu.degree))
+    wrong[cols] = got[cols] != expected[cols]
+    checks = [CheckResult(f"{prefix}@{label}", "pass") for label in bfam.check_labels]
+    for j in np.flatnonzero(wrong & ~undecided).tolist():
+        label = bfam.check_labels[j]
+        checks[j] = CheckResult(f"{prefix}@{label}", "fail",
+                                witness=f"{label}: matrix {got[j]} vs window {expected[j]}")
+    for j in np.flatnonzero(undecided).tolist():
+        label = bfam.check_labels[j]
+        checks[j] = CheckResult(f"{prefix}@{label}", "inconclusive", witness=label)
     return checks
 
 
@@ -1083,8 +1259,9 @@ def verify_phi2(fam: IsometryFamily, phi: dict, mu: Path, nu: Path, lam: Path) -
     rows = compose_maps(t_mu, compose_maps(t_nu_star, start))
     rows = np.where((rows >= 0) & phi_lam[rows], rows, -1)
     expected = [start] if mu == nu and extends(lam, mu) else []
-    return _compare_on(f"phi2:{lam.label()}|{mu.label()},{nu.label()}", fam.basis,
-                       rows, expected, cols)
+    diff = first_difference_on(fam.basis, rows, expected, cols)
+    return CheckResult(f"phi2:{lam.label()}|{mu.label()},{nu.label()}",
+                       "pass" if diff is None else "fail", witness=diff and str(diff))
 
 
 def diagonal_norm(fam: IsometryFamily, element: FormalElement) -> float:

@@ -166,6 +166,25 @@ def referee_evaluate(fam, element):
                                           for (mu, nu), a in element.sorted_items()])
 
 
+def stored_row(fam, lam, adjoint=False):
+    """The writable store row of t_lam, or of t_lam*, past its -1 column,
+    built first if missing.  Every 0/1 check reads the store, so a tamper
+    written here reaches them all; q_lam is the domain of t_lam*'s row."""
+    (fam.adjoint if adjoint else fam.generator)(lam)
+    return fam._store[fam._rows[lam, adjoint], 1:]
+
+
+def tamper_stored(monkeypatch, change):
+    """Every row any family stores from now on passes through change(fam,
+    lam, adjoint, t), which returns the row to store in place of t."""
+    real = repalg.IsometryFamily._stored
+
+    def stored(fam, key, build):
+        return real(fam, key, lambda: change(fam, *key, build()))
+
+    monkeypatch.setattr(repalg.IsometryFamily, "_stored", stored)
+
+
 def weak_lower_end(monkeypatch):
     """Make both lower ends of claim1 report 0: the diagonal end, as an element
     with a small diagonal would, and operator_norm's, as a Ritz vector far

@@ -4,6 +4,7 @@ path set tested pair by pair, the boolean product rule and the orthogonality
 of masks tested on every pair, the extensions of each member of a pool by a
 scan of the whole pool, the completion closure of the Lemma 3 chain over
 every ordered pair, the TCK relations from whole-basis compositions, the
+CK gap products and the Q reconstruction one set or member at a time, the
 spectral norm of an evaluated element from its dense matrix, the norm of a
 diagonal combination from its Q-piece sectors, and finite exhaustive sets
 as defined by
@@ -194,6 +195,42 @@ def tck_whole_maps(fam, cap) -> list[tuple]:
                          for _, alpha, beta in table.get((mu, nu), ())],
                         fam.safe_columns(mu.degree.join(nu.degree)))
     return out
+
+
+def ck_per_set(fam, cap) -> list[tuple]:
+    """Oracle: repalg.verify_ck as (id, status, witness) triples, one FE set
+    at a time: the whole-basis mask of t_v AND-NOT each q_lam, read on the
+    safe columns of the set's degree, names its first column."""
+    g = fam.graph
+    out = []
+    for v in g.vertices:
+        tv = fam.generator(g.vertex_path(v))
+        for E in enumerate_fe(g, v, Degree(cap)):
+            gap = tv >= 0
+            for lam in E:
+                gap = gap & ~fam.q(lam)
+            cols = fam.safe_columns(functools.reduce(Degree.join, (lam.degree for lam in E)))
+            hit = cols[gap[cols]]
+            out.append((f"CK:{v}:" + "{" + ",".join(lam.label() for lam in E) + "}",
+                        "fail" if len(hit) else "pass",
+                        fam.basis.labels[hit[0]] if len(hit) else None))
+    return out
+
+
+def q_reconstruction_per_member(fam, pool) -> object:
+    """Oracle: the first member mu of a pool, in order, where q_mu is not the
+    sum of the Q pieces of the members extending mu, on the safe columns of
+    the pool's degree; None when every q_mu is.  The pieces are built here
+    from q and a scan of the whole pool."""
+    ext = extensions_by_scan(pool)
+    pieces = {lam: functools.reduce(lambda m, w: m & ~fam.q(w), ext[lam], fam.q(lam))
+              for lam in pool}
+    cols = fam.safe_columns(functools.reduce(Degree.join, (lam.degree for lam in pool)))
+    for mu in pool:
+        total = sum(pieces[w][cols].astype(int) for w in [mu, *ext[mu]])
+        if not np.array_equal(total, fam.q(mu)[cols]):
+            return mu
+    return None
 
 
 def overlapping_pairs(masks: dict, cols) -> list:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from kgraphkit import kgraph_to_dict, make_bouquet, make_cycle, make_omega
@@ -11,7 +12,7 @@ from kgraphkit import boundary, cli, repalg
 from kgraphkit.cli import main
 
 from conftest import (bouquet2_cubed_presentation, flip_presentation, nlc_presentation,
-                      weak_lower_end)
+                      tamper_stored, weak_lower_end)
 
 
 @pytest.fixture()
@@ -216,6 +217,15 @@ def _q_a_without_aa():
         return mask
 
     return tampered
+
+
+def _stored_q_a_without_aa(fam, lam, adjoint, t):
+    """A tamper_stored change: t_a* undefined at a.a, so that q_a, its
+    domain, loses a.a in every check."""
+    if adjoint and lam.label() == "a":
+        t = t.copy()
+        t[fam.basis.labels.index("a.a")] = -1
+    return t
 
 
 class TestRepVerify:
@@ -438,7 +448,7 @@ class TestRepVerify:
     def test_broken_product_rule_fails_the_suite(self, capsys, graph_files, monkeypatch,
                                                  suite, witness):
         # q_a loses the vector a.a: a failed check, exit 1, not malformed input
-        monkeypatch.setattr(repalg.IsometryFamily, "q", _q_a_without_aa())
+        tamper_stored(monkeypatch, _stored_q_a_without_aa)
         assert main(["rep-verify", graph_files["bouquet2"], "--cap", "8", "--gen-cap", "2",
                      "--suite", suite]) == 1
         captured = capsys.readouterr()
@@ -447,8 +457,9 @@ class TestRepVerify:
         assert captured.err == "kgraphkit rep-verify: fail=1\n"
 
     def test_claim1_ignores_a_tampered_projection(self, capsys, graph_files, monkeypatch):
-        # claim1 reads ‖E(a)‖ off the evaluated diagonal, not off q_lam: the
-        # same q_a as above leaves its report byte for byte as it was
+        # claim1 reads ‖E(a)‖ off the evaluated diagonal, not off q_lam: q_a
+        # without a.a, as above but given by IsometryFamily.q, leaves its
+        # report byte for byte as it was
         args = ["rep-verify", graph_files["bouquet2"], "--cap", "8", "--gen-cap", "2",
                 "--suite", "claim1", "--suite-size", "3"]
         assert main(args) == 0
@@ -461,16 +472,13 @@ class TestRepVerify:
     def test_non_diagonal_vertex_projection_fails_ck(self, capsys, graph_files, monkeypatch):
         # t_v swaps two basis vectors: ck reports one fail result, exit 1, and
         # the TCK results before it stay in the report
-        real = repalg.IsometryFamily.generator
-
-        def tampered(fam, lam):
-            t = real(fam, lam)
-            if lam.is_vertex():
+        def tampered(fam, lam, adjoint, t):
+            if lam.is_vertex() and not adjoint:
                 t = t.copy()
                 t[[0, 1]] = t[[1, 0]]
             return t
 
-        monkeypatch.setattr(repalg.IsometryFamily, "generator", tampered)
+        tamper_stored(monkeypatch, tampered)
         assert main(["rep-verify", graph_files["bouquet2"], "--cap", "4",
                      "--suite", "tck,ck"]) == 1
         captured = capsys.readouterr()
@@ -482,9 +490,8 @@ class TestRepVerify:
 
     def test_vanishing_projection_fails_lem3(self, capsys, graph_files, monkeypatch):
         # q_a.b is zero: Lemma 3's hypothesis fails, a failed check, not malformed input
-        real = repalg.IsometryFamily.q
-        monkeypatch.setattr(repalg.IsometryFamily, "q", lambda fam, lam: (
-            real(fam, lam) & (lam.label() != "a.b")))
+        tamper_stored(monkeypatch, lambda fam, lam, adjoint, t: (
+            np.where(adjoint and lam.label() == "a.b", -1, t)))
         assert main(["rep-verify", graph_files["bouquet2"], "--cap", "4", "--gen-cap", "2",
                      "--suite", "lem3"]) == 1
         captured = capsys.readouterr()

@@ -42,9 +42,11 @@ scalars = st.one_of(st.none(), numbers, texts,
 keys = st.one_of(texts, numbers, st.none())
 
 
+flat_dicts = st.dictionaries(texts, scalars, min_size=1, max_size=4)
+flat_lists = st.lists(scalars, min_size=1, max_size=4)
+
+
 def containers(children):
-    flat_dicts = st.dictionaries(texts, scalars, min_size=1, max_size=4)
-    flat_lists = st.lists(scalars, min_size=1, max_size=4)
     return st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -68,6 +70,39 @@ documents = st.recursive(scalars, containers, max_leaves=30)
 @given(documents)
 def test_encode_equals_json_dumps(obj):
     assert encode(obj) == referee(obj)
+
+
+# rep-verify results: flat items with a few that carry a detail dict, and
+# flat lists, empty containers and scalars between runs of them
+result_lists = st.lists(st.one_of(
+    flat_dicts, flat_dicts, flat_lists, st.tuples(flat_dicts, flat_dicts).map(
+        lambda pair: {**pair[0], "detail": pair[1]}),
+    st.sampled_from([{}, [], 0, "x", None])), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(result_lists, st.integers(0, 2))
+def test_runs_of_flat_items_equal_json_dumps(items, depth):
+    """Each maximal run of flat items of one kind is laid out in one C call."""
+    obj = items
+    for _ in range(depth):
+        obj = {"results": obj, "n": [obj]}
+    assert encode(obj) == referee(obj)
+
+
+def test_flat_runs_beside_detail_items_take_one_call_each(monkeypatch):
+    """A long list of flat results broken by a few detail items is laid out
+    in one C call per run of flat items, not one per item."""
+    items = [{"id": f"c{i}", "status": "pass"} for i in range(1000)]
+    for i in (0, 500, 999):
+        items[i] = {"id": f"c{i}", "detail": {"tau": "a"}, "status": "pass"}
+    want, calls = referee(items), []
+    real = json.JSONEncoder.encode
+    monkeypatch.setattr(json.JSONEncoder, "encode",
+                        lambda self, o: calls.append(o) or real(self, o))
+    assert encode(items) == want
+    assert sum(isinstance(o, list) and len(o) > 1 for o in calls) == 2
+    assert len(calls) < 40
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OperatorMatrix, as_matrix
-from oracles import boundary_family_from_graph, tck_whole_maps
+from conftest import OperatorMatrix, as_matrix, stored_row
+from oracles import (boundary_family_from_graph, ck_per_set, q_reconstruction_per_member,
+                     tck_whole_maps)
 from kgraphkit import repalg
 from kgraphkit.boundary import shift, thue_morse_path
 from kgraphkit.core import Degree, paths_up_to_degree
 from kgraphkit.repalg import (
     Basis,
+    BooleanRelationFailure,
     FockFamily,
     IsometryFamily,
     KGraphError,
@@ -107,6 +109,32 @@ class TestReferee:
         t = np.array([1, -1], dtype=np.intp)
         assert first_difference_on(basis, t, [t, t], np.arange(2)) == ("e1", "e0", 1, 2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: injection_sets(3 * m)), st.integers(0, 2),
+           st.booleans(), st.data())
+    def test_bulk_agreement_matches_first_difference(self, data, terms, masks, draw):
+        """repalg._holds decides a block of checks at once, one per row, as
+        first_difference_on decides each alone: each check is one drawn map
+        against none, one or two terms drawn as its pieces, as pieces that
+        overlap, or as other maps, and as final projections when masks."""
+        basis, maps = data
+        n = len(basis)
+        cols = np.array(sorted(draw.draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
+        checks = []
+        for lhs, *others in zip(maps[0::3], maps[1::3], maps[2::3]):
+            where = np.array(draw.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+            rhs = draw.draw(st.sampled_from([
+                [np.where(where == k, lhs, -1) for k in range(2)],  # pieces, some missing
+                [lhs, np.where(where == 0, lhs, -1)],  # overlapping pieces
+                others]))[:terms]
+            if masks:
+                lhs, rhs = range_mask(lhs), [range_mask(t) for t in rhs]
+            checks.append((lhs[cols], [t[cols] for t in rhs]))
+        got = repalg._holds(np.stack([lhs for lhs, _ in checks]),
+                            [np.stack([rhs[k] for _, rhs in checks]) for k in range(terms)])
+        assert got.tolist() == [first_difference_on(basis, lhs, rhs, cols) is None
+                                for lhs, rhs in checks]
+
 
 def boundary_tm_family(bouquet2):
     tm = thue_morse_path(bouquet2)
@@ -185,12 +213,10 @@ def tampered(fam, gen_cap, lam, entries):
     or projection is taken."""
     for p in paths_up_to_degree(fam.graph, gen_cap):
         fam.generator(p)
-    t = fam.generator(lam).copy()
+    t = stored_row(fam, lam)
     for j, i in entries.items():
         assert t[j] != i
         t[j] = i
-    t.flags.writeable = False
-    fam._gens[lam] = t
     return fam
 
 
@@ -258,10 +284,10 @@ class TestTckReferee:
 
 def test_zero_one_checks_compose_on_their_safe_columns(bouquet2, monkeypatch):
     """verify_tck, boolean_rep, q_decomposition and verify_phi2 compose no
-    whole maps: each compose_maps reads an array as long as a safe-column set
-    and returns one entry per entry of it.  Each set is returned less its
-    last column, so none is the whole basis and a whole map is longer than
-    every one."""
+    whole maps: each compose_maps, and each store read of the bulk checks,
+    reads an array as long as a safe-column set and returns one entry per
+    entry of it.  Each set is returned less its last column, so none is the
+    whole basis and a whole map is longer than every one."""
     fam = build_fock_family(bouquet2, (7,))
     F = vee(bouquet2, paths_up_to_degree(bouquet2, (1,)))
 
@@ -284,11 +310,100 @@ def test_zero_one_checks_compose_on_their_safe_columns(bouquet2, monkeypatch):
         composed.append((len(b), real_compose(a, b)))
         return composed[-1][1]
 
+    read, real_read = [], repalg._read
+
+    def read_spy(store, rows, at):
+        read.append((np.shape(at)[-1], real_read(store, rows, at)))
+        return read[-1][1]
+
     monkeypatch.setattr(repalg, "compose_maps", spy)
+    monkeypatch.setattr(repalg, "_read", read_spy)
     monkeypatch.setattr(fam, "safe_columns", safe_columns)
     Q, phi2 = run()
     assert all(c.ok for c in phi2) and len(Q) == len(F)
-    assert composed and max(map(len, safe)) < len(fam.basis)
-    for n, out in composed:
+    assert composed and read and max(map(len, safe)) < len(fam.basis)
+    for n, out in composed + read:
         assert any(n == len(s) for s in safe)
-        assert len(out) == n
+        assert out.shape[-1] == n
+
+
+class TestBulkKernel:
+    """TCK2, TCK3, the product rule, the Q reconstruction and the CK gaps are
+    decided a column set at a time (repalg._failing), against the per-pair,
+    per-set and per-member loops of tests/oracles.py; only a failing check
+    is explained, by first_difference_on."""
+
+    @pytest.mark.parametrize("name", ["bouquet2", "flip", "omega22", "omega222"])
+    def test_failing_pair_beside_passing_pairs_of_its_group(self, corpus, name):
+        # t_e, e the first edge, loses its first safe column at d(e): TCK3(e,
+        # e) fails, while TCK3(f, f) for each other edge f of e's color, in
+        # its group (column set of d(e), one MCE member), passes
+        fam, gen_cap = tck_case(corpus, name)
+        g = fam.graph
+        e = g.edge_path(sorted(g.edges)[0])
+        cols = fam.safe_columns(e.degree)
+        fam = tampered(fam, gen_cap, e, {int(cols[fam.generator(e)[cols] >= 0][0]): -1})
+        got = triples(verify_tck(fam, gen_cap))
+        assert got == tck_whole_maps(fam, gen_cap)
+        status = {cid: s for cid, s, _ in got}
+        others = [f for f, edge in g.edges.items()
+                  if edge.color == g.edges[e.label()].color and f != e.label()]
+        assert status[f"TCK3:{e.label()}*{e.label()}"] == "fail"
+        assert others and all(status[f"TCK3:{f}*{f}"] == "pass" for f in others)
+
+    def test_first_difference_explains_only_failures(self, bouquet2, monkeypatch):
+        calls = []
+        real = repalg.first_difference_on
+        monkeypatch.setattr(repalg, "first_difference_on",
+                            lambda *args: calls.append(args) or real(*args))
+        F = paths_up_to_degree(bouquet2, (2,))
+        fam = build_fock_family(bouquet2, (4,))
+        assert all(c.ok for c in verify_tck(fam, (2,)))
+        q_decomposition(boolean_rep(fam, (2,)), F)
+        assert [c.id for c in verify_ck(fam, (1,)) if not c.ok] == ["CK:v:{a,b}"]
+        assert calls == []
+        # t_ab loses its image of the vertex: one call per failing TCK check
+        ab = bouquet2.path(["a", "b"])
+        report = verify_tck(tampered(build_fock_family(bouquet2, (4,)), (2,), ab, {0: -1}), (2,))
+        assert len(calls) == sum(not c.ok for c in report) > 1
+        # q_a loses a.a: the product rule fails at (a, a.a) and q_a is not the
+        # sum of its Q pieces; each raises after one call
+        fam = build_fock_family(bouquet2, (4,))
+        stored_row(fam, bouquet2.edge_path("a"), adjoint=True)[fam.basis.labels.index("a.a")] = -1
+        for check in (lambda: boolean_rep(fam, (2,)), lambda: q_decomposition(fam, F)):
+            calls.clear()
+            with pytest.raises(BooleanRelationFailure, match="first difference"):
+                check()
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["bouquet2", "flip", "omega22", "omega222", "boundary_tm",
+                                      "boundary_omega", "tampered"])
+    def test_ck_matches_per_set_referee(self, corpus, name):
+        fam, _ = tck_case(corpus, "bouquet2" if name == "tampered" else name)
+        fe_cap = (1,) * fam.graph.rank
+        if name == "tampered":  # q_b loses b.a, so the gap of {a, b} holds it too
+            stored_row(fam, fam.graph.edge_path("b"), adjoint=True)[
+                fam.basis.labels.index("b.a")] = -1
+        got = triples(verify_ck(fam, fe_cap))
+        assert got == ck_per_set(fam, fe_cap)
+        assert any(status == "fail" for _, status, _ in got) == (not name.startswith("boundary"))
+
+    @pytest.mark.parametrize("tamper", [None, "a", "v"])
+    def test_q_reconstruction_matches_per_member_referee(self, bouquet2, tamper):
+        # q_a loses a.a, or q_v loses a.b: the first member whose q is not the
+        # sum of its pieces is named, and orthogonality still holds
+        fam = build_fock_family(bouquet2, (4,))
+        F = paths_up_to_degree(bouquet2, (2,))
+        if tamper:
+            lam = bouquet2.parse_path(tamper)
+            column = fam.basis.labels.index("a.a" if tamper == "a" else "a.b")
+            stored_row(fam, lam, adjoint=True)[column] = -1
+        want = q_reconstruction_per_member(fam, F)
+        assert (want is None) == (tamper is None)
+        if want is None:
+            q_decomposition(fam, F)
+        else:
+            assert want.label() == tamper
+            with pytest.raises(BooleanRelationFailure,
+                               match=f"^q_{tamper} is not the sum of its Q pieces; "):
+                q_decomposition(fam, F)

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
-from conftest import OperatorMatrix, as_matrix, as_referee, referee_evaluate, weak_lower_end
+from conftest import (OperatorMatrix, as_matrix, as_referee, referee_evaluate, stored_row,
+                      weak_lower_end)
 from oracles import (
     boolean_rep_all_pairs,
     boundary_family_from_graph,
@@ -342,9 +343,8 @@ class TestVerifyTckCk:
         # the gap product is read as a mask only while t_v is a partial identity
         fam = build_fock_family(bouquet2, (2,))
         v = bouquet2.vertex_path("v")
-        t = np.array(fam.generator(v))
+        t = stored_row(fam, v)
         t[[0, 1]] = t[[1, 0]]
-        fam._gens[v] = t
         with pytest.raises(repalg.KGraphError, match="not a diagonal projection"):
             verify_ck(fam, (1,))
 
@@ -446,7 +446,8 @@ class TestBooleanRep:
     def test_tampered_projection_is_caught(self, bouquet2):
         fam = build_fock_family(bouquet2, (3,))
         a, b = bouquet2.edge_path("a"), bouquet2.edge_path("b")
-        fam._qs[a] = fam.q(b)  # q_a q_b = q_b, but MCE(a, b) is empty
+        # q_a := q_b, so q_a q_b = q_b, but MCE(a, b) is empty
+        stored_row(fam, a, adjoint=True)[:] = fam.adjoint(b)
         with pytest.raises(BooleanRelationFailure):
             boolean_rep(fam, cap=(1,))
         with pytest.raises(BooleanRelationFailure):
@@ -454,10 +455,11 @@ class TestBooleanRep:
 
 
 def _with_column(fam, lam, j):
-    """Give q_lam the basis vector j as well, in the family's memo."""
-    mask = fam.q(lam).copy()
-    mask[j] = True
-    fam._qs[lam] = mask
+    """Give q_lam the basis vector j as well: t_lam*, whose domain it is, is
+    defined at j in the family's store."""
+    t_star = stored_row(fam, lam, adjoint=True)
+    assert t_star[j] < 0
+    t_star[j] = j
 
 
 def pair_rule_family(name, corpus, boundary_omega, boundary_tm):
@@ -512,20 +514,21 @@ class TestPairRules:
 
     def test_boolean_rep_tests_common_range_and_vertex_pairs(self, omega222, monkeypatch):
         # 1,480 pairs with a common range and 351 pairs of the 27 vertices;
-        # all 23,436 pairs of the 216 paths would be tested otherwise.  Each
-        # passing pair makes one first_difference_on call, with every side
-        # already read on the pair's safe columns
-        calls = []
-        real = repalg.first_difference_on
+        # all 23,436 pairs of the 216 paths would be tested otherwise.  They
+        # are decided in bulk, each once, and no passing pair calls
+        # first_difference_on
+        decided, explained = [], []
+        real = repalg._failing
 
-        def counted(basis, lhs, rhs, cols):
-            calls.append(all(len(side) == len(cols) for side in [lhs, *rhs]))
-            return real(basis, lhs, rhs, cols)
+        def counted(fam, groups, read):
+            decided.extend(check[0] for group in groups.values() for check in group)
+            return real(fam, groups, read)
 
-        monkeypatch.setattr(repalg, "first_difference_on", counted)
+        monkeypatch.setattr(repalg, "_failing", counted)
+        monkeypatch.setattr(repalg, "first_difference_on", lambda *args: explained.append(args))
         fam = build_fock_family(omega222, (2, 2, 2))
         boolean_rep(fam, (2, 2, 2))
-        assert len(calls) == 1_480 + 351 and all(calls)
+        assert sorted(decided) == list(range(1_480 + 351)) and explained == []
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
@@ -616,10 +619,26 @@ class TestExtensions:
         got = repalg._extensions(pool)
         assert list(got.items()) == list(extensions_by_scan(pool).items())
 
+    def test_down_set_table_is_composed_once_per_run(self, bouquet2_cubed, monkeypatch):
+        # rep-verify's F, every path up to (2,2,2): its table is composed with
+        # no extends call, q_decomposition builds it once, and lem3_check
+        # reads that table
+        pool = paths_up_to_degree(bouquet2_cubed, (2, 2, 2))
+        want = list(extensions_by_scan(pool).items())
+        calls = _range_spy(monkeypatch)
+        assert list(repalg._extensions(pool).items()) == want and calls == []
+        fam = boolean_rep(build_fock_family(bouquet2_cubed, (2, 2, 2)), (2, 2, 2))
+        built, real = [], repalg._extensions
+        monkeypatch.setattr(repalg, "_extensions", lambda pool: built.append(pool) or real(pool))
+        Q = q_decomposition(fam, pool)
+        assert list(Q.extensions.items()) == want
+        assert all(c.ok for c in lem3_check(fam, Q)) and built == [pool]
+
     def test_lem1_lem3_call_extends_on_same_range_pairs_only(self, omega222, monkeypatch):
         # the rep-verify lem1,lem3 run on omega222 at (2,2,2): a scan of the
         # whole pool per member made 150,030 extends calls, 137,352 of them on
-        # pairs with different ranges; the by-range tables make 9,961
+        # pairs with different ranges; the by-range tables made 9,961, and the
+        # composed table of this down-set makes none
         calls = _range_spy(monkeypatch)
         fam = boolean_rep(build_fock_family(omega222, (2, 2, 2)), (2, 2, 2))
         F = paths_up_to_degree(omega222, (2, 2, 2))
