@@ -12,6 +12,10 @@ its own windows (a finite path, a word stream), or the normal form
 λ·σ^s(y) of a root y, a DerivedHandle: shift and extend are arithmetic on
 the triple (λ, y, s), and a derived handle reads its windows from its root.
 
+The triple, as (y, s, λ) reduced in rank 1, is a handle's identity key;
+shift_key and extend_key move it with no handle built.  Identity stays
+windowed equality: Identities takes each key's fingerprint once.
+
 Each handle memoises its windows under validated (n, m) keys and looks the
 memo up before validating.  Derived handles (shift and extend results) are
 built afresh on every call, never cached on their parent: each holds the
@@ -20,6 +24,7 @@ windows asked of it, so keeping them alive would grow memory.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -67,11 +72,12 @@ class BoundaryPathHandle:
     oracles must be pure.
     """
 
-    def __init__(self, graph: KGraph, degree, range_vertex: str, name: str):
+    def __init__(self, graph: KGraph, degree, range_vertex: str, name: Optional[str]):
         self.graph = graph
         self.degree = ext_degree(degree)
         self.range_vertex = range_vertex
-        self.name = name
+        if name is not None:  # else the subclass names the handle when asked
+            self.name = name
         self._memo: dict[tuple[Degree, Degree], Path] = {}  # validated (n, m) -> x(n, m)
 
     def window(self, n, m) -> Path:
@@ -94,13 +100,9 @@ class BoundaryPathHandle:
         return self.window(n, n).range_vertex
 
     def fingerprint(self, width) -> tuple:
-        """Identity key at the given window width: the extended degree, the
-        range vertex and the word of x(0, m), where m is the width in each
-        infinite coordinate and the full degree in each finite one, so finite
-        handles are compared exactly."""
-        m = Degree(w if d == INF else d for w, d in zip(Degree(width), self.degree))
-        head = self.window(Degree.zero(self.graph.rank), m)
-        return (self.degree, self.range_vertex, head.word)
+        """Identity at the given window width (key_fingerprint)."""
+        lam, y, s = normal_form(self)
+        return key_fingerprint((y, s, lam), Degree(width))
 
     def describe(self) -> str:
         return self.name
@@ -147,25 +149,24 @@ class DerivedHandle(BoundaryPathHandle):
     """The handle λ·σ^s(y) of a root y, which is never itself derived.
 
     Its degree is d(λ) + d(y) - s and its range r(λ).  It is named λ*y>>s,
-    with the λ* part only for a non-vertex prefix and >>s only for s != 0.
+    with the λ* part only for a non-vertex prefix and >>s only for s != 0,
+    on the first read of its name.
     """
 
     def __init__(self, prefix: Path, root: BoundaryPathHandle, by: Degree):
-        name = f"{root.name}>>{tuple(by)}" if any(by) else root.name
-        if not prefix.is_vertex():
-            name = f"{prefix.label()}*{name}"
         degree = (c + d - b for c, d, b in zip(root.degree, prefix.degree, by))
-        super().__init__(root.graph, degree, prefix.range_vertex, name)
+        super().__init__(root.graph, degree, prefix.range_vertex, None)
         self.prefix = prefix
         self.root = root
         self.by = by
 
+    @functools.cached_property
+    def name(self) -> str:
+        name = f"{self.root.name}>>{tuple(self.by)}" if any(self.by) else self.root.name
+        return name if self.prefix.is_vertex() else f"{self.prefix.label()}*{name}"
+
     def _window(self, n: Degree, m: Degree) -> Path:
-        lam, s = self.prefix, self.by
-        if lam.is_vertex():
-            return self.root.window(s + n, s + m)
-        reach = m.join(lam.degree)
-        return segment(compose(lam, self.root.window(s, s + reach - lam.degree)), n, m)
+        return read((self.root, self.by, self.prefix), n, m)
 
 
 def normal_form(x: BoundaryPathHandle) -> tuple[Path, BoundaryPathHandle, Degree]:
@@ -173,6 +174,70 @@ def normal_form(x: BoundaryPathHandle) -> tuple[Path, BoundaryPathHandle, Degree
     if isinstance(x, DerivedHandle):
         return x.prefix, x.root, x.by
     return x.graph.vertex_path(x.range_vertex), x, Degree.zero(x.graph.rank)
+
+
+def read(key, n: Degree, m: Degree, window=None) -> Path:
+    """x(n, m) of x = λ·σ^s(y), key (y, s, λ), from one window of y, by
+    default y.window, which memoises it; unchecked."""
+    y, s, lam = key
+    window = window or y.window
+    if lam.is_vertex():
+        return window(s + n, s + m)
+    reach = m.join(lam.degree)
+    return segment(compose(lam, window(s, s + reach - lam.degree)), n, m)
+
+
+def identity_key(x: BoundaryPathHandle) -> tuple:
+    """The key (y, s, λ) of x = λ·σ^s(y): equal keys, equal paths, on any root."""
+    lam, y, s = normal_form(x)
+    return extend_key(lam, (y, s, x.graph.vertex_path(lam.source_vertex)))
+
+
+def shift_key(key, n: Degree) -> tuple:
+    """The key of σ^n(x) from x's, as shift builds σ^n(x); it stays reduced,
+    since σ^n keeps λ's last letter or drops all of λ."""
+    y, s, lam = key
+    if lam.is_vertex():
+        return y, s + n, y.window(s + n, s + n)
+    m = n.join(lam.degree)
+    return y, s + m - lam.degree, read(key, n, m)
+
+
+def extend_key(lam: Path, key) -> tuple:
+    """The key of λx from x's, (y, s, λμ), reduced in rank 1: while λ = λ′e
+    with e = y(s-1, s), λ′e·σ^s(y) is λ′·σ^(s-1)(y).  A reduced μ ends in no
+    such e, so only an extension of a vertex μ is reduced."""
+    y, s, mu = key
+    lam = compose(lam, mu)
+    while mu.is_vertex() and y.graph.rank == 1 and lam.word and s[0] and (
+            lam.word[-1],) == y.window((s[0] - 1,), s).word:
+        lam, s = segment(lam, (0,), (len(lam.word) - 1,)), Degree((s[0] - 1,))
+    return y, s, lam
+
+
+def key_fingerprint(key, width: Degree) -> tuple:
+    """Identity at the window width of the path x with this key: its extended
+    degree, range vertex and word of x(0, m), m the width in each infinite
+    coordinate and the full degree in each finite one (so finite paths are
+    compared exactly), from one window of the root, not memoised."""
+    y, s, lam = key
+    degree = ext_degree(c + d - b for c, d, b in zip(y.degree, lam.degree, s))
+    m = Degree(w if d == INF else d for w, d in zip(width, degree))
+    return degree, lam.range_vertex, read(key, Degree.zero(len(m)), m, y._window).word
+
+
+class Identities(dict):
+    """Identity key -> id of its fingerprint at one window width, taken on
+    the key's first lookup only: equal ids, equal fingerprints.  fps maps
+    each fingerprint to its id, counting up from 0."""
+
+    def __init__(self, width):
+        super().__init__()
+        self.width, self.fps = Degree(width), {}
+
+    def __missing__(self, key) -> int:
+        self[key] = self.fps.setdefault(key_fingerprint(key, self.width), len(self.fps))
+        return self[key]
 
 
 def shift(x: BoundaryPathHandle, n) -> BoundaryPathHandle:
@@ -186,9 +251,7 @@ def shift(x: BoundaryPathHandle, n) -> BoundaryPathHandle:
     if not any(n):
         return x
     lam, y, s = normal_form(x)
-    m = n.join(lam.degree)
-    prefix = x.window(n, m)
-    by = s + m - lam.degree
+    y, by, prefix = shift_key((y, s, lam), n)
     if prefix.is_vertex() and not any(by):
         return y
     return DerivedHandle(prefix, y, by)
@@ -351,21 +414,24 @@ def check_boundary_condition(handles: Sequence[BoundaryPathHandle], window, fe_c
     return [witness(x) for x in handles]
 
 
-def aperiodicity_window_check(x: BoundaryPathHandle, shift_bound, window
+def aperiodicity_window_check(x: BoundaryPathHandle, shift_bound, window,
+                              ids: Optional[Identities] = None
                               ) -> Optional[tuple[Degree, Degree]]:
     """Pairwise-distinguish all shifts of x below the bound at window width:
     None when they are, else the first colliding pair (m, n).
 
-    Each shift's fingerprint is taken once; it leads with the extended
+    Each shift is named by its fingerprint's id in ids, an Identities at the
+    window that callers may share; a fingerprint leads with the extended
     degree and the range vertex, so shifts differing in either never match.
-    The pair is the first shift m with a later equal fingerprint and the
-    first such later n: the first colliding pair in the pairwise scan order.
+    The pair is the first shift m with a later equal id and the first such
+    later n: the first colliding pair in the pairwise scan order.
     """
     shift_bound = Degree(shift_bound)
-    width = Degree(window)
+    ids = Identities(window) if ids is None else ids
+    key = identity_key(x)
     shifts = [n for n in degrees_up_to(shift_bound) if n <= x.degree]
-    fingerprints = [shift(x, n).fingerprint(width) for n in shifts]
-    for i, fp in enumerate(fingerprints):
-        if fp in fingerprints[i + 1:]:
-            return shifts[i], shifts[fingerprints.index(fp, i + 1)]
+    named = [ids[shift_key(key, n)] for n in shifts]
+    for i, name in enumerate(named):
+        if name in named[i + 1:]:
+            return shifts[i], shifts[named.index(name, i + 1)]
     return None

@@ -41,6 +41,7 @@ from .alignment import enumerate_fe, is_exhaustive, mce, vee
 from .aperiodicity import aperiodicity_report
 from .boundary import (
     BoundaryPathHandle,
+    Identities,
     aperiodicity_window_check,
     check_boundary_condition,
     finite_boundary_paths,
@@ -365,8 +366,9 @@ def cmd_boundary_check(args):
     shift_bound = parse_degree(args.shift_bound, g.rank)
     handles = boundary_handles(g, args.seeds)
     results, statuses = [], []
+    ids = Identities(window)  # one fingerprint per distinct shift of all the handles
     for x, cond in zip(handles, check_boundary_condition(handles, window, fe_cap)):
-        aper = aperiodicity_window_check(x, shift_bound, window)
+        aper = aperiodicity_window_check(x, shift_bound, window, ids)
         entry = {"handle": x.describe()}
         for key, witness in (("boundary_condition", cond), ("windowed_aperiodicity", aper)):
             status = "pass" if witness is None else "fail"

@@ -49,9 +49,14 @@ from .alignment import enumerate_fe, extends, is_exhaustive, mce, mce_table, vee
 from .aperiodicity import separate_family
 from .boundary import (
     BoundaryPathHandle,
+    Identities,
     aperiodicity_window_check,
     extend,
+    extend_key,
+    identity_key,
+    read,
     shift,
+    shift_key,
 )
 
 
@@ -571,42 +576,47 @@ class FockFamily(IsometryFamily):
 
 class BoundaryFamily(IsometryFamily):
     def __init__(self, graph: KGraph, handles: Sequence[BoundaryPathHandle],
-                 window: Degree):
+                 window: Degree, ids: Optional[Identities] = None):
         basis = Basis([f"x{i:03d}" for i in range(len(handles))])
         super().__init__(graph, basis)
         self._ranges = np.array([x.range_vertex for x in handles])
         self.window = window
         self.handles = tuple(handles)
-        # fingerprint -> basis index, or tail_id's id
-        self._fp_index = {x.fingerprint(window): i for i, x in enumerate(self.handles)}
+        # each handle's identity key; identity key -> id; id -> basis index
+        self._keys = [identity_key(x) for x in self.handles]
+        self._ids = Identities(window) if ids is None else ids
+        self._index = {self._ids[key]: i for i, key in enumerate(self._keys)}
         # per-handle facts of the diagonal-formula checks, each built once
         self.check_labels = [f"{label}({x.describe()})"
                              for label, x in zip(basis.labels, self.handles)]
+        self._heads: dict[Degree, list] = {}  # d -> each x(0, d), None past d(x)
         self._starts: dict[Path, np.ndarray] = {}  # lam -> mask of x(0, d(lam)) = lam
         self._tails: dict[tuple, int] = {}  # (j, d) -> id of σ^d(x_j)'s fingerprint
 
     def handle_index(self, x: BoundaryPathHandle) -> Optional[int]:
-        i = self._fp_index.get(x.fingerprint(self.window), len(self.basis))
-        return i if i < len(self.basis) else None
+        return self._index.get(self._ids[identity_key(x)])
 
     def starts_with(self, lam: Path) -> np.ndarray:
-        """The mask of the handles x with x(0, d(lam)) = lam, built once per path."""
+        """The mask of the handles x with x(0, d(lam)) = lam, built once per
+        path from the x(0, d) read off the keys once per degree d."""
         got = self._starts.get(lam)
         if got is None:
-            zero, d = Degree.zero(self.graph.rank), lam.degree
-            got = self._starts[lam] = np.array(
-                [d <= x.degree and x.window(zero, d) == lam for x in self.handles], dtype=bool)
+            d = lam.degree
+            if d not in self._heads:
+                zero = Degree.zero(self.graph.rank)
+                self._heads[d] = [read(key, zero, d) if d <= x.degree else None
+                                  for x, key in zip(self.handles, self._keys)]
+            got = self._starts[lam] = np.array([h == lam for h in self._heads[d]], dtype=bool)
         return got
 
     def tail_id(self, j: int, d: Degree) -> int:
         """The basis index of σ^d(x_j) when its fingerprint at the family window
         is in the basis, else a fresh id >= len(basis): equal ids, equal
-        fingerprints.  Only the int is kept, not the shifted handle."""
+        fingerprints.  Only the int is kept, not the shifted key."""
         got = self._tails.get((j, d))
         if got is None:
-            fp = shift(self.handles[j], d).fingerprint(self.window)
-            ids = self._fp_index
-            got = self._tails[j, d] = ids.setdefault(fp, len(ids))
+            i = self._ids[shift_key(self._keys[j], d)]
+            got = self._tails[j, d] = self._index.get(i, len(self.basis) + i)
         return got
 
     def _edge_generator(self, e: Path) -> tuple[list, list]:
@@ -615,14 +625,13 @@ class BoundaryFamily(IsometryFamily):
         refused."""
         source: dict[int, int] = {}  # image -> domain
         for j in np.flatnonzero(self._ranges == e.source_vertex).tolist():
-            x = self.handles[j]
-            i = self.handle_index(extend(e, x))
+            i = self._index.get(self._ids[extend_key(e, self._keys[j])])
             if i is None:
                 continue
             if i in source:
                 raise KGraphError(
                     f"t_{e.label()} sends {self.handles[source[i]].describe()} and "
-                    f"{x.describe()} to one handle at window {tuple(self.window)}")
+                    f"{self.handles[j].describe()} to one handle at window {tuple(self.window)}")
             source[i] = j
         return list(source.values()), list(source)
 
@@ -673,38 +682,40 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
     if not seeds:
         raise KGraphError("no boundary-path handles supplied")
 
+    ids = Identities(window)  # identity key -> id of its fingerprint at the window
     screen = gen_cap + gen_cap
     kept = [x for x in seeds
-            if aperiodicity_window_check(x, screen.meet(x.degree), window) is None]
+            if aperiodicity_window_check(x, screen.meet(x.degree), window, ids) is None]
     if not kept:
         raise KGraphError(
             "every seed failed the windowed aperiodicity screen; "
             "the aperiodic boundary-path space is empty at this resolution")
 
-    fps = {}
+    named = {}  # id -> seed
     for x in kept:
-        fp = x.fingerprint(window)
-        if fp in fps:
+        i = ids[identity_key(x)]
+        if i in named:
             raise KGraphError(
-                f"seeds {fps[fp].name} and {x.name} agree on window {tuple(window)}")
-        fps[fp] = x
+                f"seeds {named[i].name} and {x.name} agree on window {tuple(window)}")
+        named[i] = x
 
-    first: dict[tuple, BoundaryPathHandle] = {}  # fingerprint -> first handle with it
-    expanded = set()  # fingerprints of the shifts extended so far
+    first: dict[int, BoundaryPathHandle] = {}  # id -> first handle with it
+    expanded = set()  # ids of the shifts extended so far
     exts = [lam for lam in paths_up_to_degree(g, gen_cap) if not lam.is_vertex()]
     for x in kept:
         for m in degrees_up_to(gen_cap.meet(x.degree)):
             base = shift(x, m)
-            fp = base.fingerprint(window)
-            first.setdefault(fp, base)
-            if fp in expanded:
+            i = ids[identity_key(base)]
+            first.setdefault(i, base)
+            if i in expanded:
                 continue
-            expanded.add(fp)
+            expanded.add(i)
             for y in (extend(lam, base) for lam in exts if lam.source_vertex == base.range_vertex):
-                first.setdefault(y.fingerprint(window), y)
+                first.setdefault(ids[identity_key(y)], y)
 
     # a fingerprint is (degree, range vertex, head word): the basis order
-    return BoundaryFamily(g, [first[fp] for fp in sorted(first)], window)
+    fps = list(ids.fps)  # in id order
+    return BoundaryFamily(g, [first[i] for i in sorted(first, key=fps.__getitem__)], window, ids)
 
 
 # -- deciding identities in bulk ----------------------------------------------

@@ -10,7 +10,8 @@ diagonal combination from its Q-piece sectors, and finite exhaustive sets
 as defined by
 Raeburn-Sims-Yeend, JFA 2004, the boundary condition of Sims, Indiana Univ.
 Math. J. 2006, tested position by position on each handle, windowed
-aperiodicity by comparing every pair of shifts, and shifts and extensions of
+aperiodicity by comparing every pair of shifts, windowed identity by a
+fingerprint read through the handle's own windows, and shifts and extensions of
 boundary handles by the nested rule, where a result may wrap another derived
 handle.  mce_set_brute and is_exhaustive_brute stay in kgraphkit.alignment,
 since the benchmark's record script imports them from there.
@@ -295,6 +296,14 @@ def boundary_witness_per_handle(x: BoundaryPathHandle, window, fe_cap):
     return None
 
 
+def window_fingerprint(x: BoundaryPathHandle, width) -> tuple:
+    """Oracle: the fingerprint of x at the width as x's own windows give it,
+    with no identity key: its extended degree, range vertex and the word of
+    x(0, m), m the width in infinite coordinates and the degree in finite ones."""
+    m = Degree(w if d == INF else d for w, d in zip(Degree(width), x.degree))
+    return x.degree, x.range_vertex, x.window(Degree.zero(len(m)), m).word
+
+
 def aperiodicity_window_pairwise(x: BoundaryPathHandle, shift_bound, window):
     """Oracle: aperiodicity_window_check by the pairwise scan.  Each pair of
     shifts m before n with equal extended degree and range vertex is compared
@@ -308,7 +317,7 @@ def aperiodicity_window_pairwise(x: BoundaryPathHandle, shift_bound, window):
             a, b = handles[m], handles[n]
             if a.degree != b.degree or a.range_vertex != b.range_vertex:
                 continue
-            if a.fingerprint(width) == b.fingerprint(width):
+            if window_fingerprint(a, width) == window_fingerprint(b, width):
                 return m, n
     return None
 

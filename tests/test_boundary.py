@@ -79,6 +79,14 @@ class TestShiftExtend:
         back = shift(lx, lam.degree)
         assert back.graph is tm.graph and back.fingerprint((32,)) == tm.fingerprint((32,))
 
+    def test_derived_name_is_built_when_first_read(self, bouquet2):
+        tm = thue_morse_path(bouquet2)
+        x = extend(bouquet2.edge_path("b"), shift(tm, (3,)))
+        assert "name" not in vars(x)
+        assert x.describe() == "b*tm>>(3,)"
+        assert vars(x)["name"] == "b*tm>>(3,)"
+        assert repr(shift(tm, (2,))) == "<boundary path tm>>(2,) degree (inf,)>"
+
     def test_extend_vertex_is_identity(self, bouquet2):
         tm = thue_morse_path(bouquet2)
         assert extend(bouquet2.vertex_path("v"), tm) is tm

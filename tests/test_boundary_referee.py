@@ -1,10 +1,12 @@
 """Boundary generators, safe columns and basis against handle-by-handle referees.
 
 ``BoundaryFamily`` builds t_e for each edge by one extension per handle and
-every longer t_lam by composing edge generators along lam's word.  The
-referee is the direct construction: t_lam x_j = x_i where x_i is the basis
-handle with the fingerprint of lam·x_j, extending each handle with range
-s(lam) by lam itself, undefined where lam·x_j has no basis index.
+every longer t_lam by composing edge generators along lam's word, and looks
+each handle up by its identity key.  The referee is the direct construction
+by fingerprints alone: t_lam x_j = x_i where x_i is the basis handle with
+the fingerprint of lam·x_j, read through the handles' own windows
+(``window_fingerprint``), extending each handle with range s(lam) by lam
+itself, undefined where lam·x_j has no basis index.
 Composition could only lose vectors at the rim, where an intermediate
 extension falls outside the closure; these families show none.
 
@@ -26,13 +28,15 @@ pass and the witness for a fail.
 
 from __future__ import annotations
 
+import collections
 import gc
+import json
 import re
 
 import numpy as np
 import pytest
 
-from kgraphkit import make_omega
+from kgraphkit import boundary, kgraph_to_dict, make_omega
 from kgraphkit.boundary import (
     BoundaryPathHandle,
     FinitePathHandle,
@@ -40,26 +44,39 @@ from kgraphkit.boundary import (
     aperiodicity_window_check,
     check_boundary_condition,
     extend,
+    extend_key,
     finite_boundary_paths,
+    identity_key,
     periodic_path,
     shift,
+    shift_key,
     thue_morse_path,
 )
 from kgraphkit.core import Degree, KGraphError, degrees_up_to, paths_up_to_degree
+from kgraphkit.cli import main
 from kgraphkit.repalg import build_boundary_family
 
 from oracles import (
     aperiodicity_window_pairwise,
     boundary_family_from_graph,
     boundary_witness_per_handle,
+    window_fingerprint,
 )
 
 
+def fingerprint_index(bfam):
+    """The referee's lookup: the basis index of the handle with y's
+    fingerprint, or None, by fingerprints alone."""
+    index = {window_fingerprint(x, bfam.window): i for i, x in enumerate(bfam.handles)}
+    return lambda y: index.get(window_fingerprint(y, bfam.window))
+
+
 def boundary_generator_reference(bfam, lam):
+    index_of = fingerprint_index(bfam)
     t = np.full(len(bfam.handles), -1, dtype=np.intp)
     for j, x in enumerate(bfam.handles):
         if x.range_vertex == lam.source_vertex:
-            i = bfam.handle_index(extend(lam, x))
+            i = index_of(extend(lam, x))
             if i is not None:
                 t[j] = i
     return t
@@ -78,9 +95,9 @@ def neighbourhood(x, bound, exts):
 
 def safe_columns_reference(bfam, budget):
     """x is safe when every handle of its neighbourhood has a basis index."""
-    exts = paths_up_to_degree(bfam.graph, budget)
+    exts, index_of = paths_up_to_degree(bfam.graph, budget), fingerprint_index(bfam)
     safe = [j for j, x in enumerate(bfam.handles)
-            if all(bfam.handle_index(y) is not None for y in neighbourhood(x, budget, exts))]
+            if all(index_of(y) is not None for y in neighbourhood(x, budget, exts))]
     if not safe:
         raise KGraphError(f"no safe basis vectors at budget {tuple(budget)}")
     return safe
@@ -92,12 +109,12 @@ def basis_reference(g, seeds, window, gen_cap):
     window, gen_cap = Degree(window), Degree(gen_cap)
     screen = gen_cap + gen_cap
     kept = [x for x in seeds
-            if aperiodicity_window_check(x, screen.meet(x.degree), window) is None]
+            if aperiodicity_window_pairwise(x, screen.meet(x.degree), window) is None]
     exts = paths_up_to_degree(g, gen_cap)
     first = {}
     for x in kept:
         for y in neighbourhood(x, gen_cap, exts):
-            first.setdefault(y.fingerprint(window), y)
+            first.setdefault(window_fingerprint(y, window), y)
     ordered = sorted(first)
     return ordered, [f"x{i:03d}({first[fp].describe()})" for i, fp in enumerate(ordered)]
 
@@ -116,6 +133,13 @@ def tm_spec(shifts, window, gen_cap, order=1):
     return lambda g: (tm_seeds(g, shifts)[::order], (window,), (gen_cap,))
 
 
+def periodic_spec(word, shifts, window, gen_cap):
+    def spec(g):
+        y = periodic_path(g, list(word))
+        return [shift(y, (j,)) for j in range(shifts)], (window,), (gen_cap,)
+    return spec
+
+
 # name -> (graph, seeds/window/gen_cap, largest lam or budget, basis size)
 FAMILIES = {
     # the boundary workload's two Thue-Morse families
@@ -131,7 +155,14 @@ FAMILIES = {
     # seeds in reverse order: each shift σ^j first appears as the extension
     # b·σ^(j+1) or a·σ^(j+1) of a later seed, before it is a base itself
     "tm32-w256-reversed": ("bouquet2", tm_spec(32, 256, 2, order=-1), (4,), None),
+    # identity keys finer than fingerprints (KEY_FINER): a periodic root,
+    # where σ^3 of (a.b.b)^∞ is itself under another key ((a.b)^∞ has
+    # period 2, so the screen on shifts up to 2·gen_cap drops it), and
+    # Thue-Morse at a window short enough that distinct paths collide
+    "abb-periodic-w8": ("bouquet2", periodic_spec("abb", 3, 8, 1), (3,), 6),
+    "tm2-w7-gc2": ("bouquet2", tm_spec(2, 7, 2), (2,), 19),
 }
+KEY_FINER = ("abb-periodic-w8", "tm2-w7-gc2")
 
 
 def build(request, name):
@@ -177,8 +208,35 @@ def test_safe_columns_match_referee(request, name):
 def test_basis_matches_referee(request, name):
     g, spec, _, bfam = build(request, name)
     fingerprints, labels = basis_reference(g, *spec)
-    assert [x.fingerprint(bfam.window) for x in bfam.handles] == fingerprints
+    assert [window_fingerprint(x, bfam.window) for x in bfam.handles] == fingerprints
     assert bfam.check_labels == labels
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_equal_keys_mean_equal_fingerprints(request, name):
+    """Every shift σ^m(x) and extension λσ^m(x) of every basis handle up to
+    the gen-cap: its key read by arithmetic on x's is the key of the handle
+    built, no key names two fingerprints, and the fingerprint taken from
+    the key is the one the handle's windows give.  On the KEY_FINER families
+    some fingerprint has two keys, as it has on the finite families, where
+    each path is a root of its own."""
+    g, (_, _, gen_cap), _, bfam = build(request, name)
+    gen_cap = Degree(gen_cap)
+    exts = [lam for lam in paths_up_to_degree(g, gen_cap) if not lam.is_vertex()]
+    fingerprints = {}
+    for x in bfam.handles:
+        key = identity_key(x)
+        for m in degrees_up_to(gen_cap.meet(x.degree)):
+            base, at = shift(x, m), shift_key(key, m)
+            pairs = [(base, at)] + [(extend(lam, base), extend_key(lam, at)) for lam in exts
+                                    if lam.source_vertex == base.range_vertex]
+            for y, k in pairs:
+                fp = window_fingerprint(y, bfam.window)
+                assert k == identity_key(y), y.describe()
+                assert fingerprints.setdefault(k, fp) == fp == y.fingerprint(bfam.window), \
+                    y.describe()
+    if name in KEY_FINER:
+        assert max(collections.Counter(fingerprints.values()).values()) > 1
 
 
 def test_family_from_graph_is_the_maximal_degree_build(omega22):
@@ -186,28 +244,66 @@ def test_family_from_graph_is_the_maximal_degree_build(omega22):
             == build_boundary_family(omega22, *finite_spec(None, None)(omega22)).check_labels)
 
 
-def test_tail_ids_name_basis_indices(bouquet2):
+def test_tail_ids_name_basis_indices(bouquet2, monkeypatch):
     bfam = build_boundary_family(bouquet2, *tm_spec(64, 512, 2)(bouquet2))
     n = len(bfam.handles)
+    made = []  # every handle constructed from here on
+    init = BoundaryPathHandle.__init__
+    monkeypatch.setattr(BoundaryPathHandle, "__init__",
+                        lambda self, *args: made.append(self) or init(self, *args))
     gc.collect()
     before = {id(o) for o in gc.get_objects() if isinstance(o, BoundaryPathHandle)}
     ids = {(j, m): bfam.tail_id(j, Degree((m,))) for j in range(n) for m in range(5)}
+    # key hits: each basis handle's own index, and the masks of every path
+    assert [bfam.handle_index(x) for x in bfam.handles] == list(range(n))
+    masks = [bfam.starts_with(lam) for lam in paths_up_to_degree(bouquet2, (3,))]
     gc.collect()
     assert [o for o in gc.get_objects()
             if isinstance(o, BoundaryPathHandle) and id(o) not in before] == []
+    assert made == []
+    monkeypatch.undo()
     assert all(type(t) is int for t in bfam._tails.values())
+    zero = Degree((0,))
+    assert [mask.tolist() for mask in masks] == [
+        [x.window(zero, lam.degree) == lam for x in bfam.handles]
+        for lam in paths_up_to_degree(bouquet2, (3,))]
 
-    fps = {(j, m): shift(bfam.handles[j], (m,)).fingerprint(bfam.window)
+    fps = {(j, m): window_fingerprint(shift(bfam.handles[j], (m,)), bfam.window)
            for j in range(n) for m in range(5)}
+    index_of = fingerprint_index(bfam)
     outside = 0
     for key, i in ids.items():
-        index = bfam.handle_index(shift(bfam.handles[key[0]], (key[1],)))
+        index = index_of(shift(bfam.handles[key[0]], (key[1],)))
         assert (i if i < n else None) == index
         outside += i >= n
     assert 0 < outside < len(ids)
     # equal ids exactly when equal fingerprints
     assert len(set(ids.values())) == len(set(fps.values()))
     assert len(set(zip(ids.values(), fps.values()))) == len(set(fps.values()))
+
+
+def test_one_fingerprint_per_key_on_the_tm64_run(bouquet2, tmp_path, monkeypatch, capsys):
+    """The boundary-tm64-w512 run of the benchmark (build, tck, ck and diag)
+    takes each fingerprint from its key, once per distinct key, and none
+    from a handle: 537 keys name its 267 basis handles and their shifts and
+    extensions, where fingerprinting every lookup took 2,574."""
+    graph = tmp_path / "bouquet2.kg"
+    graph.write_text(json.dumps(kgraph_to_dict(bouquet2)), encoding="utf-8")
+    seeds = tmp_path / "tm64.json"
+    seeds.write_text(json.dumps({"handles": [{"kind": "substitution", "rules": {
+        "a": "ab", "b": "ba"}, "seed": "a", "shifts": 64}]}), encoding="utf-8")
+    keys, handle_calls = [], []
+    key_fingerprint = boundary.key_fingerprint
+    monkeypatch.setattr(boundary, "key_fingerprint",
+                        lambda key, width: keys.append(key) or key_fingerprint(key, width))
+    fingerprint = BoundaryPathHandle.fingerprint
+    monkeypatch.setattr(BoundaryPathHandle, "fingerprint",
+                        lambda self, width: handle_calls.append(self) or fingerprint(self, width))
+    assert main(["rep-verify", str(graph), "--family", "boundary", "--seeds", str(seeds),
+                 "--window", "512", "--gen-cap", "2", "--suite", "tck,ck,diag"]) == 0
+    assert capsys.readouterr().err == "kgraphkit rep-verify: pass=13152\n"
+    assert handle_calls == []
+    assert len(keys) == len(set(keys)) == 537
 
 
 def all_shifts(x):
