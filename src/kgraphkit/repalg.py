@@ -334,7 +334,8 @@ class IsometryFamily:
     are boundary-path handles, acted on by extension with windowed identity.
     Relations are only asserted on safe columns, where every operator word
     within the stated budget acts without hitting the truncation rim; a
-    boundary family reads them from its tail ids and generator arrays.
+    boundary family reads them from its tail ids and generator arrays, and a
+    Fock family decides each identity on its complete set (_deciding).
     """
 
     cap: Optional[Degree] = None  # a truncated basis's cap, which bounds every generator
@@ -358,6 +359,10 @@ class IsometryFamily:
 
     def _safe_columns(self, budget: Degree) -> Sequence[int]:
         raise NotImplementedError
+
+    def _deciding(self, budget: Degree, reach: Degree) -> Degree:
+        """The budget whose safe columns decide an identity (_columns): its own."""
+        return budget
 
     def _view(self, i: int) -> np.ndarray:
         """Row i of the store past its -1 column, read-only."""
@@ -573,6 +578,11 @@ class FockFamily(IsometryFamily):
                 "the safe subspace is empty")
         return np.flatnonzero(np.all(self._degrees <= np.array(self.cap - budget), axis=1))
 
+    def _deciding(self, budget: Degree, reach: Degree) -> Degree:
+        """cap - reach, safe columns the paths of degree <= reach: t_lam commutes
+        with right concatenation, so x(0, d(x) ∧ reach) decides x."""
+        return self.cap - reach
+
 
 class BoundaryFamily(IsometryFamily):
     def __init__(self, graph: KGraph, handles: Sequence[BoundaryPathHandle],
@@ -724,10 +734,12 @@ def build_boundary_family(g: KGraph, seeds: Sequence[BoundaryPathHandle], window
 GATHER_ENTRIES = 1 << 15  # store entries one block of checks reads at most
 
 
-def _columns(fam: IsometryFamily, budget: Degree) -> np.ndarray:
+def _columns(fam: IsometryFamily, budget: Degree, reach: Degree) -> np.ndarray:
     """The columns TCK2, TCK3, the product rule, the Q reconstruction and the
-    CK gaps are decided on, from the identity's budget: the safe columns."""
-    return fam.safe_columns(budget)
+    CK gaps are decided on, from the identity's budget and its reach, the
+    most its adjoints strip beyond what the generators before them added:
+    the safe columns at fam._deciding(budget, reach)."""
+    return fam.safe_columns(fam._deciding(budget, reach))
 
 
 def _read(store: np.ndarray, rows: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -755,12 +767,12 @@ def _holds(lhs: np.ndarray, rhs: Sequence[np.ndarray]) -> np.ndarray:
 def _failing(fam: IsometryFamily, groups: dict, read) -> Iterator[tuple]:
     """Decide the checks of each group at once; yield (position, lhs, rhs,
     cols) for each that fails, its sides read on its columns as
-    first_difference_on takes them.  groups maps (budget, ...) to checks of
-    one width that share the budget, so one column set (_columns), each a
-    tuple (position, store rows...); read(store, rows, cols) gives lhs and
-    the rhs terms of a block of them as (checks, columns) arrays (_read)."""
+    first_difference_on takes them.  groups maps (budget, reach, ...) to
+    checks of one width with one column set (_columns), each a tuple
+    (position, store rows...); read(store, rows, cols) gives lhs and the rhs
+    terms of a block of them as (checks, columns) arrays (_read)."""
     for key, group in groups.items():
-        cols = _columns(fam, key[0])
+        cols = _columns(fam, key[0], key[1])
         group = np.array(group, dtype=np.intp)
         step = max(1, GATHER_ENTRIES // max(1, len(cols) * (group.shape[1] - 1)))
         for block in (group[i:i + step] for i in range(0, len(group), step)):
@@ -805,52 +817,53 @@ def _pairs(fam: IsometryFamily, cap: Degree) -> tuple:
 
 
 def verify_tck(fam: IsometryFamily, cap) -> list[CheckResult]:
-    """Exact checks of the three defining relations.  TCK2 t_lam t_mu =
-    t_{lam mu}, and TCK3 t_mu* t_nu = sum of t_alpha t_beta* over (alpha,
-    beta) in Λ^min(mu, nu), read from the graph's mce_table, are decided in
-    bulk (_failing), grouped by column set, d(lam) + d(mu) or d(mu) ∨ d(nu),
-    and number of terms; only a failing pair calls first_difference_on."""
+    """Exact checks of the three defining relations.  TCK1's t_v t_w = 0
+    holds where hits[v, w], the vectors in t_v's domain and t_w's image, is
+    0.  TCK2 t_lam t_mu = t_{lam mu}, and TCK3 t_mu* t_nu = sum of t_alpha
+    t_beta* over (alpha, beta) in Λ^min(mu, nu), from the graph's mce_table,
+    are decided in bulk (_failing), grouped by budget and reach, (d(lam) +
+    d(mu), 0) or (d(mu) ∨ d(nu), d(mu) ∨ d(nu) - d(nu)), and number of
+    terms; only a failing pair calls first_difference_on."""
     g = fam.graph
     cap = Degree(cap)
     paths, index, at, gen, adj, mce = _pairs(fam, cap)
     checks = []
 
-    t = fam.generator
-    t_star = fam.adjoint
-
     verts = [g.vertex_path(v) for v in g.vertices]
     for v in verts:
-        tv = t(v)  # t_v t_v = t_v exactly when t_v fixes its image
+        tv = fam.generator(v)  # t_v t_v = t_v exactly when t_v fixes its image
         img = tv[tv >= 0]
-        ok = np.array_equal(tv, t_star(v)) and np.array_equal(tv[img], img)
+        ok = np.array_equal(tv, fam.adjoint(v)) and np.array_equal(tv[img], img)
         checks.append(CheckResult(f"TCK1:{v.label()} projection",
                                   "pass" if ok else "fail"))
-    for v, w in itertools.combinations(verts, 2):
-        tv, tw = t(v), t(w)
-        zero = not np.any(tv[tw[tw >= 0]] >= 0)  # t_v read at t_w's image only
-        checks.append(CheckResult(f"TCK1:{v.label()}·{w.label()} orthogonal",
-                                  "pass" if zero else "fail"))
+    dom, img = ((fam._store[rows, 1:] >= 0).astype(float) for rows in fam.rows(verts))
+    hits = dom @ img.T
+    checks += [CheckResult(f"TCK1:{verts[i].label()}·{verts[j].label()} orthogonal",
+                           "fail" if hits[i, j] else "pass")
+               for i, j in itertools.combinations(range(len(verts)), 2)]
 
     labels = [lam.label() for lam in paths]
     degree = [lam.degree for lam in paths]
+    zero = Degree.zero(g.rank)
     room = functools.cache(lambda d, e: d + e if d + e <= cap else None)
-    join = functools.cache(Degree.join)
+    joined = functools.cache(lambda d, e: (d.join(e), d.join(e) - e))  # budget and reach
     ids: list[str] = []
-    tck2: dict = defaultdict(list)  # (budget, 1) -> (position, t_lam, t_mu, t_{lam mu})
+    tck2: dict = defaultdict(list)  # (budget, 0, 1) -> (position, t_lam, t_mu, t_{lam mu})
     for i, lam in enumerate(paths):
         for j in at[lam.source_vertex]:
             budget = room(degree[i], degree[j])
             if budget is not None:
-                tck2[budget, 1].append((len(ids), gen[i], gen[j],
-                                        gen[index[_word(compose(lam, paths[j]))]]))
+                tck2[budget, zero, 1].append((len(ids), gen[i], gen[j],
+                                              gen[index[_word(compose(lam, paths[j]))]]))
                 ids.append(f"TCK2:{labels[i]}·{labels[j]}")
     terms = {pair: tuple(r for _, a, b in members for r in (gen[a], adj[b]))
              for pair, members in mce.items()}
-    tck3: dict = defaultdict(list)  # (budget, k) -> (position, t_mu*, t_nu, t_alpha, t_beta*...)
+    tck3: dict = defaultdict(list)  # (budget, reach, k) -> (position, t_mu*, t_nu, terms...)
     for i, mu in enumerate(paths):
         for j in at[mu.range_vertex]:
             rhs = terms.get((i, j), ())
-            tck3[join(degree[i], degree[j]), len(rhs)].append((len(ids), adj[i], gen[j]) + rhs)
+            tck3[(*joined(degree[i], degree[j]), len(rhs))].append(
+                (len(ids), adj[i], gen[j]) + rhs)
             ids.append(f"TCK3:{labels[i]}*{labels[j]}")
 
     def tck2_sides(store, rows, cols):  # t_lam t_mu, and t_{lam mu}
@@ -878,7 +891,7 @@ def verify_ck(fam: IsometryFamily, cap) -> list[CheckResult]:
     fam.require_cap(join_degrees((lam.degree for sets in fe.values() for E in sets for lam in E),
                                  g.rank), "the FE sets'")
     ids: list[str] = []
-    groups: dict = defaultdict(list)  # (budget, |E|) -> (position, t_v, t_lam* for lam in E)
+    groups: dict = defaultdict(list)  # (budget, budget, |E|) -> (position, t_v, t_lam*...)
     for v in g.vertices:
         # t_v times each gap (t_v - q_lam) is diagonal once t_v is: the mask of
         # t_v AND-NOT every q_lam
@@ -887,8 +900,8 @@ def verify_ck(fam: IsometryFamily, cap) -> list[CheckResult]:
             raise BooleanRelationFailure(f"t_{v} is not a diagonal projection")
         (row,), _ = fam.rows([g.vertex_path(v)])
         for E in fe[v]:
-            groups[join_degrees((lam.degree for lam in E), g.rank), len(E)].append(
-                (len(ids), row, *fam.rows(E)[1]))
+            budget = join_degrees((lam.degree for lam in E), g.rank)
+            groups[budget, budget, len(E)].append((len(ids), row, *fam.rows(E)[1]))
             ids.append(f"CK:{v}:" + "{" + ",".join(lam.label() for lam in E) + "}")
 
     def gaps(store, rows, cols):
@@ -909,25 +922,25 @@ def boolean_rep(fam: IsometryFamily, cap) -> IsometryFamily:
     representation, and return the family.
 
     The product rule q_mu q_nu = sum over MCE(mu, nu) of q_gamma is checked
-    exactly on the columns of d(mu) ∨ d(nu) for the pairs below the cap with
-    a common range and the pairs of vertices, decided in bulk (_failing),
-    grouped by column set and MCE size.  That covers r(mu) != r(nu), where
-    MCE is empty: on the safe columns of d(mu) v d(nu), within those of
-    d(mu), the pair (r(mu), mu) gives q_mu <= q_r(mu), and the vertex pair
-    q_r(mu) q_r(nu) = 0.  Each MCE is read from the graph's mce_table, which
-    verify_tck shares; the first failing pair is named with its first
-    difference.
+    exactly on the columns of d(mu) ∨ d(nu) (_columns) for the pairs below
+    the cap with a common range and the pairs of vertices, decided in bulk
+    (_failing), grouped by column set and MCE size.  That covers r(mu) !=
+    r(nu), where MCE is empty: on the columns of d(mu) v d(nu), which those
+    of d(mu) decide (complete sets) or contain (safe columns), the pair
+    (r(mu), mu) gives q_mu <= q_r(mu), and the vertex pair q_r(mu) q_r(nu)
+    = 0.  Each MCE is read from the graph's mce_table, which verify_tck
+    shares; the first failing pair is named with its first difference.
     """
     g = fam.graph
     paths, index, at, _, adj, mce = _pairs(fam, Degree(cap))
     join = functools.cache(Degree.join)
     pairs = [(i, j) for i, mu in enumerate(paths) for j in at[mu.range_vertex] if i <= j]
     pairs += itertools.combinations([index[v, ()] for v in g.vertices], 2)
-    groups: dict = defaultdict(list)  # (budget, k) -> (position, t_mu*, t_nu*, t_gamma*...)
+    groups: dict = defaultdict(list)  # (budget, budget, k) -> (position, t_mu*, t_nu*, t_gamma*...)
     for pos, (i, j) in enumerate(pairs):
         rhs = tuple(adj[lam] for lam, _, _ in mce.get((i, j), ()))
-        groups[join(paths[i].degree, paths[j].degree), len(rhs)].append(
-            (pos, adj[i], adj[j]) + rhs)
+        budget = join(paths[i].degree, paths[j].degree)
+        groups[budget, budget, len(rhs)].append((pos, adj[i], adj[j]) + rhs)
 
     def product(store, rows, cols):
         q = _masks(store, rows, cols)
@@ -1008,16 +1021,16 @@ def q_decomposition(fam: IsometryFamily, F: Sequence[Path]) -> QPieces:
     Q.update((lam, _without(fam, fam.q(lam), ext[lam])) for lam in pool)
 
     budget = join_degrees((w.degree for w in pool), g.rank)
-    cols = _columns(fam, budget)
+    cols = _columns(fam, budget, budget)
     overlap = _first_overlap(Q, cols)
     if overlap is not None:
         a, b = overlap
         raise BooleanRelationFailure(f"Q_{a.label()} and Q_{b.label()} are not orthogonal")
     place = {lam: i for i, lam in enumerate(pool)}
     pieces = np.array([Q[lam][cols] for lam in pool], dtype=bool).reshape(len(pool), len(cols))
-    groups: dict = defaultdict(list)  # (budget, k) -> (position, t_mu*, Q_mu, Q_w for w in ext)
+    groups: dict = defaultdict(list)  # (budget, budget, k) -> (position, t_mu*, Q_mu, Q_w...)
     for i, (mu, row) in enumerate(zip(pool, fam.rows(pool)[1])):
-        groups[budget, len(ext[mu])].append((i, row, i, *(place[w] for w in ext[mu])))
+        groups[budget, budget, len(ext[mu])].append((i, row, i, *(place[w] for w in ext[mu])))
 
     def reconstruction(store, rows, cols):
         return _masks(store, rows[:, :1], cols)[0], list(pieces[rows[:, 1:]].swapaxes(0, 1))
@@ -1036,9 +1049,9 @@ def lem3_check(fam: IsometryFamily, Q: QPieces) -> list[CheckResult]:
     whenever alpha's extension set in the pool (Q.extensions) fails to be
     exhaustive, witnessed by a projection it dominates.  Where boolean_rep
     passed on the pool, as in rep-verify, q_decomposition's tests cannot
-    fail: at a column j safe at the pool's degree, so at each pair's, the
-    product rule makes the members w with q_w(j) = 1 the pool's prefixes of
-    one lam_j, so Q_lam(j) = 1 iff lam = lam_j."""
+    fail: at a column j of the pool's degree (_columns), where each pair's
+    product rule holds, it makes the members w with q_w(j) = 1 the pool's
+    prefixes of one lam_j, so Q_lam(j) = 1 iff lam = lam_j."""
     g = fam.graph
     pool = list(Q)
     for lam in pool:

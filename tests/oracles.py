@@ -4,7 +4,8 @@ path set tested pair by pair, the boolean product rule and the orthogonality
 of masks tested on every pair, the extensions of each member of a pool by a
 scan of the whole pool, the completion closure of the Lemma 3 chain over
 every ordered pair, the TCK relations from whole-basis compositions, the
-CK gap products and the Q reconstruction one set or member at a time, the
+CK gap products and the Q reconstruction one set or member at a time, each
+identity compared on a Fock family's complete set found by label, the
 spectral norm of an evaluated element from its dense matrix, the norm of a
 diagonal combination from its Q-piece sectors, and finite exhaustive sets
 as defined by
@@ -57,6 +58,7 @@ from kgraphkit.core import (
 )
 from kgraphkit.repalg import (
     BoundaryFamily,
+    FockFamily,
     SparseSum,
     build_boundary_family,
     compose_maps,
@@ -119,18 +121,33 @@ def closure_all_pairs(g: KGraph, F: Iterable[Path]) -> list[Path]:
     return vee(g, out)
 
 
+def compared_on(fam):
+    """Oracle: (budget, reach) -> the columns an identity is compared on,
+    reach the most its adjoints strip beyond what the generators before them
+    added.  On a FockFamily that is the identity's complete set, the paths of
+    degree <= reach, each found here by its label; on any other family, the
+    safe columns at the budget."""
+    if not isinstance(fam, FockFamily):
+        return lambda budget, reach: fam.safe_columns(budget)
+    at = {label: i for i, label in enumerate(fam.basis.labels)}
+    return lambda budget, reach: np.array(
+        sorted(at[p.label()] for p in paths_up_to_degree(fam.graph, reach)), dtype=np.intp)
+
+
 def boolean_rep_all_pairs(fam, cap):
     """Oracle: the first pair (μ, ν), μ before ν in sort order, of all paths
     below the cap, whatever their ranges, where q_μ q_ν differs from the sum
-    of q_γ over MCE(μ, ν) on the safe columns of d(μ) ∨ d(ν); or None.
-    Each side is read as a column count of masks."""
+    of q_γ over MCE(μ, ν) on the columns of d(μ) ∨ d(ν) (compared_on); or
+    None.  Each side is read as a column count of masks."""
     g = fam.graph
     paths = paths_up_to_degree(g, cap)
+    columns = compared_on(fam)
     for mu in paths:
         for nu in paths:
             if mu.sort_key() > nu.sort_key():
                 continue
-            cols = fam.safe_columns(mu.degree.join(nu.degree))
+            join = mu.degree.join(nu.degree)
+            cols = columns(join, join)
             total = np.zeros(len(cols), dtype=int)
             for gamma in mce(g, mu, nu):
                 total += fam.q(gamma)[cols]
@@ -161,10 +178,13 @@ def first_difference_whole(basis, lhs, rhs, cols):
 def tck_whole_maps(fam, cap) -> list[tuple]:
     """Oracle: repalg.verify_tck as (id, status, witness) triples, each
     product composed over the whole basis and then compared on the check's
-    safe columns by first_difference_whole; each adjoint is the inverse map
-    of the family's generator, taken here."""
+    columns (compared_on: reach 0 for TCK2, d(μ) ∨ d(ν) - d(ν) for TCK3) by
+    first_difference_whole; each adjoint is the inverse map of the family's
+    generator, taken here."""
     g = fam.graph
     cap = Degree(cap)
+    columns = compared_on(fam)
+    vertex = Degree.zero(g.rank)  # TCK2's reach
     t = fam.generator
     t_star = functools.cache(lambda p: inverse_map(t(p)))
     out = []
@@ -186,7 +206,7 @@ def tck_whole_maps(fam, cap) -> list[tuple]:
         for mu in paths:
             if mu.range_vertex == lam.source_vertex and lam.degree + mu.degree <= cap:
                 compare(f"TCK2:{lam.label()}·{mu.label()}", compose_maps(t(lam), t(mu)),
-                        [t(compose(lam, mu))], fam.safe_columns(lam.degree + mu.degree))
+                        [t(compose(lam, mu))], columns(lam.degree + mu.degree, vertex))
     table = mce_table(g, cap)
     for mu in paths:
         for nu in paths:
@@ -194,15 +214,17 @@ def tck_whole_maps(fam, cap) -> list[tuple]:
                 compare(f"TCK3:{mu.label()}*{nu.label()}", compose_maps(t_star(mu), t(nu)),
                         [compose_maps(t(alpha), t_star(beta))
                          for _, alpha, beta in table.get((mu, nu), ())],
-                        fam.safe_columns(mu.degree.join(nu.degree)))
+                        columns(mu.degree.join(nu.degree),
+                                mu.degree.join(nu.degree) - nu.degree))
     return out
 
 
 def ck_per_set(fam, cap) -> list[tuple]:
     """Oracle: repalg.verify_ck as (id, status, witness) triples, one FE set
     at a time: the whole-basis mask of t_v AND-NOT each q_lam, read on the
-    safe columns of the set's degree, names its first column."""
+    columns of the set's degree (compared_on), names its first column."""
     g = fam.graph
+    columns = compared_on(fam)
     out = []
     for v in g.vertices:
         tv = fam.generator(g.vertex_path(v))
@@ -210,7 +232,8 @@ def ck_per_set(fam, cap) -> list[tuple]:
             gap = tv >= 0
             for lam in E:
                 gap = gap & ~fam.q(lam)
-            cols = fam.safe_columns(functools.reduce(Degree.join, (lam.degree for lam in E)))
+            join = functools.reduce(Degree.join, (lam.degree for lam in E))
+            cols = columns(join, join)
             hit = cols[gap[cols]]
             out.append((f"CK:{v}:" + "{" + ",".join(lam.label() for lam in E) + "}",
                         "fail" if len(hit) else "pass",
@@ -220,13 +243,14 @@ def ck_per_set(fam, cap) -> list[tuple]:
 
 def q_reconstruction_per_member(fam, pool) -> object:
     """Oracle: the first member mu of a pool, in order, where q_mu is not the
-    sum of the Q pieces of the members extending mu, on the safe columns of
-    the pool's degree; None when every q_mu is.  The pieces are built here
-    from q and a scan of the whole pool."""
+    sum of the Q pieces of the members extending mu, on the columns of the
+    pool's degree (compared_on); None when every q_mu is.  The pieces are
+    built here from q and a scan of the whole pool."""
     ext = extensions_by_scan(pool)
     pieces = {lam: functools.reduce(lambda m, w: m & ~fam.q(w), ext[lam], fam.q(lam))
               for lam in pool}
-    cols = fam.safe_columns(functools.reduce(Degree.join, (lam.degree for lam in pool)))
+    join = functools.reduce(Degree.join, (lam.degree for lam in pool))
+    cols = compared_on(fam)(join, join)
     for mu in pool:
         total = sum(pieces[w][cols].astype(int) for w in [mu, *ext[mu]])
         if not np.array_equal(total, fam.q(mu)[cols]):

@@ -245,6 +245,20 @@ class TestRepVerify:
         bad = [c for c in payload["results"] if c["status"] == "fail"]
         assert bad and bad[0]["witness"] == "v"
 
+    @pytest.mark.parametrize("graph, args, caps", [
+        ("bouquet2", ["--gen-cap", "2", "--fe-cap", "2", "--suite", "tck,ck,lem1,lem3"],
+         ["2", "4", "13"]),
+        ("omega22", ["--gen-cap", "1,1", "--suite", "tck,ck"], ["2,2", "4,4"]),
+    ])
+    def test_fock_results_do_not_depend_on_cap(self, capsys, graph_files, graph, args, caps):
+        # each identity is decided on its complete set, the paths of degree at
+        # most its reach, which every cap holding the gen-cap holds in full
+        results = set()
+        for cap in caps:
+            _, payload, _ = run(capsys, ["rep-verify", graph_files[graph], "--cap", cap, *args])
+            results.add(json.dumps(payload["results"], sort_keys=True, separators=(",", ":")))
+        assert len(results) == 1
+
     def test_bouquet_full_stack_with_seeds(self, capsys, graph_files, tm_seeds):
         code, payload, _ = run(capsys, [
             "rep-verify", graph_files["bouquet2"], "--family", "boundary",
