@@ -57,6 +57,12 @@ RUNS = {
                         "--tau-bound", "1,1"], 0),
     "aperiodic-omega22": (["aperiodic", "omega22.kg", "--pair-bound", "1,1",
                            "--tau-bound", "1,1"], 0),
+    # the benchmark's bounds: omega222's are clamped to (2,2,2) and every pair
+    # there has two ranges; flip leaves 7 pairs unseparated (PeriodicEvidence)
+    "aperiodic-omega222": (["aperiodic", "omega222.kg", "--pair-bound", "1,1,1",
+                            "--tau-bound", "1,1,1"], 0),
+    "aperiodic-flip-22": (["aperiodic", "flip.kg", "--pair-bound", "2,2",
+                           "--tau-bound", "2,2"], 1),
     # PeriodicEvidence: every tau candidate is tried and none separates
     "aperiodic-c3": (["aperiodic", "c3.kg", "--pair-bound", "3", "--tau-bound", "3"], 1),
     "boundary-check-bouquet2": (["boundary-check", "bouquet2.kg", "--seeds", "tm.json"], 0),
@@ -86,6 +92,7 @@ def write_inputs(directory: Path) -> None:
         "bouquet2.kg": kgraph_to_dict(make_bouquet(2)),
         "flip.kg": flip_presentation(),
         "omega22.kg": kgraph_to_dict(make_omega(2, (2, 2))),
+        "omega222.kg": kgraph_to_dict(make_omega(3, (2, 2, 2))),
         "c3.kg": kgraph_to_dict(make_cycle(3)),
         "dangling.kg": {"rank": 1, "vertices": ["v"],
                         "edges": [{"name": "a", "color": 1, "range": "v", "source": "w"}]},
