@@ -6,6 +6,7 @@ below it, memoised on the graph per cap; verify_tck and boolean_rep read it.
 The pairwise mce and mce_set serve single pairs and sets (the mce command,
 vee, the Lemma 3 chain) and referee the sweep in the tests: they extend one
 participant along degree complements and filter by the prefix condition.
+meets asks only whether an MCE is nonempty: one split for comparable degrees.
 vee is built from pairwise MCEs and skips a path it already holds, and
 is_exhaustive and enumerate_fe share one finite test set (_test_degree).
 Each has a brute-force referee, which the test suite keeps wired to it.
@@ -46,6 +47,16 @@ def mce(g: KGraph, mu: Path, nu: Path) -> list[Path]:
     One pair at a time; mce_table gives every pair below a cap in one sweep.
     """
     return mce_set(g, (mu, nu))
+
+
+def meets(g: KGraph, mu: Path, nu: Path) -> bool:
+    """Whether MCE(mu, nu) is nonempty: for comparable degrees, whether the
+    longer path extends the shorter."""
+    if nu.degree <= mu.degree:
+        return extends(mu, nu)
+    if mu.degree <= nu.degree:
+        return extends(nu, mu)
+    return bool(mce(g, mu, nu))
 
 
 def mce_table(g: KGraph, cap) -> dict[tuple[Path, Path], list[tuple[Path, Path, Path]]]:

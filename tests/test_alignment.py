@@ -28,6 +28,7 @@ from kgraphkit.alignment import (
     mce_set,
     mce_set_brute,
     mce_table,
+    meets,
     vee,
 )
 from kgraphkit.core import Path, _omega_vertex, segment
@@ -124,6 +125,20 @@ def test_mce_matches_brute_force(corpus, name):
     for mu in paths:
         for nu in paths:
             assert mce(g, mu, nu) == mce_brute(g, mu, nu), (mu.label(), nu.label())
+
+
+@pytest.mark.parametrize("name", ["c3", "bouquet2", "flip", "twin", "omega22", "omega222",
+                                  "nlc", "ladder3"])
+def test_meets_matches_brute_force(request, name):
+    # every same-range pair below (2, ..., 2): one extends the other when the
+    # degrees are comparable, and only incomparable degrees build the MCE
+    g = request.getfixturevalue(name)
+    paths = paths_up_to_degree(g, (2,) * g.rank)
+    pairs = [(mu, nu) for mu in paths for nu in paths if mu.range_vertex == nu.range_vertex]
+    got = [meets(g, mu, nu) for mu, nu in pairs]
+    assert got == [bool(mce_brute(g, mu, nu)) for mu, nu in pairs]
+    if g.rank > 1:
+        assert any(not (mu.degree <= nu.degree or nu.degree <= mu.degree) for mu, nu in pairs)
 
 
 def _exact(p: Path) -> tuple:

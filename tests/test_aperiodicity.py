@@ -6,6 +6,7 @@ import pytest
 
 from kgraphkit import KGraphError, aperiodicity, compose, core, paths_up_to_degree
 from kgraphkit.aperiodicity import (
+    _tau_candidates,
     aperiodicity_report,
     find_separating_extension,
     separate_family,
@@ -114,6 +115,16 @@ class TestReport:
         assert (P, D) == ((2,), (3,))
         assert len(pairs) == 21 and unseparated(pairs) == []
 
+    def test_two_range_pairs_enumerate_nothing(self, omega222, monkeypatch):
+        # two paths of a lattice with one source have two ranges, so the
+        # vertex separates every pair and no τ candidate is enumerated
+        calls = []
+        monkeypatch.setattr(aperiodicity, "paths_of_degree",
+                            lambda *args, **kwargs: calls.append(args) or [])
+        _, _, pairs = aperiodicity_report(omega222, (1, 1, 1), (1, 1, 1))
+        assert len(pairs) == 1264 and calls == []
+        assert all(tau == omega222.vertex_path(mu.source_vertex) for mu, _, tau in pairs)
+
     def test_report_reproducible(self, c3):
         assert aperiodicity_report(c3, (3,), (6,)) == aperiodicity_report(c3, (3,), (6,))
 
@@ -161,8 +172,28 @@ class TestReferee:
         _, _, pairs = aperiodicity_report(request.getfixturevalue(name), *REFEREE_BOUNDS[name])
         assert unseparated(pairs)
 
-    @pytest.mark.parametrize("fake", [lambda g, mu, nu: [], lambda g, mu, nu: [mu]],
+    @pytest.mark.parametrize("name", sorted(REFEREE_BOUNDS))
+    def test_search_returns_the_first_separating_tau(self, request, name):
+        # the referee above accepts any separating τ below the bound; the
+        # search returns the first in candidate order, or None when none is
+        g = request.getfixturevalue(name)
+        _, D, pairs = aperiodicity_report(g, *REFEREE_BOUNDS[name])
+        for mu, nu, tau in pairs:
+            first = next((t for t in _tau_candidates(g, mu.source_vertex, D)
+                          if not mce_brute(g, compose(mu, t), compose(nu, t))), None)
+            assert tau == first, (mu.label(), nu.label())
+
+    @pytest.mark.parametrize("name", sorted(REFEREE_BOUNDS))
+    def test_report_is_the_search_pair_by_pair(self, request, name):
+        g = request.getfixturevalue(name)
+        _, D, pairs = aperiodicity_report(g, *REFEREE_BOUNDS[name])
+        assert pairs == [(mu, nu, find_separating_extension(g, mu, nu, D))
+                         for mu, nu, _ in pairs]
+
+    # meets decides every same-range pair of composites, so a wrong answer
+    # from it must reach the report
+    @pytest.mark.parametrize("fake", [lambda g, mu, nu: False, lambda g, mu, nu: True],
                              ids=["never-meets", "always-meets"])
     def test_wrong_mce_is_caught(self, bouquet2, monkeypatch, fake):
-        monkeypatch.setattr(aperiodicity, "mce", fake)
+        monkeypatch.setattr(aperiodicity, "meets", fake)
         assert referee_disagreements(bouquet2, *REFEREE_BOUNDS["bouquet2"])
